@@ -11,8 +11,7 @@ from .attention import (AttentionLayerParams, kernel_attention_linear,
                         kernel_attention_quadratic, multi_head_kernel_attention,
                         multi_head_softmax_attention, softmax_attention)
 from .errors import ConfigError, ContractError, DataError, GraphError, ShapeError
-from .kernels import (KernelParams, KernelSpec, aoglu_forward, glu_forward,
-                      kernel_stack_forward, linear_kernel_forward, oglu_output_forward,
+from .kernels import (KernelParams, KernelSpec, feature_layer, kernel_stack_forward,
                       orthogonal_init, orthogonality_penalty)
 from .model import (ModelConfig, ParamAccount, budget_check, build_model, count_params,
                     forward_classify, forward_match, load_checkpoint, save_checkpoint)

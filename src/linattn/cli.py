@@ -16,7 +16,7 @@ import numpy as np
 
 from .bench import bench_scaling
 from .config import parse_config_file, precision_dtype
-from .errors import ConfigError, DataError
+from .errors import ConfigError, ContractError, DataError
 from .model import budget_check, count_params, load_checkpoint
 from .training import evaluate, run_seeds, train
 from .verify import run_verify
@@ -159,7 +159,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, DataError, FileNotFoundError) as exc:
+    except (ConfigError, ContractError, DataError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

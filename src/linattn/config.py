@@ -90,10 +90,9 @@ class TaskSpec:
             args = (self.length, self.vocab_size, self.motif_len, self.n_motifs)
             return (gen_matching(self.data_seed, self.count, *args),
                     gen_matching(self.data_seed + 1, self.eval_count, *args))
-        schema = "classify"
-        full = load_tsv_dataset(self.path, schema)
+        full = load_tsv_dataset(self.path)
         if self.eval_path:
-            return full, load_tsv_dataset(self.eval_path, schema)
+            return full, load_tsv_dataset(self.eval_path)
         cut = max(1, len(full) - len(full) // 10)
         train = Dataset(full.examples[:cut], full.vocab, full.classes, full.kind, full.meta)
         evald = Dataset(full.examples[cut:], full.vocab, full.classes, full.kind, full.meta)

@@ -303,23 +303,26 @@ def motif_oracle(ds: Dataset) -> np.ndarray:
 # TSV ingestion / export
 # ---------------------------------------------------------------------------
 
-def load_tsv_dataset(path, schema: str = "classify") -> Dataset:
+def load_tsv_dataset(path) -> Dataset:
     """Rows are ``label<TAB>ids`` (classify) or ``label<TAB>ids<TAB>ids``
-    (match), ids space-separated integers. The vocab is max id + 1."""
-    if schema not in ("classify", "match"):
-        raise ConfigError(f"schema must be 'classify' or 'match', got {schema!r}")
+    (match), ids space-separated integers. The first row's column count
+    sets the schema; every later row must have the same count. The vocab
+    is max id + 1."""
     examples = []
     max_id = 0
     max_label = 0
-    want_cols = 2 if schema == "classify" else 3
+    want_cols = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
             cols = line.split("\t")
+            if want_cols is None and len(cols) in (2, 3):
+                want_cols = len(cols)
             if len(cols) != want_cols:
-                raise DataError(f"{path}:{lineno}: expected {want_cols} tab-separated "
+                expected = want_cols or "2 (classify) or 3 (match)"
+                raise DataError(f"{path}:{lineno}: expected {expected} tab-separated "
                                 f"columns, got {len(cols)}")
             try:
                 label = int(cols[0])
@@ -341,7 +344,8 @@ def load_tsv_dataset(path, schema: str = "classify") -> Dataset:
         raise DataError(f"{path}: no rows")
     vocab = [str(i) for i in range(max_id + 1)]
     return Dataset(examples=examples, vocab=vocab, classes=max_label + 1,
-                   kind=schema, meta={"task": "tsv", "path": str(path)})
+                   kind="classify" if want_cols == 2 else "match",
+                   meta={"task": "tsv", "path": str(path)})
 
 
 def save_tsv_dataset(ds: Dataset, path):

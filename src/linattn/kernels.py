@@ -16,6 +16,8 @@ before the factorized attention product:
 Stacks of depth 2-3 insert plain gated layers (or, for the softplus
 variant, linear layers under a configurable inner nonlinearity) before
 the positive output layer. No normalization between layers.
+Every layer of every variant is one ``feature_layer``; the stack only
+picks each layer's activation.
 """
 
 from __future__ import annotations
@@ -159,53 +161,22 @@ def init_kernel_params(spec: KernelSpec, seed, dtype=np.float32) -> KernelParams
     return KernelParams(layers)
 
 
-def _check_trailing(x: Tensor, n: int, op: str):
-    if x.shape[-1] != n:
-        raise ShapeError(f"{op}: trailing dimension {x.shape[-1]} does not match weights ({n})")
-
-
-def linear_kernel_forward(x: Tensor, w: Tensor) -> Tensor:
-    """softplus(X W); strictly positive output."""
-    _check_trailing(x, w.shape[0], "linear_kernel_forward")
-    return T.softplus(T.matmul(x, w))
-
-
-def glu_forward(x: Tensor, w_feat: Tensor, w_gate: Tensor) -> Tensor:
-    """X W_feat * sigmoid(X W_gate). Not sign-constrained; intermediate
-    layers only."""
-    _check_trailing(x, w_feat.shape[0], "glu_forward")
-    return T.mul(T.matmul(x, w_feat), T.sigmoid(T.matmul(x, w_gate)))
-
-
-def oglu_output_forward(x: Tensor, w_feat: Tensor, w_gate: Tensor) -> Tensor:
-    """softplus(X W_feat) * sigmoid(X W_gate); strictly positive output."""
-    _check_trailing(x, w_feat.shape[0], "oglu_output_forward")
-    return T.mul(T.softplus(T.matmul(x, w_feat)), T.sigmoid(T.matmul(x, w_gate)))
-
-
-def aoglu_forward(x: Tensor, w_feat: Tensor, gate_in: Tensor, gate_out: Tensor) -> Tensor:
-    """Positive-output gated layer with the gate factored as
-    (X U)(V): softplus(X W_feat) * sigmoid((X gate_in) gate_out).
-
-    Equals ``oglu_output_forward`` with the materialized gate
-    W_gate = gate_in @ gate_out.
-    """
-    n = w_feat.shape[0]
-    r = gate_in.shape[1]
-    if not 1 <= r or not r < n / 2:
-        raise ConfigError(f"gate rank must satisfy 1 <= r < n/2, got r={r}, n={n}")
-    _check_trailing(x, n, "aoglu_forward")
-    gate_pre = T.matmul(T.matmul(x, gate_in), gate_out)
-    return T.mul(T.softplus(T.matmul(x, w_feat)), T.sigmoid(gate_pre))
-
-
-def _glu_layer(x: Tensor, layer: dict[str, Tensor]) -> Tensor:
-    """Plain gated layer; gate may be full-rank or factored."""
+def feature_layer(x: Tensor, layer: dict[str, Tensor], act) -> Tensor:
+    """act(X W), times sigmoid(X W_gate) or sigmoid((X gate_in) gate_out)
+    when the layer holds those weights; ``act=None`` leaves X W linear.
+    With ``act=T.softplus`` the output is strictly positive."""
+    w = layer["w"] if "w" in layer else layer["w_feat"]
+    if x.shape[-1] != w.shape[0]:
+        raise ShapeError(f"feature_layer: trailing dimension {x.shape[-1]} does not match "
+                         f"weights ({w.shape[0]})")
+    h = T.matmul(x, w)
+    if act is not None:
+        h = act(h)
     if "w_gate" in layer:
-        gate_pre = T.matmul(x, layer["w_gate"])
-    else:
-        gate_pre = T.matmul(T.matmul(x, layer["gate_in"]), layer["gate_out"])
-    return T.mul(T.matmul(x, layer["w_feat"]), T.sigmoid(gate_pre))
+        return T.mul(h, T.sigmoid(T.matmul(x, layer["w_gate"])))
+    if "gate_in" in layer:
+        return T.mul(h, T.sigmoid(T.matmul(T.matmul(x, layer["gate_in"]), layer["gate_out"])))
+    return h
 
 
 _INNER = {"softplus": T.softplus, "gelu": T.gelu, "sigmoid": T.sigmoid}
@@ -219,19 +190,13 @@ def kernel_stack_forward(x: Tensor, spec: KernelSpec, params: KernelParams) -> T
             f"params hold {len(params.layers)} layers but spec depth is {spec.depth}")
     h = x
     for i, layer in enumerate(params.layers):
-        last = i == spec.depth - 1
-        if spec.variant == "linear_softplus":
-            if last:
-                h = linear_kernel_forward(h, layer["w"])
-            else:
-                h = _INNER[spec.inner_nonlinearity](T.matmul(h, layer["w"]))
-        elif last:
-            if "w_gate" in layer:
-                h = oglu_output_forward(h, layer["w_feat"], layer["w_gate"])
-            else:
-                h = aoglu_forward(h, layer["w_feat"], layer["gate_in"], layer["gate_out"])
+        if i == spec.depth - 1:
+            act = T.softplus
+        elif spec.variant == "linear_softplus":
+            act = _INNER[spec.inner_nonlinearity]
         else:
-            h = _glu_layer(h, layer)
+            act = None
+        h = feature_layer(h, layer, act)
     return h
 
 

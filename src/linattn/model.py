@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, field
 
@@ -64,8 +65,9 @@ class ModelConfig:
             raise ConfigError(
                 f"kernel head_dim {self.kernel.head_dim} does not match model head_dim "
                 f"{self.head_dim}")
-        if self.max_len < 1:
-            raise ConfigError(f"max_len must be >= 1, got {self.max_len}")
+        for name in ("max_len", "n_layers", "ffn_dim"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0 <= self.dropout_rate < 1:
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if self.attention_kind not in ATTENTION_KINDS:
@@ -377,30 +379,46 @@ def save_checkpoint(model: Model, path):
 
 
 def load_checkpoint(path) -> Model:
-    """Rebuild a model from a checkpoint file."""
+    """Rebuild a model from a checkpoint file. Malformed, truncated or
+    corrupted content raises ``DataError`` naming the path."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    buf = io.BytesIO(raw)
-    if buf.read(len(_MAGIC)) != _MAGIC:
+    pos = 0
+
+    def take(n: int) -> bytes:
+        nonlocal pos
+        if n > len(raw) - pos:
+            raise DataError(f"{path}: truncated or corrupt checkpoint (read past the end "
+                            f"at offset {pos} of {len(raw)})")
+        pos += n
+        return raw[pos - n:pos]
+
+    def unpack(fmt: str) -> tuple:
+        return struct.unpack(fmt, take(struct.calcsize(fmt)))
+
+    if take(len(_MAGIC)) != _MAGIC:
         raise DataError(f"{path}: not a model checkpoint (bad magic)")
-    (version,) = struct.unpack("<I", buf.read(4))
+    (version,) = unpack("<I")
     if version != _VERSION:
         raise DataError(f"{path}: unsupported checkpoint version {version}")
-    (cfg_len,) = struct.unpack("<Q", buf.read(8))
-    config = ModelConfig.from_dict(json.loads(buf.read(cfg_len).decode("utf-8")))
+    (cfg_len,) = unpack("<Q")
+    try:
+        config = ModelConfig.from_dict(json.loads(take(cfg_len).decode("utf-8")))
+    except (ValueError, TypeError, KeyError) as exc:
+        raise DataError(f"{path}: bad config header ({exc})") from None
 
-    (n_params,) = struct.unpack("<I", buf.read(4))
+    (n_params,) = unpack("<I")
     blobs: dict[str, np.ndarray] = {}
     dtype = np.float32
     for _ in range(n_params):
-        (name_len,) = struct.unpack("<I", buf.read(4))
-        name = buf.read(name_len).decode("utf-8")
-        (code,) = struct.unpack("<B", buf.read(1))
-        (ndim,) = struct.unpack("<I", buf.read(4))
-        shape = struct.unpack(f"<{ndim}Q", buf.read(8 * ndim))
+        (name_len,) = unpack("<I")
+        name = take(name_len).decode("utf-8", errors="replace")
+        code, ndim = unpack("<BI")
+        if code not in _CODE_DTYPES or ndim > 2:  # every parameter is a vector or a matrix
+            raise DataError(f"{path}: bad header for {name} (dtype code {code}, {ndim} dims)")
+        shape = unpack(f"<{ndim}Q")
         dt = _CODE_DTYPES[code]
-        count = int(np.prod(shape)) if ndim else 1
-        arr = np.frombuffer(buf.read(count * dt.itemsize), dtype=dt).reshape(shape)
+        arr = np.frombuffer(take(math.prod(shape) * dt.itemsize), dtype=dt).reshape(shape)
         blobs[name] = np.ascontiguousarray(arr, dtype=dt.newbyteorder("="))
         dtype = np.float32 if code == 0 else np.float64
 

@@ -12,24 +12,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import linattn.tensor as T
-from linattn.attention import (init_attention_params, kernel_attention_linear,
-                               kernel_attention_quadratic)
 from linattn.bench import bench_scaling
 from linattn.config import parse_config_file
-from linattn.data import gen_text_classification
 from linattn.errors import ConfigError
-from linattn.kernels import (KernelSpec, init_kernel_params, kernel_stack_forward,
-                             orthogonal_init)
-from linattn.model import (ModelConfig, ParamAccount, budget_check, build_model,
-                           count_params, forward_classify)
-from linattn.tensor import Tensor, cross_entropy, finite_difference_check
-from linattn.training import run_seeds, train
+from linattn.kernels import KernelSpec
+from linattn.model import ModelConfig, ParamAccount, budget_check, build_model, count_params
+from linattn.training import train
+from linattn.verify import (check_gradients, check_oracle_equivalence, check_orthogonal_init,
+                            check_positivity)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
-
-ALL_VARIANTS = ("linear_softplus", "glu", "oglu", "aoglu")
-ALL_DEPTHS = (1, 2, 3)
 
 
 def report(name: str, ok: bool, detail: str = ""):
@@ -37,91 +29,36 @@ def report(name: str, ok: bool, detail: str = ""):
     assert ok, f"{name}: {detail}"
 
 
-def spec_for(variant, depth, n=8):
-    return KernelSpec(variant=variant, depth=depth, head_dim=n,
-                      gate_rank=n // 4 if variant == "aoglu" else 0)
+def summarize(results) -> tuple[bool, str]:
+    """Whether every ``verify`` check result passed, and a detail line
+    naming the failures (or the first results when all passed)."""
+    failed = [r for r in results if not r.passed]
+    shown = "; ".join(f"{r.name}: {r.detail}" for r in (failed or results)[:3])
+    return not failed, f"{len(results) - len(failed)}/{len(results)} passed; {shown}"
 
 
 class TestOracleEquivalence:
     def test_linear_matches_quadratic_for_every_variant_and_depth(self):
         t0 = time.time()
-        rng = np.random.default_rng(2024)
-        worst = 0.0
-        worst_case = ""
-        for variant in ALL_VARIANTS:
-            for depth in ALL_DEPTHS:
-                spec = spec_for(variant, depth)
-                for _ in range(100):
-                    kp = init_kernel_params(spec, rng, dtype=np.float64)
-                    length = int(rng.integers(2, 65))
-                    d = int(rng.integers(2, 17))
-                    qf = kernel_stack_forward(
-                        Tensor(rng.standard_normal((length, 8))), spec, kp)
-                    kf = kernel_stack_forward(
-                        Tensor(rng.standard_normal((length, 8))), spec, kp)
-                    v = Tensor(rng.standard_normal((length, d)))
-                    mask = np.ones(length, bool)
-                    if length > 2:
-                        mask[rng.random(length) < 0.25] = False
-                        mask[0] = True
-                    lin = kernel_attention_linear(qf, kf, v, mask, eps=0.0)
-                    quad = kernel_attention_quadratic(qf, kf, v, mask, eps=0.0)
-                    diff = float(np.abs(lin.data - quad.data).max())
-                    if diff > worst:
-                        worst, worst_case = diff, f"{variant} depth {depth} L={length}"
+        ok, detail = summarize(check_oracle_equivalence())
         elapsed = time.time() - t0
         report("oracle equivalence (4 variants x 3 depths x 100 trials)",
-               worst <= 1e-10 and elapsed < 60,
-               f"max |linear - quadratic| = {worst:.3e} at {worst_case}, "
-               f"tol 1e-10, {elapsed:.1f}s")
+               ok and elapsed < 60, f"{detail}, {elapsed:.1f}s")
 
 
 class TestGradientCorrectness:
     def test_full_model_gradients_match_finite_differences(self):
         t0 = time.time()
-        spec = KernelSpec(variant="aoglu", depth=2, head_dim=4, gate_rank=1)
-        config = ModelConfig(vocab_size=12, d_model=8, n_heads=2, head_dim=4,
-                             n_layers=1, ffn_dim=16, max_len=8, classes=3, kernel=spec,
-                             attention_kind="kernel_linear", eps=0.0, dropout_rate=0.0)
-        model = build_model(config, seed=7, dtype=np.float64)
-        rng = np.random.default_rng(3)
-        tokens = rng.integers(1, 12, size=(2, 7))
-        mask = np.ones((2, 7), bool)
-        mask[0, -2:] = False
-        labels = np.array([1, 2])
-        params = model.named_parameters()
-
-        def loss_fn(_):
-            from linattn.kernels import orthogonality_penalty
-            ce = cross_entropy(forward_classify(model, tokens, mask), labels)
-            return T.add(ce, orthogonality_penalty(model.regularized_matrices(), 0.01))
-
-        rep = finite_difference_check(loss_fn, params, step=1e-5)
-        worst_name, worst = max(((n, r.max_rel_err) for n, r in rep.items()),
-                                key=lambda kv: kv[1])
-        failed = [n for n, r in rep.items() if r.failed]
+        ok, detail = summarize(check_gradients())
         elapsed = time.time() - t0
         report("gradient correctness (1-layer 2-head kernel attention model)",
-               worst <= 1e-4 and not failed and elapsed < 300,
-               f"worst {worst_name}: rel err {worst:.3e}, tol 1e-4, "
-               f"{len(params)} parameter groups, {elapsed:.1f}s")
+               ok and elapsed < 300, f"{detail}, {elapsed:.1f}s")
 
 
 class TestPositivity:
     def test_kernel_outputs_strictly_positive(self):
-        rng = np.random.default_rng(11)
-        worst = np.inf
-        worst_case = ""
-        for variant in ALL_VARIANTS:
-            for depth in ALL_DEPTHS:
-                spec = spec_for(variant, depth)
-                kp = init_kernel_params(spec, rng, dtype=np.float64)
-                x = Tensor(rng.normal(0.0, 3.0, size=(10_000, 8)))
-                lo = float(kernel_stack_forward(x, spec, kp).data.min())
-                if lo < worst:
-                    worst, worst_case = lo, f"{variant} depth {depth}"
         report("positivity (10^4 draws from N(0,9) per variant x depth)",
-               worst > 0.0, f"min kernel output = {worst:.3e} at {worst_case}")
+               *summarize(check_positivity()))
 
 
 class TestParameterAccounting:
@@ -157,12 +94,7 @@ class TestParameterAccounting:
 
 class TestOrthogonality:
     def test_initialization_is_orthogonal(self):
-        worst = 0.0
-        for n in (2, 8, 32, 64, 128):
-            q = orthogonal_init(n, seed=n + 1)
-            worst = max(worst, float(np.abs(q.T @ q - np.eye(n)).max()))
-        report("orthogonal initialization (n <= 128)",
-               worst <= 1e-12, f"max |Q^T Q - I| = {worst:.3e}, tol 1e-12")
+        report("orthogonal initialization (n <= 128)", *summarize(check_orthogonal_init()))
 
     def test_regularized_run_ends_with_smaller_penalty(self):
         from linattn.config import (OptimizerConfig, ScheduleConfig, TaskSpec,

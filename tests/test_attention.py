@@ -11,7 +11,8 @@ from linattn.attention import (AttentionLayerParams, init_attention_params,
                                multi_head_kernel_attention, multi_head_softmax_attention,
                                softmax_attention)
 from linattn.errors import ContractError, ShapeError
-from linattn.kernels import KernelSpec, init_kernel_params, kernel_stack_forward
+from linattn.kernels import (KernelParams, KernelSpec, init_kernel_params,
+                             kernel_stack_forward)
 from linattn.tensor import Tensor, backward, finite_difference_check
 
 ALL_VARIANT_DEPTHS = [(v, d) for v in ("linear_softplus", "glu", "oglu", "aoglu")
@@ -122,6 +123,34 @@ class TestLinearEvaluator:
             quad = kernel_attention_quadratic(qf, kf, v, mask, eps=0.0)
             worst = max(worst, float(np.abs(lin.data - quad.data).max()))
         assert worst <= 1e-10
+
+    @pytest.mark.parametrize("variant", ("linear_softplus", "glu", "oglu", "aoglu"))
+    def test_f32_long_length_matches_f64_oracle(self, variant):
+        # same weights: the f32 linear path against the f64 quadratic oracle,
+        # depth 2, about 30% of positions masked
+        rng = np.random.default_rng(12)
+        spec = make_spec(variant, 2)
+        kp64 = init_kernel_params(spec, rng, dtype=np.float64)
+        kp32 = KernelParams([{k: Tensor(t.data.astype(np.float32)) for k, t in layer.items()}
+                             for layer in kp64.layers])
+        worst = 0.0
+        with T.no_grad():
+            for length in (512, 2048, 4096):
+                x_q, x_k = rng.standard_normal((2, length, 8))
+                v = rng.standard_normal((length, 8))
+                mask = rng.random(length) >= 0.3
+                mask[0] = True
+
+                def attend(kp, dtype, evaluator):
+                    qf = kernel_stack_forward(Tensor(x_q.astype(dtype)), spec, kp)
+                    kf = kernel_stack_forward(Tensor(x_k.astype(dtype)), spec, kp)
+                    return evaluator(qf, kf, Tensor(v.astype(dtype)), mask, eps=0.0).data
+
+                lin = attend(kp32, np.float32, kernel_attention_linear)
+                quad = attend(kp64, np.float64, kernel_attention_quadratic)
+                assert lin.dtype == np.float32
+                worst = max(worst, float(np.abs(lin.astype(np.float64) - quad).max()))
+        assert worst <= 1e-6
 
     def test_masked_positions_do_not_contribute(self):
         rng = np.random.default_rng(8)

@@ -2,13 +2,17 @@
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from linattn.cli import main
 from linattn.config import parse_config_file
+from linattn.data import gen_matching, save_tsv_dataset
 from linattn.errors import ConfigError
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 FAST_CFG = """\
 [model]
@@ -149,6 +153,16 @@ class TestExitCodes:
         p.write_text("[model]\nd_model = many\n")
         assert main(["params", "--config", str(p)]) == 1
 
+    def test_out_of_range_tsv_label_exit_one(self, fast_cfg, tmp_path, capsys):
+        rows = tmp_path / "rows.tsv"
+        rows.write_text("5\t1 2 3\n" + "1\t4 5 6\n" * 19)
+        cfg = tmp_path / "tsv.cfg"
+        cfg.write_text(open(fast_cfg).read().replace(
+            "source = text_classification", f"source = tsv\npath = {rows}"))
+        code = main(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_over_budget_train_refused(self, tmp_path, capsys):
         p = tmp_path / "big.cfg"
         p.write_text(OVER_BUDGET_CFG)
@@ -169,6 +183,22 @@ class TestTrainCommand:
             assert rec["seed"] == 3
         assert (out / "checkpoint.bin").exists()
         assert "eval accuracy" in capsys.readouterr().out
+
+    def test_match_config_from_tsv(self, tmp_path, capsys):
+        rows = tmp_path / "pairs.tsv"
+        save_tsv_dataset(gen_matching(3, 64, length=32, vocab_size=48), rows)
+        text = (CONFIGS / "match.cfg").read_text()
+        for old, new in (("source = matching", f"source = tsv\npath = {rows}"),
+                         ("warmup_steps = 50", "warmup_steps = 0"),
+                         ("total_steps = 2000", "total_steps = 3"),
+                         ("eval_every = 50", "eval_every = 0"),
+                         ("target_accuracy = 0.95", "")):
+            text = text.replace(old, new)
+        cfg = tmp_path / "match_tsv.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        assert len((out / "metrics.jsonl").read_text().splitlines()) == 3
 
     def test_precision_flag(self, fast_cfg, tmp_path):
         out = tmp_path / "run64"
@@ -196,6 +226,17 @@ class TestEvalCommand:
 
     def test_missing_checkpoint(self, fast_cfg, capsys):
         assert main(["eval", "--config", fast_cfg, "--checkpoint", "/no/ckpt"]) == 1
+
+    def test_truncated_checkpoint_exit_one(self, fast_cfg, tmp_path, capsys):
+        out = tmp_path / "run"
+        main(["train", "--config", fast_cfg, "--out-dir", str(out)])
+        ckpt = out / "checkpoint.bin"
+        raw = ckpt.read_bytes()
+        ckpt.write_bytes(raw[:len(raw) // 2])
+        capsys.readouterr()
+        assert main(["eval", "--config", fast_cfg, "--checkpoint", str(ckpt)]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and str(ckpt) in err
 
 
 class TestSeedsCommand:

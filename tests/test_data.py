@@ -120,7 +120,7 @@ class TestTsv:
     def test_single_row(self, tmp_path):
         p = tmp_path / "mini.tsv"
         p.write_text("1\t3 4 5\n")
-        ds = load_tsv_dataset(p, "classify")
+        ds = load_tsv_dataset(p)
         assert len(ds) == 1
         tokens, label = ds.examples[0]
         assert label == 1 and np.array_equal(tokens, [3, 4, 5])
@@ -130,26 +130,29 @@ class TestTsv:
         p = tmp_path / "bad.tsv"
         p.write_text("0\t1 2 3\n1\t4 x 6\n")
         with pytest.raises(DataError, match=r"bad\.tsv:2"):
-            load_tsv_dataset(p, "classify")
+            load_tsv_dataset(p)
 
     def test_wrong_column_count_names_line(self, tmp_path):
         p = tmp_path / "cols.tsv"
-        p.write_text("0\t1 2\t3 4\n")
-        with pytest.raises(DataError, match=r"cols\.tsv:1"):
-            load_tsv_dataset(p, "classify")
+        p.write_text("0\t1 2\n0\t1 2\t3 4\n")
+        with pytest.raises(DataError, match=r"cols\.tsv:2: expected 2"):
+            load_tsv_dataset(p)
+        p.write_text("0\t1 2\t3 4\t5\n")
+        with pytest.raises(DataError, match=r"cols\.tsv:1: expected 2 \(classify\) or 3"):
+            load_tsv_dataset(p)
 
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "empty.tsv"
         p.write_text("")
         with pytest.raises(DataError):
-            load_tsv_dataset(p, "classify")
+            load_tsv_dataset(p)
 
     def test_round_trip_classify(self, tmp_path):
         ds = gen_text_classification(5, 50, length=16, vocab_size=32)
         p = tmp_path / "round.tsv"
         save_tsv_dataset(ds, p)
-        loaded = load_tsv_dataset(p, "classify")
-        assert len(loaded) == len(ds)
+        loaded = load_tsv_dataset(p)
+        assert loaded.kind == "classify" and len(loaded) == len(ds)
         for (ta, ya), (tb, yb) in zip(ds.examples, loaded.examples):
             assert np.array_equal(ta, tb) and ya == yb
 
@@ -157,7 +160,8 @@ class TestTsv:
         ds = gen_matching(6, 30, length=16)
         p = tmp_path / "pairs.tsv"
         save_tsv_dataset(ds, p)
-        loaded = load_tsv_dataset(p, "match")
+        loaded = load_tsv_dataset(p)
+        assert loaded.kind == "match"
         for ea, eb in zip(ds.examples, loaded.examples):
             assert np.array_equal(ea[0], eb[0]) and np.array_equal(ea[1], eb[1])
             assert ea[2] == eb[2]

@@ -5,10 +5,8 @@ import pytest
 
 import linattn.tensor as T
 from linattn.errors import ConfigError, ShapeError
-from linattn.kernels import (KernelParams, KernelSpec, aoglu_forward, glu_forward,
-                             init_kernel_params, kernel_stack_forward,
-                             linear_kernel_forward, oglu_output_forward,
-                             orthogonal_init, orthogonality_penalty,
+from linattn.kernels import (KernelParams, KernelSpec, feature_layer, init_kernel_params,
+                             kernel_stack_forward, orthogonal_init, orthogonality_penalty,
                              regularized_matrices)
 from linattn.tensor import Tensor, backward, finite_difference_check
 
@@ -20,6 +18,19 @@ SOFTPLUS_2_TIMES_SIGMOID_2 = 1.8733919771959595
 
 ALL_VARIANT_DEPTHS = [(v, d) for v in ("linear_softplus", "glu", "oglu", "aoglu")
                       for d in (1, 2, 3)]
+
+
+def softplus_layer(x, w):
+    return feature_layer(x, {"w": w}, T.softplus)
+
+
+def gated_layer(x, w_feat, w_gate, act):
+    return feature_layer(x, {"w_feat": w_feat, "w_gate": w_gate}, act)
+
+
+def low_rank_layer(x, w_feat, gate_in, gate_out):
+    return feature_layer(x, {"w_feat": w_feat, "gate_in": gate_in, "gate_out": gate_out},
+                         T.softplus)
 
 
 def make_spec(variant, depth, n=8):
@@ -70,34 +81,35 @@ class TestOrthogonalInit:
 class TestLinearKernel:
     def test_zero_input_gives_ln2(self):
         w = Tensor(np.random.default_rng(0).standard_normal((4, 4)))
-        out = linear_kernel_forward(Tensor(np.zeros((3, 4))), w)
+        out = softplus_layer(Tensor(np.zeros((3, 4))), w)
         np.testing.assert_allclose(out.data, LN2, atol=1e-12)
 
     def test_identity_weights(self):
-        out = linear_kernel_forward(Tensor(np.array([[1.0, -1.0]])), Tensor(np.eye(2)))
+        out = softplus_layer(Tensor(np.array([[1.0, -1.0]])), Tensor(np.eye(2)))
         np.testing.assert_allclose(out.data, [[SOFTPLUS_1, SOFTPLUS_M1]], atol=1e-12)
 
     def test_positive(self):
         rng = np.random.default_rng(1)
-        out = linear_kernel_forward(Tensor(rng.normal(0, 3, (200, 6))),
-                                    Tensor(rng.standard_normal((6, 6))))
+        out = softplus_layer(Tensor(rng.normal(0, 3, (200, 6))),
+                             Tensor(rng.standard_normal((6, 6))))
         assert out.data.min() > 0
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            linear_kernel_forward(Tensor(np.zeros((2, 3))), Tensor(np.eye(4)))
+            softplus_layer(Tensor(np.zeros((2, 3))), Tensor(np.eye(4)))
 
 
 class TestGLU:
     def test_identity_weights(self):
-        out = glu_forward(Tensor(np.array([[1.0, 0.0]])), Tensor(np.eye(2)), Tensor(np.eye(2)))
+        out = gated_layer(Tensor(np.array([[1.0, 0.0]])), Tensor(np.eye(2)), Tensor(np.eye(2)),
+                          None)
         np.testing.assert_allclose(out.data, [[SIGMOID_1, 0.0]], atol=1e-12)
 
     def test_gate_closes(self):
         # sigmoid(-50 x) -> 0 for positive inputs, shutting the gate
         rng = np.random.default_rng(2)
         x = Tensor(rng.uniform(0.5, 2.0, size=(10, 4)))
-        out = glu_forward(x, Tensor(np.eye(4)), Tensor(-50.0 * np.eye(4)))
+        out = gated_layer(x, Tensor(np.eye(4)), Tensor(-50.0 * np.eye(4)), None)
         assert np.abs(out.data).max() < 1e-9
 
     def test_gradient(self):
@@ -109,7 +121,7 @@ class TestGLU:
         }
 
         def f(p):
-            return T.sum(T.square(glu_forward(p["x"], p["wf"], p["wg"])))
+            return T.sum(T.square(gated_layer(p["x"], p["wf"], p["wg"], None)))
 
         report = finite_difference_check(f, params, step=1e-5)
         assert max(r.max_rel_err for r in report.values()) <= 1e-5
@@ -118,20 +130,19 @@ class TestGLU:
 class TestOGLUOutput:
     def test_zero_input(self):
         rng = np.random.default_rng(4)
-        out = oglu_output_forward(Tensor(np.zeros((2, 4))),
-                                  Tensor(rng.standard_normal((4, 4))),
-                                  Tensor(rng.standard_normal((4, 4))))
+        out = gated_layer(Tensor(np.zeros((2, 4))), Tensor(rng.standard_normal((4, 4))),
+                          Tensor(rng.standard_normal((4, 4))), T.softplus)
         np.testing.assert_allclose(out.data, LN2 * 0.5, atol=1e-12)
 
     def test_identity_at_two(self):
-        out = oglu_output_forward(Tensor(np.array([[2.0]])), Tensor(np.eye(1)), Tensor(np.eye(1)))
+        out = gated_layer(Tensor(np.array([[2.0]])), Tensor(np.eye(1)), Tensor(np.eye(1)),
+                          T.softplus)
         assert out.item() == pytest.approx(SOFTPLUS_2_TIMES_SIGMOID_2, abs=1e-12)
 
     def test_positive(self):
         rng = np.random.default_rng(5)
-        out = oglu_output_forward(Tensor(rng.normal(0, 3, (500, 6))),
-                                  Tensor(rng.standard_normal((6, 6))),
-                                  Tensor(rng.standard_normal((6, 6))))
+        out = gated_layer(Tensor(rng.normal(0, 3, (500, 6))), Tensor(rng.standard_normal((6, 6))),
+                          Tensor(rng.standard_normal((6, 6))), T.softplus)
         assert out.data.min() > 0
 
 
@@ -142,8 +153,8 @@ class TestAOGLU:
         w_feat = Tensor(rng.standard_normal((8, 8)))
         gate_in = Tensor(rng.standard_normal((8, 2)))
         gate_out = Tensor(rng.standard_normal((2, 8)))
-        factored = aoglu_forward(x, w_feat, gate_in, gate_out)
-        dense = oglu_output_forward(x, w_feat, Tensor(gate_in.data @ gate_out.data))
+        factored = low_rank_layer(x, w_feat, gate_in, gate_out)
+        dense = gated_layer(x, w_feat, Tensor(gate_in.data @ gate_out.data), T.softplus)
         assert np.abs(factored.data - dense.data).max() <= 1e-12
 
     def test_parameter_reduction_arithmetic(self):
@@ -157,15 +168,10 @@ class TestAOGLU:
 
     def test_zero_input_gates_at_half(self):
         rng = np.random.default_rng(7)
-        out = aoglu_forward(Tensor(np.zeros((3, 8))), Tensor(rng.standard_normal((8, 8))),
-                            Tensor(rng.standard_normal((8, 3))), Tensor(rng.standard_normal((3, 8))))
+        out = low_rank_layer(Tensor(np.zeros((3, 8))), Tensor(rng.standard_normal((8, 8))),
+                             Tensor(rng.standard_normal((8, 3))),
+                             Tensor(rng.standard_normal((3, 8))))
         np.testing.assert_allclose(out.data, LN2 * 0.5, atol=1e-12)
-
-    def test_rank_bound_enforced(self):
-        rng = np.random.default_rng(8)
-        with pytest.raises(ConfigError):
-            aoglu_forward(Tensor(np.zeros((2, 8))), Tensor(np.eye(8)),
-                          Tensor(rng.standard_normal((8, 4))), Tensor(rng.standard_normal((4, 8))))
 
 
 class TestKernelStack:
@@ -175,7 +181,7 @@ class TestKernelStack:
         params = init_kernel_params(spec, rng, dtype=np.float64)
         x = Tensor(rng.standard_normal((5, 8)))
         stacked = kernel_stack_forward(x, spec, params)
-        direct = linear_kernel_forward(x, params.layers[0]["w"])
+        direct = softplus_layer(x, params.layers[0]["w"])
         np.testing.assert_array_equal(stacked.data, direct.data)
 
     def test_depth1_identity_weights_equal_softplus(self):
@@ -201,8 +207,8 @@ class TestKernelStack:
         x = Tensor(rng.standard_normal((6, 8)))
         stacked = kernel_stack_forward(x, spec, params)
         l0, l1 = params.layers
-        manual = oglu_output_forward(glu_forward(x, l0["w_feat"], l0["w_gate"]),
-                                     l1["w_feat"], l1["w_gate"])
+        manual = gated_layer(gated_layer(x, l0["w_feat"], l0["w_gate"], None),
+                             l1["w_feat"], l1["w_gate"], T.softplus)
         np.testing.assert_array_equal(stacked.data, manual.data)
         assert stacked.data.min() > 0
 

@@ -1,5 +1,7 @@
 """Encoder model: determinism, invariances, accounting, checkpointing."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,11 @@ class TestConfigValidation:
     def test_dropout_range(self):
         with pytest.raises(ConfigError, match="dropout"):
             small_config(dropout_rate=1.0)
+
+    def test_sizes_at_least_one(self):
+        for field in ("max_len", "n_layers", "ffn_dim"):
+            with pytest.raises(ConfigError, match=field):
+                small_config(**{field: -2})
 
     def test_unknown_attention_kind(self):
         with pytest.raises(ConfigError, match="attention_kind"):
@@ -337,6 +344,50 @@ class TestCheckpoint:
         with pytest.raises(DataError, match="magic"):
             load_checkpoint(path)
 
+    @staticmethod
+    def _load_or_data_error(path, data):
+        """Load ``data`` written to ``path``: either a model comes back or a
+        DataError names the file; nothing else may escape."""
+        path.write_bytes(data)
+        try:
+            return load_checkpoint(path)
+        except DataError as exc:
+            assert str(path) in str(exc)
+            return None
+
+    def test_truncation_fuzz(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(build_model(small_config(), seed=19), path)
+        raw = path.read_bytes()
+        cut_path = tmp_path / "cut.ckpt"
+        for cut in [*range(0, len(raw), 97), len(raw) // 2, len(raw) - 1]:
+            assert self._load_or_data_error(cut_path, raw[:cut]) is None, cut
+
+    def test_byte_flip_fuzz(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(build_model(small_config(), seed=20), path)
+        raw = path.read_bytes()
+        flip_path = tmp_path / "flip.ckpt"
+        rejected = 0
+        for offset in range(400):
+            for bits in (0x01, 0x80, 0xFF):
+                data = bytearray(raw)
+                data[offset] ^= bits
+                rejected += self._load_or_data_error(flip_path, bytes(data)) is None
+        assert rejected > 0
+
+    def test_unknown_dtype_code_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(build_model(small_config(), seed=21), path)
+        raw = bytearray(path.read_bytes())
+        (cfg_len,) = struct.unpack_from("<Q", raw, 12)
+        name_len_at = 12 + 8 + cfg_len + 4
+        (name_len,) = struct.unpack_from("<I", raw, name_len_at)
+        raw[name_len_at + 4 + name_len] = 7  # first parameter's dtype code
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DataError, match="dtype code 7"):
+            load_checkpoint(path)
+
     def test_header_is_little_endian_binary(self, tmp_path):
         cfg = small_config()
         model = build_model(cfg, seed=18)
@@ -344,5 +395,4 @@ class TestCheckpoint:
         save_checkpoint(model, path)
         raw = path.read_bytes()
         assert raw.startswith(b"LINATTN1")
-        import struct
         assert struct.unpack_from("<I", raw, 8)[0] == 1  # version
