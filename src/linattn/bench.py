@@ -8,10 +8,12 @@ fit an exponent near 1, the softmax baseline near 2.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy
 
 from .errors import ConfigError
 from .kernels import KernelSpec
@@ -21,6 +23,7 @@ from .tensor import no_grad
 BENCH_KINDS = ("kernel_linear", "softmax")
 WARMUP_PASSES = 2
 MIN_MEDIAN_MS = 1.0
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass
@@ -52,6 +55,22 @@ def linear_attention_op_count(length: int, feat_dim: int, value_dim: int) -> int
     numerator = length * feat_dim * value_dim
     denominator = length * feat_dim
     return s_build + z_build + numerator + denominator
+
+
+def bench_environment() -> dict:
+    """What a timing depends on besides the code: library versions, the BLAS
+    numpy was built against, usable CPUs and the thread-count variables
+    (``None`` when unset)."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count())
+    return {
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "cpu_count": cpus,
+        "threads": {name: os.environ.get(name) for name in THREAD_VARS},
+    }
 
 
 def _bench_config(kind: str, max_len: int, d_model: int, n_heads: int,

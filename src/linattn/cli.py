@@ -9,12 +9,13 @@ error, 2 usage error, 3 diverged training run.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 
 import numpy as np
 
-from .bench import bench_scaling
+from .bench import bench_environment, bench_scaling
 from .config import parse_config_file, precision_dtype
 from .errors import ConfigError, ContractError, DataError
 from .model import budget_check, count_params, load_checkpoint
@@ -88,7 +89,7 @@ def _cmd_eval(args) -> int:
     if not os.path.exists(args.checkpoint):
         raise ConfigError(f"checkpoint not found: {args.checkpoint}")
     model = load_checkpoint(args.checkpoint)
-    _, eval_ds = config.task.build()
+    eval_ds = config.task.build_eval()
     accuracy, loss = evaluate(model, eval_ds, batch_size=64)
     print(f"eval accuracy {accuracy:.4f}  mean loss {loss:.4f} "
           f"({len(eval_ds)} examples)")
@@ -120,12 +121,15 @@ def _cmd_bench(args) -> int:
     csv_path = os.path.join(args.out_dir, "bench.csv")
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write(result.csv())
+    env_path = os.path.join(args.out_dir, "env.json")
+    with open(env_path, "w", encoding="utf-8") as fh:
+        json.dump(bench_environment(), fh, indent=2, sort_keys=True)
     print(result.csv(), end="")
     for kind, slope in result.exponents.items():
         print(f"fitted exponent {kind}: {slope:.3f}")
     for warning in result.resolution_warnings:
         print(f"warning: {warning}")
-    print(f"csv written to {csv_path}")
+    print(f"csv written to {csv_path}, environment to {env_path}")
     return EXIT_OK
 
 

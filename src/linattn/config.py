@@ -78,25 +78,37 @@ class TaskSpec:
     def build(self) -> tuple[Dataset, Dataset]:
         """Materialize (train, eval) datasets."""
         self.validate()
-        if self.source == "listops":
-            return (gen_listops(self.data_seed, self.count, self.length, self.max_depth),
-                    gen_listops(self.data_seed + 1, self.eval_count, self.length,
-                                self.max_depth))
-        if self.source == "text_classification":
-            args = (self.length, self.vocab_size, self.classes, self.motif_len)
-            return (gen_text_classification(self.data_seed, self.count, *args),
-                    gen_text_classification(self.data_seed + 1, self.eval_count, *args))
-        if self.source == "matching":
-            args = (self.length, self.vocab_size, self.motif_len, self.n_motifs)
-            return (gen_matching(self.data_seed, self.count, *args),
-                    gen_matching(self.data_seed + 1, self.eval_count, *args))
+        if self.source != "tsv":
+            return self._generate(self.data_seed, self.count), self.build_eval()
         full = load_tsv_dataset(self.path)
         if self.eval_path:
-            return full, load_tsv_dataset(self.eval_path)
+            return full, self.build_eval()
+        return self._hold_out(full)
+
+    def build_eval(self) -> Dataset:
+        """Materialize the eval split alone, the same one ``build`` returns."""
+        self.validate()
+        if self.source != "tsv":
+            return self._generate(self.data_seed + 1, self.eval_count)
+        if self.eval_path:
+            return load_tsv_dataset(self.eval_path)
+        return self._hold_out(load_tsv_dataset(self.path))[1]
+
+    def _generate(self, seed: int, count: int) -> Dataset:
+        if self.source == "listops":
+            return gen_listops(seed, count, self.length, self.max_depth)
+        if self.source == "text_classification":
+            return gen_text_classification(seed, count, self.length, self.vocab_size,
+                                           self.classes, self.motif_len)
+        return gen_matching(seed, count, self.length, self.vocab_size, self.motif_len,
+                            self.n_motifs)
+
+    @staticmethod
+    def _hold_out(full: Dataset) -> tuple[Dataset, Dataset]:
+        """Split off the last tenth of the rows as the eval split."""
         cut = max(1, len(full) - len(full) // 10)
-        train = Dataset(full.examples[:cut], full.vocab, full.classes, full.kind, full.meta)
-        evald = Dataset(full.examples[cut:], full.vocab, full.classes, full.kind, full.meta)
-        return train, evald
+        return (Dataset(full.examples[:cut], full.vocab, full.classes, full.kind, full.meta),
+                Dataset(full.examples[cut:], full.vocab, full.classes, full.kind, full.meta))
 
 
 @dataclass

@@ -18,6 +18,7 @@ import io
 import json
 import math
 import struct
+import zlib
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -349,14 +350,15 @@ def budget_check(account: ParamAccount, limit: float = 0.10) -> BudgetVerdict:
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"LINATTN1"
-_VERSION = 1
+_VERSION = 2
 _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _CODE_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 
 
 def save_checkpoint(model: Model, path):
-    """Write magic, version, canonical-JSON config, then named parameter
-    blobs (name, dtype code, shape, raw little-endian data)."""
+    """Write magic, version, canonical-JSON config, named parameter blobs
+    (name, dtype code, shape, raw little-endian data), then a CRC32 of all
+    the bytes before it."""
     params = model.named_parameters()
     buf = io.BytesIO()
     buf.write(_MAGIC)
@@ -374,6 +376,7 @@ def save_checkpoint(model: Model, path):
         buf.write(struct.pack(f"<{t.ndim}Q", *t.shape))
         data = t.data.astype(t.data.dtype.newbyteorder("<"), copy=False)
         buf.write(data.tobytes())
+    buf.write(struct.pack("<I", zlib.crc32(buf.getvalue())))
     with open(path, "wb") as fh:
         fh.write(buf.getvalue())
 
@@ -421,6 +424,13 @@ def load_checkpoint(path) -> Model:
         arr = np.frombuffer(take(math.prod(shape) * dt.itemsize), dtype=dt).reshape(shape)
         blobs[name] = np.ascontiguousarray(arr, dtype=dt.newbyteorder("="))
         dtype = np.float32 if code == 0 else np.float64
+
+    body_len = pos
+    (crc,) = unpack("<I")
+    if crc != zlib.crc32(raw[:body_len]):
+        raise DataError(f"{path}: checksum mismatch (corrupt checkpoint)")
+    if pos != len(raw):
+        raise DataError(f"{path}: {len(raw) - pos} trailing bytes after the checksum")
 
     model = build_model(config, seed=0, dtype=dtype)
     params = model.named_parameters()

@@ -19,7 +19,7 @@ from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.special import erf
+from scipy.special import erf, expit
 
 from .errors import ContractError, GraphError, ShapeError
 
@@ -197,7 +197,12 @@ def add(a, b) -> Tensor:
     b = _as_tensor(b, like=a)
     _check_dtypes(a, b, "add")
     out = a.data + b.data
-    return _make(out, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
+
+    def vjp(g):
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.shape) if b.requires_grad else None)
+
+    return _make(out, (a, b), vjp)
 
 
 def sub(a, b) -> Tensor:
@@ -205,7 +210,12 @@ def sub(a, b) -> Tensor:
     b = _as_tensor(b, like=a)
     _check_dtypes(a, b, "sub")
     out = a.data - b.data
-    return _make(out, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
+
+    def vjp(g):
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(-g, b.shape) if b.requires_grad else None)
+
+    return _make(out, (a, b), vjp)
 
 
 def mul(a, b) -> Tensor:
@@ -213,8 +223,12 @@ def mul(a, b) -> Tensor:
     b = _as_tensor(b, like=a)
     _check_dtypes(a, b, "mul")
     out = a.data * b.data
-    return _make(out, (a, b), lambda g: (_unbroadcast(g * b.data, a.shape),
-                                         _unbroadcast(g * a.data, b.shape)))
+
+    def vjp(g):
+        return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
+
+    return _make(out, (a, b), vjp)
 
 
 def div(a, b) -> Tensor:
@@ -227,10 +241,13 @@ def div(a, b) -> Tensor:
         out = a.data / b.data
 
     def vjp(g):
+        da = db = None
         with np.errstate(divide="ignore", invalid="ignore"):
-            da = g / b.data
-            db = -g * a.data / (b.data * b.data)
-        return _unbroadcast(da, a.shape), _unbroadcast(db, b.shape)
+            if a.requires_grad:
+                da = _unbroadcast(g / b.data, a.shape)
+            if b.requires_grad:
+                db = _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
+        return da, db
 
     return _make(out, (a, b), vjp)
 
@@ -246,15 +263,6 @@ def _softplus_raw(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
-def _sigmoid_raw(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def softplus(x) -> Tensor:
     """ln(1 + e^x) in the overflow-safe form max(x, 0) + ln(1 + e^-|x|).
 
@@ -264,7 +272,7 @@ def softplus(x) -> Tensor:
     x = _as_tensor(x)
     tiny = np.finfo(x.dtype).tiny
     out = np.maximum(_softplus_raw(x.data), tiny)
-    return _make(out, (x,), lambda g: (g * _sigmoid_raw(x.data),))
+    return _make(out, (x,), lambda g: (g * expit(x.data),))
 
 
 def sigmoid(x) -> Tensor:
@@ -272,7 +280,7 @@ def sigmoid(x) -> Tensor:
     positive normal so gates never collapse to exactly zero."""
     x = _as_tensor(x)
     tiny = np.finfo(x.dtype).tiny
-    s = np.maximum(_sigmoid_raw(x.data), tiny)
+    s = np.maximum(expit(x.data), tiny)
     return _make(s, (x,), lambda g: (g * s * (1.0 - s),))
 
 
@@ -371,9 +379,8 @@ def matmul(a, b) -> Tensor:
     out = a.data @ b.data
 
     def vjp(g):
-        da = _unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape)
-        db = _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape)
-        return da, db
+        return (_unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape) if a.requires_grad else None,
+                _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape) if b.requires_grad else None)
 
     return _make(out, (a, b), vjp)
 
@@ -404,13 +411,27 @@ def concat(tensors: Iterable[Tensor], axis: int = -1) -> Tensor:
     return _make(out, ts, vjp)
 
 
+def _is_basic_key(key) -> bool:
+    """Whether numpy indexes with ``key`` by basic indexing (integers, slices,
+    ``Ellipsis``, ``None``), which never selects an element twice."""
+    parts = key if isinstance(key, tuple) else (key,)
+    return all(k is None or k is Ellipsis or isinstance(k, slice)
+               or (isinstance(k, (int, np.integer)) and not isinstance(k, bool))
+               for k in parts)
+
+
 def getitem(x, key) -> Tensor:
+    """``x[key]``. Basic keys get their gradient by assignment; advanced keys
+    (arrays, lists, booleans) may repeat elements, so theirs scatter-adds."""
     x = _as_tensor(x)
     out = x.data[key]
 
     def vjp(g):
         dx = np.zeros_like(x.data)
-        np.add.at(dx, key, g)
+        if _is_basic_key(key):
+            dx[key] = g
+        else:
+            np.add.at(dx, key, g)
         return (dx,)
 
     return _make(np.ascontiguousarray(out), (x,), vjp)
@@ -423,7 +444,8 @@ def astype(x, dtype) -> Tensor:
 
 
 def embedding(table, ids: np.ndarray) -> Tensor:
-    """Row lookup ``table[ids]``; gradients scatter-add into the table."""
+    """Row lookup ``table[ids]``. The gradient of each table row is the sum
+    of the output rows that read it, summed in the order they occur."""
     table = _as_tensor(table)
     ids = np.asarray(ids)
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
@@ -433,7 +455,13 @@ def embedding(table, ids: np.ndarray) -> Tensor:
 
     def vjp(g):
         dt = np.zeros_like(table.data)
-        np.add.at(dt, ids.reshape(-1), g.reshape(-1, table.shape[-1]))
+        flat = ids.reshape(-1)
+        if flat.size:
+            order = np.argsort(flat, kind="stable")
+            sorted_ids = flat[order]
+            starts = np.flatnonzero(np.r_[True, sorted_ids[1:] != sorted_ids[:-1]])
+            rows = g.reshape(-1, table.shape[-1])[order]
+            dt[sorted_ids[starts]] = np.add.reduceat(rows, starts, axis=0)
         return (dt,)
 
     return _make(out, (table,), vjp)

@@ -6,11 +6,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
+import linattn.config
 from linattn.cli import main
 from linattn.config import parse_config_file
 from linattn.data import gen_matching, save_tsv_dataset
 from linattn.errors import ConfigError
+from linattn.model import load_checkpoint
+from linattn.training import evaluate
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -224,6 +228,35 @@ class TestEvalCommand:
         assert code == 0
         assert "eval accuracy" in capsys.readouterr().out
 
+    def test_eval_builds_only_the_eval_split(self, fast_cfg, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "run"
+        main(["train", "--config", fast_cfg, "--out-dir", str(out)])
+        ckpt = str(out / "checkpoint.bin")
+        config = parse_config_file(fast_cfg)
+        _, eval_ds = config.task.build()
+        accuracy, loss = evaluate(load_checkpoint(ckpt), eval_ds, batch_size=64)
+        capsys.readouterr()
+        seeds = []
+        real = linattn.config.gen_text_classification
+        monkeypatch.setattr(linattn.config, "gen_text_classification",
+                            lambda seed, *a: seeds.append(seed) or real(seed, *a))
+        assert main(["eval", "--config", fast_cfg, "--checkpoint", ckpt]) == 0
+        assert seeds == [config.task.data_seed + 1]
+        assert (f"eval accuracy {accuracy:.4f}  mean loss {loss:.4f} "
+                f"({len(eval_ds)} examples)") in capsys.readouterr().out
+
+    def test_corrupt_checkpoint_exit_one(self, fast_cfg, tmp_path, capsys):
+        out = tmp_path / "run"
+        main(["train", "--config", fast_cfg, "--out-dir", str(out)])
+        ckpt = out / "checkpoint.bin"
+        raw = bytearray(ckpt.read_bytes())
+        raw[len(raw) // 2] ^= 0x80
+        ckpt.write_bytes(bytes(raw))
+        capsys.readouterr()
+        assert main(["eval", "--config", fast_cfg, "--checkpoint", str(ckpt)]) == 1
+        err = capsys.readouterr().err
+        assert "checksum" in err and str(ckpt) in err
+
     def test_missing_checkpoint(self, fast_cfg, capsys):
         assert main(["eval", "--config", fast_cfg, "--checkpoint", "/no/ckpt"]) == 1
 
@@ -264,6 +297,21 @@ class TestBenchCommand:
         kinds = {line.split(",")[0] for line in csv_lines[1:]}
         assert kinds == {"kernel_linear", "softmax"}
         assert "fitted exponent" in capsys.readouterr().out
+
+    def test_environment_written_next_to_csv(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        out = tmp_path / "bench"
+        assert main(["bench", "--lengths", "8,16,32", "--repeats", "2",
+                     "--out-dir", str(out)]) == 0
+        env = json.loads((out / "env.json").read_text())
+        assert env["numpy"] == np.__version__
+        assert env["scipy"] == scipy.__version__
+        assert set(env["blas"]) == {"name", "version"}
+        assert env["cpu_count"] >= 1
+        assert env["threads"]["OMP_NUM_THREADS"] == "1"
+        assert env["threads"]["MKL_NUM_THREADS"] is None
+        assert "OPENBLAS_NUM_THREADS" in env["threads"]
 
     def test_too_few_lengths(self, capsys):
         assert main(["bench", "--lengths", "8,16"]) == 1

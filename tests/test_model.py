@@ -1,6 +1,7 @@
 """Encoder model: determinism, invariances, accounting, checkpointing."""
 
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -376,6 +377,40 @@ class TestCheckpoint:
                 rejected += self._load_or_data_error(flip_path, bytes(data)) is None
         assert rejected > 0
 
+    def test_every_byte_flip_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(build_model(small_config(), seed=22), path)
+        raw = path.read_bytes()
+        flip_path = tmp_path / "flip.ckpt"
+        for offset in range(0, len(raw), 31):
+            for bits in (0x01, 0x80, 0xFF):
+                data = bytearray(raw)
+                data[offset] ^= bits
+                assert self._load_or_data_error(flip_path, bytes(data)) is None, (offset, bits)
+
+    def test_checksum_covers_weights_and_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(build_model(small_config(), seed=23), path)
+        raw = path.read_bytes()
+        assert struct.unpack_from("<I", raw, len(raw) - 4)[0] == zlib.crc32(raw[:-4])
+        data = bytearray(raw)
+        data[len(raw) // 2] ^= 0x01  # inside a weight blob: parses, checksum fails
+        path.write_bytes(bytes(data))
+        with pytest.raises(DataError, match="checksum"):
+            load_checkpoint(path)
+        path.write_bytes(raw + b"\0")
+        with pytest.raises(DataError, match="trailing"):
+            load_checkpoint(path)
+
+    def test_version_one_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(build_model(small_config(), seed=24), path)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<I", raw, 8, 1)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DataError, match="unsupported checkpoint version 1"):
+            load_checkpoint(path)
+
     def test_unknown_dtype_code_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
         save_checkpoint(build_model(small_config(), seed=21), path)
@@ -395,4 +430,4 @@ class TestCheckpoint:
         save_checkpoint(model, path)
         raw = path.read_bytes()
         assert raw.startswith(b"LINATTN1")
-        assert struct.unpack_from("<I", raw, 8)[0] == 1  # version
+        assert struct.unpack_from("<I", raw, 8)[0] == 2  # version

@@ -1,6 +1,7 @@
 """Tensor core: op semantics, reverse-mode gradients, verification oracle."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -329,3 +330,135 @@ class TestDtypeDiscipline:
         a = T.softmax_rows(Tensor(x)).data
         b = T.softmax_rows(Tensor(x)).data
         assert np.array_equal(a, b)
+
+
+class TestGetitemGradient:
+    """Basic keys are assigned, advanced keys scatter-add; both must equal
+    the np.add.at scatter exactly."""
+
+    @staticmethod
+    def _grad_and_reference(key):
+        rng = np.random.default_rng(16)
+        x = t64(rng.standard_normal((4, 5, 3)), grad=True)
+        out = T.getitem(x, key)
+        w = rng.standard_normal(out.shape)
+        grads = backward(T.sum(T.mul(out, t64(w))))
+        reference = np.zeros(x.shape)
+        np.add.at(reference, key, w)
+        report = finite_difference_check(
+            lambda p: T.sum(T.mul(T.getitem(p["x"], key), t64(w))), {"x": x}, step=1e-5)
+        assert report["x"].max_rel_err <= 1e-6
+        return grads[x].data, reference
+
+    @pytest.mark.parametrize("key", [np.s_[1:3], np.s_[:, ::-2], -1, np.s_[..., 2],
+                                     np.s_[None, 2], np.s_[1, None, -2:]],
+                             ids=["slice", "negative-step", "negative-int",
+                                  "ellipsis-int", "none-int", "int-none-slice"])
+    def test_basic_keys_equal_scatter_exactly(self, key):
+        assert T._is_basic_key(key)
+        grad, reference = self._grad_and_reference(key)
+        np.testing.assert_array_equal(grad, reference)
+
+    @pytest.mark.parametrize("key", [np.array([2, 0, 2, 2]), np.s_[[1, 1], :, 0],
+                                     np.array([True, False, True, True])],
+                             ids=["repeated-ints", "repeated-list", "bool-mask"])
+    def test_advanced_keys_accumulate_duplicates(self, key):
+        assert not T._is_basic_key(key)
+        grad, reference = self._grad_and_reference(key)
+        np.testing.assert_array_equal(grad, reference)
+
+    def test_bool_scalar_key_is_advanced(self):
+        assert not T._is_basic_key(True)
+        assert not T._is_basic_key((0, np.bool_(True)))
+        assert T._is_basic_key((np.int64(1), slice(None)))
+
+
+class TestEmbeddingGradient:
+    def test_repeated_and_absent_ids_match_scatter(self):
+        rng = np.random.default_rng(17)
+        table = t64(rng.standard_normal((9, 4)), grad=True)
+        ids = np.array([[3, 1, 3, 7], [7, 3, 0, 1]])  # rows 2, 4, 5, 6, 8 never read
+        w = rng.standard_normal((2, 4, 4))
+        grads = backward(T.sum(T.mul(T.embedding(table, ids), t64(w))))
+        reference = np.zeros(table.shape)
+        np.add.at(reference, ids.reshape(-1), w.reshape(-1, 4))
+        np.testing.assert_allclose(grads[table].data, reference, rtol=0, atol=1e-12)
+        absent = [2, 4, 5, 6, 8]
+        assert np.all(grads[table].data[absent] == 0.0)
+        report = finite_difference_check(
+            lambda p: T.sum(T.mul(T.embedding(p["t"], ids), t64(w))), {"t": table}, step=1e-5)
+        assert report["t"].max_rel_err <= 1e-6
+
+    def test_empty_ids_give_zero_gradient(self):
+        table = t64(np.ones((3, 2)), grad=True)
+        out = T.embedding(table, np.zeros((0,), dtype=np.int64))
+        (grad,) = out._vjp(np.zeros((0, 2)))
+        np.testing.assert_array_equal(grad, np.zeros((3, 2)))
+
+
+class TestSaturatedLogistic:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_and_softplus_at_large_magnitude(self, dtype):
+        tiny = np.finfo(dtype).tiny
+        x = Tensor(np.array([-1e4, -50.0, 0.0, 50.0, 1e4], dtype=dtype), requires_grad=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = T.sigmoid(x)
+            sp = T.softplus(x)
+            grads = backward(T.sum(T.add(s, sp)))
+        assert s.dtype == sp.dtype == grads[x].dtype == dtype
+        for out in (s.data, sp.data, grads[x].data):
+            assert np.all(np.isfinite(out))
+        assert s.data[0] == tiny and sp.data[0] == tiny
+        assert s.data[-1] == 1.0 and sp.data[-1] == dtype(1e4)
+        assert np.all(s.data >= tiny) and np.all(sp.data >= tiny)
+        # d/dx [sigmoid + softplus] = s (1 - s) + s; both terms vanish at -1e4
+        np.testing.assert_allclose(grads[x].data, s.data * (1 - s.data) + s.data,
+                                   rtol=1e-6, atol=tiny)
+
+    def test_gradients_match_finite_differences(self):
+        x = t64(np.linspace(-4.0, 4.0, 13), grad=True)
+        report = finite_difference_check(
+            lambda p: T.sum(T.mul(T.sigmoid(p["x"]), T.softplus(p["x"]))), {"x": x}, step=1e-5)
+        assert report["x"].max_rel_err <= 1e-6
+
+
+class TestConstantOperands:
+    """A VJP computes no gradient for an operand that does not require one."""
+
+    OPS = {"add": T.add, "sub": T.sub, "mul": T.mul, "div": T.div, "matmul": T.matmul}
+
+    @pytest.mark.parametrize("name", sorted(OPS))
+    @pytest.mark.parametrize("const_at", [0, 1], ids=["const-a", "const-b"])
+    def test_constant_gets_none_and_params_zero_filled(self, name, const_at):
+        op = self.OPS[name]
+        rng = np.random.default_rng(18)
+        w = t64(rng.uniform(0.5, 2.0, (3, 4)), grad=True)
+        if name == "matmul":
+            c_shape = (3, 3) if const_at == 0 else (4, 4)
+        else:
+            c_shape = (3, 1)  # broadcast like a padding mask
+        c = t64(rng.uniform(0.5, 2.0, c_shape))
+
+        def call(wt):
+            return op(c, wt) if const_at == 0 else op(wt, c)
+
+        out = call(w)
+        pieces = out._vjp(np.ones_like(out.data))
+        assert pieces[const_at] is None
+        assert pieces[1 - const_at].shape == w.shape
+
+        unused = t64(np.ones(2), grad=True)
+        grads = backward(T.sum(call(w)), params={"w": w, "c": c, "unused": unused})
+        np.testing.assert_array_equal(grads[c].data, np.zeros(c.shape))
+        np.testing.assert_array_equal(grads[unused].data, np.zeros(2))
+        report = finite_difference_check(lambda p: T.sum(T.square(call(p["w"]))), {"w": w},
+                                         step=1e-6)
+        assert report["w"].max_rel_err <= 1e-6
+
+    def test_both_trainable_still_get_both(self):
+        a = t64(np.ones((2, 2)), grad=True)
+        b = t64(np.full((2, 2), 2.0), grad=True)
+        pieces = T.div(a, b)._vjp(np.ones((2, 2)))
+        np.testing.assert_array_equal(pieces[0], np.full((2, 2), 0.5))
+        np.testing.assert_array_equal(pieces[1], np.full((2, 2), -0.25))
