@@ -345,8 +345,10 @@ def sum(x, axis=None, keepdims=False) -> Tensor:
 def mean(x, axis=None, keepdims=False) -> Tensor:
     x = _as_tensor(x)
     out = np.mean(x.data, axis=axis, keepdims=keepdims)
-    count = x.data.size if axis is None else np.prod(
-        [x.shape[a] for a in (axis if isinstance(axis, tuple) else (axis,))])
+    # A python int count keeps the gradient in x's dtype (an np.int64 would
+    # promote float32 to float64).
+    count = x.data.size if axis is None else math.prod(
+        x.shape[a] for a in (axis if isinstance(axis, tuple) else (axis,)))
 
     def vjp(g):
         return (_spread(g, x.shape, axis, keepdims) / count,)
@@ -537,7 +539,9 @@ def backward(loss: Tensor, params=None) -> GradMap:
     Returns a mapping from leaf tensor (identity) to its gradient tensor.
     When ``params`` is given (an iterable or name->tensor mapping), every
     requested tensor gets exactly one entry, zero-filled if the loss does
-    not depend on it. The traversed graph is consumed.
+    not depend on it. The traversed graph is consumed. Every gradient keeps
+    its operand's dtype: a VJP that returns another dtype raises
+    ``GraphError``.
     """
     if not isinstance(loss, Tensor):
         raise ContractError("backward expects a Tensor loss")
@@ -559,6 +563,9 @@ def backward(loss: Tensor, params=None) -> GradMap:
         for p, pg in zip(node._prev, node._vjp(g)):
             if not p.requires_grad or pg is None:
                 continue
+            if pg.dtype != p.dtype:
+                raise GraphError(f"a gradient of dtype {pg.dtype.name} reached an operand "
+                                 f"of dtype {p.dtype.name}")
             acc = grads.get(id(p))
             grads[id(p)] = pg if acc is None else acc + pg
         node._consumed = True

@@ -203,6 +203,18 @@ class TestBackward:
         grads = backward(T.sum(T.mul(w, c)))
         assert w in grads and c not in grads
 
+    @pytest.mark.parametrize("axis", [-1, (0, 1), None])
+    def test_mean_gradient_keeps_float32(self, axis):
+        x = Tensor(np.ones((2, 3, 4), dtype=np.float32), requires_grad=True)
+        grads = backward(T.sum(T.mean(x, axis=axis)))
+        assert grads[x].dtype == np.float32
+
+    def test_vjp_changing_dtype_rejected(self):
+        x = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+        leaky = T._make(x.data * 2.0, (x,), lambda g: (g.astype(np.float64),))
+        with pytest.raises(GraphError, match="float64.*float32"):
+            backward(T.sum(leaky))
+
 
 class TestNoGrad:
     def test_no_graph_built(self):

@@ -2,11 +2,14 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from linattn.config import (OptimizerConfig, ScheduleConfig, TaskSpec, TrainConfig)
+import linattn.training
+from linattn.config import (OptimizerConfig, ScheduleConfig, TaskSpec, TrainConfig,
+                            parse_config_file)
 from linattn.data import gen_matching, gen_text_classification
 from linattn.errors import ConfigError
 from linattn.kernels import KernelSpec
@@ -14,6 +17,9 @@ from linattn.model import ModelConfig, build_model
 from linattn.tensor import Tensor
 from linattn.training import (Adam, SeedsSummary, evaluate, lr_at, run_seeds, train,
                               VARIANCE_FLAG_STD)
+
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
 
 
 def tiny_config(variant="oglu", steps=5, lam=0.01, micro=8, accum=1, **train_overrides):
@@ -228,3 +234,25 @@ class TestRunSeeds:
         assert summary.diverged_seeds == [2]
         row1 = [r for r in summary.rows if r["seed"] == 1][0]
         assert summary.mean == pytest.approx(row1["accuracy"])
+
+
+class TestFloat32Gradients:
+    @pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
+    def test_every_gradient_reaching_adam_has_its_parameter_dtype(self, path, monkeypatch):
+        cfg = parse_config_file(path)
+        cfg.task.count = cfg.micro_batch * cfg.accumulation_steps
+        cfg.task.eval_count = 2
+        cfg.schedule.warmup_steps, cfg.schedule.total_steps = 0, 1
+        cfg.eval_every = 0
+        seen = []
+        step = linattn.training.Adam.step
+
+        def recording_step(opt, grads, lr):
+            seen.extend((name, g.dtype, opt.params[name].dtype) for name, g in grads.items())
+            return step(opt, grads, lr)
+
+        monkeypatch.setattr(linattn.training.Adam, "step", recording_step)
+        train(cfg, seed=0, dtype=np.float32, override_budget=True)
+        assert len(seen) == len(build_model(cfg.model, 0).named_parameters())
+        wrong = [(name, g.name) for name, g, want in seen if g != want or want != np.float32]
+        assert not wrong
