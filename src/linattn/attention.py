@@ -140,35 +140,54 @@ def init_attention_params(d_model: int, n_heads: int, spec: KernelSpec, seed,
     return params
 
 
-def _split_heads(x: Tensor, n_heads: int) -> Tensor:
-    """(..., L, d_model) -> (..., h, L, n)"""
-    *lead, length, d_model = x.shape
-    n = d_model // n_heads
-    return T.swapaxes(T.reshape(x, (*lead, length, n_heads, n)), -2, -3)
+def _pack(x: Tensor, mask) -> tuple[Tensor, np.ndarray, bool]:
+    """Packed rows (N, d_model) of ``x`` plus the boolean mask, and whether
+    ``x`` came padded (``mask.shape + (d_model,)``) rather than packed."""
+    m = np.asarray(mask, dtype=bool)
+    if x.shape[:-1] == m.shape:
+        return T.getitem(x, m), m, True
+    n = int(np.count_nonzero(m))
+    if x.ndim != 2 or x.shape[0] != n:
+        raise ShapeError(f"input {x.shape} is neither padded to the mask {m.shape} "
+                         f"nor its {n} packed rows")
+    return x, m, False
 
 
-def _merge_heads(x: Tensor) -> Tensor:
-    """(..., h, L, n) -> (..., L, h*n)"""
-    *lead, h, length, n = x.shape
-    return T.reshape(T.swapaxes(x, -2, -3), (*lead, length, h * n))
+def _heads(rows: Tensor, n_heads: int, m: np.ndarray, fill: float = 0.0) -> Tensor:
+    """Packed rows (N, h*n) -> per-head padded (..., h, L, n), pad slots ``fill``."""
+    n = rows.shape[-1] // n_heads
+    per_head = T.reshape(rows, (rows.shape[0], n_heads, n))
+    return T.swapaxes(T.unpack(per_head, m, fill), -2, -3)
 
 
-def _stack_head_features(x_heads: Tensor, kernels: list[KernelParams],
+def _merge_rows(x: Tensor, m: np.ndarray) -> Tensor:
+    """Per-head padded (..., h, L, n) -> packed rows (N, h*n) of the real positions."""
+    rows = T.getitem(T.swapaxes(x, -2, -3), m)
+    return T.reshape(rows, (rows.shape[0], -1))
+
+
+def _stack_head_features(rows: Tensor, kernels: list[KernelParams],
                          spec: KernelSpec) -> Tensor:
-    """Apply each head's feature-map stack to its slice of (..., h, L, n)."""
-    feats = []
-    for i, kp in enumerate(kernels):
-        head = x_heads[..., i, :, :]
-        out = kernel_stack_forward(head, spec, kp)
-        feats.append(T.reshape(out, out.shape[:-2] + (1,) + out.shape[-2:]))
-    return T.concat(feats, axis=-3)
+    """Apply each head's feature-map stack to its column block of the packed
+    rows (N, h*n); returns (N, h*C)."""
+    n = rows.shape[-1] // len(kernels)
+    return T.concat([kernel_stack_forward(rows[:, i * n:(i + 1) * n], spec, kp)
+                     for i, kp in enumerate(kernels)], axis=-1)
 
 
 def multi_head_kernel_attention(x: Tensor, params: AttentionLayerParams,
                                 spec: KernelSpec, mask, eps: float = 0.0,
                                 evaluator: str = "linear") -> Tensor:
-    """Project, split into heads, map queries/keys through each head's
-    feature stack, run kernel attention per head, merge, project out.
+    """Project, map queries/keys through each head's feature stack, run
+    kernel attention per head, merge, project out.
+
+    ``x`` is either the padded batch (``mask.shape + (d_model,)``) or the
+    packed rows of its unmasked positions (``(mask.sum(), d_model)``), and
+    the output comes back in the same layout (pad rows of a padded output
+    are 0). The projections and feature stacks run on the packed rows only;
+    the evaluator sees per-head padded arrays whose pad slots hold features
+    of 1 and values of 0, so a pad query never divides 0 by 0 and the key
+    mask keeps pad keys out of S and z.
 
     ``evaluator`` selects the linear factorized path or the quadratic
     oracle (used to cross-check full layers).
@@ -179,37 +198,38 @@ def multi_head_kernel_attention(x: Tensor, params: AttentionLayerParams,
     n_heads = params.n_heads
     if len(params.head_kernels) != n_heads:
         raise ShapeError(f"expected {n_heads} kernel stacks, got {len(params.head_kernels)}")
-
-    q = _split_heads(T.matmul(x, params.w_q), n_heads)
-    k = _split_heads(T.matmul(x, params.w_k), n_heads)
-    v = _split_heads(T.matmul(x, params.w_v), n_heads)
-
-    qf = _stack_head_features(q, params.head_kernels, spec)
-    key_kernels = params.key_kernels if params.key_kernels is not None else params.head_kernels
-    kf = _stack_head_features(k, key_kernels, spec)
-
-    m = np.asarray(mask, dtype=bool)
-    m_heads = np.expand_dims(m, -2)  # broadcast over heads: (..., 1, L)
-
-    if evaluator == "linear":
-        heads_out = kernel_attention_linear(qf, kf, v, m_heads, eps=eps)
-    elif evaluator == "quadratic":
-        heads_out = kernel_attention_quadratic(qf, kf, v, m_heads, eps=eps)
-    else:
+    if evaluator not in ("linear", "quadratic"):
         raise ShapeError(f"unknown evaluator {evaluator!r}")
 
-    return T.matmul(_merge_heads(heads_out), params.w_o)
+    rows, m, padded = _pack(x, mask)
+    key_kernels = params.key_kernels if params.key_kernels is not None else params.head_kernels
+    qf = _stack_head_features(T.matmul(rows, params.w_q), params.head_kernels, spec)
+    kf = _stack_head_features(T.matmul(rows, params.w_k), key_kernels, spec)
+    qf = _heads(qf, n_heads, m, fill=1.0)
+    kf = _heads(kf, n_heads, m, fill=1.0)
+    v = _heads(T.matmul(rows, params.w_v), n_heads, m)
+
+    m_heads = np.expand_dims(m, -2)  # broadcast over heads: (..., 1, L)
+    if evaluator == "linear":
+        heads_out = kernel_attention_linear(qf, kf, v, m_heads, eps=eps)
+    else:
+        heads_out = kernel_attention_quadratic(qf, kf, v, m_heads, eps=eps)
+
+    out = T.matmul(_merge_rows(heads_out, m), params.w_o)
+    return T.unpack(out, m) if padded else out
 
 
 def multi_head_softmax_attention(x: Tensor, params: AttentionLayerParams, mask) -> Tensor:
-    """Standard multi-head softmax attention (the quadratic baseline)."""
+    """Standard multi-head softmax attention (the quadratic baseline); ``x``
+    is padded or packed as in ``multi_head_kernel_attention``."""
     d_model = params.w_q.shape[0]
     if x.shape[-1] != d_model:
         raise ShapeError(f"input dim {x.shape[-1]} does not match projections ({d_model})")
     n_heads = params.n_heads
-    q = _split_heads(T.matmul(x, params.w_q), n_heads)
-    k = _split_heads(T.matmul(x, params.w_k), n_heads)
-    v = _split_heads(T.matmul(x, params.w_v), n_heads)
-    m = np.expand_dims(np.asarray(mask, dtype=bool), -2)
-    heads_out = softmax_attention(q, k, v, m)
-    return T.matmul(_merge_heads(heads_out), params.w_o)
+    rows, m, padded = _pack(x, mask)
+    q = _heads(T.matmul(rows, params.w_q), n_heads, m)
+    k = _heads(T.matmul(rows, params.w_k), n_heads, m)
+    v = _heads(T.matmul(rows, params.w_v), n_heads, m)
+    heads_out = softmax_attention(q, k, v, np.expand_dims(m, -2))
+    out = T.matmul(_merge_rows(heads_out, m), params.w_o)
+    return T.unpack(out, m) if padded else out

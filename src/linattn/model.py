@@ -186,16 +186,25 @@ class Model:
         inv = T.div(centered, T.sqrt(T.add(var, float(LAYERNORM_EPS))))
         return T.add(T.mul(inv, gamma), beta)
 
-    def _dropout(self, x: Tensor, train: bool, rng) -> Tensor:
+    def _dropout(self, x: Tensor, mask: np.ndarray, train: bool, rng) -> Tensor:
+        """Inverted dropout on packed rows. The keep mask is drawn at the
+        padded shape and then gathered, so the random stream does not
+        depend on how much of the batch is padding."""
         rate = self.config.dropout_rate
         if not train or rate == 0.0 or rng is None:
             return x
-        keep = (rng.random(x.shape) >= rate).astype(x.dtype) / (1.0 - rate)
-        return T.mul(x, Tensor(keep))
+        keep = (rng.random(mask.shape + x.shape[1:]) >= rate).astype(x.dtype) / (1.0 - rate)
+        return T.mul(x, Tensor(keep[mask]))
 
     def encode(self, tokens: np.ndarray, mask: np.ndarray, train: bool = False,
                rng=None) -> Tensor:
-        """Token ids (B, L) + mask -> pooled features (B, d_model)."""
+        """Token ids (B, L) + mask -> pooled features (B, d_model).
+
+        Every position-wise op runs on the packed rows (N, d_model) of the
+        real tokens, in row-major order; only attention's S/z aggregation and
+        the pooling see sequences. ``mean`` pooling averages each sequence's
+        rows; ``cls`` pooling takes its first unmasked position.
+        """
         tokens = np.asarray(tokens)
         mask = np.asarray(mask, dtype=bool)
         if tokens.ndim != 2:
@@ -211,7 +220,9 @@ class Model:
                 f"token ids must lie in [0, {cfg.vocab_size}), got "
                 f"[{tokens.min()}, {tokens.max()}]")
 
-        h = T.add(T.embedding(self.embed_tokens, tokens), self.embed_pos[:length])
+        seq, col = np.nonzero(mask)
+        h = T.add(T.embedding(self.embed_tokens, tokens[mask]),
+                  T.embedding(self.embed_pos, col))
 
         for blk in self.blocks:
             normed = self._layer_norm(h, blk.ln1_gamma, blk.ln1_beta)
@@ -221,22 +232,22 @@ class Model:
                 evaluator = "linear" if cfg.attention_kind == "kernel_linear" else "quadratic"
                 attn_out = multi_head_kernel_attention(
                     normed, blk.attn, cfg.kernel, mask, eps=cfg.eps, evaluator=evaluator)
-            h = T.add(h, self._dropout(attn_out, train, rng))
+            h = T.add(h, self._dropout(attn_out, mask, train, rng))
 
             normed = self._layer_norm(h, blk.ln2_gamma, blk.ln2_beta)
             inner = T.gelu(T.add(T.matmul(normed, blk.ffn_w1), blk.ffn_b1))
-            inner = self._dropout(inner, train, rng)
+            inner = self._dropout(inner, mask, train, rng)
             ffn_out = T.add(T.matmul(inner, blk.ffn_w2), blk.ffn_b2)
             h = T.add(h, ffn_out)
 
         h = self._layer_norm(h, self.final_gamma, self.final_beta)
 
         if cfg.pooling == "cls":
-            return h[:, 0, :]
-        mask_col = Tensor(mask[..., None].astype(self.dtype))
-        counts = Tensor(mask.sum(axis=-1, keepdims=True).astype(self.dtype))
-        summed = T.sum(T.mul(h, mask_col), axis=-2)
-        return T.div(summed, counts)
+            return h[np.r_[True, seq[1:] != seq[:-1]]]
+        # Attention rejected empty sequences, so every count is >= 1.
+        members = seq == np.arange(b)[:, None]
+        return T.matmul(Tensor((members / members.sum(axis=-1, keepdims=True))
+                               .astype(self.dtype)), h)
 
 
 def _uniform(rng, rows, cols, dtype, bound=None):

@@ -297,24 +297,6 @@ def gelu(x) -> Tensor:
     return _make(out.astype(x.dtype), (x,), vjp)
 
 
-def exp(x) -> Tensor:
-    x = _as_tensor(x)
-    out = np.exp(x.data)
-    return _make(out, (x,), lambda g: (g * out,))
-
-
-def log(x) -> Tensor:
-    x = _as_tensor(x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.log(x.data)
-
-    def vjp(g):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return (g / x.data,)
-
-    return _make(out, (x,), vjp)
-
-
 def square(x) -> Tensor:
     x = _as_tensor(x)
     return _make(x.data * x.data, (x,), lambda g: (g * 2.0 * x.data,))
@@ -422,21 +404,51 @@ def _is_basic_key(key) -> bool:
                for k in parts)
 
 
+def _is_bool_mask(key) -> bool:
+    """Whether ``key`` is a boolean array, which selects each element at most once."""
+    return isinstance(key, np.ndarray) and key.dtype == np.bool_ and key.ndim > 0
+
+
 def getitem(x, key) -> Tensor:
-    """``x[key]``. Basic keys get their gradient by assignment; advanced keys
-    (arrays, lists, booleans) may repeat elements, so theirs scatter-adds."""
+    """``x[key]``. Keys that cannot select an element twice (basic keys and
+    boolean masks) get their gradient by assignment; other advanced keys
+    (integer arrays, lists, boolean scalars) may repeat elements, so theirs
+    scatter-adds."""
     x = _as_tensor(x)
+    if _is_bool_mask(key) and key.shape == x.shape[:key.ndim] and key.all():
+        # Every element selected, as for a batch without padding: a reshape.
+        return _make(x.data.reshape((-1,) + x.shape[key.ndim:]), (x,),
+                     lambda g: (g.reshape(x.shape),))
     out = x.data[key]
+    assign = _is_basic_key(key) or _is_bool_mask(key)
 
     def vjp(g):
         dx = np.zeros_like(x.data)
-        if _is_basic_key(key):
+        if assign:
             dx[key] = g
         else:
             np.add.at(dx, key, g)
         return (dx,)
 
     return _make(np.ascontiguousarray(out), (x,), vjp)
+
+
+def unpack(x, mask, fill: float = 0.0) -> Tensor:
+    """The inverse of ``x[mask]`` for a boolean ``mask``: the rows of ``x``,
+    one per True entry in row-major order, scattered into a ``mask.shape +
+    x.shape[1:]`` array whose other slots hold ``fill``. The gradient of
+    ``x`` is ``g[mask]``; the fill slots pass none back."""
+    x = _as_tensor(x)
+    mask = np.asarray(mask, dtype=bool)
+    n = int(np.count_nonzero(mask))
+    if x.ndim < 1 or x.shape[0] != n:
+        raise ShapeError(f"unpack: {x.shape[:1]} rows for a mask with {n} True entries")
+    shape = mask.shape + x.shape[1:]
+    if n == mask.size:  # no slot to fill: a reshape
+        return _make(x.data.reshape(shape), (x,), lambda g: (g.reshape(x.shape),))
+    out = np.full(shape, fill, dtype=x.dtype)
+    out[mask] = x.data
+    return _make(out, (x,), lambda g: (g[mask],))
 
 
 def astype(x, dtype) -> Tensor:

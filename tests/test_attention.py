@@ -278,6 +278,28 @@ class TestMultiHead:
         out_shared = multi_head_kernel_attention(x, shared, spec, np.ones(5, bool), eps=0.0)
         assert np.abs(out.data - out_shared.data).max() > 1e-6
 
+    @pytest.mark.parametrize("kind", ["kernel", "softmax"])
+    def test_packed_rows_match_padded_layout(self, kind):
+        rng = np.random.default_rng(18)
+        spec = make_spec("oglu", 2)
+        params = init_attention_params(16, 2, spec, seed=7, dtype=np.float64,
+                                       with_kernels=kind == "kernel")
+        x = Tensor(rng.standard_normal((3, 9, 16)))
+        mask = np.arange(9) < np.array([9, 4, 1])[:, None]
+        if kind == "kernel":
+            def run(inp):
+                return multi_head_kernel_attention(inp, params, spec, mask, eps=0.0)
+        else:
+            def run(inp):
+                return multi_head_softmax_attention(inp, params, mask)
+        padded = run(x).data
+        packed = run(Tensor(x.data[mask])).data
+        assert packed.shape == (14, 16)
+        np.testing.assert_array_equal(padded[mask], packed)
+        np.testing.assert_array_equal(padded[~mask], 0.0)
+        with pytest.raises(ShapeError):
+            run(Tensor(x.data[mask][:-1]))
+
     def test_dimension_mismatch(self):
         spec = make_spec("glu", 1)
         params = init_attention_params(16, 2, spec, seed=5)

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import linattn.tensor as T
+from linattn.attention import multi_head_kernel_attention, multi_head_softmax_attention
 from linattn.data import gen_text_classification, batch_iter
-from linattn.errors import ConfigError, DataError
+from linattn.errors import ConfigError, ContractError, DataError
 from linattn.kernels import KernelSpec
 from linattn.model import (ModelConfig, ParamAccount, budget_check, build_model,
                            count_params, forward_classify, forward_match,
@@ -30,6 +31,30 @@ def random_batch(cfg, b=4, length=20, seed=0):
     tokens = rng.integers(1, cfg.vocab_size, size=(b, length))
     mask = np.ones((b, length), bool)
     return tokens, mask
+
+
+def padded_hidden(model, tokens, mask):
+    """Final hidden states (B, L, d) of the encoder run on the padded batch,
+    as the encoder ran before it packed its rows: the reference for what
+    each pooling reads at the real positions."""
+    cfg = model.config
+    h = T.add(T.embedding(model.embed_tokens, tokens), model.embed_pos[:tokens.shape[1]])
+    for blk in model.blocks:
+        normed = model._layer_norm(h, blk.ln1_gamma, blk.ln1_beta)
+        if cfg.attention_kind == "softmax":
+            h = T.add(h, multi_head_softmax_attention(normed, blk.attn, mask))
+        else:
+            evaluator = "linear" if cfg.attention_kind == "kernel_linear" else "quadratic"
+            h = T.add(h, multi_head_kernel_attention(normed, blk.attn, cfg.kernel, mask,
+                                                     eps=cfg.eps, evaluator=evaluator))
+        normed = model._layer_norm(h, blk.ln2_gamma, blk.ln2_beta)
+        inner = T.gelu(T.add(T.matmul(normed, blk.ffn_w1), blk.ffn_b1))
+        h = T.add(h, T.add(T.matmul(inner, blk.ffn_w2), blk.ffn_b2))
+    return model._layer_norm(h, model.final_gamma, model.final_beta).data
+
+
+def classify_head(model, pooled):
+    return pooled @ model.head_params["w"].data + model.head_params["b"].data
 
 
 class TestConfigValidation:
@@ -267,6 +292,120 @@ class TestBudgetCheck:
         verdict = budget_check(count_params(build_model(cfg, 0)))
         assert not verdict.passed
         assert verdict.ratio > 0.10
+
+
+class TestPooling:
+    """``cls`` reads the first unmasked position of each sequence; ``mean``
+    averages the unmasked positions."""
+
+    def test_cls_on_right_padded_batch_reads_slot_zero(self):
+        model = build_model(small_config(pooling="cls"), seed=21, dtype=np.float64)
+        tokens, mask = random_batch(model.config, b=4, length=12, seed=1)
+        mask[1, 5:] = False
+        mask[3, 1:] = False
+        logits = forward_classify(model, tokens, mask).data
+        expected = classify_head(model, padded_hidden(model, tokens, mask)[:, 0])
+        np.testing.assert_allclose(logits, expected, rtol=0, atol=1e-12)
+
+    def test_cls_on_left_padded_batch_reads_first_real_token(self):
+        model = build_model(small_config(pooling="cls"), seed=22, dtype=np.float64)
+        tokens, mask = random_batch(model.config, b=3, length=10, seed=2)
+        mask[0, :4] = False
+        mask[2, :9] = False
+        first = np.argmax(mask, axis=-1)
+        logits = forward_classify(model, tokens, mask).data
+        hidden = padded_hidden(model, tokens, mask)
+        expected = classify_head(model, hidden[np.arange(3), first])
+        np.testing.assert_allclose(logits, expected, rtol=0, atol=1e-12)
+        assert np.abs(logits[0] - classify_head(model, hidden[0, 0])).max() > 1e-6
+
+    def test_mean_averages_real_positions(self):
+        model = build_model(small_config(), seed=23, dtype=np.float64)
+        tokens, mask = random_batch(model.config, b=3, length=10, seed=3)
+        mask[0, 6:] = False
+        mask[1, :3] = False
+        hidden = padded_hidden(model, tokens, mask)
+        pooled = (hidden * mask[..., None]).sum(axis=1) / mask.sum(axis=1, keepdims=True)
+        np.testing.assert_allclose(forward_classify(model, tokens, mask).data,
+                                   classify_head(model, pooled), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("pooling", ["mean", "cls"])
+    def test_empty_sequence_rejected(self, pooling):
+        model = build_model(small_config(pooling=pooling), seed=24, dtype=np.float64)
+        tokens, mask = random_batch(model.config, b=3, length=8)
+        mask[1] = False
+        with pytest.raises(ContractError, match="at least one unmasked"):
+            forward_classify(model, tokens, mask)
+
+
+PADDING_KINDS = [("kernel_linear", v) for v in ("linear_softplus", "glu", "oglu", "aoglu")]
+PADDING_KINDS.append(("softmax", "oglu"))
+
+
+class TestPaddingInvariance:
+    """The encoder runs on packed real tokens, so padding changes nothing."""
+
+    LENGTHS = (17, 12, 24, 14)  # 67 of 96 slots real: 30% padding
+
+    @staticmethod
+    def _model(kind, variant, pooling):
+        spec = KernelSpec(variant=variant, depth=2, head_dim=8,
+                          gate_rank=2 if variant == "aoglu" else 0)
+        cfg = small_config(kernel=spec, attention_kind=kind, pooling=pooling, eps=0.0)
+        return build_model(cfg, seed=25, dtype=np.float64)
+
+    def _batch(self, cfg, seed=4):
+        tokens, _ = random_batch(cfg, b=len(self.LENGTHS), length=max(self.LENGTHS), seed=seed)
+        mask = np.arange(tokens.shape[1]) < np.array(self.LENGTHS)[:, None]
+        return tokens, mask
+
+    @staticmethod
+    def _loss_and_grads(model, tokens, mask, weights):
+        params = model.named_parameters()
+        logits = forward_classify(model, tokens, mask)
+        grads = backward(T.sum(T.mul(logits, Tensor(weights))), params=params)
+        return logits.data, {name: grads[p].data for name, p in params.items()}
+
+    @pytest.mark.parametrize("pooling", ["mean", "cls"])
+    @pytest.mark.parametrize("kind,variant", PADDING_KINDS,
+                             ids=[f"{k}-{v}" for k, v in PADDING_KINDS])
+    def test_batch_equals_each_sequence_alone(self, kind, variant, pooling):
+        model = self._model(kind, variant, pooling)
+        tokens, mask = self._batch(model.config)
+        weights = np.random.default_rng(5).standard_normal((len(self.LENGTHS), 3))
+        logits, grads = self._loss_and_grads(model, tokens, mask, weights)
+        summed = {name: np.zeros_like(g) for name, g in grads.items()}
+        for i, n in enumerate(self.LENGTHS):
+            alone, alone_grads = self._loss_and_grads(
+                model, tokens[i:i + 1, :n], np.ones((1, n), bool), weights[i:i + 1])
+            np.testing.assert_allclose(logits[i:i + 1], alone, rtol=0, atol=1e-12)
+            for name, g in alone_grads.items():
+                summed[name] += g
+        for name, g in grads.items():
+            np.testing.assert_allclose(g, summed[name], rtol=0, atol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("pooling", ["mean", "cls"])
+    @pytest.mark.parametrize("kind,variant", PADDING_KINDS,
+                             ids=[f"{k}-{v}" for k, v in PADDING_KINDS])
+    def test_pad_token_ids_change_nothing(self, kind, variant, pooling):
+        model = self._model(kind, variant, pooling)
+        tokens, mask = self._batch(model.config)
+        other = tokens.copy()
+        other[~mask] = np.random.default_rng(6).integers(0, model.config.vocab_size,
+                                                         size=int((~mask).sum()))
+        assert np.any(other != tokens)
+        np.testing.assert_array_equal(forward_classify(model, tokens, mask).data,
+                                      forward_classify(model, other, mask).data)
+
+    @pytest.mark.parametrize("kind,variant", PADDING_KINDS,
+                             ids=[f"{k}-{v}" for k, v in PADDING_KINDS])
+    def test_zero_eps_gradients_finite(self, kind, variant):
+        model = self._model(kind, variant, "mean")
+        assert model.config.eps == 0.0
+        tokens, mask = self._batch(model.config, seed=7)
+        with np.errstate(divide="raise", invalid="raise"):
+            _, grads = self._loss_and_grads(model, tokens, mask, np.ones((4, 3)))
+        assert all(np.isfinite(g).all() for g in grads.values())
 
 
 class TestEndToEndEquivalence:

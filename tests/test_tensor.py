@@ -256,9 +256,10 @@ class TestFiniteDifferenceCheck:
         w = t64(np.zeros(1), grad=True)
 
         def f(p):
-            return T.sum(T.log(p["w"]))  # log(+-h) explodes around zero
+            return T.sum(T.sqrt(p["w"]))  # sqrt(-h) is nan
 
-        report = finite_difference_check(f, {"w": w}, step=1e-5)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            report = finite_difference_check(f, {"w": w}, step=1e-5)
         assert report["w"].failed
 
 
@@ -267,7 +268,8 @@ class TestRandomGraphProperty:
 
     def test_random_compositions(self):
         rng = np.random.default_rng(12)
-        unary = [T.softplus, T.sigmoid, T.gelu, T.square, T.exp,
+        unary = [T.softplus, T.sigmoid, T.gelu, T.square,
+                 lambda t: T.sqrt(T.add(T.square(t), 1.0)),
                  lambda t: T.scale(t, 0.7), T.abs]
         for trial in range(20):
             rows, inner, cols = rng.integers(2, 5, size=3)
@@ -383,6 +385,53 @@ class TestGetitemGradient:
         assert not T._is_basic_key(True)
         assert not T._is_basic_key((0, np.bool_(True)))
         assert T._is_basic_key((np.int64(1), slice(None)))
+        assert not T._is_bool_mask(True) and not T._is_bool_mask(np.bool_(True))
+
+    _MASK = np.random.default_rng(18).random((4, 5)) < 0.6
+
+    @pytest.mark.parametrize("key", [np.array([True, False, True, True]), _MASK,
+                                     np.random.default_rng(19).random((4, 5, 3)) < 0.5,
+                                     np.ones((4, 5), bool), np.zeros(4, bool)],
+                             ids=["rows", "leading-2d", "full-shape", "all-true", "all-false"])
+    def test_bool_masks_assign_and_equal_scatter_exactly(self, key):
+        assert T._is_bool_mask(key)
+        grad, reference = self._grad_and_reference(key)
+        np.testing.assert_array_equal(grad, reference)
+
+
+class TestUnpack:
+    def test_inverts_boolean_gather_in_row_major_order(self):
+        mask = np.array([[True, False, True], [False, True, True]])
+        x = t64(np.arange(8.0).reshape(4, 2))
+        out = T.unpack(x, mask, fill=-1.0).data
+        assert out.shape == (2, 3, 2)
+        np.testing.assert_array_equal(out[mask], x.data)
+        np.testing.assert_array_equal(out[~mask], -1.0)
+        np.testing.assert_array_equal(out[0, 2], [2.0, 3.0])
+        np.testing.assert_array_equal(T.unpack(x, mask).data[~mask], 0.0)
+
+    @pytest.mark.parametrize("mask", [np.array([[True, False, True, True],
+                                                [False, True, False, True]]),
+                                      np.ones((2, 4), bool)], ids=["padded", "no-padding"])
+    def test_gradient_gathers_and_matches_finite_differences(self, mask):
+        rng = np.random.default_rng(20)
+        x = t64(rng.standard_normal((int(mask.sum()), 3)), grad=True)
+        w = rng.standard_normal(mask.shape + (3,))
+        grads = backward(T.sum(T.mul(T.unpack(x, mask, fill=1.0), t64(w))))
+        np.testing.assert_array_equal(grads[x].data, w[mask])
+        report = finite_difference_check(
+            lambda p: T.sum(T.mul(T.unpack(p["x"], mask, fill=2.0), t64(w))),
+            {"x": x}, step=1e-5)
+        assert report["x"].max_rel_err <= 1e-6
+
+    def test_no_padding_gives_the_reshaped_rows(self):
+        x = t64(np.arange(12.0).reshape(6, 2))
+        np.testing.assert_array_equal(T.unpack(x, np.ones((2, 3), bool), fill=5.0).data,
+                                      x.data.reshape(2, 3, 2))
+
+    def test_row_count_must_match_mask(self):
+        with pytest.raises(ShapeError, match="3 True"):
+            T.unpack(t64(np.zeros((2, 4))), np.array([True, True, True, False]))
 
 
 class TestEmbeddingGradient:
