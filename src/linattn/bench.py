@@ -18,7 +18,7 @@ import scipy
 from .errors import ConfigError
 from .kernels import KernelSpec
 from .model import ModelConfig, build_model, forward_classify
-from .tensor import no_grad
+from .tensor import MALLOC_POLICY, no_grad
 
 BENCH_KINDS = ("kernel_linear", "softmax")
 WARMUP_PASSES = 2
@@ -59,8 +59,9 @@ def linear_attention_op_count(length: int, feat_dim: int, value_dim: int) -> int
 
 def bench_environment() -> dict:
     """What a timing depends on besides the code: library versions, the BLAS
-    numpy was built against, usable CPUs and the thread-count variables
-    (``None`` when unset)."""
+    numpy was built against, usable CPUs, the thread-count variables
+    (``None`` when unset) and the allocator thresholds set at import
+    (``None`` when none were)."""
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count())
@@ -70,6 +71,7 @@ def bench_environment() -> dict:
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
         "cpu_count": cpus,
         "threads": {name: os.environ.get(name) for name in THREAD_VARS},
+        "malloc": MALLOC_POLICY,
     }
 
 
@@ -105,6 +107,8 @@ def bench_scaling(lengths, repeats: int = 5, d_model: int = 64, n_heads: int = 4
     warning is recorded instead of failing.
     """
     lengths = [int(x) for x in lengths]
+    if repeats < 1:
+        raise ConfigError(f"repeats must be >= 1, got {repeats}")
     if len(lengths) < 3:
         raise ConfigError(f"need >= 3 lengths to fit an exponent, got {lengths}")
     if any(b <= a for a, b in zip(lengths, lengths[1:])):

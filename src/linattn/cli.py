@@ -3,7 +3,7 @@
 Subcommands: ``train``, ``eval``, ``seeds``, ``bench``, ``verify``,
 ``params``. Metrics stream as JSON lines to ``<out-dir>/metrics.jsonl``;
 a human summary goes to stdout. Exit codes: 0 success, 1 config/data
-error, 2 usage error, 3 diverged training run.
+error or an OS error on a given path, 2 usage error, 3 diverged training run.
 """
 
 from __future__ import annotations
@@ -114,7 +114,11 @@ def _cmd_seeds(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    lengths = [int(tok) for tok in args.lengths.replace(",", " ").split()]
+    try:
+        lengths = [int(tok) for tok in args.lengths.replace(",", " ").split()]
+    except ValueError:
+        raise ConfigError(f"--lengths takes comma-separated integers, "
+                          f"got {args.lengths!r}") from None
     dtype = precision_dtype(args.precision)
     result = bench_scaling(lengths, repeats=args.repeats, dtype=dtype)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -163,7 +167,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, ContractError, DataError, FileNotFoundError) as exc:
+    except (ConfigError, ContractError, DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

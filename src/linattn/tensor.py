@@ -9,12 +9,18 @@ Broadcasting follows numpy's trailing-dimension alignment; gradients of a
 broadcast operand are summed back over the expanded axes. The intended use
 is batch-style broadcasting (a matrix applied across leading batch axes, a
 per-feature vector against its trailing axis, a size-1 mask axis).
+
+On glibc, importing this module sets the allocator's mmap and trim
+thresholds (see ``MALLOC_POLICY``), so the multi-MB temporaries every step
+allocates and frees reuse heap pages instead of faulting in fresh ones.
 """
 
 from __future__ import annotations
 
 import builtins
+import ctypes
 import math
+import os
 from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
 
@@ -27,6 +33,52 @@ _GRAD_ENABLED = True
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+# glibc's largest mmap threshold on 64-bit (2.36 ignores a larger one yet
+# returns success); larger arrays still use mmap.
+MMAP_THRESHOLD = 32 << 20
+TRIM_THRESHOLD = 1 << 30
+
+
+def _glibc():
+    """The process's C library through ctypes when it is 64-bit glibc, else
+    None (on 32-bit glibc ``MMAP_THRESHOLD`` is out of range)."""
+    if ctypes.sizeof(ctypes.c_void_p) != 8:
+        return None
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc"):
+            return None
+    except (AttributeError, ValueError, OSError):
+        return None
+    libc = ctypes.CDLL(None)
+    libc.mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    libc.mallopt.restype = ctypes.c_int
+    return libc
+
+
+def _set_malloc_policy(libc) -> dict | None:
+    """Keep freed arrays below ``MMAP_THRESHOLD`` in the heap for reuse.
+
+    By default glibc moves its mmap threshold up to the largest chunk freed
+    so far and trims the heap top once the free space there exceeds twice
+    that, so each step's fresh multi-MB temporaries fault their pages in
+    again. Fixing any threshold turns the dynamic one off, so both are set:
+    the mmap threshold first and, only if glibc accepted it, the trim
+    threshold. The cost is that resident memory stays at its high-water
+    mark. Returns the thresholds applied, or None when none was.
+    """
+    if libc is None or libc.mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD) != 1:
+        return None
+    trimmed = libc.mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD) == 1
+    return {"mmap_threshold": MMAP_THRESHOLD,
+            "trim_threshold": TRIM_THRESHOLD if trimmed else None}
+
+
+#: Allocator thresholds set at import (``None`` off glibc); ``linattn bench``
+#: records it in ``env.json``.
+MALLOC_POLICY = _set_malloc_policy(_glibc())
 
 
 @contextmanager

@@ -179,19 +179,26 @@ def check_param_counts() -> list[CheckResult]:
             detail=f"base {account.base_params} (expected {base_expected}), "
                    f"kernel {account.kernel_params} (expected {kernel_expected})"))
 
-    n = 64
-    linear = _kernel_param_formula(KernelSpec(variant="linear_softplus", depth=1, head_dim=n))
-    glu = _kernel_param_formula(KernelSpec(variant="glu", depth=1, head_dim=n))
-    aoglu = _kernel_param_formula(KernelSpec(variant="aoglu", depth=1, head_dim=n,
-                                             gate_rank=n // 4))
+    n = 16
+
+    def counted(variant: str, **kw) -> int:
+        config = ModelConfig(vocab_size=16, d_model=4 * n, n_heads=4, head_dim=n,
+                             n_layers=1, ffn_dim=64, max_len=32, classes=2,
+                             kernel=KernelSpec(variant=variant, depth=1, head_dim=n, **kw),
+                             attention_kind="kernel_linear", dropout_rate=0.0)
+        return count_params(build_model(config, seed=0)).kernel_params
+
+    linear = counted("linear_softplus")
+    glu = counted("glu")
+    aoglu = counted("aoglu", gate_rank=n // 4)
     results.append(CheckResult(
         name="gated layer doubles the linear parametrization",
         passed=glu == 2 * linear,
-        detail=f"glu {glu} vs 2 * linear {2 * linear}"))
+        detail=f"counted glu {glu} vs 2 * linear {2 * linear}"))
     results.append(CheckResult(
         name="rank-n/4 gate cuts the gated layer by 25%",
         passed=aoglu * 4 == glu * 3,
-        detail=f"aoglu {aoglu} vs 0.75 * glu {int(glu * 0.75)}"))
+        detail=f"counted aoglu {aoglu} vs 0.75 * glu {glu * 3 / 4:g}"))
     return results
 
 

@@ -19,7 +19,7 @@ from linattn.kernels import KernelSpec
 from linattn.model import ModelConfig, ParamAccount, budget_check, build_model, count_params
 from linattn.training import train
 from linattn.verify import (check_gradients, check_oracle_equivalence, check_orthogonal_init,
-                            check_positivity)
+                            check_param_counts, check_positivity)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -63,20 +63,8 @@ class TestPositivity:
 
 class TestParameterAccounting:
     def test_gated_kernel_doubles_linear(self):
-        h, n = 4, 16
-        def kernel_count(variant, **kw):
-            cfg = ModelConfig(vocab_size=16, d_model=h * n, n_heads=h, head_dim=n,
-                              n_layers=1, ffn_dim=64, max_len=32, classes=2,
-                              kernel=KernelSpec(variant=variant, depth=1, head_dim=n, **kw),
-                              attention_kind="kernel_linear", dropout_rate=0.0)
-            return count_params(build_model(cfg, 0)).kernel_params
-
-        linear = kernel_count("linear_softplus")
-        glu = kernel_count("glu")
-        aoglu = kernel_count("aoglu", gate_rank=n // 4)
-        ok = glu == 2 * linear and 4 * aoglu == 3 * glu
-        report("parameter accounting (gating doubles, rank-n/4 cuts 25%)",
-               ok, f"linear {linear}, glu {glu} (=2x), aoglu {aoglu} (=0.75x glu)")
+        report("parameter accounting (closed forms, gating doubles, rank-n/4 cuts 25%)",
+               *summarize(check_param_counts()))
 
     def test_budget_gate_rejects_at_limit(self):
         at_limit = budget_check(ParamAccount(base_params=1000, kernel_params=100), 0.10)

@@ -36,6 +36,10 @@ class TestBenchScaling:
         with pytest.raises(ConfigError):
             bench_scaling([64, 64, 128])
 
+    def test_needs_at_least_one_repeat(self):
+        with pytest.raises(ConfigError):
+            bench_scaling([8, 16, 32], repeats=0)
+
     def test_needs_three_lengths(self):
         with pytest.raises(ConfigError):
             bench_scaling([64, 128])

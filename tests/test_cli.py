@@ -14,6 +14,7 @@ from linattn.config import parse_config_file
 from linattn.data import gen_matching, save_tsv_dataset
 from linattn.errors import ConfigError
 from linattn.model import load_checkpoint
+from linattn.tensor import MALLOC_POLICY
 from linattn.training import evaluate
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -209,6 +210,12 @@ class TestTrainCommand:
         assert main(["train", "--config", fast_cfg, "--out-dir", str(out),
                      "--precision", "f64"]) == 0
 
+    def test_out_dir_under_a_file_exit_one(self, fast_cfg, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["train", "--config", fast_cfg, "--out-dir", str(taken / "x")]) == 1
+        assert "error:" in capsys.readouterr().err
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverged_run_exits_three(self, fast_cfg, tmp_path, capsys):
         bad = (tmp_path / "explode.cfg")
@@ -259,6 +266,10 @@ class TestEvalCommand:
 
     def test_missing_checkpoint(self, fast_cfg, capsys):
         assert main(["eval", "--config", fast_cfg, "--checkpoint", "/no/ckpt"]) == 1
+
+    def test_directory_as_checkpoint_exit_one(self, fast_cfg, tmp_path, capsys):
+        assert main(["eval", "--config", fast_cfg, "--checkpoint", str(tmp_path)]) == 1
+        assert str(tmp_path) in capsys.readouterr().err
 
     def test_truncated_checkpoint_exit_one(self, fast_cfg, tmp_path, capsys):
         out = tmp_path / "run"
@@ -312,9 +323,28 @@ class TestBenchCommand:
         assert env["threads"]["OMP_NUM_THREADS"] == "1"
         assert env["threads"]["MKL_NUM_THREADS"] is None
         assert "OPENBLAS_NUM_THREADS" in env["threads"]
+        assert env["malloc"] == MALLOC_POLICY
 
     def test_too_few_lengths(self, capsys):
         assert main(["bench", "--lengths", "8,16"]) == 1
+
+    def test_non_integer_length_exit_one(self, tmp_path, capsys):
+        assert main(["bench", "--lengths", "8,x,32", "--out-dir", str(tmp_path)]) == 1
+        assert "--lengths" in capsys.readouterr().err
+
+    def test_zero_repeats_exit_one(self, tmp_path, capsys):
+        out = tmp_path / "bench"
+        assert main(["bench", "--lengths", "8,16,32", "--repeats", "0",
+                     "--out-dir", str(out)]) == 1
+        assert "repeats" in capsys.readouterr().err
+        assert not (out / "bench.csv").exists()
+
+    def test_out_dir_is_a_file_exit_one(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["bench", "--lengths", "8,16,32", "--repeats", "1",
+                     "--out-dir", str(taken)]) == 1
+        assert "error:" in capsys.readouterr().err
 
 
 class TestParamsCommand:

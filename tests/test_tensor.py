@@ -1,7 +1,11 @@
 """Tensor core: op semantics, reverse-mode gradients, verification oracle."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -523,3 +527,55 @@ class TestConstantOperands:
         pieces = T.div(a, b)._vjp(np.ones((2, 2)))
         np.testing.assert_array_equal(pieces[0], np.full((2, 2), 0.5))
         np.testing.assert_array_equal(pieces[1], np.full((2, 2), -0.25))
+
+
+FAULT_PROBE = """
+import resource
+import numpy as np
+import linattn
+
+def one_round():
+    arrays = [np.ones(1 << 20, dtype=np.float32) for _ in range(4)]
+    del arrays
+
+for _ in range(3):
+    one_round()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    one_round()
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+"""
+
+
+class FakeLibc:
+    def __init__(self, *answers):
+        self.answers = list(answers)
+        self.calls = []
+
+    def mallopt(self, param, value):
+        self.calls.append((param, value))
+        return self.answers.pop(0)
+
+
+class TestMallocPolicy:
+    @pytest.mark.skipif(T._glibc() is None, reason="the policy is set on glibc only")
+    def test_freed_arrays_are_reused_without_faults(self):
+        src = str(Path(T.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        out = subprocess.run([sys.executable, "-c", FAULT_PROBE], env=env, check=True,
+                             capture_output=True, text=True, timeout=60)
+        faults_per_round = float(out.stdout)
+        assert faults_per_round < 64, f"{faults_per_round} minor faults per round"
+        assert T.MALLOC_POLICY == {"mmap_threshold": 32 << 20, "trim_threshold": 1 << 30}
+
+    def test_rejected_mmap_threshold_sets_nothing_else(self):
+        libc = FakeLibc(0)
+        assert T._set_malloc_policy(libc) is None
+        assert libc.calls == [(-3, 32 << 20)]
+
+    def test_both_thresholds_set_mmap_first(self):
+        libc = FakeLibc(1, 1)
+        assert T._set_malloc_policy(libc) == {"mmap_threshold": 32 << 20,
+                                             "trim_threshold": 1 << 30}
+        assert libc.calls == [(-3, 32 << 20), (-1, 1 << 30)]
