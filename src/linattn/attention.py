@@ -41,7 +41,7 @@ def softmax_attention(q: Tensor, k: Tensor, v: Tensor, mask) -> Tensor:
     """
     length, d = k.shape[-2], q.shape[-1]
     m = _as_mask(mask, length)
-    scores = T.scale(T.matmul(q, T.swapaxes(k, -1, -2)), 1.0 / np.sqrt(d))
+    scores = T.mul(T.matmul(q, T.swapaxes(k, -1, -2)), 1.0 / np.sqrt(d))
     bias = np.where(m, 0.0, -np.inf).astype(q.dtype)
     scores = T.add(scores, Tensor(np.expand_dims(bias, -2)))
     return T.matmul(T.softmax_rows(scores), v)
@@ -171,7 +171,7 @@ def _stack_head_features(rows: Tensor, kernels: list[KernelParams],
     """Apply each head's feature-map stack to its column block of the packed
     rows (N, h*n); returns (N, h*C)."""
     n = rows.shape[-1] // len(kernels)
-    return T.concat([kernel_stack_forward(rows[:, i * n:(i + 1) * n], spec, kp)
+    return T.concat([kernel_stack_forward(T.getitem(rows, np.s_[:, i * n:(i + 1) * n]), spec, kp)
                      for i, kp in enumerate(kernels)], axis=-1)
 
 

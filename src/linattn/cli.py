@@ -120,8 +120,8 @@ def _cmd_bench(args) -> int:
         raise ConfigError(f"--lengths takes comma-separated integers, "
                           f"got {args.lengths!r}") from None
     dtype = precision_dtype(args.precision)
-    result = bench_scaling(lengths, repeats=args.repeats, dtype=dtype)
     os.makedirs(args.out_dir, exist_ok=True)
+    result = bench_scaling(lengths, repeats=args.repeats, dtype=dtype)
     csv_path = os.path.join(args.out_dir, "bench.csv")
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write(result.csv())

@@ -119,7 +119,6 @@ class TrainConfig:
     schedule: ScheduleConfig = field(default_factory=ScheduleConfig)
     micro_batch: int = 16
     accumulation_steps: int = 1
-    ortho_weight: float | None = None
     seeds: list[int] = field(default_factory=lambda: [1, 2, 3, 4, 5])
     eval_every: int = 50
     budget_limit: float = 0.10
@@ -135,12 +134,6 @@ class TrainConfig:
             raise ConfigError(f"accumulation_steps must be >= 1, got {self.accumulation_steps}")
         if not self.seeds:
             raise ConfigError("need at least one seed")
-
-    @property
-    def resolved_ortho_weight(self) -> float:
-        if self.ortho_weight is not None:
-            return self.ortho_weight
-        return self.model.kernel.ortho_reg_weight
 
 
 # ---------------------------------------------------------------------------
@@ -176,9 +169,8 @@ _SECTION_FIELDS = {
     "task": {f.name: f.type for f in fields(TaskSpec)},
     "optimizer": {f.name: f.type for f in fields(OptimizerConfig)},
     "schedule": {f.name: f.type for f in fields(ScheduleConfig)},
-    "train": {"micro_batch": int, "accumulation_steps": int, "ortho_weight": float,
-              "seeds": list, "eval_every": int, "budget_limit": float,
-              "target_accuracy": float},
+    "train": {"micro_batch": int, "accumulation_steps": int, "seeds": list,
+              "eval_every": int, "budget_limit": float, "target_accuracy": float},
 }
 
 _TYPE_NAMES = {"int": int, "float": float, "bool": bool, "str": str,

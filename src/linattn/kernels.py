@@ -229,4 +229,4 @@ def orthogonality_penalty(matrices: list[Tensor], weight: float) -> Tensor:
         dev = T.sub(T.matmul(T.swapaxes(w, -1, -2), w), eye)
         term = T.sum(T.square(dev))
         total = term if total is None else T.add(total, term)
-    return T.scale(total, weight)
+    return T.mul(total, weight)

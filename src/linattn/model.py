@@ -243,7 +243,7 @@ class Model:
         h = self._layer_norm(h, self.final_gamma, self.final_beta)
 
         if cfg.pooling == "cls":
-            return h[np.r_[True, seq[1:] != seq[:-1]]]
+            return T.getitem(h, np.r_[True, seq[1:] != seq[:-1]])
         # Attention rejected empty sequences, so every count is >= 1.
         members = seq == np.arange(b)[:, None]
         return T.matmul(Tensor((members / members.sum(axis=-1, keepdims=True))

@@ -98,6 +98,8 @@ class Tensor:
 
     Identity matters: tensors hash and compare by object identity so they
     can key gradient maps. Data is treated as immutable after construction.
+    A tensor has no arithmetic operators, indexing or op methods: every
+    graph node comes from one of this module's functions.
     """
 
     __slots__ = ("data", "requires_grad", "_prev", "_vjp", "_consumed")
@@ -133,76 +135,9 @@ class Tensor:
     def item(self) -> float:
         return self.data.item()
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
     def __repr__(self):
         grad = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}{grad})"
-
-    # Arithmetic sugar; the module-level functions carry the semantics.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __getitem__(self, key):
-        return getitem(self, key)
-
-    def sum(self, axis=None, keepdims=False):
-        return sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return mean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def swapaxes(self, a, b):
-        return swapaxes(self, a, b)
-
-    def transpose(self):
-        return swapaxes(self, -1, -2)
-
-    def astype(self, dtype):
-        return astype(self, dtype)
-
-    def backward(self, params=None):
-        return backward(self, params=params)
-
-
-GradMap = dict
-"""Gradient map: parameter tensor (by identity) -> gradient tensor of the same shape."""
 
 
 def _as_tensor(x, like: Tensor | None = None) -> Tensor:
@@ -302,13 +237,6 @@ def div(a, b) -> Tensor:
         return da, db
 
     return _make(out, (a, b), vjp)
-
-
-def scale(x, c: float) -> Tensor:
-    """Multiply by a python scalar."""
-    x = _as_tensor(x)
-    c = float(c)
-    return _make(x.data * c, (x,), lambda g: (g * c,))
 
 
 def _softplus_raw(x: np.ndarray) -> np.ndarray:
@@ -486,7 +414,7 @@ def getitem(x, key) -> Tensor:
 
 
 def unpack(x, mask, fill: float = 0.0) -> Tensor:
-    """The inverse of ``x[mask]`` for a boolean ``mask``: the rows of ``x``,
+    """The inverse of ``getitem(x, mask)`` for a boolean ``mask``: the rows of ``x``,
     one per True entry in row-major order, scattered into a ``mask.shape +
     x.shape[1:]`` array whose other slots hold ``fill``. The gradient of
     ``x`` is ``g[mask]``; the fill slots pass none back."""
@@ -501,12 +429,6 @@ def unpack(x, mask, fill: float = 0.0) -> Tensor:
     out = np.full(shape, fill, dtype=x.dtype)
     out[mask] = x.data
     return _make(out, (x,), lambda g: (g[mask],))
-
-
-def astype(x, dtype) -> Tensor:
-    x = _as_tensor(x)
-    out = x.data.astype(dtype)
-    return _make(out, (x,), lambda g: (g.astype(x.dtype),))
 
 
 def embedding(table, ids: np.ndarray) -> Tensor:
@@ -597,7 +519,7 @@ def _toposort(root: Tensor) -> list[Tensor]:
     return order
 
 
-def backward(loss: Tensor, params=None) -> GradMap:
+def backward(loss: Tensor, params=None) -> dict[Tensor, Tensor]:
     """Reverse-mode gradients of a scalar loss for every trainable leaf.
 
     Returns a mapping from leaf tensor (identity) to its gradient tensor.
@@ -616,7 +538,7 @@ def backward(loss: Tensor, params=None) -> GradMap:
 
     order = _toposort(loss)
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    leaves: GradMap = {}
+    leaves: dict[Tensor, Tensor] = {}
     for node in reversed(order):
         g = grads.pop(id(node), None)
         if g is None:

@@ -100,18 +100,23 @@ def lr_at(step: int, base_lr: float, warmup_steps: int, total_steps: int,
     return base_lr * math.sqrt(max(warmup_steps, 1) / step)
 
 
-def _forward_loss(model: Model, batch, ortho_weight: float, train: bool, rng):
+def _logits(model: Model, batch, train: bool = False, rng=None) -> Tensor:
+    """Logits of a classification batch or of a matching batch."""
     if isinstance(batch, MatchBatch):
-        logits = forward_match(model, batch.tokens_a, batch.mask_a,
-                               batch.tokens_b, batch.mask_b, train=train, rng=rng)
-    else:
-        logits = forward_classify(model, batch.tokens, batch.mask, train=train, rng=rng)
-    task_loss = T.cross_entropy(logits, batch.labels)
+        return forward_match(model, batch.tokens_a, batch.mask_a,
+                             batch.tokens_b, batch.mask_b, train=train, rng=rng)
+    return forward_classify(model, batch.tokens, batch.mask, train=train, rng=rng)
+
+
+def _forward_loss(model: Model, batch, rng) -> tuple[Tensor, Tensor]:
+    """Training loss (cross-entropy plus the kernel spec's weighted
+    orthogonality penalty) and the cross-entropy alone."""
+    task_loss = T.cross_entropy(_logits(model, batch, train=True, rng=rng), batch.labels)
+    weight = model.config.kernel.ortho_reg_weight
     mats = model.regularized_matrices()
-    if ortho_weight > 0 and mats:
-        penalty = orthogonality_penalty(mats, ortho_weight)
-        return T.add(task_loss, penalty), task_loss, logits
-    return task_loss, task_loss, logits
+    if weight > 0 and mats:
+        return T.add(task_loss, orthogonality_penalty(mats, weight)), task_loss
+    return task_loss, task_loss
 
 
 def _measure_penalty(model: Model) -> float:
@@ -143,11 +148,7 @@ def evaluate(model: Model, ds: Dataset, batch_size: int = 64,
     n = 0
     with no_grad():
         for batch in batch_iter(ds, batch_size, max_len, shuffle_seed=None):
-            if isinstance(batch, MatchBatch):
-                logits = forward_match(model, batch.tokens_a, batch.mask_a,
-                                       batch.tokens_b, batch.mask_b)
-            else:
-                logits = forward_classify(model, batch.tokens, batch.mask)
+            logits = _logits(model, batch)
             preds = np.argmax(logits.data, axis=-1)
             correct += int((preds == batch.labels).sum())
             loss_sum += float(T.cross_entropy(logits, batch.labels).item()) * len(batch.labels)
@@ -177,7 +178,6 @@ def train(config: TrainConfig, seed: int, out_dir: str | None = None,
     params = model.named_parameters()
     opt = Adam(params, beta1=config.optimizer.beta1, beta2=config.optimizer.beta2,
                eps=config.optimizer.eps, weight_decay=config.optimizer.weight_decay)
-    ortho_weight = config.resolved_ortho_weight
     dropout_rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
     stream = _batch_stream(train_ds, config.micro_batch, config.model.max_len, seed)
 
@@ -210,8 +210,7 @@ def train(config: TrainConfig, seed: int, out_dir: str | None = None,
             task_sum = 0.0
             for _ in range(config.accumulation_steps):
                 batch = next(stream)
-                loss, task_loss, _ = _forward_loss(model, batch, ortho_weight,
-                                                   train=True, rng=dropout_rng)
+                loss, task_loss = _forward_loss(model, batch, dropout_rng)
                 loss_val = float(loss.item())
                 if not math.isfinite(loss_val):
                     diverged = True

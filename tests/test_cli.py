@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy
 
+import linattn.cli
 import linattn.config
 from linattn.cli import main
 from linattn.config import parse_config_file
@@ -152,6 +153,19 @@ class TestExitCodes:
 
     def test_unknown_flag(self, capsys):
         assert main(["verify", "--frobnicate"]) == 2
+
+    def test_train_ortho_weight_is_an_unknown_key(self, tmp_path, capsys):
+        # The penalty weight is [kernel] ortho_reg_weight, which rejects
+        # negatives; [train] has no second spelling of it.
+        text = (CONFIGS / "match.cfg").read_text()
+        assert text.rstrip().splitlines()[-1].startswith("target_accuracy")  # [train] is last
+        p = tmp_path / "match.cfg"
+        p.write_text(text.rstrip() + "\northo_weight = -0.5\n")
+        line = len(p.read_text().splitlines())
+        assert main(["train", "--config", str(p), "--out-dir", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert f"match.cfg:{line}: unknown key 'ortho_weight' in [train]" in err
+        assert not (tmp_path / "run").exists()
 
     def test_config_parse_error_exit_one(self, tmp_path, capsys):
         p = tmp_path / "bad.cfg"
@@ -339,11 +353,25 @@ class TestBenchCommand:
         assert "repeats" in capsys.readouterr().err
         assert not (out / "bench.csv").exists()
 
-    def test_out_dir_is_a_file_exit_one(self, tmp_path, capsys):
+    @staticmethod
+    def _forbid_sweep(monkeypatch):
+        monkeypatch.setattr(linattn.cli, "bench_scaling",
+                            lambda *a, **k: pytest.fail("swept before making --out-dir"))
+
+    def test_out_dir_is_a_file_exit_one(self, tmp_path, capsys, monkeypatch):
+        self._forbid_sweep(monkeypatch)
         taken = tmp_path / "taken"
         taken.write_text("")
         assert main(["bench", "--lengths", "8,16,32", "--repeats", "1",
                      "--out-dir", str(taken)]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_out_dir_under_a_file_exit_one(self, tmp_path, capsys, monkeypatch):
+        self._forbid_sweep(monkeypatch)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["bench", "--lengths", "8,16,32", "--repeats", "1",
+                     "--out-dir", str(taken / "x")]) == 1
         assert "error:" in capsys.readouterr().err
 
 

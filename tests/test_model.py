@@ -38,7 +38,8 @@ def padded_hidden(model, tokens, mask):
     as the encoder ran before it packed its rows: the reference for what
     each pooling reads at the real positions."""
     cfg = model.config
-    h = T.add(T.embedding(model.embed_tokens, tokens), model.embed_pos[:tokens.shape[1]])
+    h = T.add(T.embedding(model.embed_tokens, tokens),
+              T.getitem(model.embed_pos, np.s_[:tokens.shape[1]]))
     for blk in model.blocks:
         normed = model._layer_norm(h, blk.ln1_gamma, blk.ln1_beta)
         if cfg.attention_kind == "softmax":
