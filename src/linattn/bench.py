@@ -85,16 +85,32 @@ def _bench_config(kind: str, max_len: int, d_model: int, n_heads: int,
         attention_kind=kind, eps=1e-6, dropout_rate=0.0, pooling="mean")
 
 
-def _time_forward(model, tokens, mask, repeats: int) -> float:
-    times = []
+def _time_lengths(model, inputs, repeats: int, max_repeats: int) -> list[tuple[float, int]]:
+    """(median ms, repeats) of forward passes for each (tokens, mask) input.
+
+    The inputs are timed round-robin, one pass each per round, so a burst
+    of load on the machine spreads over every length instead of landing on
+    one. An input whose median is under ``MIN_MEDIAN_MS`` once it has its
+    repeats gets twice as many (up to ``max_repeats``).
+    """
+    times = [[] for _ in inputs]
+    target = [repeats] * len(inputs)
     with no_grad():
-        for _ in range(WARMUP_PASSES):
-            forward_classify(model, tokens, mask)
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            forward_classify(model, tokens, mask)
-            times.append((time.perf_counter() - t0) * 1e3)
-    return float(np.median(times))
+        for tokens, mask in inputs:
+            for _ in range(WARMUP_PASSES):
+                forward_classify(model, tokens, mask)
+        while True:
+            for i, ts in enumerate(times):
+                if (len(ts) == target[i] < max_repeats
+                        and np.median(ts) < MIN_MEDIAN_MS):
+                    target[i] = min(target[i] * 2, max_repeats)
+            pending = [i for i, ts in enumerate(times) if len(ts) < target[i]]
+            if not pending:
+                return [(float(np.median(ts)), len(ts)) for ts in times]
+            for i in pending:
+                t0 = time.perf_counter()
+                forward_classify(model, *inputs[i])
+                times[i].append((time.perf_counter() - t0) * 1e3)
 
 
 def bench_scaling(lengths, repeats: int = 5, d_model: int = 64, n_heads: int = 4,
@@ -119,22 +135,17 @@ def bench_scaling(lengths, repeats: int = 5, d_model: int = 64, n_heads: int = 4
     for kind in BENCH_KINDS:
         model = build_model(_bench_config(kind, max(lengths), d_model, n_heads, ffn_dim),
                             seed=seed, dtype=dtype)
-        samples = []
-        for length in lengths:
-            tokens = rng.integers(1, 32, size=(1, length))
-            mask = np.ones((1, length), dtype=bool)
-            reps = repeats
-            median = _time_forward(model, tokens, mask, reps)
-            while median < MIN_MEDIAN_MS and reps < max_repeats:
-                reps = min(reps * 2, max_repeats)
-                median = _time_forward(model, tokens, mask, reps)
+        inputs = [(rng.integers(1, 32, size=(1, length)), np.ones((1, length), dtype=bool))
+                  for length in lengths]
+        timed = _time_lengths(model, inputs, repeats, max_repeats)
+        for length, (median, reps) in zip(lengths, timed):
             if median < MIN_MEDIAN_MS:
                 result.resolution_warnings.append(
                     f"{kind} at L={length}: median {median:.3f} ms below timer "
                     f"comfort zone even at {reps} repeats")
             result.rows.append(BenchRow(kind=kind, length=length,
                                         median_ms=median, repeats=reps))
-            samples.append(median)
+        samples = [median for median, _ in timed]
         slope = np.polyfit(np.log(lengths), np.log(samples), 1)[0]
         result.exponents[kind] = float(slope)
     return result

@@ -69,6 +69,8 @@ def _require_config(args):
 
 def _cmd_train(args) -> int:
     config = _require_config(args)
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     seed = args.seed if args.seed is not None else config.seeds[0]
     dtype = precision_dtype(args.precision)
     result = train(config, seed, out_dir=args.out_dir, dtype=dtype,

@@ -74,6 +74,8 @@ class TaskSpec:
             raise ConfigError(f"task source must be one of {TASK_SOURCES}, got {self.source!r}")
         if self.source == "tsv" and not self.path:
             raise ConfigError("tsv task needs a path")
+        if self.data_seed < 0:
+            raise ConfigError(f"data_seed must be >= 0, got {self.data_seed}")
 
     def build(self) -> tuple[Dataset, Dataset]:
         """Materialize (train, eval) datasets."""
@@ -134,6 +136,8 @@ class TrainConfig:
             raise ConfigError(f"accumulation_steps must be >= 1, got {self.accumulation_steps}")
         if not self.seeds:
             raise ConfigError("need at least one seed")
+        if any(seed < 0 for seed in self.seeds):
+            raise ConfigError(f"seeds must be >= 0, got {self.seeds}")
 
 
 # ---------------------------------------------------------------------------

@@ -193,8 +193,8 @@ class Model:
         rate = self.config.dropout_rate
         if not train or rate == 0.0 or rng is None:
             return x
-        keep = (rng.random(mask.shape + x.shape[1:]) >= rate).astype(x.dtype) / (1.0 - rate)
-        return T.mul(x, Tensor(keep[mask]))
+        keep = rng.random(mask.shape + x.shape[1:]) >= rate
+        return T.mul(x, Tensor(keep[mask].astype(x.dtype) / (1.0 - rate)))
 
     def encode(self, tokens: np.ndarray, mask: np.ndarray, train: bool = False,
                rng=None) -> Tensor:

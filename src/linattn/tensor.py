@@ -25,7 +25,7 @@ from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.special import erf, expit
+from scipy.special import erf
 
 from .errors import ContractError, GraphError, ShapeError
 
@@ -33,6 +33,18 @@ _GRAD_ENABLED = True
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+# float32 erf as x P(x^2) / Q(x^2) on [-4, 4], the rational form Eigen and
+# XLA use for float32 (beyond 4, erf rounds to +-1 in float32). Coefficients
+# are listed from the highest power down, for Horner's rule.
+_ERF32_P = np.array([-2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
+                     -5.69250639462346e-05, -7.34990630326855e-04, -2.95459980854025e-03,
+                     -1.60960333262415e-02], dtype=np.float32)
+_ERF32_Q = np.array([-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
+                     -7.37332916720468e-03, -1.42647390514189e-02], dtype=np.float32)
+# Elements per block of the erf passes: the block and its scratch stay in
+# cache across the ~25 passes of the rational form.
+_ERF32_BLOCK = 1 << 15
 
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
@@ -239,8 +251,49 @@ def div(a, b) -> Tensor:
     return _make(out, (a, b), vjp)
 
 
-def _softplus_raw(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+def _logistic(x: np.ndarray) -> np.ndarray:
+    """Logistic e^min(x, 0) / (1 + e^-|x|) of an array: overflow-free, and
+    vectorized passes only (``scipy.special.expit`` runs a scalar loop).
+    Within 4e-7 relative of ``expit`` in float32 and 1e-15 in float64."""
+    num = np.minimum(x, 0.0, out=np.empty_like(x))
+    np.exp(num, out=num)
+    den = np.abs(x, out=np.empty_like(x))
+    np.negative(den, out=den)
+    np.exp(den, out=den)
+    den += 1.0
+    np.reciprocal(den, out=den)
+    num *= den
+    return num
+
+
+def _erf32(z: np.ndarray) -> np.ndarray:
+    """erf of a C-contiguous float32 array, in place; returns ``z``.
+
+    Within 5e-7 absolute of the exact erf; odd, nan to nan, +-inf to +-1.
+    """
+    flat = z.reshape(-1)
+    n = min(flat.size, _ERF32_BLOCK)
+    z2, p, q = (np.empty(n, np.float32) for _ in range(3))
+    for start in range(0, flat.size, _ERF32_BLOCK):
+        b = flat[start:start + _ERF32_BLOCK]
+        bz2, bp, bq = z2[:b.size], p[:b.size], q[:b.size]
+        np.clip(b, -4.0, 4.0, out=b)
+        np.multiply(b, b, out=bz2)
+        np.multiply(bz2, _ERF32_P[0], out=bp)
+        for c in _ERF32_P[1:-1]:
+            bp += c
+            bp *= bz2
+        bp += _ERF32_P[-1]
+        np.multiply(bz2, _ERF32_Q[0], out=bq)
+        for c in _ERF32_Q[1:-1]:
+            bq += c
+            bq *= bz2
+        bq += _ERF32_Q[-1]
+        b *= bp
+        b /= bq
+        # The unclipped ratio reaches 1.0000002.
+        np.clip(b, -1.0, 1.0, out=b)
+    return z
 
 
 def softplus(x) -> Tensor:
@@ -251,8 +304,13 @@ def softplus(x) -> Tensor:
     """
     x = _as_tensor(x)
     tiny = np.finfo(x.dtype).tiny
-    out = np.maximum(_softplus_raw(x.data), tiny)
-    return _make(out, (x,), lambda g: (g * expit(x.data),))
+    out = np.abs(x.data, out=np.empty_like(x.data))
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    out += np.maximum(x.data, 0.0)
+    np.maximum(out, tiny, out=out)
+    return _make(out, (x,), lambda g: (g * _logistic(x.data),))
 
 
 def sigmoid(x) -> Tensor:
@@ -260,21 +318,37 @@ def sigmoid(x) -> Tensor:
     positive normal so gates never collapse to exactly zero."""
     x = _as_tensor(x)
     tiny = np.finfo(x.dtype).tiny
-    s = np.maximum(expit(x.data), tiny)
+    s = _logistic(x.data)
+    np.maximum(s, tiny, out=s)
     return _make(s, (x,), lambda g: (g * s * (1.0 - s),))
 
 
 def gelu(x) -> Tensor:
-    """Exact Gaussian error linear unit, 0.5 x (1 + erf(x / sqrt 2))."""
+    """Exact Gaussian error linear unit, 0.5 x (1 + erf(x / sqrt 2)).
+
+    float32 uses ``_erf32``, float64 ``scipy.special.erf``.
+    """
     x = _as_tensor(x)
-    cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
+    cdf = np.multiply(x.data, _INV_SQRT2, out=np.empty(x.shape, x.dtype))
+    if cdf.dtype == np.float32:
+        _erf32(cdf)
+    else:
+        erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
     out = x.data * cdf
 
     def vjp(g):
-        pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT2PI
-        return (g * (cdf + x.data * pdf),)
+        d = np.multiply(-0.5, x.data, out=np.empty_like(x.data))
+        d *= x.data
+        np.exp(d, out=d)
+        d *= _INV_SQRT2PI
+        d *= x.data
+        d += cdf
+        d *= g
+        return (d,)
 
-    return _make(out.astype(x.dtype), (x,), vjp)
+    return _make(out, (x,), vjp)
 
 
 def square(x) -> Tensor:

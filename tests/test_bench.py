@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from linattn.bench import BenchResult, BenchRow, bench_scaling, linear_attention_op_count
+import linattn.bench
+from linattn.bench import WARMUP_PASSES, BenchResult, BenchRow, bench_scaling, linear_attention_op_count
 from linattn.errors import ConfigError
 
 
@@ -31,6 +32,25 @@ class TestBenchScaling:
         assert any(r.repeats > 2 for r in result.rows)
         # sub-millisecond medians at the cap are warned about, not fatal
         assert all("below timer" in w for w in result.resolution_warnings)
+
+    def test_lengths_timed_round_robin(self, monkeypatch):
+        # Each round times every length once, so load on the machine cannot
+        # land on one length alone and bend the fitted slope.
+        calls = []
+        real = linattn.bench.forward_classify
+
+        def record(model, tokens, mask):
+            calls.append((model.config.attention_kind, tokens.shape[1]))
+            return real(model, tokens, mask)
+
+        monkeypatch.setattr(linattn.bench, "forward_classify", record)
+        lengths = [8, 16, 32]
+        result = bench_scaling(lengths, repeats=3, max_repeats=3)
+        assert [r.repeats for r in result.rows] == [3] * 6
+        warmup = [L for L in lengths for _ in range(WARMUP_PASSES)]
+        for kind in ("kernel_linear", "softmax"):
+            got = [L for k, L in calls if k == kind]
+            assert got == warmup + lengths * 3
 
     def test_lengths_must_increase(self):
         with pytest.raises(ConfigError):

@@ -167,6 +167,29 @@ class TestExitCodes:
         assert f"match.cfg:{line}: unknown key 'ortho_weight' in [train]" in err
         assert not (tmp_path / "run").exists()
 
+    def test_negative_seed_flag_exit_one(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = main(["train", "--config", str(CONFIGS / "match.cfg"), "--seed", "-3",
+                     "--out-dir", str(out)])
+        assert code == 1
+        assert "error: --seed must be >= 0, got -3" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("seeds = 1, 2", "seeds = -2", "seeds must be >= 0"),
+        ("classes = 2\n\n[optimizer]", "classes = 2\ndata_seed = -5\n\n[optimizer]",
+         "data_seed must be >= 0"),
+    ], ids=["train_seeds", "task_data_seed"])
+    def test_negative_config_seed_exit_one(self, fast_cfg, tmp_path, capsys, old, new,
+                                           message):
+        text = open(fast_cfg).read()
+        assert text.count(old) == 1
+        p = tmp_path / "neg.cfg"
+        p.write_text(text.replace(old, new))
+        assert main(["train", "--config", str(p), "--out-dir", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"neg.cfg: {message}" in err
+
     def test_config_parse_error_exit_one(self, tmp_path, capsys):
         p = tmp_path / "bad.cfg"
         p.write_text("[model]\nd_model = many\n")

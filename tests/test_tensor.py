@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import erf, expit
 
 import linattn.tensor as T
 from linattn.errors import ContractError, GraphError, ShapeError
@@ -508,6 +509,76 @@ class TestSaturatedLogistic:
         report = finite_difference_check(
             lambda p: T.sum(T.mul(T.sigmoid(p["x"]), T.softplus(p["x"]))), {"x": x}, step=1e-5)
         assert report["x"].max_rel_err <= 1e-6
+
+
+class TestScipyOracles:
+    """The vectorized float32 erf and the logistic against scipy.special."""
+
+    def test_erf32_against_float64_erf(self):
+        x = np.linspace(-8.0, 8.0, 1_000_001, dtype=np.float32)
+        got = T._erf32(x.copy())
+        assert np.abs(got - erf(x.astype(np.float64))).max() <= 5e-7
+        np.testing.assert_array_equal(T._erf32(-x), -got)
+        assert np.abs(got).max() <= 1.0
+        special = T._erf32(np.array([np.nan, np.inf, -np.inf], dtype=np.float32))
+        assert np.isnan(special[0]) and special[1] == 1.0 and special[2] == -1.0
+
+    def test_float32_gelu_against_exact(self):
+        x = np.linspace(-8.0, 8.0, 100_001, dtype=np.float32)
+        x64 = x.astype(np.float64)
+        exact = x64 * 0.5 * (1.0 + erf(x64 / math.sqrt(2.0)))
+        out = T.gelu(Tensor(x)).data
+        assert out.dtype == np.float32
+        assert np.abs(out - exact).max() <= 2e-6
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("view", ["transposed", "strided"])
+    def test_gelu_of_a_view_equals_gelu_of_its_copy(self, dtype, view):
+        # Larger than one erf block, so every block is written back.
+        base = (np.random.default_rng(21).standard_normal((300, 258)) * 3).astype(dtype)
+        x = base.T if view == "transposed" else base[:, ::2]
+        assert not x.flags.c_contiguous
+        dense = np.ascontiguousarray(x)
+        tx, td = Tensor(x, requires_grad=True), Tensor(dense, requires_grad=True)
+        yx, yd = T.gelu(tx), T.gelu(td)
+        np.testing.assert_array_equal(yx.data, yd.data)
+        np.testing.assert_array_equal(backward(T.sum(yx))[tx].data,
+                                      backward(T.sum(yd))[td].data)
+
+    def test_float64_gelu_bit_identical_to_formula(self):
+        x = np.random.default_rng(22).standard_normal((64, 33)) * 4
+        inv_sqrt2 = 1.0 / math.sqrt(2.0)
+        cdf = 0.5 * (1.0 + erf(x * inv_sqrt2))
+        pdf = np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi))
+        g = np.random.default_rng(23).standard_normal(x.shape)
+        tx = t64(x, grad=True)
+        y = T.gelu(tx)
+        np.testing.assert_array_equal(y.data, x * cdf)
+        grads = backward(T.sum(T.mul(y, t64(g))))
+        np.testing.assert_array_equal(grads[tx].data, g * (cdf + x * pdf))
+
+    def test_zero_dimensional_inputs(self):
+        for dtype in (np.float32, np.float64):
+            for op in (T.gelu, T.sigmoid, T.softplus):
+                x = Tensor(np.array(1.5, dtype=dtype), requires_grad=True)
+                y = op(x)
+                grad = backward(y)[x]
+                assert y.shape == grad.shape == () and y.dtype == grad.dtype == dtype
+            assert T._logistic(np.array(1.5, dtype=dtype)).shape == ()
+
+    @pytest.mark.parametrize("dtype, rtol", [(np.float32, 4e-7), (np.float64, 1e-15)])
+    def test_logistic_against_expit(self, dtype, rtol):
+        x = np.concatenate([np.linspace(-20.0, 20.0, 400_001),
+                            np.linspace(-700.0, 700.0, 140_001)]).astype(dtype)
+        ref = expit(x)
+        got = T._logistic(x)
+        assert got.dtype == dtype
+        normal = ref >= np.finfo(dtype).tiny
+        rel = np.abs(got[normal].astype(np.float64) - ref[normal]) / ref[normal]
+        assert rel.max() <= rtol
+        # Below the smallest normal both are floored by sigmoid.
+        np.testing.assert_array_equal(np.maximum(got[~normal], np.finfo(dtype).tiny),
+                                      np.maximum(ref[~normal], np.finfo(dtype).tiny))
 
 
 class TestConstantOperands:
