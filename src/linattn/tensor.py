@@ -271,7 +271,7 @@ def _erf32(z: np.ndarray) -> np.ndarray:
 
     Within 5e-7 absolute of the exact erf; odd, nan to nan, +-inf to +-1.
     """
-    flat = z.reshape(-1)
+    flat = z.reshape(-1, copy=False)
     n = min(flat.size, _ERF32_BLOCK)
     z2, p, q = (np.empty(n, np.float32) for _ in range(3))
     for start in range(0, flat.size, _ERF32_BLOCK):
@@ -329,6 +329,8 @@ def gelu(x) -> Tensor:
     float32 uses ``_erf32``, float64 ``scipy.special.erf``.
     """
     x = _as_tensor(x)
+    # A fresh C-ordered array, also for 0-d and transposed inputs, so the
+    # erf can work on it in place.
     cdf = np.multiply(x.data, _INV_SQRT2, out=np.empty(x.shape, x.dtype))
     if cdf.dtype == np.float32:
         _erf32(cdf)
