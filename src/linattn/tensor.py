@@ -271,7 +271,9 @@ def _erf32(z: np.ndarray) -> np.ndarray:
 
     Within 5e-7 absolute of the exact erf; odd, nan to nan, +-inf to +-1.
     """
-    flat = z.reshape(-1, copy=False)
+    if not z.flags.c_contiguous:
+        raise ValueError("_erf32 needs a C-contiguous array to work in place")
+    flat = z.reshape(-1)
     n = min(flat.size, _ERF32_BLOCK)
     z2, p, q = (np.empty(n, np.float32) for _ in range(3))
     for start in range(0, flat.size, _ERF32_BLOCK):
@@ -341,6 +343,8 @@ def gelu(x) -> Tensor:
     out = x.data * cdf
 
     def vjp(g):
+        # g (cdf + x e^(-x^2/2) / sqrt(2 pi)) in place, rounded step for step
+        # as that expression, so float64 stays bit-identical to it.
         d = np.multiply(-0.5, x.data, out=np.empty_like(x.data))
         d *= x.data
         np.exp(d, out=d)

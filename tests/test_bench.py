@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import linattn.bench
-from linattn.bench import WARMUP_PASSES, BenchResult, BenchRow, bench_scaling, linear_attention_op_count
+from linattn.bench import (WARMUP_PASSES, BenchResult, BenchRow, bench_scaling,
+                           linear_attention_op_count)
 from linattn.errors import ConfigError
 
 

@@ -522,6 +522,8 @@ class TestScipyOracles:
         assert np.abs(got).max() <= 1.0
         special = T._erf32(np.array([np.nan, np.inf, -np.inf], dtype=np.float32))
         assert np.isnan(special[0]) and special[1] == 1.0 and special[2] == -1.0
+        with pytest.raises(ValueError, match="C-contiguous"):
+            T._erf32(np.ones((4, 3), dtype=np.float32).T)
 
     def test_float32_gelu_against_exact(self):
         x = np.linspace(-8.0, 8.0, 100_001, dtype=np.float32)
