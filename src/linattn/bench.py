@@ -22,6 +22,8 @@ from .tensor import MALLOC_POLICY, no_grad
 
 BENCH_KINDS = ("kernel_linear", "softmax")
 WARMUP_PASSES = 2
+D_MODEL, N_HEADS, FFN_DIM = 64, 4, 64  # the one-layer encoder that is timed
+SEED = 0  # model initialization and token draws
 MIN_MEDIAN_MS = 1.0
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -75,12 +77,11 @@ def bench_environment() -> dict:
     }
 
 
-def _bench_config(kind: str, max_len: int, d_model: int, n_heads: int,
-                  ffn_dim: int) -> ModelConfig:
-    head_dim = d_model // n_heads
+def _bench_config(kind: str, max_len: int) -> ModelConfig:
+    head_dim = D_MODEL // N_HEADS
     return ModelConfig(
-        vocab_size=32, d_model=d_model, n_heads=n_heads, head_dim=head_dim,
-        n_layers=1, ffn_dim=ffn_dim, max_len=max_len, classes=2,
+        vocab_size=32, d_model=D_MODEL, n_heads=N_HEADS, head_dim=head_dim,
+        n_layers=1, ffn_dim=FFN_DIM, max_len=max_len, classes=2,
         kernel=KernelSpec(variant="linear_softplus", depth=1, head_dim=head_dim),
         attention_kind=kind, eps=1e-6, dropout_rate=0.0, pooling="mean")
 
@@ -113,8 +114,7 @@ def _time_lengths(model, inputs, repeats: int, max_repeats: int) -> list[tuple[f
                 times[i].append((time.perf_counter() - t0) * 1e3)
 
 
-def bench_scaling(lengths, repeats: int = 5, d_model: int = 64, n_heads: int = 4,
-                  ffn_dim: int = 64, seed: int = 0, dtype=np.float32,
+def bench_scaling(lengths, repeats: int = 5, dtype=np.float32,
                   max_repeats: int = 64) -> BenchResult:
     """Measure both attention kinds across ``lengths`` and fit exponents.
 
@@ -127,14 +127,15 @@ def bench_scaling(lengths, repeats: int = 5, d_model: int = 64, n_heads: int = 4
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
     if len(lengths) < 3:
         raise ConfigError(f"need >= 3 lengths to fit an exponent, got {lengths}")
+    if min(lengths) < 1:
+        raise ConfigError(f"lengths must be >= 1, got {lengths}")
     if any(b <= a for a, b in zip(lengths, lengths[1:])):
         raise ConfigError(f"lengths must be strictly increasing, got {lengths}")
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SEED)
     result = BenchResult()
     for kind in BENCH_KINDS:
-        model = build_model(_bench_config(kind, max(lengths), d_model, n_heads, ffn_dim),
-                            seed=seed, dtype=dtype)
+        model = build_model(_bench_config(kind, max(lengths)), seed=SEED, dtype=dtype)
         inputs = [(rng.integers(1, 32, size=(1, length)), np.ones((1, length), dtype=bool))
                   for length in lengths]
         timed = _time_lengths(model, inputs, repeats, max_repeats)

@@ -16,9 +16,9 @@ import sys
 import numpy as np
 
 from .bench import bench_environment, bench_scaling
-from .config import parse_config_file, precision_dtype
+from .config import parse_config_file
 from .errors import ConfigError, ContractError, DataError
-from .model import budget_check, count_params, load_checkpoint
+from .model import budget_check, build_model, count_params, load_checkpoint
 from .training import evaluate, run_seeds, train
 from .verify import run_verify
 
@@ -26,54 +26,48 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_USAGE = 2
 EXIT_DIVERGED = 3
+_PRECISIONS = {"f32": np.float32, "f64": np.float64}
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="path to a key=value config file")
-    common.add_argument("--seed", type=int, default=None,
-                        help="override the first configured seed")
-    common.add_argument("--out-dir", default="runs", help="output directory")
-    common.add_argument("--precision", choices=("f32", "f64"), default="f32")
-    common.add_argument("--override-budget", action="store_true",
-                        help="train even when the kernel parameter budget fails")
+    configured = argparse.ArgumentParser(add_help=False)
+    configured.add_argument("--config", required=True,
+                            help="path to a key=value config file")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out-dir", default="runs", help="output directory")
+    output.add_argument("--precision", choices=tuple(_PRECISIONS), default="f32")
+    training = argparse.ArgumentParser(add_help=False, parents=[configured, output])
+    training.add_argument("--override-budget", action="store_true",
+                          help="train even when the kernel parameter budget fails")
 
     parser = argparse.ArgumentParser(
         prog="linattn",
         description="Kernelized linear attention: train, verify, and benchmark.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("train", parents=[common], help="train one model")
-    p_eval = sub.add_parser("eval", parents=[common], help="evaluate a checkpoint")
+    p_train = sub.add_parser("train", parents=[training], help="train one model")
+    p_train.add_argument("--seed", type=int, default=None,
+                         help="train with this seed instead of the first configured one")
+    p_eval = sub.add_parser("eval", parents=[configured], help="evaluate a checkpoint")
     p_eval.add_argument("--checkpoint", required=True, help="checkpoint file to load")
-    sub.add_parser("seeds", parents=[common],
+    sub.add_parser("seeds", parents=[training],
                    help="train across all configured seeds and aggregate")
-    p_bench = sub.add_parser("bench", parents=[common], help="sequence-length scaling benchmark")
+    p_bench = sub.add_parser("bench", parents=[output], help="sequence-length scaling benchmark")
     p_bench.add_argument("--lengths", default="256,512,1024,2048",
                          help="comma-separated sequence lengths")
     p_bench.add_argument("--repeats", type=int, default=5)
-    sub.add_parser("verify", parents=[common],
-                   help="run the oracle/gradient/positivity battery")
-    sub.add_parser("params", parents=[common],
+    sub.add_parser("verify", help="run the oracle/gradient/positivity battery")
+    sub.add_parser("params", parents=[configured],
                    help="print parameter accounts and the budget verdict")
     return parser
 
 
-def _require_config(args):
-    if not args.config:
-        raise ConfigError(f"the {args.command} command needs --config <path>")
-    if not os.path.exists(args.config):
-        raise ConfigError(f"config file not found: {args.config}")
-    return parse_config_file(args.config)
-
-
 def _cmd_train(args) -> int:
-    config = _require_config(args)
+    config = parse_config_file(args.config)
     if args.seed is not None and args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     seed = args.seed if args.seed is not None else config.seeds[0]
-    dtype = precision_dtype(args.precision)
-    result = train(config, seed, out_dir=args.out_dir, dtype=dtype,
+    result = train(config, seed, out_dir=args.out_dir, dtype=_PRECISIONS[args.precision],
                    override_budget=args.override_budget, log=print)
     if result.diverged:
         print(f"run diverged at step {result.steps_run} (non-finite loss)")
@@ -87,9 +81,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    config = _require_config(args)
-    if not os.path.exists(args.checkpoint):
-        raise ConfigError(f"checkpoint not found: {args.checkpoint}")
+    config = parse_config_file(args.config)
     model = load_checkpoint(args.checkpoint)
     eval_ds = config.task.build_eval()
     accuracy, loss = evaluate(model, eval_ds, batch_size=64)
@@ -99,9 +91,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_seeds(args) -> int:
-    config = _require_config(args)
-    dtype = precision_dtype(args.precision)
-    summary = run_seeds(config, out_dir=args.out_dir, dtype=dtype,
+    config = parse_config_file(args.config)
+    summary = run_seeds(config, out_dir=args.out_dir, dtype=_PRECISIONS[args.precision],
                         override_budget=args.override_budget)
     for row in summary.rows:
         note = "  DIVERGED" if row["diverged"] else ""
@@ -121,9 +112,8 @@ def _cmd_bench(args) -> int:
     except ValueError:
         raise ConfigError(f"--lengths takes comma-separated integers, "
                           f"got {args.lengths!r}") from None
-    dtype = precision_dtype(args.precision)
     os.makedirs(args.out_dir, exist_ok=True)
-    result = bench_scaling(lengths, repeats=args.repeats, dtype=dtype)
+    result = bench_scaling(lengths, repeats=args.repeats, dtype=_PRECISIONS[args.precision])
     csv_path = os.path.join(args.out_dir, "bench.csv")
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write(result.csv())
@@ -144,10 +134,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_params(args) -> int:
-    from .model import build_model
-    config = _require_config(args)
-    dtype = precision_dtype(args.precision)
-    model = build_model(config.model, seed=config.seeds[0], dtype=dtype)
+    config = parse_config_file(args.config)
+    model = build_model(config.model, seed=0)
     account = count_params(model)
     verdict = budget_check(account, config.budget_limit)
     print(f"base parameters:   {account.base_params}")

@@ -11,8 +11,6 @@ from __future__ import annotations
 import configparser
 from dataclasses import dataclass, field, fields
 
-import numpy as np
-
 from .data import (Dataset, gen_listops, gen_matching, gen_text_classification,
                    load_tsv_dataset)
 from .errors import ConfigError
@@ -29,6 +27,17 @@ class OptimizerConfig:
     beta2: float = 0.999
     eps: float = 1e-8
     weight_decay: float = 0.0
+
+    def validate(self):
+        if not 0 < self.lr < float("inf"):
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if not self.eps > 0:
+            raise ConfigError(f"eps must be > 0, got {self.eps}")
+        if not self.weight_decay >= 0:
+            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
 
 
 @dataclass
@@ -129,11 +138,14 @@ class TrainConfig:
     def validate(self):
         self.model.validate()
         self.task.validate()
+        self.optimizer.validate()
         self.schedule.validate()
         if self.micro_batch < 1:
             raise ConfigError(f"micro_batch must be >= 1, got {self.micro_batch}")
         if self.accumulation_steps < 1:
             raise ConfigError(f"accumulation_steps must be >= 1, got {self.accumulation_steps}")
+        if self.eval_every < 0:
+            raise ConfigError(f"eval_every must be >= 0, got {self.eval_every}")
         if not self.seeds:
             raise ConfigError("need at least one seed")
         if any(seed < 0 for seed in self.seeds):
@@ -249,11 +261,3 @@ def parse_config_file(path) -> TrainConfig:
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
     return config
-
-
-def precision_dtype(name: str):
-    if name == "f32":
-        return np.float32
-    if name == "f64":
-        return np.float64
-    raise ConfigError(f"precision must be 'f32' or 'f64', got {name!r}")

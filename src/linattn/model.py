@@ -66,7 +66,7 @@ class ModelConfig:
             raise ConfigError(
                 f"kernel head_dim {self.kernel.head_dim} does not match model head_dim "
                 f"{self.head_dim}")
-        for name in ("max_len", "n_layers", "ffn_dim"):
+        for name in ("n_heads", "max_len", "n_layers", "ffn_dim"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0 <= self.dropout_rate < 1:

@@ -57,6 +57,10 @@ class TestBenchScaling:
         with pytest.raises(ConfigError):
             bench_scaling([64, 64, 128])
 
+    def test_lengths_must_be_positive(self):
+        with pytest.raises(ConfigError, match="lengths must be >= 1"):
+            bench_scaling([0, 1, 2])
+
     def test_needs_at_least_one_repeat(self):
         with pytest.raises(ConfigError):
             bench_scaling([8, 16, 32], repeats=0)

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, config files, exit codes, outputs."""
 
+import argparse
 import json
 import os
 from pathlib import Path
@@ -101,6 +102,48 @@ def fast_cfg(tmp_path):
     return str(p)
 
 
+# Every flag a subcommand accepts is read by it.
+SUBCOMMAND_FLAGS = {
+    "train": {"--config", "--seed", "--out-dir", "--precision", "--override-budget"},
+    "seeds": {"--config", "--out-dir", "--precision", "--override-budget"},
+    "eval": {"--config", "--checkpoint"},
+    "params": {"--config"},
+    "bench": {"--out-dir", "--precision", "--lengths", "--repeats"},
+    "verify": set(),
+}
+
+FLAG_VALUES = {"--config": [str(CONFIGS / "match.cfg")], "--seed": ["1"],
+               "--out-dir": ["unused"], "--precision": ["f64"], "--override-budget": []}
+
+# Each subcommand without the flag under test, failing fast once parsed
+# (missing files, a bad length), so an accepted flag shows as exit 1, not 2.
+ARGV_WITHOUT_FLAG = {
+    "eval": ["eval", "--config", "/no/such/file.cfg", "--checkpoint", "/no/ckpt"],
+    "seeds": ["seeds", "--config", "/no/such/file.cfg"],
+    "bench": ["bench", "--lengths", "8,x,32"],
+    "verify": ["verify"],
+    "params": ["params", "--config", "/no/such/file.cfg"],
+}
+
+REMOVED_FLAGS = [(command, flag) for command in ARGV_WITHOUT_FLAG for flag in FLAG_VALUES
+                 if flag not in SUBCOMMAND_FLAGS[command]]
+
+
+class TestFlagSurface:
+    def test_each_subcommand_takes_only_the_flags_it_reads(self):
+        parser = linattn.cli._build_parser()
+        [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        got = {name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+               for name, p in sub.choices.items()}
+        assert got == SUBCOMMAND_FLAGS
+        assert sum(map(len, got.values())) == 16
+
+    @pytest.mark.parametrize("command, flag", REMOVED_FLAGS)
+    def test_flag_a_subcommand_does_not_read_is_a_usage_error(self, capsys, command, flag):
+        assert main(ARGV_WITHOUT_FLAG[command] + [flag] + FLAG_VALUES[flag]) == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
 class TestConfigParsing:
     def test_round_trip_values(self, fast_cfg):
         cfg = parse_config_file(fast_cfg)
@@ -135,6 +178,23 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="syntax"):
             parse_config_file(str(p))
 
+    @pytest.mark.parametrize("section, line, field", [
+        ("optimizer", "lr = -1.0", "lr"),
+        ("optimizer", "lr = 0", "lr"),
+        ("optimizer", "lr = inf", "lr"),
+        ("optimizer", "lr = nan", "lr"),
+        ("optimizer", "beta1 = 1.0", "beta1"),
+        ("optimizer", "beta2 = -0.1", "beta2"),
+        ("optimizer", "eps = 0", "eps"),
+        ("optimizer", "weight_decay = -0.01", "weight_decay"),
+        ("train", "eval_every = -1", "eval_every"),
+    ])
+    def test_out_of_range_training_value_names_field(self, tmp_path, section, line, field):
+        p = tmp_path / "range.cfg"
+        p.write_text(f"[{section}]\n{line}\n")
+        with pytest.raises(ConfigError, match=rf"range\.cfg: {field} must be"):
+            parse_config_file(str(p))
+
     def test_defaults_fill_missing_sections(self, tmp_path):
         p = tmp_path / "minimal.cfg"
         p.write_text("[schedule]\nwarmup_steps = 1\ntotal_steps = 5\n")
@@ -153,6 +213,24 @@ class TestExitCodes:
 
     def test_unknown_flag(self, capsys):
         assert main(["verify", "--frobnicate"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["train"], ["seeds"], ["eval", "--checkpoint", "x.bin"], ["params"]],
+        ids=["train", "seeds", "eval", "params"])
+    def test_missing_config_flag_is_a_usage_error(self, capsys, argv):
+        assert main(argv) == 2
+        assert "--config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sizes", ["d_model = 0\nn_heads = 0",
+                                       "d_model = -16\nn_heads = -1"], ids=["zero", "negative"])
+    def test_nonpositive_head_count_exit_one(self, tmp_path, capsys, sizes):
+        text = (CONFIGS / "match.cfg").read_text()
+        assert text.count("d_model = 32\nn_heads = 2") == 1
+        p = tmp_path / "heads.cfg"
+        p.write_text(text.replace("d_model = 32\nn_heads = 2", sizes))
+        assert main(["params", "--config", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "n_heads must be >= 1" in err
 
     def test_train_ortho_weight_is_an_unknown_key(self, tmp_path, capsys):
         # The penalty weight is [kernel] ortho_reg_weight, which rejects
@@ -303,6 +381,7 @@ class TestEvalCommand:
 
     def test_missing_checkpoint(self, fast_cfg, capsys):
         assert main(["eval", "--config", fast_cfg, "--checkpoint", "/no/ckpt"]) == 1
+        assert "/no/ckpt" in capsys.readouterr().err
 
     def test_directory_as_checkpoint_exit_one(self, fast_cfg, tmp_path, capsys):
         assert main(["eval", "--config", fast_cfg, "--checkpoint", str(tmp_path)]) == 1
@@ -368,6 +447,12 @@ class TestBenchCommand:
     def test_non_integer_length_exit_one(self, tmp_path, capsys):
         assert main(["bench", "--lengths", "8,x,32", "--out-dir", str(tmp_path)]) == 1
         assert "--lengths" in capsys.readouterr().err
+
+    def test_nonpositive_length_exit_one(self, tmp_path, capsys):
+        out = tmp_path / "bench"
+        assert main(["bench", "--lengths", "0,1,2", "--out-dir", str(out)]) == 1
+        assert "error: lengths must be >= 1" in capsys.readouterr().err
+        assert not (out / "bench.csv").exists()
 
     def test_zero_repeats_exit_one(self, tmp_path, capsys):
         out = tmp_path / "bench"
