@@ -124,7 +124,7 @@ class AttentionLayerParams:
 def init_attention_params(d_model: int, n_heads: int, spec: KernelSpec, seed,
                           dtype=np.float32, with_kernels: bool = True) -> AttentionLayerParams:
     """Uniform(+-1/sqrt(d)) projections; kernel stacks drawn per head."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     bound = 1.0 / np.sqrt(d_model)
 
     def proj():
@@ -140,17 +140,13 @@ def init_attention_params(d_model: int, n_heads: int, spec: KernelSpec, seed,
     return params
 
 
-def _pack(x: Tensor, mask) -> tuple[Tensor, np.ndarray, bool]:
-    """Packed rows (N, d_model) of ``x`` plus the boolean mask, and whether
-    ``x`` came padded (``mask.shape + (d_model,)``) rather than packed."""
+def _rows_mask(x: Tensor, mask, d_model: int) -> np.ndarray:
+    """The boolean mask, once ``x`` is checked to hold its packed rows."""
     m = np.asarray(mask, dtype=bool)
-    if x.shape[:-1] == m.shape:
-        return T.getitem(x, m), m, True
-    n = int(np.count_nonzero(m))
-    if x.ndim != 2 or x.shape[0] != n:
-        raise ShapeError(f"input {x.shape} is neither padded to the mask {m.shape} "
-                         f"nor its {n} packed rows")
-    return x, m, False
+    expected = (int(np.count_nonzero(m)), d_model)
+    if x.shape != expected:
+        raise ShapeError(f"input {x.shape} is not the packed rows {expected} of mask {m.shape}")
+    return m
 
 
 def _heads(rows: Tensor, n_heads: int, m: np.ndarray, fill: float = 0.0) -> Tensor:
@@ -181,33 +177,29 @@ def multi_head_kernel_attention(x: Tensor, params: AttentionLayerParams,
     """Project, map queries/keys through each head's feature stack, run
     kernel attention per head, merge, project out.
 
-    ``x`` is either the padded batch (``mask.shape + (d_model,)``) or the
-    packed rows of its unmasked positions (``(mask.sum(), d_model)``), and
-    the output comes back in the same layout (pad rows of a padded output
-    are 0). The projections and feature stacks run on the packed rows only;
-    the evaluator sees per-head padded arrays whose pad slots hold features
-    of 1 and values of 0, so a pad query never divides 0 by 0 and the key
+    ``x`` holds the packed rows ``(mask.sum(), d_model)`` of the unmasked
+    positions of a ``(..., L)`` mask, in row-major order, and so does the
+    output. The projections and feature stacks run on these rows; the
+    evaluator sees per-head padded arrays whose pad slots hold features of
+    1 and values of 0, so a pad query never divides 0 by 0 and the key
     mask keeps pad keys out of S and z.
 
     ``evaluator`` selects the linear factorized path or the quadratic
     oracle (used to cross-check full layers).
     """
-    d_model = params.w_q.shape[0]
-    if x.shape[-1] != d_model:
-        raise ShapeError(f"input dim {x.shape[-1]} does not match projections ({d_model})")
+    m = _rows_mask(x, mask, params.w_q.shape[0])
     n_heads = params.n_heads
     if len(params.head_kernels) != n_heads:
         raise ShapeError(f"expected {n_heads} kernel stacks, got {len(params.head_kernels)}")
     if evaluator not in ("linear", "quadratic"):
         raise ShapeError(f"unknown evaluator {evaluator!r}")
 
-    rows, m, padded = _pack(x, mask)
     key_kernels = params.key_kernels if params.key_kernels is not None else params.head_kernels
-    qf = _stack_head_features(T.matmul(rows, params.w_q), params.head_kernels, spec)
-    kf = _stack_head_features(T.matmul(rows, params.w_k), key_kernels, spec)
+    qf = _stack_head_features(T.matmul(x, params.w_q), params.head_kernels, spec)
+    kf = _stack_head_features(T.matmul(x, params.w_k), key_kernels, spec)
     qf = _heads(qf, n_heads, m, fill=1.0)
     kf = _heads(kf, n_heads, m, fill=1.0)
-    v = _heads(T.matmul(rows, params.w_v), n_heads, m)
+    v = _heads(T.matmul(x, params.w_v), n_heads, m)
 
     m_heads = np.expand_dims(m, -2)  # broadcast over heads: (..., 1, L)
     if evaluator == "linear":
@@ -215,21 +207,16 @@ def multi_head_kernel_attention(x: Tensor, params: AttentionLayerParams,
     else:
         heads_out = kernel_attention_quadratic(qf, kf, v, m_heads, eps=eps)
 
-    out = T.matmul(_merge_rows(heads_out, m), params.w_o)
-    return T.unpack(out, m) if padded else out
+    return T.matmul(_merge_rows(heads_out, m), params.w_o)
 
 
 def multi_head_softmax_attention(x: Tensor, params: AttentionLayerParams, mask) -> Tensor:
-    """Standard multi-head softmax attention (the quadratic baseline); ``x``
-    is padded or packed as in ``multi_head_kernel_attention``."""
-    d_model = params.w_q.shape[0]
-    if x.shape[-1] != d_model:
-        raise ShapeError(f"input dim {x.shape[-1]} does not match projections ({d_model})")
+    """Standard multi-head softmax attention (the quadratic baseline) on
+    packed rows, laid out as in ``multi_head_kernel_attention``."""
+    m = _rows_mask(x, mask, params.w_q.shape[0])
     n_heads = params.n_heads
-    rows, m, padded = _pack(x, mask)
-    q = _heads(T.matmul(rows, params.w_q), n_heads, m)
-    k = _heads(T.matmul(rows, params.w_k), n_heads, m)
-    v = _heads(T.matmul(rows, params.w_v), n_heads, m)
+    q = _heads(T.matmul(x, params.w_q), n_heads, m)
+    k = _heads(T.matmul(x, params.w_k), n_heads, m)
+    v = _heads(T.matmul(x, params.w_v), n_heads, m)
     heads_out = softmax_attention(q, k, v, np.expand_dims(m, -2))
-    out = T.matmul(_merge_rows(heads_out, m), params.w_o)
-    return T.unpack(out, m) if padded else out
+    return T.matmul(_merge_rows(heads_out, m), params.w_o)

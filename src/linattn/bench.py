@@ -114,15 +114,9 @@ def _time_lengths(model, inputs, repeats: int, max_repeats: int) -> list[tuple[f
                 times[i].append((time.perf_counter() - t0) * 1e3)
 
 
-def bench_scaling(lengths, repeats: int = 5, dtype=np.float32,
-                  max_repeats: int = 64) -> BenchResult:
-    """Measure both attention kinds across ``lengths`` and fit exponents.
-
-    When the median lands under 1 ms the repeat count doubles (up to
-    ``max_repeats``) for a steadier median; if it still cannot resolve, a
-    warning is recorded instead of failing.
-    """
-    lengths = [int(x) for x in lengths]
+def check_scaling_args(lengths: list[int], repeats: int):
+    """Raise ``ConfigError`` unless ``bench_scaling`` can fit exponents to
+    these lengths at this repeat count."""
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
     if len(lengths) < 3:
@@ -132,6 +126,17 @@ def bench_scaling(lengths, repeats: int = 5, dtype=np.float32,
     if any(b <= a for a, b in zip(lengths, lengths[1:])):
         raise ConfigError(f"lengths must be strictly increasing, got {lengths}")
 
+
+def bench_scaling(lengths, repeats: int = 5, dtype=np.float32,
+                  max_repeats: int = 64) -> BenchResult:
+    """Measure both attention kinds across ``lengths`` and fit exponents.
+
+    When the median lands under 1 ms the repeat count doubles (up to
+    ``max_repeats``) for a steadier median; if it still cannot resolve, a
+    warning is recorded instead of failing.
+    """
+    lengths = [int(x) for x in lengths]
+    check_scaling_args(lengths, repeats)
     rng = np.random.default_rng(SEED)
     result = BenchResult()
     for kind in BENCH_KINDS:

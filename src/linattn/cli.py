@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .bench import bench_environment, bench_scaling
+from .bench import bench_environment, bench_scaling, check_scaling_args
 from .config import parse_config_file
 from .errors import ConfigError, ContractError, DataError
 from .model import budget_check, build_model, count_params, load_checkpoint
@@ -112,6 +112,7 @@ def _cmd_bench(args) -> int:
     except ValueError:
         raise ConfigError(f"--lengths takes comma-separated integers, "
                           f"got {args.lengths!r}") from None
+    check_scaling_args(lengths, args.repeats)
     os.makedirs(args.out_dir, exist_ok=True)
     result = bench_scaling(lengths, repeats=args.repeats, dtype=_PRECISIONS[args.precision])
     csv_path = os.path.join(args.out_dir, "bench.csv")

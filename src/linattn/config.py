@@ -156,27 +156,8 @@ class TrainConfig:
 # file parsing
 # ---------------------------------------------------------------------------
 
-def _to_bool(s: str) -> bool:
-    low = s.strip().lower()
-    if low in ("true", "yes", "on", "1"):
-        return True
-    if low in ("false", "no", "off", "0"):
-        return False
-    raise ValueError(f"not a boolean: {s!r}")
-
-
 def _to_seed_list(s: str) -> list[int]:
     return [int(tok) for tok in s.replace(",", " ").split()]
-
-
-def _converter(py_type):
-    if py_type is bool:
-        return _to_bool
-    if py_type is int:
-        return int
-    if py_type is float:
-        return float
-    return str
 
 
 _SECTION_FIELDS = {
@@ -185,12 +166,14 @@ _SECTION_FIELDS = {
     "task": {f.name: f.type for f in fields(TaskSpec)},
     "optimizer": {f.name: f.type for f in fields(OptimizerConfig)},
     "schedule": {f.name: f.type for f in fields(ScheduleConfig)},
-    "train": {"micro_batch": int, "accumulation_steps": int, "seeds": list,
-              "eval_every": int, "budget_limit": float, "target_accuracy": float},
+    "train": {f.name: f.type for f in fields(TrainConfig)
+              if f.name not in ("model", "task", "optimizer", "schedule")},
 }
 
-_TYPE_NAMES = {"int": int, "float": float, "bool": bool, "str": str,
-               "float | None": float, "int | None": int}
+# The ConfigParser method that converts a value of each annotated field type;
+# other types (str) are read as they stand, and ``seeds`` by _to_seed_list.
+_GETTERS = {"int": "getint", "float": "getfloat", "bool": "getboolean",
+            "float | None": "getfloat"}
 
 
 def _line_of(text: str, section: str, key: str) -> int:
@@ -234,12 +217,11 @@ def parse_config_file(path) -> TrainConfig:
             if key not in known:
                 lineno = _line_of(text, section, key)
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r} in [{section}]")
-            py_type = known[key]
-            if isinstance(py_type, str):
-                py_type = _TYPE_NAMES.get(py_type, str)
-            conv = _to_seed_list if key == "seeds" else _converter(py_type)
             try:
-                values[key] = conv(raw)
+                if key == "seeds":
+                    values[key] = _to_seed_list(raw)
+                else:
+                    values[key] = getattr(parser, _GETTERS.get(known[key], "get"))(section, key)
             except ValueError as exc:
                 lineno = _line_of(text, section, key)
                 raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from None

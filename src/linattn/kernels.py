@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError
 from .tensor import Tensor
 
 VARIANTS = ("linear_softplus", "glu", "oglu", "aoglu")
@@ -112,7 +112,7 @@ def orthogonal_init(n: int, seed, dtype=np.float64) -> np.ndarray:
     """
     if n < 1:
         raise ConfigError(f"orthogonal_init needs n >= 1, got {n}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     a = rng.standard_normal((n, n))
     q, r = np.linalg.qr(a)
     signs = np.sign(np.diag(r))
@@ -132,7 +132,7 @@ def init_kernel_params(spec: KernelSpec, seed, dtype=np.float32) -> KernelParams
     variant, ``w_feat`` of oglu/aoglu) start orthogonal when the spec asks
     for it; every other matrix uses uniform(-1/sqrt(n), 1/sqrt(n)).
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     n, r = spec.head_dim, spec.gate_rank
     ortho = spec.orthogonal_init and spec.variant in ("linear_softplus", "oglu", "aoglu")
 
@@ -166,9 +166,6 @@ def feature_layer(x: Tensor, layer: dict[str, Tensor], act) -> Tensor:
     when the layer holds those weights; ``act=None`` leaves X W linear.
     With ``act=T.softplus`` the output is strictly positive."""
     w = layer["w"] if "w" in layer else layer["w_feat"]
-    if x.shape[-1] != w.shape[0]:
-        raise ShapeError(f"feature_layer: trailing dimension {x.shape[-1]} does not match "
-                         f"weights ({w.shape[0]})")
     h = T.matmul(x, w)
     if act is not None:
         h = act(h)

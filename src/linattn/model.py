@@ -27,7 +27,7 @@ from . import tensor as T
 from .attention import (AttentionLayerParams, init_attention_params,
                         multi_head_kernel_attention, multi_head_softmax_attention)
 from .errors import ConfigError, DataError, ShapeError
-from .kernels import KernelSpec
+from .kernels import KernelSpec, regularized_matrices
 from .tensor import Tensor
 
 ATTENTION_KINDS = ("softmax", "kernel_linear", "kernel_quadratic")
@@ -167,7 +167,6 @@ class Model:
         return out
 
     def regularized_matrices(self) -> list[Tensor]:
-        from .kernels import regularized_matrices
         mats: list[Tensor] = []
         for blk in self.blocks:
             for kp in blk.attn.head_kernels:
@@ -423,18 +422,21 @@ def load_checkpoint(path) -> Model:
 
     (n_params,) = unpack("<I")
     blobs: dict[str, np.ndarray] = {}
-    dtype = np.float32
-    for _ in range(n_params):
+    dtype_code = 0
+    for i in range(n_params):
         (name_len,) = unpack("<I")
         name = take(name_len).decode("utf-8", errors="replace")
         code, ndim = unpack("<BI")
         if code not in _CODE_DTYPES or ndim > 2:  # every parameter is a vector or a matrix
             raise DataError(f"{path}: bad header for {name} (dtype code {code}, {ndim} dims)")
+        if i and code != dtype_code:
+            raise DataError(f"{path}: {name} is {_CODE_DTYPES[code].name}, unlike the "
+                            f"{_CODE_DTYPES[dtype_code].name} parameters before it")
+        dtype_code = code
         shape = unpack(f"<{ndim}Q")
         dt = _CODE_DTYPES[code]
         arr = np.frombuffer(take(math.prod(shape) * dt.itemsize), dtype=dt).reshape(shape)
         blobs[name] = np.ascontiguousarray(arr, dtype=dt.newbyteorder("="))
-        dtype = np.float32 if code == 0 else np.float64
 
     body_len = pos
     (crc,) = unpack("<I")
@@ -443,7 +445,7 @@ def load_checkpoint(path) -> Model:
     if pos != len(raw):
         raise DataError(f"{path}: {len(raw) - pos} trailing bytes after the checksum")
 
-    model = build_model(config, seed=0, dtype=dtype)
+    model = build_model(config, seed=0, dtype=_CODE_DTYPES[dtype_code].newbyteorder("="))
     params = model.named_parameters()
     if set(params) != set(blobs):
         missing = set(params) ^ set(blobs)

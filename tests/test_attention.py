@@ -232,18 +232,18 @@ class TestMultiHead:
         d_model = n_heads * head_dim
         spec = make_spec("glu", 2, n=head_dim)
         params = init_attention_params(d_model, n_heads, spec, seed=1, dtype=np.float64)
-        x = Tensor(rng.standard_normal((3, 10, d_model)))
         mask = np.ones((3, 10), bool)
+        x = Tensor(rng.standard_normal((3, 10, d_model))[mask])
         out = multi_head_kernel_attention(x, params, spec, mask, eps=0.0)
-        assert out.shape == (3, 10, d_model)
+        assert out.shape == (30, d_model)
 
     def test_matches_quadratic_replica(self):
         rng = np.random.default_rng(14)
         spec = make_spec("aoglu", 2)
         params = init_attention_params(16, 2, spec, seed=2, dtype=np.float64)
-        x = Tensor(rng.standard_normal((2, 14, 16)))
         mask = np.ones((2, 14), bool)
         mask[1, -5:] = False
+        x = Tensor(rng.standard_normal((2, 14, 16))[mask])
         lin = multi_head_kernel_attention(x, params, spec, mask, eps=0.0, evaluator="linear")
         quad = multi_head_kernel_attention(x, params, spec, mask, eps=0.0,
                                            evaluator="quadratic")
@@ -253,8 +253,8 @@ class TestMultiHead:
         rng = np.random.default_rng(15)
         spec = make_spec("oglu", 1, n=4)
         params = init_attention_params(8, 2, spec, seed=3, dtype=np.float64)
-        x = Tensor(rng.standard_normal((6, 8)))
         mask = np.array([True] * 5 + [False])
+        x = Tensor(rng.standard_normal((6, 8))[mask])
         named = params.named()
 
         def f(_):
@@ -279,26 +279,23 @@ class TestMultiHead:
         assert np.abs(out.data - out_shared.data).max() > 1e-6
 
     @pytest.mark.parametrize("kind", ["kernel", "softmax"])
-    def test_packed_rows_match_padded_layout(self, kind):
+    def test_only_packed_rows_accepted(self, kind):
         rng = np.random.default_rng(18)
         spec = make_spec("oglu", 2)
         params = init_attention_params(16, 2, spec, seed=7, dtype=np.float64,
                                        with_kernels=kind == "kernel")
-        x = Tensor(rng.standard_normal((3, 9, 16)))
+        x = rng.standard_normal((3, 9, 16))
         mask = np.arange(9) < np.array([9, 4, 1])[:, None]
         if kind == "kernel":
             def run(inp):
-                return multi_head_kernel_attention(inp, params, spec, mask, eps=0.0)
+                return multi_head_kernel_attention(Tensor(inp), params, spec, mask, eps=0.0)
         else:
             def run(inp):
-                return multi_head_softmax_attention(inp, params, mask)
-        padded = run(x).data
-        packed = run(Tensor(x.data[mask])).data
-        assert packed.shape == (14, 16)
-        np.testing.assert_array_equal(padded[mask], packed)
-        np.testing.assert_array_equal(padded[~mask], 0.0)
-        with pytest.raises(ShapeError):
-            run(Tensor(x.data[mask][:-1]))
+                return multi_head_softmax_attention(Tensor(inp), params, mask)
+        assert run(x[mask]).shape == (14, 16)
+        for bad in (x, x[mask][:-1], x[mask][:, :8]):
+            with pytest.raises(ShapeError, match=r"\(14, 16\)"):
+                run(bad)
 
     def test_dimension_mismatch(self):
         spec = make_spec("glu", 1)
@@ -312,11 +309,11 @@ class TestMultiHead:
         spec = make_spec("glu", 1)
         params = init_attention_params(16, 2, spec, seed=6, dtype=np.float64,
                                        with_kernels=False)
-        x = Tensor(rng.standard_normal((2, 7, 16)))
         mask = np.ones((2, 7), bool)
         mask[0, -2:] = False
+        x = Tensor(rng.standard_normal((2, 7, 16))[mask])
         out = multi_head_softmax_attention(x, params, mask)
-        assert out.shape == (2, 7, 16)
+        assert out.shape == (12, 16)
         named = {"w_q": params.w_q, "w_o": params.w_o}
 
         def f(_):

@@ -3,6 +3,8 @@
 import argparse
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +21,8 @@ from linattn.model import load_checkpoint
 from linattn.tensor import MALLOC_POLICY
 from linattn.training import evaluate
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 FAST_CFG = """\
 [model]
@@ -195,6 +198,17 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=rf"range\.cfg: {field} must be"):
             parse_config_file(str(p))
 
+    @pytest.mark.parametrize("raw, value", [("On", True), ("no", False), ("1", True),
+                                            ("FALSE", False), ("maybe", None)])
+    def test_boolean_spellings(self, tmp_path, raw, value):
+        p = tmp_path / "bool.cfg"
+        p.write_text(f"[kernel]\nvariant = oglu\northogonal_init = {raw}\n")
+        if value is None:
+            with pytest.raises(ConfigError, match=r"bool\.cfg:3: bad value for orthogonal_init"):
+                parse_config_file(str(p))
+        else:
+            assert parse_config_file(str(p)).model.kernel.orthogonal_init is value
+
     def test_defaults_fill_missing_sections(self, tmp_path):
         p = tmp_path / "minimal.cfg"
         p.write_text("[schedule]\nwarmup_steps = 1\ntotal_steps = 5\n")
@@ -320,6 +334,36 @@ class TestTrainCommand:
         assert main(["train", "--config", str(cfg), "--out-dir", str(out)]) == 0
         assert len((out / "metrics.jsonl").read_text().splitlines()) == 3
 
+    def test_same_blas_thread_count_repeats_bit_for_bit(self, tmp_path):
+        """The determinism contract: same config, seed, precision and BLAS
+        thread count give the same checkpoint bytes and metrics, apart from
+        timing fields."""
+        shrunk = {"count": "64", "eval_count": "32", "warmup_steps": "1", "total_steps": "3"}
+        lines = (CONFIGS / "listops.cfg").read_text().splitlines()
+        for i, line in enumerate(lines):
+            key = line.split("=")[0].strip()
+            if key in shrunk:
+                lines[i] = f"{key} = {shrunk[key]}"
+        cfg = tmp_path / "listops_3.cfg"
+        cfg.write_text("\n".join(lines) + "\n")
+        env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+                       p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+        runs = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            done = subprocess.run([sys.executable, "-m", "linattn.cli", "train", "--config",
+                                   str(cfg), "--out-dir", str(out)],
+                                  env=env, capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr[-2000:]
+            records = [json.loads(line)
+                       for line in (out / "metrics.jsonl").read_text().splitlines()]
+            for rec in records:
+                del rec["wall_time_ms"]
+            runs.append(((out / "checkpoint.bin").read_bytes(), records))
+        assert len(runs[0][1]) == 3
+        assert runs[0] == runs[1]
+
     def test_precision_flag(self, fast_cfg, tmp_path):
         out = tmp_path / "run64"
         assert main(["train", "--config", fast_cfg, "--out-dir", str(out),
@@ -441,8 +485,16 @@ class TestBenchCommand:
         assert "OPENBLAS_NUM_THREADS" in env["threads"]
         assert env["malloc"] == MALLOC_POLICY
 
-    def test_too_few_lengths(self, capsys):
-        assert main(["bench", "--lengths", "8,16"]) == 1
+    def test_too_few_lengths(self, tmp_path, capsys):
+        out = tmp_path / "bench"
+        assert main(["bench", "--lengths", "8,16", "--out-dir", str(out)]) == 1
+        assert not out.exists()
+
+    def test_decreasing_lengths_exit_one(self, tmp_path, capsys):
+        out = tmp_path / "bench"
+        assert main(["bench", "--lengths", "32,16,64", "--out-dir", str(out)]) == 1
+        assert "strictly increasing" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_integer_length_exit_one(self, tmp_path, capsys):
         assert main(["bench", "--lengths", "8,x,32", "--out-dir", str(tmp_path)]) == 1
@@ -452,14 +504,14 @@ class TestBenchCommand:
         out = tmp_path / "bench"
         assert main(["bench", "--lengths", "0,1,2", "--out-dir", str(out)]) == 1
         assert "error: lengths must be >= 1" in capsys.readouterr().err
-        assert not (out / "bench.csv").exists()
+        assert not out.exists()
 
     def test_zero_repeats_exit_one(self, tmp_path, capsys):
         out = tmp_path / "bench"
         assert main(["bench", "--lengths", "8,16,32", "--repeats", "0",
                      "--out-dir", str(out)]) == 1
         assert "repeats" in capsys.readouterr().err
-        assert not (out / "bench.csv").exists()
+        assert not out.exists()
 
     @staticmethod
     def _forbid_sweep(monkeypatch):

@@ -41,13 +41,14 @@ def padded_hidden(model, tokens, mask):
     h = T.add(T.embedding(model.embed_tokens, tokens),
               T.getitem(model.embed_pos, np.s_[:tokens.shape[1]]))
     for blk in model.blocks:
-        normed = model._layer_norm(h, blk.ln1_gamma, blk.ln1_beta)
+        normed = T.getitem(model._layer_norm(h, blk.ln1_gamma, blk.ln1_beta), mask)
         if cfg.attention_kind == "softmax":
-            h = T.add(h, multi_head_softmax_attention(normed, blk.attn, mask))
+            attn_out = multi_head_softmax_attention(normed, blk.attn, mask)
         else:
             evaluator = "linear" if cfg.attention_kind == "kernel_linear" else "quadratic"
-            h = T.add(h, multi_head_kernel_attention(normed, blk.attn, cfg.kernel, mask,
-                                                     eps=cfg.eps, evaluator=evaluator))
+            attn_out = multi_head_kernel_attention(normed, blk.attn, cfg.kernel, mask,
+                                                   eps=cfg.eps, evaluator=evaluator)
+        h = T.add(h, T.unpack(attn_out, mask))
         normed = model._layer_norm(h, blk.ln2_gamma, blk.ln2_beta)
         inner = T.gelu(T.add(T.matmul(normed, blk.ffn_w1), blk.ffn_b1))
         h = T.add(h, T.add(T.matmul(inner, blk.ffn_w2), blk.ffn_b2))
@@ -550,6 +551,19 @@ class TestCheckpoint:
         path.write_bytes(bytes(raw))
         with pytest.raises(DataError, match="unsupported checkpoint version 1"):
             load_checkpoint(path)
+
+    def test_mixed_blob_dtypes_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        model = build_model(small_config(), seed=25)
+        assert list(model.named_parameters())[-1] == "head.b"
+        head_b = model.head_params["b"]
+        head_b.data = head_b.data.astype(np.float64)  # the last blob alone is written as <f8
+        save_checkpoint(model, path)
+        raw = path.read_bytes()
+        assert struct.unpack_from("<I", raw, len(raw) - 4)[0] == zlib.crc32(raw[:-4])
+        with pytest.raises(DataError, match=r"head\.b is float64, unlike the float32") as exc:
+            load_checkpoint(path)
+        assert str(path) in str(exc.value)
 
     def test_unknown_dtype_code_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
