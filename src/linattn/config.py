@@ -150,6 +150,11 @@ class TrainConfig:
             raise ConfigError("need at least one seed")
         if any(seed < 0 for seed in self.seeds):
             raise ConfigError(f"seeds must be >= 0, got {self.seeds}")
+        if not 0 < self.budget_limit < float("inf"):
+            raise ConfigError(f"budget_limit must be finite and > 0, got {self.budget_limit}")
+        if self.target_accuracy is not None and not 0 <= self.target_accuracy <= 1:
+            raise ConfigError(
+                f"target_accuracy must be unset or in [0, 1], got {self.target_accuracy}")
 
 
 # ---------------------------------------------------------------------------

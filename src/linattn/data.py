@@ -103,49 +103,35 @@ def _eval_op(op: str, vals: list[int]) -> int:
     raise DataError(f"unknown operator {op}")
 
 
-def _gen_tree(rng: np.random.Generator, depth_left: int, budget: int):
-    """Returns (node, token_count); node is int digit or (op, [children])."""
+def _gen_expr(rng: np.random.Generator, depth_left: int, budget: int, out: list[int]) -> int:
+    """Append one random expression of at most ``budget`` token ids to
+    ``out``; returns its value. A bare digit when it cannot nest."""
     lo, hi = LISTOPS_ARITY_RANGE
-    can_recurse = depth_left > 0 and budget >= lo + 2  # [OP digit digit ]
-    if not can_recurse:
-        return int(rng.integers(0, 10)), 1
+    if depth_left <= 0 or budget < lo + 2:  # [OP digit digit ] does not fit
+        digit = int(rng.integers(0, 10))
+        out.append(_DIGIT_BASE + digit)
+        return digit
     op = LISTOPS_OPS[rng.integers(0, len(LISTOPS_OPS))]
     arity = int(rng.integers(lo, min(hi, budget - 2) + 1))
-    children = []
-    used = 2  # opening [OP and closing ]
-    for i in range(arity):
-        remaining_slots = arity - i - 1
-        child_budget = budget - used - remaining_slots  # leave room for digits
-        recurse = child_budget >= lo + 2 and rng.random() < LISTOPS_RECURSE_PROB
-        child, n = _gen_tree(rng, depth_left - 1 if recurse else 0, child_budget)
-        children.append(child)
-        used += n
-    return (op, children), used
-
-
-def _tree_value(node) -> int:
-    if isinstance(node, int):
-        return node
-    op, children = node
-    return _eval_op(op, [_tree_value(c) for c in children])
-
-
-def _tree_tokens(node, out: list[int]):
-    if isinstance(node, int):
-        out.append(_DIGIT_BASE + node)
-        return
-    op, children = node
+    start = len(out)
     out.append(_OP_IDS[op])
-    for c in children:
-        _tree_tokens(c, out)
+    vals = []
+    for i in range(arity):
+        used = len(out) - start + 1  # tokens so far plus the closing ]
+        child_budget = budget - used - (arity - i - 1)  # leave room for digits
+        recurse = child_budget >= lo + 2 and rng.random() < LISTOPS_RECURSE_PROB
+        vals.append(_gen_expr(rng, depth_left - 1 if recurse else 0, child_budget, out))
     out.append(_CLOSE_ID)
+    return _eval_op(op, vals)
 
 
 def eval_listops_tokens(tokens) -> int:
-    """Independent recursive-descent evaluator over serialized token ids.
+    """Recursive-descent evaluator over serialized token ids.
 
-    This is the oracle the generator's labels are checked against; it
-    shares no code with the tree construction above.
+    This is the oracle the generator's labels are checked against. It
+    parses the token stream on its own but shares ``_eval_op`` with the
+    generator, so the hand-written ``[MED ...]`` and ``[SM ...]`` tests pin
+    that op's rules.
     """
     tokens = [int(t) for t in tokens if t != PAD_ID]
     pos = 0
@@ -183,13 +169,9 @@ def gen_listops(seed: int, count: int, max_len: int = 128, max_depth: int = 4) -
     rng = np.random.default_rng(seed)
     examples = []
     for _ in range(count):
-        tree, _ = _gen_tree(rng, max_depth, max_len)
         toks: list[int] = []
-        _tree_tokens(tree, toks)
-        if isinstance(tree, int):  # wrap bare digits so every example is an expression
-            toks = [_OP_IDS["MAX"]] + toks + [_CLOSE_ID]
-            tree = ("MAX", [tree])
-        examples.append((np.asarray(toks, dtype=np.int64), _tree_value(tree)))
+        value = _gen_expr(rng, max_depth, max_len, toks)  # the checks above make it nest
+        examples.append((np.asarray(toks, dtype=np.int64), value))
     return Dataset(examples=examples, vocab=list(LISTOPS_SYMBOLS), classes=10,
                    kind="classify", meta={"task": "listops", "max_depth": max_depth})
 

@@ -77,8 +77,9 @@ class KernelSpec:
             raise ConfigError(
                 f"inner_nonlinearity must be one of {INNER_NONLINEARITIES}, "
                 f"got {self.inner_nonlinearity!r}")
-        if self.ortho_reg_weight < 0:
-            raise ConfigError(f"ortho_reg_weight must be >= 0, got {self.ortho_reg_weight}")
+        if not 0 <= self.ortho_reg_weight < float("inf"):
+            raise ConfigError(
+                f"ortho_reg_weight must be finite and >= 0, got {self.ortho_reg_weight}")
 
 
 @dataclass

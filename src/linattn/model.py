@@ -82,8 +82,8 @@ class ModelConfig:
             raise ConfigError(f"vocab_size must be >= 2, got {self.vocab_size}")
         if self.classes < 2:
             raise ConfigError(f"classes must be >= 2, got {self.classes}")
-        if self.eps < 0:
-            raise ConfigError(f"eps must be >= 0, got {self.eps}")
+        if not 0 <= self.eps < float("inf"):
+            raise ConfigError(f"eps must be finite and >= 0, got {self.eps}")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -9,7 +9,7 @@ stream records the penalty unweighted so runs with different weights are
 comparable.
 
 A non-finite loss aborts the run with a diverged flag instead of
-continuing on garbage.
+continuing on garbage; a diverged run writes no checkpoint.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import json
 import math
 import os
 import time
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -44,7 +45,11 @@ class MetricsRecord:
     diverged: bool = False
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+        """One JSON line; a non-finite float (a diverged step's losses) is
+        written as ``null``, since JSON has no NaN or Infinity."""
+        row = {k: None if isinstance(v, float) and not math.isfinite(v) else v
+               for k, v in asdict(self).items()}
+        return json.dumps(row, sort_keys=True, allow_nan=False)
 
 
 @dataclass
@@ -120,11 +125,32 @@ def _forward_loss(model: Model, batch, rng) -> tuple[Tensor, Tensor]:
 
 
 def _measure_penalty(model: Model) -> float:
-    mats = model.regularized_matrices()
-    if not mats:
-        return 0.0
     with no_grad():
-        return float(orthogonality_penalty(mats, 1.0).item())
+        return float(orthogonality_penalty(model.regularized_matrices(), 1.0).item())
+
+
+def _accumulated_step(model: Model, params: dict[str, Tensor], stream, k: int, rng):
+    """Mean loss, task loss and gradients of one optimizer step over ``k``
+    micro-batches, or None at the first non-finite loss. Gradients add up in
+    place (a copy of the first micro-batch's, then ``+=``), then ``/= k``."""
+    grad_sum: dict[str, np.ndarray] = {}
+    loss_sum = task_sum = 0.0
+    for _ in range(k):
+        loss, task_loss = _forward_loss(model, next(stream), rng)
+        loss_val = float(loss.item())
+        if not math.isfinite(loss_val):
+            return None
+        loss_sum += loss_val
+        task_sum += float(task_loss.item())
+        grads = backward(loss, params=params)
+        for name, p in params.items():
+            if name in grad_sum:
+                grad_sum[name] += grads[p].data
+            else:
+                grad_sum[name] = grads[p].data.copy()
+    for g in grad_sum.values():
+        g /= k
+    return loss_sum / k, task_sum / k, grad_sum
 
 
 def _batch_stream(ds: Dataset, micro_batch: int, max_len: int, seed: int):
@@ -159,11 +185,12 @@ def evaluate(model: Model, ds: Dataset, batch_size: int = 64,
 def train(config: TrainConfig, seed: int, out_dir: str | None = None,
           dtype=np.float32, override_budget: bool = False,
           log=None) -> TrainResult:
-    """Train one model; writes ``metrics.jsonl`` and a final checkpoint
-    when ``out_dir`` is given.
+    """Train one model; writes ``metrics.jsonl`` and, unless the run
+    diverged, a final checkpoint when ``out_dir`` is given.
 
     Refuses to start when the kernel parameter budget fails, unless
-    overridden. Stops early once ``target_accuracy`` is reached.
+    overridden. Stops at the first non-finite loss, or early once
+    ``target_accuracy`` is reached.
     """
     config.validate()
     train_ds, eval_ds = config.task.build()
@@ -181,98 +208,53 @@ def train(config: TrainConfig, seed: int, out_dir: str | None = None,
     dropout_rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
     stream = _batch_stream(train_ds, config.micro_batch, config.model.max_len, seed)
 
-    metrics_path = None
-    metrics_fh = None
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-        metrics_path = os.path.join(out_dir, "metrics.jsonl")
-        metrics_fh = open(metrics_path, "w", encoding="utf-8")
-
+    sched = config.schedule
     records: list[MetricsRecord] = []
     final_acc = 0.0
-    diverged = False
-
-    def emit(rec: MetricsRecord):
-        records.append(rec)
-        if metrics_fh:
-            metrics_fh.write(rec.to_json() + "\n")
-            metrics_fh.flush()
-        if log:
-            log(f"step {rec.step:5d}  loss {rec.train_loss:.4f}  "
-                f"task {rec.task_loss:.4f}  penalty {rec.ortho_penalty:.4e}"
-                + (f"  acc {rec.eval_accuracy:.4f}" if rec.eval_accuracy is not None else ""))
-
-    try:
-        for step in range(1, config.schedule.total_steps + 1):
+    with (open(os.path.join(out_dir, "metrics.jsonl"), "w", encoding="utf-8")
+          if out_dir else nullcontext()) as fh:
+        for step in range(1, sched.total_steps + 1):
             t0 = time.perf_counter()
-            grad_sum: dict[str, np.ndarray] = {}
-            loss_sum = 0.0
-            task_sum = 0.0
-            for _ in range(config.accumulation_steps):
-                batch = next(stream)
-                loss, task_loss = _forward_loss(model, batch, dropout_rng)
-                loss_val = float(loss.item())
-                if not math.isfinite(loss_val):
-                    diverged = True
-                    break
-                loss_sum += loss_val
-                task_sum += float(task_loss.item())
-                grads = backward(loss, params=params)
-                for name, p in params.items():
-                    g = grads[p].data
-                    if name in grad_sum:
-                        grad_sum[name] += g
-                    else:
-                        grad_sum[name] = g.copy()
-
-            if diverged:
-                rec = MetricsRecord(step=step, train_loss=float("nan"),
-                                    task_loss=float("nan"),
-                                    ortho_penalty=_measure_penalty(model),
-                                    eval_accuracy=None,
-                                    wall_time_ms=(time.perf_counter() - t0) * 1e3,
-                                    seed=seed, diverged=True)
-                emit(rec)
-                return TrainResult(final=rec, records=records, model=model,
-                                   final_accuracy=0.0, diverged=True,
-                                   steps_run=step)
-
-            k = config.accumulation_steps
-            for name in grad_sum:
-                grad_sum[name] /= k
-            opt.step(grad_sum, lr_at(step, config.optimizer.lr,
-                                     config.schedule.warmup_steps,
-                                     config.schedule.total_steps,
-                                     config.schedule.decay))
-
-            is_final = step == config.schedule.total_steps
+            stepped = _accumulated_step(model, params, stream, config.accumulation_steps,
+                                        dropout_rng)
+            loss = task_loss = float("nan")
             eval_acc = None
-            if (config.eval_every and step % config.eval_every == 0) or is_final:
-                eval_acc, _ = evaluate(model, eval_ds, batch_size=64)
-                final_acc = eval_acc
+            if stepped is not None:
+                loss, task_loss, grads = stepped
+                opt.step(grads, lr_at(step, config.optimizer.lr, sched.warmup_steps,
+                                      sched.total_steps, sched.decay))
+                if ((config.eval_every and step % config.eval_every == 0)
+                        or step == sched.total_steps):
+                    eval_acc, _ = evaluate(model, eval_ds, batch_size=64)
+                    final_acc = eval_acc
 
-            emit(MetricsRecord(step=step, train_loss=loss_sum / k, task_loss=task_sum / k,
-                               ortho_penalty=_measure_penalty(model),
-                               eval_accuracy=eval_acc,
-                               wall_time_ms=(time.perf_counter() - t0) * 1e3,
-                               seed=seed))
-
-            if (config.target_accuracy is not None and eval_acc is not None
-                    and eval_acc >= config.target_accuracy):
+            rec = MetricsRecord(step=step, train_loss=loss, task_loss=task_loss,
+                                ortho_penalty=_measure_penalty(model),
+                                eval_accuracy=eval_acc,
+                                wall_time_ms=(time.perf_counter() - t0) * 1e3,
+                                seed=seed, diverged=stepped is None)
+            records.append(rec)
+            if fh:
+                fh.write(rec.to_json() + "\n")
+                fh.flush()
+            if log:
+                log(f"step {step:5d}  loss {loss:.4f}  task {task_loss:.4f}  "
+                    f"penalty {rec.ortho_penalty:.4e}"
+                    + (f"  acc {eval_acc:.4f}" if eval_acc is not None else ""))
+            if rec.diverged or (config.target_accuracy is not None and eval_acc is not None
+                                and eval_acc >= config.target_accuracy):
                 break
-    finally:
-        if metrics_fh:
-            metrics_fh.close()
 
+    diverged = records[-1].diverged
     checkpoint_path = None
-    if out_dir:
+    if out_dir and not diverged:
         checkpoint_path = os.path.join(out_dir, "checkpoint.bin")
         save_checkpoint(model, checkpoint_path)
-
     return TrainResult(final=records[-1], records=records, model=model,
-                       final_accuracy=final_acc, diverged=False,
-                       checkpoint_path=checkpoint_path,
-                       steps_run=records[-1].step if records else 0)
+                       final_accuracy=0.0 if diverged else final_acc, diverged=diverged,
+                       checkpoint_path=checkpoint_path, steps_run=records[-1].step)
 
 
 @dataclass
@@ -291,9 +273,7 @@ class SeedsSummary:
     diverged_seeds: list[int] = field(default_factory=list)
 
     def to_json(self) -> str:
-        return json.dumps({"rows": self.rows, "mean": self.mean, "best": self.best,
-                           "std": self.std, "high_variance": self.high_variance,
-                           "diverged_seeds": self.diverged_seeds}, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 VARIANCE_FLAG_STD = 0.02

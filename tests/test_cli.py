@@ -198,6 +198,20 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=rf"range\.cfg: {field} must be"):
             parse_config_file(str(p))
 
+    @pytest.mark.parametrize("section, line, field", [
+        ("model", "eps = nan", "eps"),
+        ("model", "eps = inf", "eps"),
+        ("kernel", "ortho_reg_weight = nan", "ortho_reg_weight"),
+        ("kernel", "ortho_reg_weight = inf", "ortho_reg_weight"),
+        ("train", "target_accuracy = nan", "target_accuracy"),
+        ("train", "budget_limit = nan", "budget_limit"),
+    ])
+    def test_non_finite_value_names_field(self, tmp_path, section, line, field):
+        p = tmp_path / "finite.cfg"
+        p.write_text(f"[{section}]\n{line}\n")
+        with pytest.raises(ConfigError, match=rf"finite\.cfg: {field} must be"):
+            parse_config_file(str(p))
+
     @pytest.mark.parametrize("raw, value", [("On", True), ("no", False), ("1", True),
                                             ("FALSE", False), ("maybe", None)])
     def test_boolean_spellings(self, tmp_path, raw, value):

@@ -3,6 +3,7 @@
 import json
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,8 +16,7 @@ from linattn.errors import ConfigError
 from linattn.kernels import KernelSpec
 from linattn.model import ModelConfig, build_model
 from linattn.tensor import Tensor
-from linattn.training import (Adam, SeedsSummary, evaluate, lr_at, run_seeds, train,
-                              VARIANCE_FLAG_STD)
+from linattn.training import Adam, VARIANCE_FLAG_STD, evaluate, lr_at, run_seeds, train
 
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
@@ -170,13 +170,26 @@ class TestTrainLoop:
         assert res.steps_run >= 1
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_divergence_flagged(self):
+    def test_divergence_flagged(self, tmp_path):
         cfg = tiny_config(steps=50)
         cfg.optimizer = OptimizerConfig(lr=1e18)  # drives activations to overflow
-        res = train(cfg, seed=0, dtype=np.float32)
+        out = tmp_path / "run"
+        res = train(cfg, seed=0, dtype=np.float32, out_dir=str(out))
         assert res.diverged
         assert res.final.diverged
-        assert math.isnan(res.final.train_loss)
+        assert math.isnan(res.final.train_loss)  # in memory, NaN stays NaN
+        assert res.steps_run == res.final.step
+        assert res.checkpoint_path is None
+        assert not (out / "checkpoint.bin").exists()
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        lines = (out / "metrics.jsonl").read_text().splitlines()
+        recs = [json.loads(line, parse_constant=reject) for line in lines]
+        assert len(recs) == res.steps_run
+        assert recs[-1]["diverged"] is True
+        assert recs[-1]["train_loss"] is None
 
     def test_target_accuracy_stops_early(self):
         cfg = tiny_config(variant="linear_softplus", steps=400, micro=16,
@@ -209,13 +222,20 @@ class TestRunSeeds:
         saved = json.loads((tmp_path / "seeds" / "summary.json").read_text())
         assert len(saved["rows"]) == 3
 
-    def test_variance_flag_threshold(self):
-        s = SeedsSummary(rows=[], mean=0.5, std=VARIANCE_FLAG_STD + 0.001)
-        s.high_variance = s.std > VARIANCE_FLAG_STD
-        assert s.high_variance
-        s2 = SeedsSummary(rows=[], mean=0.5, std=VARIANCE_FLAG_STD - 0.001)
-        s2.high_variance = s2.std > VARIANCE_FLAG_STD
-        assert not s2.high_variance
+    def test_variance_flag_threshold(self, monkeypatch):
+        from linattn import training as tr
+        accs = {}
+
+        def fixed(config, seed, **kw):
+            return SimpleNamespace(final_accuracy=accs[seed], steps_run=1, diverged=False)
+
+        monkeypatch.setattr(tr, "train", fixed)
+        for offset, flagged in ((0.001, True), (-0.001, False)):
+            half_gap = VARIANCE_FLAG_STD + offset  # the std of two values
+            accs.update({1: 0.5 - half_gap, 2: 0.5 + half_gap})
+            summary = tr.run_seeds(tiny_config(seeds=[1, 2]))
+            assert summary.std == pytest.approx(half_gap)
+            assert summary.high_variance is flagged
 
     def test_diverged_seed_excluded_and_reported(self, monkeypatch):
         cfg = tiny_config(steps=3, seeds=[1, 2])
