@@ -2,8 +2,10 @@
 
 Subcommands: ``train``, ``eval``, ``seeds``, ``bench``, ``verify``,
 ``params``. Metrics stream as JSON lines to ``<out-dir>/metrics.jsonl``;
-a human summary goes to stdout. Exit codes: 0 success, 1 config/data
-error or an OS error on a given path, 2 usage error, 3 diverged training run.
+``train``, ``seeds`` and ``bench`` record the environment they ran in as
+``<out-dir>/env.json``; a human summary goes to stdout. Exit codes: 0
+success, 1 config/data error or an OS error on a given path, 2 usage
+error, 3 diverged training run.
 """
 
 from __future__ import annotations
@@ -62,6 +64,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_environment(out_dir: str) -> str:
+    """Record ``bench_environment()`` in ``<out_dir>/env.json``; returns the path."""
+    path = os.path.join(out_dir, "env.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(bench_environment(), fh, indent=2, sort_keys=True)
+    return path
+
+
 def _cmd_train(args) -> int:
     config = parse_config_file(args.config)
     if args.seed is not None and args.seed < 0:
@@ -69,8 +79,11 @@ def _cmd_train(args) -> int:
     seed = args.seed if args.seed is not None else config.seeds[0]
     result = train(config, seed, out_dir=args.out_dir, dtype=_PRECISIONS[args.precision],
                    override_budget=args.override_budget, log=print)
+    if args.out_dir:
+        _write_environment(args.out_dir)
     if result.diverged:
-        print(f"run diverged at step {result.steps_run} (non-finite loss)")
+        print(f"run diverged at step {result.steps_run} "
+              f"(non-finite loss, orthogonality penalty or eval loss)")
         return EXIT_DIVERGED
     print(f"finished after {result.steps_run} steps: "
           f"eval accuracy {result.final_accuracy:.4f}")
@@ -94,6 +107,8 @@ def _cmd_seeds(args) -> int:
     config = parse_config_file(args.config)
     summary = run_seeds(config, out_dir=args.out_dir, dtype=_PRECISIONS[args.precision],
                         override_budget=args.override_budget)
+    if args.out_dir:
+        _write_environment(args.out_dir)
     for row in summary.rows:
         note = "  DIVERGED" if row["diverged"] else ""
         print(f"seed {row['seed']:>4d}  accuracy {row['accuracy']:.4f}  "
@@ -118,9 +133,7 @@ def _cmd_bench(args) -> int:
     csv_path = os.path.join(args.out_dir, "bench.csv")
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write(result.csv())
-    env_path = os.path.join(args.out_dir, "env.json")
-    with open(env_path, "w", encoding="utf-8") as fh:
-        json.dump(bench_environment(), fh, indent=2, sort_keys=True)
+    env_path = _write_environment(args.out_dir)
     print(result.csv(), end="")
     for kind, slope in result.exponents.items():
         print(f"fitted exponent {kind}: {slope:.3f}")

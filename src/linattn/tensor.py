@@ -42,8 +42,8 @@ _ERF32_P = np.array([-2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082
                      -1.60960333262415e-02], dtype=np.float32)
 _ERF32_Q = np.array([-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
                      -7.37332916720468e-03, -1.42647390514189e-02], dtype=np.float32)
-# Elements per block of the erf passes: the block and its scratch stay in
-# cache across the ~25 passes of the rational form.
+# Elements per block of gelu's passes: the block and the erf's scratch stay
+# in cache across the ~25 passes of the rational form.
 _ERF32_BLOCK = 1 << 15
 
 _M_TRIM_THRESHOLD = -1
@@ -163,10 +163,23 @@ def _check_dtypes(a: Tensor, b: Tensor, op: str):
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a gradient over broadcast axes so it matches the operand shape."""
+    """Sum a gradient over broadcast axes so it matches the operand shape.
+
+    For a C-contiguous ``g``, two common cases sum as a BLAS matrix-vector
+    product with a ones vector, several times faster than ``np.sum`` and
+    rounded differently in the last bits: leading axes only (a bias or gain,
+    (N, d) -> (d,)) and a trailing size-1 axis only (a (..., 1) operand).
+    """
     if g.shape == shape:
         return g
     extra = g.ndim - len(shape)
+    if g.flags.c_contiguous:
+        if extra > 0 and g.shape[extra:] == shape:
+            n = math.prod(g.shape[:extra])
+            return (np.ones(n, g.dtype) @ g.reshape(n, math.prod(shape))).reshape(shape)
+        if extra == 0 and shape[-1] == 1 and g.shape[:-1] == shape[:-1]:
+            k = g.shape[-1]
+            return (g.reshape(math.prod(shape), k) @ np.ones(k, g.dtype)).reshape(shape)
     if extra > 0:
         g = g.sum(axis=tuple(range(extra)))
     axes = tuple(i for i, dim in enumerate(shape) if dim == 1 and g.shape[i] != 1)
@@ -209,8 +222,9 @@ def sub(a, b) -> Tensor:
     out = a.data - b.data
 
     def vjp(g):
+        # Negated after the sum, so a broadcast b negates only its own size.
         return (_unbroadcast(g, a.shape) if a.requires_grad else None,
-                _unbroadcast(-g, b.shape) if b.requires_grad else None)
+                -_unbroadcast(g, b.shape) if b.requires_grad else None)
 
     return _make(out, (a, b), vjp)
 
@@ -238,12 +252,14 @@ def div(a, b) -> Tensor:
         out = a.data / b.data
 
     def vjp(g):
+        # d(a/b)/db = -(a/b)/b, so both gradients come from g/b and the output.
         da = db = None
         with np.errstate(divide="ignore", invalid="ignore"):
+            ga = g / b.data
             if a.requires_grad:
-                da = _unbroadcast(g / b.data, a.shape)
+                da = _unbroadcast(ga, a.shape)
             if b.requires_grad:
-                db = _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
+                db = -_unbroadcast(ga * out, b.shape)
         return da, db
 
     return _make(out, (a, b), vjp)
@@ -264,43 +280,39 @@ def _logistic(x: np.ndarray) -> np.ndarray:
     return num
 
 
-def _erf32(z: np.ndarray) -> np.ndarray:
-    """erf of a C-contiguous float32 array, in place; returns ``z``.
+def _erf32(b: np.ndarray, z2: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """erf of the 1-d float32 array ``b``, in place; returns ``b``. The first
+    ``b.size`` elements of ``z2``, ``p`` and ``q`` are its scratch.
 
     Within 5e-7 absolute of the exact erf; odd, nan to nan, +-inf to +-1.
     """
-    if not z.flags.c_contiguous:
-        raise ValueError("_erf32 needs a C-contiguous array to work in place")
-    flat = z.reshape(-1)
-    n = min(flat.size, _ERF32_BLOCK)
-    z2, p, q = (np.empty(n, np.float32) for _ in range(3))
-    for start in range(0, flat.size, _ERF32_BLOCK):
-        b = flat[start:start + _ERF32_BLOCK]
-        bz2, bp, bq = z2[:b.size], p[:b.size], q[:b.size]
-        np.clip(b, -4.0, 4.0, out=b)
-        np.multiply(b, b, out=bz2)
-        np.multiply(bz2, _ERF32_P[0], out=bp)
-        for c in _ERF32_P[1:-1]:
-            bp += c
-            bp *= bz2
-        bp += _ERF32_P[-1]
-        np.multiply(bz2, _ERF32_Q[0], out=bq)
-        for c in _ERF32_Q[1:-1]:
-            bq += c
-            bq *= bz2
-        bq += _ERF32_Q[-1]
-        b *= bp
-        b /= bq
-        # The unclipped ratio reaches 1.0000002.
-        np.clip(b, -1.0, 1.0, out=b)
-    return z
+    z2, p, q = z2[:b.size], p[:b.size], q[:b.size]
+    np.clip(b, -4.0, 4.0, out=b)
+    np.multiply(b, b, out=z2)
+    np.multiply(z2, _ERF32_P[0], out=p)
+    for c in _ERF32_P[1:-1]:
+        p += c
+        p *= z2
+    p += _ERF32_P[-1]
+    np.multiply(z2, _ERF32_Q[0], out=q)
+    for c in _ERF32_Q[1:-1]:
+        q += c
+        q *= z2
+    q += _ERF32_Q[-1]
+    b *= p
+    b /= q
+    # The unclipped ratio reaches 1.0000002.
+    np.clip(b, -1.0, 1.0, out=b)
+    return b
 
 
 def softplus(x) -> Tensor:
     """ln(1 + e^x) in the overflow-safe form max(x, 0) + ln(1 + e^-|x|).
 
     The result is floored at the smallest positive normal of the element
-    type so it stays strictly positive even where e^-|x| underflows.
+    type so it stays strictly positive even where e^-|x| underflows. Its
+    gradient, the logistic of x, is 1 - e^-out: fewer passes than
+    ``_logistic`` and as accurate.
     """
     x = _as_tensor(x)
     tiny = np.finfo(x.dtype).tiny
@@ -310,7 +322,7 @@ def softplus(x) -> Tensor:
     np.log1p(out, out=out)
     out += np.maximum(x.data, 0.0)
     np.maximum(out, tiny, out=out)
-    return _make(out, (x,), lambda g: (g * _logistic(x.data),))
+    return _make(out, (x,), lambda g: (g * -np.expm1(-out),))
 
 
 def sigmoid(x) -> Tensor:
@@ -326,19 +338,28 @@ def sigmoid(x) -> Tensor:
 def gelu(x) -> Tensor:
     """Exact Gaussian error linear unit, 0.5 x (1 + erf(x / sqrt 2)).
 
-    float32 uses ``_erf32``, float64 ``scipy.special.erf``.
+    float32 uses ``_erf32``, float64 ``scipy.special.erf``. Every pass runs
+    on one ``_ERF32_BLOCK``-element block at a time, while it is in cache;
+    each is elementwise, so the result equals the unblocked formula.
     """
     x = _as_tensor(x)
-    # A fresh C-ordered array, also for 0-d and transposed inputs, so the
-    # erf can work on it in place.
-    cdf = np.multiply(x.data, _INV_SQRT2, out=np.empty(x.shape, x.dtype))
-    if cdf.dtype == np.float32:
-        _erf32(cdf)
-    else:
-        erf(cdf, out=cdf)
-    cdf += 1.0
-    cdf *= 0.5
-    out = x.data * cdf
+    flat = x.data.reshape(-1)  # a copy only for a non-contiguous x
+    cdf = np.empty_like(flat)
+    out = np.empty_like(flat)
+    if x.dtype == np.float32:
+        scratch = [np.empty(min(flat.size, _ERF32_BLOCK), np.float32) for _ in range(3)]
+    for start in range(0, flat.size, _ERF32_BLOCK):
+        s = slice(start, start + _ERF32_BLOCK)
+        c = np.multiply(flat[s], _INV_SQRT2, out=cdf[s])
+        if x.dtype == np.float32:
+            _erf32(c, *scratch)
+        else:
+            erf(c, out=c)
+        c += 1.0
+        c *= 0.5
+        np.multiply(flat[s], c, out=out[s])
+    cdf = cdf.reshape(x.shape)
+    out = out.reshape(x.shape)
 
     def vjp(g):
         # g (cdf + x e^(-x^2/2) / sqrt(2 pi)) in place, rounded step for step
@@ -391,7 +412,7 @@ def mean(x, axis=None, keepdims=False) -> Tensor:
         x.shape[a] for a in (axis if isinstance(axis, tuple) else (axis,)))
 
     def vjp(g):
-        return (_spread(g, x.shape, axis, keepdims) / count,)
+        return (_spread(g / count, x.shape, axis, keepdims),)
 
     return _make(np.asarray(out, dtype=x.dtype), (x,), vjp)
 
@@ -421,8 +442,15 @@ def matmul(a, b) -> Tensor:
     out = a.data @ b.data
 
     def vjp(g):
-        return (_unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape) if a.requires_grad else None,
-                _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape) if b.requires_grad else None)
+        da = db = None
+        if a.requires_grad:
+            bt = b.data.swapaxes(-1, -2)
+            # With one column, g b^T is an outer product: one product per
+            # element, as exact as BLAS and faster as a broadcast multiply.
+            da = _unbroadcast(g * bt if g.shape[-1] == 1 else g @ bt, a.shape)
+        if b.requires_grad:
+            db = _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape)
+        return da, db
 
     return _make(out, (a, b), vjp)
 

@@ -8,8 +8,10 @@ is cross-entropy plus the weighted orthogonality penalty; the metrics
 stream records the penalty unweighted so runs with different weights are
 comparable.
 
-A non-finite loss aborts the run with a diverged flag instead of
-continuing on garbage; a diverged run writes no checkpoint.
+A step diverges when its loss, the orthogonality penalty after its update
+or the loss of its eval is non-finite. That aborts the run with a diverged
+flag instead of continuing on garbage; a diverged run writes no checkpoint
+and reports a final accuracy of 0.
 """
 
 from __future__ import annotations
@@ -189,8 +191,8 @@ def train(config: TrainConfig, seed: int, out_dir: str | None = None,
     diverged, a final checkpoint when ``out_dir`` is given.
 
     Refuses to start when the kernel parameter budget fails, unless
-    overridden. Stops at the first non-finite loss, or early once
-    ``target_accuracy`` is reached.
+    overridden. Stops at the first diverged step (see the module
+    docstring), or early once ``target_accuracy`` is reached.
     """
     config.validate()
     train_ds, eval_ds = config.task.build()
@@ -221,20 +223,22 @@ def train(config: TrainConfig, seed: int, out_dir: str | None = None,
                                         dropout_rng)
             loss = task_loss = float("nan")
             eval_acc = None
+            eval_loss = 0.0
             if stepped is not None:
                 loss, task_loss, grads = stepped
                 opt.step(grads, lr_at(step, config.optimizer.lr, sched.warmup_steps,
                                       sched.total_steps, sched.decay))
                 if ((config.eval_every and step % config.eval_every == 0)
                         or step == sched.total_steps):
-                    eval_acc, _ = evaluate(model, eval_ds, batch_size=64)
+                    eval_acc, eval_loss = evaluate(model, eval_ds, batch_size=64)
                     final_acc = eval_acc
 
+            penalty = _measure_penalty(model)
+            diverged = not all(math.isfinite(v) for v in (loss, penalty, eval_loss))
             rec = MetricsRecord(step=step, train_loss=loss, task_loss=task_loss,
-                                ortho_penalty=_measure_penalty(model),
-                                eval_accuracy=eval_acc,
+                                ortho_penalty=penalty, eval_accuracy=eval_acc,
                                 wall_time_ms=(time.perf_counter() - t0) * 1e3,
-                                seed=seed, diverged=stepped is None)
+                                seed=seed, diverged=diverged)
             records.append(rec)
             if fh:
                 fh.write(rec.to_json() + "\n")

@@ -264,6 +264,33 @@ class TestMultiHead:
         report = finite_difference_check(f, named, step=1e-5)
         assert max(r.max_rel_err for r in report.values()) <= 1e-4
 
+    def test_f32_long_length_gradients_match_f64(self):
+        # One layer at L = 2048 with about 30% of positions masked: each
+        # parameter's f32 gradient against the f64 gradient of the same weights.
+        rng = np.random.default_rng(19)
+        spec = make_spec("oglu", 1, n=16)
+        mask = rng.random((2, 2048)) >= 0.3
+        x = rng.standard_normal((int(mask.sum()), 64))
+        c = rng.standard_normal(x.shape)
+        named64 = init_attention_params(64, 4, spec, seed=8, dtype=np.float64).named()
+
+        def gradients(dtype):
+            params = init_attention_params(64, 4, spec, seed=8, dtype=dtype)
+            named = params.named()
+            for name, t in named.items():
+                t.data = named64[name].data.astype(dtype)
+            out = multi_head_kernel_attention(Tensor(x.astype(dtype)), params, spec, mask,
+                                              eps=1e-6)
+            grads = backward(T.mean(T.mul(T.square(out), Tensor(c.astype(dtype)))),
+                             params=named)
+            return {name: grads[t].data for name, t in named.items()}
+
+        g32, g64 = gradients(np.float32), gradients(np.float64)
+        for name, ref in g64.items():
+            assert g32[name].dtype == np.float32
+            err = np.abs(g32[name].astype(np.float64) - ref).max()
+            assert err <= 1e-5 * np.abs(ref).max(), name
+
     def test_unshared_query_key_kernels(self):
         rng = np.random.default_rng(16)
         spec = KernelSpec(variant="oglu", depth=1, head_dim=8, share_query_key=False)

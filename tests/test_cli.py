@@ -483,13 +483,18 @@ class TestBenchCommand:
         assert kinds == {"kernel_linear", "softmax"}
         assert "fitted exponent" in capsys.readouterr().out
 
-    def test_environment_written_next_to_csv(self, tmp_path, monkeypatch):
+    def test_environment_written_next_to_csv(self, fast_cfg, tmp_path, monkeypatch):
         monkeypatch.setenv("OMP_NUM_THREADS", "1")
         monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
         out = tmp_path / "bench"
         assert main(["bench", "--lengths", "8,16,32", "--repeats", "2",
                      "--out-dir", str(out)]) == 0
         env = json.loads((out / "env.json").read_text())
+        # train and seeds runs record the same environment beside their output.
+        for command in ("train", "seeds"):
+            run = tmp_path / command
+            assert main([command, "--config", fast_cfg, "--out-dir", str(run)]) == 0
+            assert json.loads((run / "env.json").read_text()) == env
         assert env["numpy"] == np.__version__
         assert env["scipy"] == scipy.__version__
         assert set(env["blas"]) == {"name", "version"}

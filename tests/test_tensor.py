@@ -134,6 +134,91 @@ class TestElementwise:
         np.testing.assert_array_equal(grads[x].data, np.full((2, 3), 2.0))
 
 
+class TestBroadcastVjps:
+    """Gradients of a broadcast operand, summed back by ``_unbroadcast``."""
+
+    @pytest.mark.parametrize("trainable", [("a", "b"), ("a",), ("b",)])
+    def test_div_by_a_trailing_one_denominator(self, trainable):
+        rng = np.random.default_rng(26)
+        a = t64(rng.standard_normal((2, 3, 5, 4)), grad="a" in trainable)
+        b = t64(rng.uniform(0.5, 2.0, (2, 3, 5, 1)), grad="b" in trainable)
+        c = t64(rng.standard_normal((2, 3, 5, 4)))
+        params = {k: t for k, t in (("a", a), ("b", b)) if k in trainable}
+        report = finite_difference_check(
+            lambda p: T.sum(T.mul(T.square(T.div(a, b)), c)), params, step=1e-5)
+        assert max(r.max_rel_err for r in report.values()) <= 1e-6
+
+    @pytest.mark.parametrize("op", [T.sub, T.mul], ids=["sub", "mul"])
+    @pytest.mark.parametrize("small_shape", [(4,), (6, 1)], ids=["row", "column"])
+    @pytest.mark.parametrize("small_first", [False, True], ids=["small-b", "small-a"])
+    def test_sub_and_mul_against_a_broadcast_operand(self, op, small_shape, small_first):
+        rng = np.random.default_rng(27)
+        params = {"x": t64(rng.standard_normal((6, 4)), grad=True),
+                  "y": t64(rng.standard_normal(small_shape), grad=True)}
+        c = t64(rng.standard_normal((6, 4)))
+
+        def f(p):
+            out = op(p["y"], p["x"]) if small_first else op(p["x"], p["y"])
+            return T.sum(T.mul(T.square(out), c))
+
+        report = finite_difference_check(f, params, step=1e-5)
+        assert max(r.max_rel_err for r in report.values()) <= 1e-6
+
+    @pytest.mark.parametrize("keepdims", [False, True])
+    def test_mean_over_the_last_axis(self, keepdims):
+        rng = np.random.default_rng(28)
+        x = t64(rng.standard_normal((3, 5, 7)), grad=True)
+        report = finite_difference_check(
+            lambda p: T.sum(T.square(T.mean(p["x"], axis=-1, keepdims=keepdims))),
+            {"x": x}, step=1e-5)
+        assert report["x"].max_rel_err <= 1e-6
+
+    @pytest.mark.parametrize("b_shape", [(2, 3, 4, 1), (4, 1)], ids=["batched", "shared"])
+    def test_matmul_with_a_one_column_gradient(self, b_shape):
+        rng = np.random.default_rng(29)
+        params = {"a": t64(rng.standard_normal((2, 3, 7, 4)), grad=True),
+                  "b": t64(rng.standard_normal(b_shape), grad=True)}
+        report = finite_difference_check(
+            lambda p: T.sum(T.square(T.matmul(p["a"], p["b"]))), params, step=1e-5)
+        assert max(r.max_rel_err for r in report.values()) <= 1e-6
+
+    def test_one_column_matmul_gradient_equals_the_blas_product(self):
+        # A length-1 contraction is one product per element, so the broadcast
+        # multiply gives the same bits as g @ b^T.
+        rng = np.random.default_rng(30)
+        a = Tensor(rng.standard_normal((8, 4, 33, 16)).astype(np.float32), requires_grad=True)
+        b = Tensor(rng.standard_normal((8, 4, 16, 1)).astype(np.float32), requires_grad=True)
+        g = rng.standard_normal((8, 4, 33, 1)).astype(np.float32)
+        da, _ = T.matmul(a, b)._vjp(g)
+        np.testing.assert_array_equal(da, g @ b.data.swapaxes(-1, -2))
+
+    @pytest.mark.parametrize("dtype, rtol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+    @pytest.mark.parametrize("case", ["leading", "trailing"])
+    def test_unbroadcast_by_blas_against_np_sum(self, dtype, rtol, case):
+        rng = np.random.default_rng(31)
+        if case == "leading":  # a bias gradient: (N, d) -> (d,)
+            g, shape, axis, keepdims = rng.standard_normal((6, 43, 24)), (24,), (0, 1), False
+        else:  # a (..., 1) operand
+            g, shape, axis, keepdims = rng.standard_normal((3, 5, 40, 16)), (3, 5, 40, 1), -1, True
+        g = g.astype(dtype)
+        got = T._unbroadcast(g, shape)
+        ref = np.sum(g, axis=axis, keepdims=keepdims)
+        assert got.shape == shape and got.dtype == dtype
+        # Relative to sum |g|, the scale of a sum's rounding error.
+        scale = np.sum(np.abs(g), axis=axis, keepdims=keepdims)
+        assert np.all(np.abs(got - ref) <= rtol * scale)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_unbroadcast_of_a_view_falls_back_to_np_sum(self, dtype):
+        rng = np.random.default_rng(32)
+        base = rng.standard_normal((24, 43)).astype(dtype)
+        for g, shape, axis, keepdims in ((base.T, (24,), 0, False),
+                                         (base[:, ::2], (24, 1), -1, True)):
+            assert not g.flags.c_contiguous
+            np.testing.assert_array_equal(T._unbroadcast(g, shape),
+                                          np.sum(g, axis=axis, keepdims=keepdims))
+
+
 class TestSoftmaxRows:
     def test_uniform(self):
         np.testing.assert_allclose(T.softmax_rows(t64([[0.0, 0.0]])).data, [[0.5, 0.5]])
@@ -516,14 +601,28 @@ class TestScipyOracles:
 
     def test_erf32_against_float64_erf(self):
         x = np.linspace(-8.0, 8.0, 1_000_001, dtype=np.float32)
-        got = T._erf32(x.copy())
+        scratch = [np.empty(x.size, np.float32) for _ in range(3)]
+        got = T._erf32(x.copy(), *scratch)
         assert np.abs(got - erf(x.astype(np.float64))).max() <= 5e-7
-        np.testing.assert_array_equal(T._erf32(-x), -got)
+        np.testing.assert_array_equal(T._erf32(-x, *scratch), -got)
         assert np.abs(got).max() <= 1.0
-        special = T._erf32(np.array([np.nan, np.inf, -np.inf], dtype=np.float32))
+        special = T._erf32(np.array([np.nan, np.inf, -np.inf], dtype=np.float32), *scratch)
         assert np.isnan(special[0]) and special[1] == 1.0 and special[2] == -1.0
-        with pytest.raises(ValueError, match="C-contiguous"):
-            T._erf32(np.ones((4, 3), dtype=np.float32).T)
+
+    def test_float32_gelu_bit_identical_to_unblocked_formula(self):
+        # (7000, 128) spans 28 erf blocks, the last one partial.
+        x = (np.random.default_rng(24).standard_normal((7000, 128)) * 3).astype(np.float32)
+        cdf = np.multiply(x, 1.0 / math.sqrt(2.0))
+        T._erf32(cdf.reshape(-1), *[np.empty(x.size, np.float32) for _ in range(3)])
+        cdf += 1.0
+        cdf *= 0.5
+        g = np.random.default_rng(25).standard_normal(x.shape).astype(np.float32)
+        pdf = np.exp(np.float32(-0.5) * x * x) * np.float32(1.0 / math.sqrt(2.0 * math.pi))
+        tx = Tensor(x, requires_grad=True)
+        y = T.gelu(tx)
+        np.testing.assert_array_equal(y.data, x * cdf)
+        grads = backward(T.sum(T.mul(y, Tensor(g))))
+        np.testing.assert_array_equal(grads[tx].data, g * (cdf + x * pdf))
 
     def test_float32_gelu_against_exact(self):
         x = np.linspace(-8.0, 8.0, 100_001, dtype=np.float32)
@@ -581,6 +680,21 @@ class TestScipyOracles:
         # Below the smallest normal both are floored by sigmoid.
         np.testing.assert_array_equal(np.maximum(got[~normal], np.finfo(dtype).tiny),
                                       np.maximum(ref[~normal], np.finfo(dtype).tiny))
+
+    @pytest.mark.parametrize("dtype, rtol", [(np.float32, 4e-7), (np.float64, 1e-15)])
+    def test_softplus_gradient_against_expit(self, dtype, rtol):
+        x = np.concatenate([np.linspace(-20.0, 20.0, 400_001),
+                            np.linspace(-700.0, 700.0, 140_001)]).astype(dtype)
+        tx = Tensor(x, requires_grad=True)
+        got = backward(T.sum(T.softplus(tx)))[tx].data
+        ref = expit(x.astype(np.float64))
+        assert got.dtype == dtype
+        tiny = np.finfo(dtype).tiny
+        normal = ref >= tiny
+        assert (np.abs(got[normal] - ref[normal]) / ref[normal]).max() <= rtol
+        # Where the logistic is below the smallest normal, softplus is floored
+        # there, and so is its gradient.
+        assert np.all((got[~normal] >= 0) & (got[~normal] <= tiny))
 
 
 class TestConstantOperands:

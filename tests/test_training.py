@@ -172,7 +172,9 @@ class TestTrainLoop:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_flagged(self, tmp_path):
         cfg = tiny_config(steps=50)
-        cfg.optimizer = OptimizerConfig(lr=1e18)  # drives activations to overflow
+        # Large enough that step 2's loss overflows, small enough that step 1's
+        # update leaves the penalty finite (lr = 1e18 overflows it at step 1).
+        cfg.optimizer = OptimizerConfig(lr=1e6)
         out = tmp_path / "run"
         res = train(cfg, seed=0, dtype=np.float32, out_dir=str(out))
         assert res.diverged
@@ -190,6 +192,34 @@ class TestTrainLoop:
         assert len(recs) == res.steps_run
         assert recs[-1]["diverged"] is True
         assert recs[-1]["train_loss"] is None
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_last_step_overflow_is_divergence(self, tmp_path):
+        # The step's loss is finite; its update overflows the weights.
+        cfg = tiny_config(steps=1, schedule=ScheduleConfig(warmup_steps=0, total_steps=1,
+                                                           decay="inv_sqrt"))
+        cfg.optimizer = OptimizerConfig(lr=1e18)
+        out = tmp_path / "run"
+        res = train(cfg, seed=0, dtype=np.float32, out_dir=str(out))
+        assert math.isfinite(res.final.train_loss)
+        assert not math.isfinite(res.final.ortho_penalty)
+        assert res.diverged and res.final.diverged
+        assert res.final_accuracy == 0.0
+        assert res.checkpoint_path is None
+        assert not (out / "checkpoint.bin").exists()
+        rec = json.loads((out / "metrics.jsonl").read_text().splitlines()[-1])
+        assert rec["diverged"] is True and rec["ortho_penalty"] is None
+
+    def test_non_finite_eval_loss_is_divergence(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(linattn.training, "evaluate",
+                            lambda *args, **kwargs: (0.5, float("nan")))
+        cfg = tiny_config(steps=4, eval_every=2)
+        res = train(cfg, seed=0, out_dir=str(tmp_path))
+        assert res.diverged and res.steps_run == 2
+        assert [r.diverged for r in res.records] == [False, True]
+        assert math.isfinite(res.final.ortho_penalty)
+        assert res.final_accuracy == 0.0
+        assert not (tmp_path / "checkpoint.bin").exists()
 
     def test_target_accuracy_stops_early(self):
         cfg = tiny_config(variant="linear_softplus", steps=400, micro=16,
