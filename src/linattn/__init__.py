@@ -9,7 +9,7 @@ synthetic long-sequence tasks, and a training/benchmark harness.
 
 from .attention import (AttentionLayerParams, kernel_attention_linear,
                         kernel_attention_quadratic, multi_head_kernel_attention,
-                        multi_head_softmax_attention, softmax_attention)
+                        softmax_attention)
 from .errors import ConfigError, ContractError, DataError, GraphError, ShapeError
 from .kernels import (KernelParams, KernelSpec, feature_layer, kernel_stack_forward,
                       orthogonal_init, orthogonality_penalty)

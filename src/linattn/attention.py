@@ -1,5 +1,6 @@
 """Attention evaluators: exact softmax, quadratic kernel oracle, and the
-linear factorized form.
+linear factorized form, plus the one multi-head layer that runs each of
+them as an attention kind.
 
 The two kernel evaluators compute the same weighted average of values,
 with weights proportional to the dot products of positive query/key
@@ -20,9 +21,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractError, ShapeError
-from .kernels import KernelParams, KernelSpec, init_kernel_params, kernel_stack_forward
+from .errors import ConfigError, ContractError, ShapeError
+from .kernels import (KernelParams, KernelSpec, init_kernel_params, kernel_stack_forward,
+                      uniform_init)
 from .tensor import Tensor
+
+ATTENTION_KINDS = ("softmax", "kernel_linear", "kernel_quadratic")
 
 
 def _as_mask(mask, length: int) -> np.ndarray:
@@ -120,20 +124,24 @@ class AttentionLayerParams:
                 out.update(kp.named(f"{prefix}.head{i}.key_kernel"))
         return out
 
+    def kernel_stacks(self) -> list[KernelParams]:
+        """Every feature-map stack of the layer: the query stacks, then the
+        key stacks when keys are unshared."""
+        return self.head_kernels + (self.key_kernels or [])
+
 
 def init_attention_params(d_model: int, n_heads: int, spec: KernelSpec, seed,
-                          dtype=np.float32, with_kernels: bool = True) -> AttentionLayerParams:
-    """Uniform(+-1/sqrt(d)) projections; kernel stacks drawn per head."""
+                          dtype=np.float32, kind: str = "kernel_linear") -> AttentionLayerParams:
+    """Uniform(+-1/sqrt(d)) projections; for the kernel kinds, kernel stacks
+    drawn per head."""
     rng = np.random.default_rng(seed)
-    bound = 1.0 / np.sqrt(d_model)
 
     def proj():
-        return Tensor(rng.uniform(-bound, bound, size=(d_model, d_model)).astype(dtype),
-                      requires_grad=True)
+        return Tensor(uniform_init(rng, d_model, d_model, dtype), requires_grad=True)
 
     params = AttentionLayerParams(w_q=proj(), w_k=proj(), w_v=proj(), w_o=proj(),
                                   n_heads=n_heads)
-    if with_kernels:
+    if kind != "softmax":
         params.head_kernels = [init_kernel_params(spec, rng, dtype) for _ in range(n_heads)]
         if not spec.share_query_key:
             params.key_kernels = [init_kernel_params(spec, rng, dtype) for _ in range(n_heads)]
@@ -173,50 +181,44 @@ def _stack_head_features(rows: Tensor, kernels: list[KernelParams],
 
 def multi_head_kernel_attention(x: Tensor, params: AttentionLayerParams,
                                 spec: KernelSpec, mask, eps: float = 0.0,
-                                evaluator: str = "linear") -> Tensor:
-    """Project, map queries/keys through each head's feature stack, run
-    kernel attention per head, merge, project out.
+                                kind: str = "kernel_linear") -> Tensor:
+    """Project, run kernel attention per head, merge, project out.
+
+    ``kind`` is one of ``ATTENTION_KINDS``. ``softmax`` is kernel attention
+    under the exponential kernel exp(q . k / sqrt(n)), evaluated exactly
+    (the quadratic baseline). ``kernel_linear`` and ``kernel_quadratic`` map
+    queries and keys through each head's feature stack (``spec``), then run
+    the factorized evaluator or its oracle (to cross-check full layers).
 
     ``x`` holds the packed rows ``(mask.sum(), d_model)`` of the unmasked
     positions of a ``(..., L)`` mask, in row-major order, and so does the
     output. The projections and feature stacks run on these rows; the
-    evaluator sees per-head padded arrays whose pad slots hold features of
-    1 and values of 0, so a pad query never divides 0 by 0 and the key
-    mask keeps pad keys out of S and z.
-
-    ``evaluator`` selects the linear factorized path or the quadratic
-    oracle (used to cross-check full layers).
+    evaluator sees per-head padded arrays. For the kernel kinds their pad
+    slots hold features of 1 and values of 0, so a pad query never divides
+    0 by 0 and the key mask keeps pad keys out of S and z.
     """
+    if kind not in ATTENTION_KINDS:
+        raise ConfigError(f"attention kind must be one of {ATTENTION_KINDS}, got {kind!r}")
     m = _rows_mask(x, mask, params.w_q.shape[0])
     n_heads = params.n_heads
-    if len(params.head_kernels) != n_heads:
-        raise ShapeError(f"expected {n_heads} kernel stacks, got {len(params.head_kernels)}")
-    if evaluator not in ("linear", "quadratic"):
-        raise ShapeError(f"unknown evaluator {evaluator!r}")
-
-    key_kernels = params.key_kernels if params.key_kernels is not None else params.head_kernels
-    qf = _stack_head_features(T.matmul(x, params.w_q), params.head_kernels, spec)
-    kf = _stack_head_features(T.matmul(x, params.w_k), key_kernels, spec)
-    qf = _heads(qf, n_heads, m, fill=1.0)
-    kf = _heads(kf, n_heads, m, fill=1.0)
+    if kind == "softmax":
+        q = _heads(T.matmul(x, params.w_q), n_heads, m)
+        k = _heads(T.matmul(x, params.w_k), n_heads, m)
+    else:
+        if len(params.head_kernels) != n_heads:
+            raise ShapeError(f"expected {n_heads} kernel stacks, got {len(params.head_kernels)}")
+        key_kernels = params.key_kernels if params.key_kernels is not None else params.head_kernels
+        q = _stack_head_features(T.matmul(x, params.w_q), params.head_kernels, spec)
+        k = _stack_head_features(T.matmul(x, params.w_k), key_kernels, spec)
+        q = _heads(q, n_heads, m, fill=1.0)
+        k = _heads(k, n_heads, m, fill=1.0)
     v = _heads(T.matmul(x, params.w_v), n_heads, m)
 
     m_heads = np.expand_dims(m, -2)  # broadcast over heads: (..., 1, L)
-    if evaluator == "linear":
-        heads_out = kernel_attention_linear(qf, kf, v, m_heads, eps=eps)
+    if kind == "softmax":
+        heads_out = softmax_attention(q, k, v, m_heads)
+    elif kind == "kernel_linear":
+        heads_out = kernel_attention_linear(q, k, v, m_heads, eps=eps)
     else:
-        heads_out = kernel_attention_quadratic(qf, kf, v, m_heads, eps=eps)
-
-    return T.matmul(_merge_rows(heads_out, m), params.w_o)
-
-
-def multi_head_softmax_attention(x: Tensor, params: AttentionLayerParams, mask) -> Tensor:
-    """Standard multi-head softmax attention (the quadratic baseline) on
-    packed rows, laid out as in ``multi_head_kernel_attention``."""
-    m = _rows_mask(x, mask, params.w_q.shape[0])
-    n_heads = params.n_heads
-    q = _heads(T.matmul(x, params.w_q), n_heads, m)
-    k = _heads(T.matmul(x, params.w_k), n_heads, m)
-    v = _heads(T.matmul(x, params.w_v), n_heads, m)
-    heads_out = softmax_attention(q, k, v, np.expand_dims(m, -2))
+        heads_out = kernel_attention_quadratic(q, k, v, m_heads, eps=eps)
     return T.matmul(_merge_rows(heads_out, m), params.w_o)

@@ -5,7 +5,7 @@ Subcommands: ``train``, ``eval``, ``seeds``, ``bench``, ``verify``,
 ``train``, ``seeds`` and ``bench`` record the environment they ran in as
 ``<out-dir>/env.json``; a human summary goes to stdout. Exit codes: 0
 success, 1 config/data error or an OS error on a given path, 2 usage
-error, 3 diverged training run.
+error, 3 diverged training run (for ``seeds``: no seed finished).
 """
 
 from __future__ import annotations
@@ -113,6 +113,9 @@ def _cmd_seeds(args) -> int:
         note = "  DIVERGED" if row["diverged"] else ""
         print(f"seed {row['seed']:>4d}  accuracy {row['accuracy']:.4f}  "
               f"steps {row['steps']}{note}")
+    if summary.mean is None:
+        print(f"all {len(summary.rows)} seeds diverged: no aggregate (null in summary.json)")
+        return EXIT_DIVERGED
     flag = "  (high variance)" if summary.high_variance else ""
     print(f"aggregate over {len(summary.rows) - len(summary.diverged_seeds)} runs: "
           f"mean {summary.mean:.4f}  best {summary.best:.4f}  std {summary.std:.4f}{flag}")

@@ -121,7 +121,8 @@ def orthogonal_init(n: int, seed, dtype=np.float64) -> np.ndarray:
     return (q * signs).astype(dtype)
 
 
-def _uniform_init(rng: np.random.Generator, rows: int, cols: int, dtype) -> np.ndarray:
+def uniform_init(rng: np.random.Generator, rows: int, cols: int, dtype) -> np.ndarray:
+    """A (rows, cols) draw from uniform(-1/sqrt(rows), 1/sqrt(rows))."""
     bound = 1.0 / np.sqrt(rows)
     return rng.uniform(-bound, bound, size=(rows, cols)).astype(dtype)
 
@@ -140,7 +141,7 @@ def init_kernel_params(spec: KernelSpec, seed, dtype=np.float32) -> KernelParams
     def feat_matrix():
         if ortho:
             return Tensor(orthogonal_init(n, rng, dtype=dtype), requires_grad=True)
-        return Tensor(_uniform_init(rng, n, n, dtype), requires_grad=True)
+        return Tensor(uniform_init(rng, n, n, dtype), requires_grad=True)
 
     layers = []
     for i in range(spec.depth):
@@ -149,15 +150,15 @@ def init_kernel_params(spec: KernelSpec, seed, dtype=np.float32) -> KernelParams
             layers.append({"w": feat_matrix()})
         elif spec.variant in ("glu", "oglu"):
             layers.append({"w_feat": feat_matrix(),
-                           "w_gate": Tensor(_uniform_init(rng, n, n, dtype), requires_grad=True)})
+                           "w_gate": Tensor(uniform_init(rng, n, n, dtype), requires_grad=True)})
         else:  # aoglu
             low_rank = last or spec.low_rank_all_layers
             layer = {"w_feat": feat_matrix()}
             if low_rank:
-                layer["gate_in"] = Tensor(_uniform_init(rng, n, r, dtype), requires_grad=True)
-                layer["gate_out"] = Tensor(_uniform_init(rng, r, n, dtype), requires_grad=True)
+                layer["gate_in"] = Tensor(uniform_init(rng, n, r, dtype), requires_grad=True)
+                layer["gate_out"] = Tensor(uniform_init(rng, r, n, dtype), requires_grad=True)
             else:
-                layer["w_gate"] = Tensor(_uniform_init(rng, n, n, dtype), requires_grad=True)
+                layer["w_gate"] = Tensor(uniform_init(rng, n, n, dtype), requires_grad=True)
             layers.append(layer)
     return KernelParams(layers)
 

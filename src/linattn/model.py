@@ -6,10 +6,11 @@ either a linear classification head over pooled features or a two-layer
 matching head over [u, v, u*v, |u-v|] of two independently encoded
 sequences.
 
-The encoder runs with one of three attention evaluators so the same
-weights can be checked linear-vs-quadratic and benchmarked against the
-softmax baseline. Parameter accounting separates the feature-map weights
-from everything else to enforce the additional-parameter budget.
+The encoder runs one of the attention kinds of ``linattn.attention`` so
+the same weights can be checked linear-vs-quadratic and benchmarked
+against the softmax baseline. Parameter accounting separates the
+feature-map weights from everything else to enforce the
+additional-parameter budget.
 """
 
 from __future__ import annotations
@@ -24,13 +25,12 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .attention import (AttentionLayerParams, init_attention_params,
-                        multi_head_kernel_attention, multi_head_softmax_attention)
+from .attention import (ATTENTION_KINDS, AttentionLayerParams, init_attention_params,
+                        multi_head_kernel_attention)
 from .errors import ConfigError, DataError, ShapeError
-from .kernels import KernelSpec, regularized_matrices
+from .kernels import KernelSpec, regularized_matrices, uniform_init
 from .tensor import Tensor
 
-ATTENTION_KINDS = ("softmax", "kernel_linear", "kernel_quadratic")
 POOLINGS = ("mean", "cls")
 HEADS = ("classify", "match")
 
@@ -167,14 +167,8 @@ class Model:
         return out
 
     def regularized_matrices(self) -> list[Tensor]:
-        mats: list[Tensor] = []
-        for blk in self.blocks:
-            for kp in blk.attn.head_kernels:
-                mats.extend(regularized_matrices(self.config.kernel, kp))
-            if blk.attn.key_kernels:
-                for kp in blk.attn.key_kernels:
-                    mats.extend(regularized_matrices(self.config.kernel, kp))
-        return mats
+        return [w for blk in self.blocks for kp in blk.attn.kernel_stacks()
+                for w in regularized_matrices(self.config.kernel, kp)]
 
     # -- forward -----------------------------------------------------------
 
@@ -225,12 +219,8 @@ class Model:
 
         for blk in self.blocks:
             normed = self._layer_norm(h, blk.ln1_gamma, blk.ln1_beta)
-            if cfg.attention_kind == "softmax":
-                attn_out = multi_head_softmax_attention(normed, blk.attn, mask)
-            else:
-                evaluator = "linear" if cfg.attention_kind == "kernel_linear" else "quadratic"
-                attn_out = multi_head_kernel_attention(
-                    normed, blk.attn, cfg.kernel, mask, eps=cfg.eps, evaluator=evaluator)
+            attn_out = multi_head_kernel_attention(normed, blk.attn, cfg.kernel, mask,
+                                                   eps=cfg.eps, kind=cfg.attention_kind)
             h = T.add(h, self._dropout(attn_out, mask, train, rng))
 
             normed = self._layer_norm(h, blk.ln2_gamma, blk.ln2_beta)
@@ -247,12 +237,6 @@ class Model:
         members = seq == np.arange(b)[:, None]
         return T.matmul(Tensor((members / members.sum(axis=-1, keepdims=True))
                                .astype(self.dtype)), h)
-
-
-def _uniform(rng, rows, cols, dtype, bound=None):
-    if bound is None:
-        bound = 1.0 / np.sqrt(rows)
-    return rng.uniform(-bound, bound, size=(rows, cols)).astype(dtype)
 
 
 def build_model(config: ModelConfig, seed: int, dtype=np.float32) -> Model:
@@ -273,19 +257,18 @@ def build_model(config: ModelConfig, seed: int, dtype=np.float32) -> Model:
     model.embed_tokens = param((rng.standard_normal((config.vocab_size, d)) * 0.02).astype(dtype))
     model.embed_pos = param((rng.standard_normal((config.max_len, d)) * 0.02).astype(dtype))
 
-    with_kernels = config.attention_kind != "softmax"
     for _ in range(config.n_layers):
         attn = init_attention_params(d, config.n_heads, config.kernel, rng, dtype,
-                                     with_kernels=with_kernels)
+                                     kind=config.attention_kind)
         model.blocks.append(Block(
             ln1_gamma=param(np.ones(d, dtype=dtype)),
             ln1_beta=param(np.zeros(d, dtype=dtype)),
             attn=attn,
             ln2_gamma=param(np.ones(d, dtype=dtype)),
             ln2_beta=param(np.zeros(d, dtype=dtype)),
-            ffn_w1=param(_uniform(rng, d, config.ffn_dim, dtype)),
+            ffn_w1=param(uniform_init(rng, d, config.ffn_dim, dtype)),
             ffn_b1=param(np.zeros(config.ffn_dim, dtype=dtype)),
-            ffn_w2=param(_uniform(rng, config.ffn_dim, d, dtype)),
+            ffn_w2=param(uniform_init(rng, config.ffn_dim, d, dtype)),
             ffn_b2=param(np.zeros(d, dtype=dtype)),
         ))
 
@@ -294,15 +277,15 @@ def build_model(config: ModelConfig, seed: int, dtype=np.float32) -> Model:
 
     if config.head == "classify":
         model.head_params = {
-            "w": param(_uniform(rng, d, config.classes, dtype)),
+            "w": param(uniform_init(rng, d, config.classes, dtype)),
             "b": param(np.zeros(config.classes, dtype=dtype)),
         }
     else:
         hidden = d
         model.head_params = {
-            "w1": param(_uniform(rng, 4 * d, hidden, dtype)),
+            "w1": param(uniform_init(rng, 4 * d, hidden, dtype)),
             "b1": param(np.zeros(hidden, dtype=dtype)),
-            "w2": param(_uniform(rng, hidden, 2, dtype)),
+            "w2": param(uniform_init(rng, hidden, 2, dtype)),
             "b2": param(np.zeros(2, dtype=dtype)),
         }
     return model
@@ -334,19 +317,13 @@ def forward_match(model: Model, tokens_a, mask_a, tokens_b, mask_b,
 def count_params(model: Model) -> ParamAccount:
     """Exact counts with the feature-map weights isolated.
 
-    Both sides are enumerated directly from the parameter registry: kernel
-    parameters are the per-head stack weights; base parameters are
-    everything else (the same set a softmax model of this architecture
-    carries).
+    Kernel parameters are the weights of every layer's feature-map stacks;
+    base parameters are everything else in the parameter registry (the
+    same set a softmax model of this architecture carries).
     """
-    base = 0
-    kernel = 0
-    for name, t in model.named_parameters().items():
-        if ".kernel." in name or ".key_kernel." in name:
-            kernel += t.size
-        else:
-            base += t.size
-    return ParamAccount(base_params=base, kernel_params=kernel)
+    kernel = sum(kp.param_count() for blk in model.blocks for kp in blk.attn.kernel_stacks())
+    total = sum(t.size for t in model.named_parameters().values())
+    return ParamAccount(base_params=total - kernel, kernel_params=kernel)
 
 
 def budget_check(account: ParamAccount, limit: float = 0.10) -> BudgetVerdict:

@@ -267,12 +267,13 @@ class SeedsSummary:
 
     ``high_variance`` flags a standard deviation above two accuracy
     points; diverged seeds are excluded from the aggregate and listed.
+    ``mean``, ``best`` and ``std`` stay None when no seed finished.
     """
 
     rows: list[dict] = field(default_factory=list)
-    mean: float = 0.0
-    best: float = 0.0
-    std: float = 0.0
+    mean: float | None = None
+    best: float | None = None
+    std: float | None = None
     high_variance: bool = False
     diverged_seeds: list[int] = field(default_factory=list)
 

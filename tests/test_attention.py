@@ -1,16 +1,16 @@
 """Attention evaluators: oracle equivalence, masking, hull, gradients."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 import linattn.tensor as T
-from linattn.attention import (AttentionLayerParams, init_attention_params,
+from linattn.attention import (ATTENTION_KINDS, AttentionLayerParams, init_attention_params,
                                kernel_attention_linear, kernel_attention_quadratic,
-                               multi_head_kernel_attention, multi_head_softmax_attention,
-                               softmax_attention)
-from linattn.errors import ContractError, ShapeError
+                               multi_head_kernel_attention, softmax_attention)
+from linattn.errors import ConfigError, ContractError, ShapeError
 from linattn.kernels import (KernelParams, KernelSpec, init_kernel_params,
                              kernel_stack_forward)
 from linattn.tensor import Tensor, backward, finite_difference_check
@@ -244,9 +244,9 @@ class TestMultiHead:
         mask = np.ones((2, 14), bool)
         mask[1, -5:] = False
         x = Tensor(rng.standard_normal((2, 14, 16))[mask])
-        lin = multi_head_kernel_attention(x, params, spec, mask, eps=0.0, evaluator="linear")
+        lin = multi_head_kernel_attention(x, params, spec, mask, eps=0.0, kind="kernel_linear")
         quad = multi_head_kernel_attention(x, params, spec, mask, eps=0.0,
-                                           evaluator="quadratic")
+                                           kind="kernel_quadratic")
         assert np.abs(lin.data - quad.data).max() <= 1e-9
 
     def test_full_layer_gradients(self):
@@ -305,20 +305,17 @@ class TestMultiHead:
         out_shared = multi_head_kernel_attention(x, shared, spec, np.ones(5, bool), eps=0.0)
         assert np.abs(out.data - out_shared.data).max() > 1e-6
 
-    @pytest.mark.parametrize("kind", ["kernel", "softmax"])
+    @pytest.mark.parametrize("kind", ["kernel_linear", "softmax"], ids=["kernel", "softmax"])
     def test_only_packed_rows_accepted(self, kind):
         rng = np.random.default_rng(18)
         spec = make_spec("oglu", 2)
-        params = init_attention_params(16, 2, spec, seed=7, dtype=np.float64,
-                                       with_kernels=kind == "kernel")
+        params = init_attention_params(16, 2, spec, seed=7, dtype=np.float64, kind=kind)
         x = rng.standard_normal((3, 9, 16))
         mask = np.arange(9) < np.array([9, 4, 1])[:, None]
-        if kind == "kernel":
-            def run(inp):
-                return multi_head_kernel_attention(Tensor(inp), params, spec, mask, eps=0.0)
-        else:
-            def run(inp):
-                return multi_head_softmax_attention(Tensor(inp), params, mask)
+
+        def run(inp):
+            return multi_head_kernel_attention(Tensor(inp), params, spec, mask, eps=0.0,
+                                               kind=kind)
         assert run(x[mask]).shape == (14, 16)
         for bad in (x, x[mask][:-1], x[mask][:, :8]):
             with pytest.raises(ShapeError, match=r"\(14, 16\)"):
@@ -331,20 +328,28 @@ class TestMultiHead:
             multi_head_kernel_attention(Tensor(np.zeros((4, 8))), params, spec,
                                         np.ones(4, bool))
 
+    def test_unknown_kind_rejected(self):
+        spec = make_spec("glu", 1)
+        params = init_attention_params(16, 2, spec, seed=5)
+        with pytest.raises(ConfigError, match=re.escape(str(ATTENTION_KINDS))):
+            multi_head_kernel_attention(Tensor(np.zeros((4, 16))), params, spec,
+                                        np.ones(4, bool), kind="linear")
+
     def test_softmax_baseline_shape_and_grads(self):
         rng = np.random.default_rng(17)
         spec = make_spec("glu", 1)
         params = init_attention_params(16, 2, spec, seed=6, dtype=np.float64,
-                                       with_kernels=False)
+                                       kind="softmax")
         mask = np.ones((2, 7), bool)
         mask[0, -2:] = False
         x = Tensor(rng.standard_normal((2, 7, 16))[mask])
-        out = multi_head_softmax_attention(x, params, mask)
+        out = multi_head_kernel_attention(x, params, spec, mask, kind="softmax")
         assert out.shape == (12, 16)
         named = {"w_q": params.w_q, "w_o": params.w_o}
 
         def f(_):
-            return T.mean(T.square(multi_head_softmax_attention(x, params, mask)))
+            return T.mean(T.square(multi_head_kernel_attention(x, params, spec, mask,
+                                                               kind="softmax")))
 
         report = finite_difference_check(f, named, step=1e-5)
         assert max(r.max_rel_err for r in report.values()) <= 1e-5

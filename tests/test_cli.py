@@ -469,6 +469,18 @@ class TestSeedsCommand:
         assert (out / "seed1" / "metrics.jsonl").exists()
         assert (out / "seed2" / "metrics.jsonl").exists()
 
+    def test_every_seed_diverged_exits_three_with_null_aggregate(self, tmp_path, capsys):
+        cfg = tmp_path / "diverging.cfg"
+        cfg.write_text(FAST_CFG.replace("lr = 2e-3", "lr = 1e18"))
+        out = tmp_path / "seeds"
+        assert main(["seeds", "--config", str(cfg), "--out-dir", str(out)]) == 3
+        text = capsys.readouterr().out
+        assert text.count("DIVERGED") == 2
+        assert "all 2 seeds diverged" in text and "aggregate over" not in text
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["mean"] is None and summary["best"] is None and summary["std"] is None
+        assert summary["diverged_seeds"] == [1, 2]
+
 
 class TestBenchCommand:
     def test_csv_rows_per_kind_and_length(self, tmp_path, capsys):

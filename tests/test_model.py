@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import linattn.tensor as T
-from linattn.attention import multi_head_kernel_attention, multi_head_softmax_attention
+from linattn.attention import multi_head_kernel_attention
 from linattn.data import gen_text_classification, batch_iter
 from linattn.errors import ConfigError, ContractError, DataError
 from linattn.kernels import KernelSpec
@@ -42,12 +42,8 @@ def padded_hidden(model, tokens, mask):
               T.getitem(model.embed_pos, np.s_[:tokens.shape[1]]))
     for blk in model.blocks:
         normed = T.getitem(model._layer_norm(h, blk.ln1_gamma, blk.ln1_beta), mask)
-        if cfg.attention_kind == "softmax":
-            attn_out = multi_head_softmax_attention(normed, blk.attn, mask)
-        else:
-            evaluator = "linear" if cfg.attention_kind == "kernel_linear" else "quadratic"
-            attn_out = multi_head_kernel_attention(normed, blk.attn, cfg.kernel, mask,
-                                                   eps=cfg.eps, evaluator=evaluator)
+        attn_out = multi_head_kernel_attention(normed, blk.attn, cfg.kernel, mask,
+                                               eps=cfg.eps, kind=cfg.attention_kind)
         h = T.add(h, T.unpack(attn_out, mask))
         normed = model._layer_norm(h, blk.ln2_gamma, blk.ln2_beta)
         inner = T.gelu(T.add(T.matmul(normed, blk.ffn_w1), blk.ffn_b1))
@@ -266,6 +262,21 @@ class TestCountParams:
         ao_count = count_params(build_model(ao_cfg, 0)).kernel_params
         assert 4 * ao_count == 3 * glu_count
 
+    def test_unshared_query_key_doubles_kernel_stacks(self, tmp_path):
+        shared = build_model(small_config(), seed=0, dtype=np.float64)
+        cfg = small_config(kernel=KernelSpec(variant="oglu", depth=1, head_dim=8,
+                                             share_query_key=False))
+        model = build_model(cfg, seed=0, dtype=np.float64)
+        assert count_params(shared).kernel_params == 512
+        assert count_params(model).kernel_params == 1024
+        assert len(shared.regularized_matrices()) == 4
+        assert len(model.regularized_matrices()) == 8
+        save_checkpoint(model, tmp_path / "unshared.ckpt")
+        tokens, mask = random_batch(cfg)
+        np.testing.assert_array_equal(
+            forward_classify(model, tokens, mask).data,
+            forward_classify(load_checkpoint(tmp_path / "unshared.ckpt"), tokens, mask).data)
+
     def test_softmax_model_has_no_kernel_params(self):
         cfg = small_config(attention_kind="softmax")
         account = count_params(build_model(cfg, 0))
@@ -408,6 +419,24 @@ class TestPaddingInvariance:
         with np.errstate(divide="raise", invalid="raise"):
             _, grads = self._loss_and_grads(model, tokens, mask, np.ones((4, 3)))
         assert all(np.isfinite(g).all() for g in grads.values())
+
+
+class TestAttentionLookup:
+    def test_evaluator_and_stacks_looked_up_at_call_time(self, monkeypatch):
+        # perfbench/spans.py times these by replacing the module globals, so
+        # the layer has to look them up when it runs, not bind them at import.
+        import linattn.attention as attention
+        calls = dict.fromkeys(("kernel_attention_linear", "kernel_stack_forward"), 0)
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(attention, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(attention, name, counted)
+        cfg = small_config()
+        tokens, mask = random_batch(cfg)
+        forward_classify(build_model(cfg, seed=0), tokens, mask)
+        assert calls == {"kernel_attention_linear": cfg.n_layers,
+                         "kernel_stack_forward": cfg.n_layers * cfg.n_heads * 2}
 
 
 class TestEndToEndEquivalence:
