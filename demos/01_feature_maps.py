@@ -10,6 +10,7 @@ import numpy as np
 
 from linattn.kernels import (KernelSpec, init_kernel_params, kernel_stack_forward,
                              orthogonality_penalty, regularized_matrices)
+from linattn.model import named_tensors
 from linattn.tensor import Tensor
 
 rng = np.random.default_rng(0)
@@ -27,7 +28,8 @@ for variant in ("linear_softplus", "glu", "oglu", "aoglu"):
         out = kernel_stack_forward(x, spec, params)
 
         penalty = orthogonality_penalty(regularized_matrices(spec, params), 1.0)
-        print(f"{variant:<18} {depth:>5}  {params.param_count():>6}   "
+        size = sum(t.size for t in named_tensors(params).values())
+        print(f"{variant:<18} {depth:>5}  {size:>6}   "
               f"{out.data.min():.3e}    {out.data.max():.3e}   {penalty.item():.2e}")
 
 print()

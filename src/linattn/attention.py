@@ -22,8 +22,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ContractError, ShapeError
-from .kernels import (KernelParams, KernelSpec, init_kernel_params, kernel_stack_forward,
-                      uniform_init)
+from .kernels import KernelSpec, init_kernel_params, kernel_stack_forward, uniform_init
 from .tensor import Tensor
 
 ATTENTION_KINDS = ("softmax", "kernel_linear", "kernel_quadratic")
@@ -111,20 +110,10 @@ class AttentionLayerParams:
     w_v: Tensor
     w_o: Tensor
     n_heads: int = 1
-    head_kernels: list[KernelParams] = field(default_factory=list)
-    key_kernels: list[KernelParams] | None = None
+    head_kernels: list[list[dict[str, Tensor]]] = field(default_factory=list)
+    key_kernels: list[list[dict[str, Tensor]]] | None = None
 
-    def named(self, prefix: str = "attn") -> dict[str, Tensor]:
-        out = {f"{prefix}.w_q": self.w_q, f"{prefix}.w_k": self.w_k,
-               f"{prefix}.w_v": self.w_v, f"{prefix}.w_o": self.w_o}
-        for i, kp in enumerate(self.head_kernels):
-            out.update(kp.named(f"{prefix}.head{i}.kernel"))
-        if self.key_kernels is not None:
-            for i, kp in enumerate(self.key_kernels):
-                out.update(kp.named(f"{prefix}.head{i}.key_kernel"))
-        return out
-
-    def kernel_stacks(self) -> list[KernelParams]:
+    def kernel_stacks(self) -> list[list[dict[str, Tensor]]]:
         """Every feature-map stack of the layer: the query stacks, then the
         key stacks when keys are unshared."""
         return self.head_kernels + (self.key_kernels or [])
@@ -170,7 +159,7 @@ def _merge_rows(x: Tensor, m: np.ndarray) -> Tensor:
     return T.reshape(rows, (rows.shape[0], -1))
 
 
-def _stack_head_features(rows: Tensor, kernels: list[KernelParams],
+def _stack_head_features(rows: Tensor, kernels: list[list[dict[str, Tensor]]],
                          spec: KernelSpec) -> Tensor:
     """Apply each head's feature-map stack to its column block of the packed
     rows (N, h*n); returns (N, h*C)."""

@@ -9,6 +9,7 @@ rejected with the file line number. See ``configs/`` for working files.
 from __future__ import annotations
 
 import configparser
+import re
 from dataclasses import dataclass, field, fields
 
 from .data import (Dataset, gen_listops, gen_matching, gen_text_classification,
@@ -181,14 +182,16 @@ _GETTERS = {"int": "getint", "float": "getfloat", "bool": "getboolean",
             "float | None": "getfloat"}
 
 
-def _line_of(text: str, section: str, key: str) -> int:
+def _line_of(text: str, section: str, key: str, optionxform) -> int:
+    """The line of ``key`` (as the parser stores it) in ``[section]``."""
     current = None
     for i, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if stripped.startswith("[") and stripped.endswith("]"):
             current = stripped[1:-1].strip()
-        elif current == section and "=" in stripped:
-            if stripped.split("=", 1)[0].strip() == key:
+        elif current == section:
+            name, *value = re.split("[=:]", stripped, maxsplit=1)
+            if value and optionxform(name.strip()) == key:
                 return i
     return 0
 
@@ -220,7 +223,7 @@ def parse_config_file(path) -> TrainConfig:
         values = {}
         for key, raw in parser.items(section):
             if key not in known:
-                lineno = _line_of(text, section, key)
+                lineno = _line_of(text, section, key, parser.optionxform)
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r} in [{section}]")
             try:
                 if key == "seeds":
@@ -228,7 +231,7 @@ def parse_config_file(path) -> TrainConfig:
                 else:
                     values[key] = getattr(parser, _GETTERS.get(known[key], "get"))(section, key)
             except ValueError as exc:
-                lineno = _line_of(text, section, key)
+                lineno = _line_of(text, section, key, parser.optionxform)
                 raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
         sections[section] = values
 

@@ -22,7 +22,7 @@ picks each layer's activation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,28 +82,6 @@ class KernelSpec:
                 f"ortho_reg_weight must be finite and >= 0, got {self.ortho_reg_weight}")
 
 
-@dataclass
-class KernelParams:
-    """Weights for one feature-map stack, one dict per stacked layer.
-
-    Layer dicts hold ``w`` for linear layers, ``w_feat``/``w_gate`` for
-    full-rank gated layers, and ``w_feat``/``gate_in``/``gate_out`` for
-    low-rank gated layers.
-    """
-
-    layers: list[dict[str, Tensor]] = field(default_factory=list)
-
-    def named(self, prefix: str = "kernel") -> dict[str, Tensor]:
-        out = {}
-        for i, layer in enumerate(self.layers):
-            for key, t in layer.items():
-                out[f"{prefix}.{i}.{key}"] = t
-        return out
-
-    def param_count(self) -> int:
-        return int(np.sum([t.size for layer in self.layers for t in layer.values()]))
-
-
 def orthogonal_init(n: int, seed, dtype=np.float64) -> np.ndarray:
     """Draw an n x n matrix uniformly from the orthogonal group.
 
@@ -127,8 +105,9 @@ def uniform_init(rng: np.random.Generator, rows: int, cols: int, dtype) -> np.nd
     return rng.uniform(-bound, bound, size=(rows, cols)).astype(dtype)
 
 
-def init_kernel_params(spec: KernelSpec, seed, dtype=np.float32) -> KernelParams:
-    """Allocate and initialize all weights for one feature-map stack.
+def init_kernel_params(spec: KernelSpec, seed, dtype=np.float32) -> list[dict[str, Tensor]]:
+    """Allocate and initialize all weights for one feature-map stack, one
+    dict per layer: ``w``, ``w_feat``/``w_gate`` or ``w_feat``/``gate_in``/``gate_out``.
 
     Matrices subject to the orthogonality penalty (``w`` of the softplus
     variant, ``w_feat`` of oglu/aoglu) start orthogonal when the spec asks
@@ -160,7 +139,7 @@ def init_kernel_params(spec: KernelSpec, seed, dtype=np.float32) -> KernelParams
             else:
                 layer["w_gate"] = Tensor(uniform_init(rng, n, n, dtype), requires_grad=True)
             layers.append(layer)
-    return KernelParams(layers)
+    return layers
 
 
 def feature_layer(x: Tensor, layer: dict[str, Tensor], act) -> Tensor:
@@ -181,14 +160,13 @@ def feature_layer(x: Tensor, layer: dict[str, Tensor], act) -> Tensor:
 _INNER = {"softplus": T.softplus, "gelu": T.gelu, "sigmoid": T.sigmoid}
 
 
-def kernel_stack_forward(x: Tensor, spec: KernelSpec, params: KernelParams) -> Tensor:
+def kernel_stack_forward(x: Tensor, spec: KernelSpec, layers: list[dict[str, Tensor]]) -> Tensor:
     """Run the full feature-map stack; the final layer output is strictly
     positive for every variant."""
-    if len(params.layers) != spec.depth:
-        raise ConfigError(
-            f"params hold {len(params.layers)} layers but spec depth is {spec.depth}")
+    if len(layers) != spec.depth:
+        raise ConfigError(f"params hold {len(layers)} layers but spec depth is {spec.depth}")
     h = x
-    for i, layer in enumerate(params.layers):
+    for i, layer in enumerate(layers):
         if i == spec.depth - 1:
             act = T.softplus
         elif spec.variant == "linear_softplus":
@@ -199,14 +177,14 @@ def kernel_stack_forward(x: Tensor, spec: KernelSpec, params: KernelParams) -> T
     return h
 
 
-def regularized_matrices(spec: KernelSpec, params: KernelParams) -> list[Tensor]:
+def regularized_matrices(spec: KernelSpec, layers: list[dict[str, Tensor]]) -> list[Tensor]:
     """The matrices the orthogonality penalty applies to: ``w`` for the
     softplus variant, each layer's ``w_feat`` for oglu/aoglu, none for
     plain glu."""
     if spec.variant == "linear_softplus":
-        return [layer["w"] for layer in params.layers]
+        return [layer["w"] for layer in layers]
     if spec.variant in ("oglu", "aoglu"):
-        return [layer["w_feat"] for layer in params.layers]
+        return [layer["w_feat"] for layer in layers]
     return []
 
 

@@ -20,7 +20,7 @@ import json
 import math
 import struct
 import zlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -58,6 +58,7 @@ class ModelConfig:
         self.validate()
 
     def validate(self):
+        self.kernel.validate()
         if self.d_model != self.n_heads * self.head_dim:
             raise ConfigError(
                 f"d_model must equal n_heads * head_dim: {self.d_model} != "
@@ -131,40 +132,42 @@ class Block:
     ffn_b2: Tensor
 
 
+def named_tensors(tree, prefix: str = "") -> dict[str, Tensor]:
+    """Every tensor in a tree of dataclasses (fields in order), dicts (keys
+    in order) and lists (indices in order), named by its dotted path, such
+    as ``blocks.0.attn.head_kernels.1.0.w_feat``. Leaves that are not
+    tensors (configs, dtypes, counts, ``None``) are skipped."""
+    if isinstance(tree, Tensor):
+        return {prefix: tree}
+    if is_dataclass(tree):
+        tree = {f.name: getattr(tree, f.name) for f in fields(tree)}
+    elif isinstance(tree, list):
+        tree = dict(enumerate(tree))
+    elif not isinstance(tree, dict):
+        return {}
+    return {name: t for key, sub in tree.items()
+            for name, t in named_tensors(sub, f"{prefix}.{key}" if prefix else str(key)).items()}
+
+
+@dataclass(eq=False)
 class Model:
     """A built encoder: immutable during evaluation, single-writer in
-    training (the optimizer rewrites parameter data in place)."""
+    training (the optimizer rewrites parameter data in place). Its
+    parameters are the tensors of its tree, named by their paths."""
 
-    def __init__(self, config: ModelConfig, dtype=np.float32):
-        self.config = config
-        self.dtype = np.dtype(dtype)
-        self.embed_tokens: Tensor | None = None
-        self.embed_pos: Tensor | None = None
-        self.blocks: list[Block] = []
-        self.final_gamma: Tensor | None = None
-        self.final_beta: Tensor | None = None
-        self.head_params: dict[str, Tensor] = {}
+    config: ModelConfig
+    dtype: np.dtype
+    embed_tokens: Tensor
+    embed_pos: Tensor
+    blocks: list[Block]
+    final_gamma: Tensor
+    final_beta: Tensor
+    head: dict[str, Tensor]
 
     # -- parameter registry ------------------------------------------------
 
     def named_parameters(self) -> dict[str, Tensor]:
-        out = {"embed.tokens": self.embed_tokens, "embed.pos": self.embed_pos}
-        for i, blk in enumerate(self.blocks):
-            p = f"block{i}"
-            out[f"{p}.ln1.gamma"] = blk.ln1_gamma
-            out[f"{p}.ln1.beta"] = blk.ln1_beta
-            out.update(blk.attn.named(f"{p}.attn"))
-            out[f"{p}.ln2.gamma"] = blk.ln2_gamma
-            out[f"{p}.ln2.beta"] = blk.ln2_beta
-            out[f"{p}.ffn.w1"] = blk.ffn_w1
-            out[f"{p}.ffn.b1"] = blk.ffn_b1
-            out[f"{p}.ffn.w2"] = blk.ffn_w2
-            out[f"{p}.ffn.b2"] = blk.ffn_b2
-        out["final.gamma"] = self.final_gamma
-        out["final.beta"] = self.final_beta
-        for k, t in self.head_params.items():
-            out[f"head.{k}"] = t
-        return out
+        return named_tensors(self)
 
     def regularized_matrices(self) -> list[Tensor]:
         return [w for blk in self.blocks for kp in blk.attn.kernel_stacks()
@@ -247,20 +250,20 @@ def build_model(config: ModelConfig, seed: int, dtype=np.float32) -> Model:
     follow their spec (orthogonal or uniform).
     """
     config.validate()
-    model = Model(config, dtype=dtype)
     rng = np.random.default_rng(seed)
-    d, dtype = config.d_model, model.dtype
+    d, dtype = config.d_model, np.dtype(dtype)
 
     def param(arr):
         return Tensor(arr, requires_grad=True)
 
-    model.embed_tokens = param((rng.standard_normal((config.vocab_size, d)) * 0.02).astype(dtype))
-    model.embed_pos = param((rng.standard_normal((config.max_len, d)) * 0.02).astype(dtype))
+    embed_tokens = param((rng.standard_normal((config.vocab_size, d)) * 0.02).astype(dtype))
+    embed_pos = param((rng.standard_normal((config.max_len, d)) * 0.02).astype(dtype))
 
+    blocks = []
     for _ in range(config.n_layers):
         attn = init_attention_params(d, config.n_heads, config.kernel, rng, dtype,
                                      kind=config.attention_kind)
-        model.blocks.append(Block(
+        blocks.append(Block(
             ln1_gamma=param(np.ones(d, dtype=dtype)),
             ln1_beta=param(np.zeros(d, dtype=dtype)),
             attn=attn,
@@ -272,23 +275,23 @@ def build_model(config: ModelConfig, seed: int, dtype=np.float32) -> Model:
             ffn_b2=param(np.zeros(d, dtype=dtype)),
         ))
 
-    model.final_gamma = param(np.ones(d, dtype=dtype))
-    model.final_beta = param(np.zeros(d, dtype=dtype))
+    final_gamma = param(np.ones(d, dtype=dtype))
+    final_beta = param(np.zeros(d, dtype=dtype))
 
     if config.head == "classify":
-        model.head_params = {
+        head = {
             "w": param(uniform_init(rng, d, config.classes, dtype)),
             "b": param(np.zeros(config.classes, dtype=dtype)),
         }
     else:
         hidden = d
-        model.head_params = {
+        head = {
             "w1": param(uniform_init(rng, 4 * d, hidden, dtype)),
             "b1": param(np.zeros(hidden, dtype=dtype)),
             "w2": param(uniform_init(rng, hidden, 2, dtype)),
             "b2": param(np.zeros(2, dtype=dtype)),
         }
-    return model
+    return Model(config, dtype, embed_tokens, embed_pos, blocks, final_gamma, final_beta, head)
 
 
 def forward_classify(model: Model, tokens, mask, train: bool = False, rng=None) -> Tensor:
@@ -296,7 +299,7 @@ def forward_classify(model: Model, tokens, mask, train: bool = False, rng=None) 
     if model.config.head != "classify":
         raise ConfigError("model was built with a matching head")
     pooled = model.encode(tokens, mask, train=train, rng=rng)
-    return T.add(T.matmul(pooled, model.head_params["w"]), model.head_params["b"])
+    return T.add(T.matmul(pooled, model.head["w"]), model.head["b"])
 
 
 def forward_match(model: Model, tokens_a, mask_a, tokens_b, mask_b,
@@ -310,8 +313,8 @@ def forward_match(model: Model, tokens_a, mask_a, tokens_b, mask_b,
     u = model.encode(tokens_a, mask_a, train=train, rng=rng)
     v = model.encode(tokens_b, mask_b, train=train, rng=rng)
     feats = T.concat([u, v, T.mul(u, v), T.abs(T.sub(u, v))], axis=-1)
-    hidden = T.gelu(T.add(T.matmul(feats, model.head_params["w1"]), model.head_params["b1"]))
-    return T.add(T.matmul(hidden, model.head_params["w2"]), model.head_params["b2"])
+    hidden = T.gelu(T.add(T.matmul(feats, model.head["w1"]), model.head["b1"]))
+    return T.add(T.matmul(hidden, model.head["w2"]), model.head["b2"])
 
 
 def count_params(model: Model) -> ParamAccount:
@@ -321,7 +324,8 @@ def count_params(model: Model) -> ParamAccount:
     base parameters are everything else in the parameter registry (the
     same set a softmax model of this architecture carries).
     """
-    kernel = sum(kp.param_count() for blk in model.blocks for kp in blk.attn.kernel_stacks())
+    kernel = sum(t.size for blk in model.blocks
+                 for t in named_tensors(blk.attn.kernel_stacks()).values())
     total = sum(t.size for t in model.named_parameters().values())
     return ParamAccount(base_params=total - kernel, kernel_params=kernel)
 
@@ -337,7 +341,7 @@ def budget_check(account: ParamAccount, limit: float = 0.10) -> BudgetVerdict:
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"LINATTN1"
-_VERSION = 2
+_VERSION = 3
 _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _CODE_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 

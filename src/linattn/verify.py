@@ -135,7 +135,7 @@ def check_orthogonal_init() -> list[CheckResult]:
 def check_gate_materialization() -> list[CheckResult]:
     rng = np.random.default_rng(3)
     spec = KernelSpec(variant="aoglu", depth=1, head_dim=16, gate_rank=4)
-    layer = init_kernel_params(spec, rng, dtype=np.float64).layers[0]
+    layer = init_kernel_params(spec, rng, dtype=np.float64)[0]
     x = Tensor(rng.standard_normal((32, 16)))
     factored = feature_layer(x, layer, T.softplus)
     dense_gate = Tensor(layer["gate_in"].data @ layer["gate_out"].data)

@@ -11,8 +11,8 @@ from linattn.attention import (ATTENTION_KINDS, AttentionLayerParams, init_atten
                                kernel_attention_linear, kernel_attention_quadratic,
                                multi_head_kernel_attention, softmax_attention)
 from linattn.errors import ConfigError, ContractError, ShapeError
-from linattn.kernels import (KernelParams, KernelSpec, init_kernel_params,
-                             kernel_stack_forward)
+from linattn.kernels import KernelSpec, init_kernel_params, kernel_stack_forward
+from linattn.model import named_tensors
 from linattn.tensor import Tensor, backward, finite_difference_check
 
 ALL_VARIANT_DEPTHS = [(v, d) for v in ("linear_softplus", "glu", "oglu", "aoglu")
@@ -131,8 +131,8 @@ class TestLinearEvaluator:
         rng = np.random.default_rng(12)
         spec = make_spec(variant, 2)
         kp64 = init_kernel_params(spec, rng, dtype=np.float64)
-        kp32 = KernelParams([{k: Tensor(t.data.astype(np.float32)) for k, t in layer.items()}
-                             for layer in kp64.layers])
+        kp32 = [{k: Tensor(t.data.astype(np.float32)) for k, t in layer.items()}
+                for layer in kp64]
         worst = 0.0
         with T.no_grad():
             for length in (512, 2048, 4096):
@@ -255,7 +255,7 @@ class TestMultiHead:
         params = init_attention_params(8, 2, spec, seed=3, dtype=np.float64)
         mask = np.array([True] * 5 + [False])
         x = Tensor(rng.standard_normal((6, 8))[mask])
-        named = params.named()
+        named = named_tensors(params)
 
         def f(_):
             out = multi_head_kernel_attention(x, params, spec, mask, eps=0.0)
@@ -272,11 +272,11 @@ class TestMultiHead:
         mask = rng.random((2, 2048)) >= 0.3
         x = rng.standard_normal((int(mask.sum()), 64))
         c = rng.standard_normal(x.shape)
-        named64 = init_attention_params(64, 4, spec, seed=8, dtype=np.float64).named()
+        named64 = named_tensors(init_attention_params(64, 4, spec, seed=8, dtype=np.float64))
 
         def gradients(dtype):
             params = init_attention_params(64, 4, spec, seed=8, dtype=dtype)
-            named = params.named()
+            named = named_tensors(params)
             for name, t in named.items():
                 t.data = named64[name].data.astype(dtype)
             out = multi_head_kernel_attention(Tensor(x.astype(dtype)), params, spec, mask,

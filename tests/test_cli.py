@@ -273,6 +273,17 @@ class TestExitCodes:
         assert f"match.cfg:{line}: unknown key 'ortho_weight' in [train]" in err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("text, expected", [
+        ("[model]\nvocab_size = 24\nBogus = 1\n", "k.cfg:3: unknown key 'bogus' in [model]"),
+        ("[model]\nvocab_size = 24\nbogus: 1\n", "k.cfg:3: unknown key 'bogus' in [model]"),
+        ("[optimizer]\nLR = abc\n", "k.cfg:2: bad value for lr"),
+    ], ids=["upper-case-key", "colon-delimiter", "upper-case-bad-value"])
+    def test_config_error_names_line_of_any_key_spelling(self, tmp_path, capsys, text, expected):
+        p = tmp_path / "k.cfg"
+        p.write_text(text)
+        assert main(["params", "--config", str(p)]) == 1
+        assert expected in capsys.readouterr().err
+
     def test_negative_seed_flag_exit_one(self, tmp_path, capsys):
         out = tmp_path / "run"
         code = main(["train", "--config", str(CONFIGS / "match.cfg"), "--seed", "-3",

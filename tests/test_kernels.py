@@ -5,9 +5,10 @@ import pytest
 
 import linattn.tensor as T
 from linattn.errors import ConfigError, ShapeError
-from linattn.kernels import (KernelParams, KernelSpec, feature_layer, init_kernel_params,
+from linattn.kernels import (KernelSpec, feature_layer, init_kernel_params,
                              kernel_stack_forward, orthogonal_init, orthogonality_penalty,
                              regularized_matrices)
+from linattn.model import named_tensors
 from linattn.tensor import Tensor, backward, finite_difference_check
 
 LN2 = 0.6931471805599453
@@ -36,6 +37,10 @@ def low_rank_layer(x, w_feat, gate_in, gate_out):
 def make_spec(variant, depth, n=8):
     return KernelSpec(variant=variant, depth=depth, head_dim=n,
                       gate_rank=n // 4 if variant == "aoglu" else 0)
+
+
+def param_count(layers):
+    return sum(t.size for t in named_tensors(layers).values())
 
 
 class TestKernelSpec:
@@ -161,10 +166,10 @@ class TestAOGLU:
         n, r = 64, 16
         spec = KernelSpec(variant="aoglu", depth=1, head_dim=n, gate_rank=r)
         params = init_kernel_params(spec, 0, dtype=np.float64)
-        assert params.param_count() == n * n + 2 * n * r == 6144
+        assert param_count(params) == n * n + 2 * n * r == 6144
         glu_params = init_kernel_params(KernelSpec(variant="glu", depth=1, head_dim=n), 0)
-        assert glu_params.param_count() == 2 * n * n == 8192
-        assert params.param_count() == int(0.75 * glu_params.param_count())
+        assert param_count(glu_params) == 2 * n * n == 8192
+        assert param_count(params) == int(0.75 * param_count(glu_params))
 
     def test_zero_input_gates_at_half(self):
         rng = np.random.default_rng(7)
@@ -181,12 +186,12 @@ class TestKernelStack:
         params = init_kernel_params(spec, rng, dtype=np.float64)
         x = Tensor(rng.standard_normal((5, 8)))
         stacked = kernel_stack_forward(x, spec, params)
-        direct = softplus_layer(x, params.layers[0]["w"])
+        direct = softplus_layer(x, params[0]["w"])
         np.testing.assert_array_equal(stacked.data, direct.data)
 
     def test_depth1_identity_weights_equal_softplus(self):
         spec = make_spec("linear_softplus", 1)
-        params = KernelParams([{"w": Tensor(np.eye(8), requires_grad=True)}])
+        params = [{"w": Tensor(np.eye(8), requires_grad=True)}]
         x = Tensor(np.random.default_rng(10).standard_normal((4, 8)))
         out = kernel_stack_forward(x, spec, params)
         np.testing.assert_array_equal(out.data, T.softplus(x).data)
@@ -206,7 +211,7 @@ class TestKernelStack:
         params = init_kernel_params(spec, rng, dtype=np.float64)
         x = Tensor(rng.standard_normal((6, 8)))
         stacked = kernel_stack_forward(x, spec, params)
-        l0, l1 = params.layers
+        l0, l1 = params
         manual = gated_layer(gated_layer(x, l0["w_feat"], l0["w_gate"], None),
                              l1["w_feat"], l1["w_gate"], T.softplus)
         np.testing.assert_array_equal(stacked.data, manual.data)
@@ -216,13 +221,13 @@ class TestKernelStack:
         spec = KernelSpec(variant="aoglu", depth=3, head_dim=64, gate_rank=16)
         params = init_kernel_params(spec, 0)
         # two full-rank gated layers plus one low-rank output layer
-        assert params.param_count() == 2 * 8192 + 6144 == 22528
+        assert param_count(params) == 2 * 8192 + 6144 == 22528
 
     def test_depth3_aoglu_all_low_rank_switch(self):
         spec = KernelSpec(variant="aoglu", depth=3, head_dim=64, gate_rank=16,
                           low_rank_all_layers=True)
         params = init_kernel_params(spec, 0)
-        assert params.param_count() == 3 * 6144
+        assert param_count(params) == 3 * 6144
 
     def test_spec_params_mismatch(self):
         spec = make_spec("glu", 2)
@@ -236,7 +241,7 @@ class TestKernelStack:
         spec = make_spec(variant, depth)
         kp = init_kernel_params(spec, rng, dtype=np.float64)
         x = Tensor(rng.standard_normal((4, 8)))
-        named = kp.named()
+        named = named_tensors(kp)
 
         def f(_):
             return T.mean(T.square(kernel_stack_forward(x, spec, kp)))
@@ -287,7 +292,7 @@ class TestInitialization:
     def test_orthogonal_flag_respected(self):
         spec = KernelSpec(variant="oglu", depth=2, head_dim=16, orthogonal_init=True)
         params = init_kernel_params(spec, 0, dtype=np.float64)
-        for layer in params.layers:
+        for layer in params:
             w = layer["w_feat"].data
             assert np.abs(w.T @ w - np.eye(16)).max() <= 1e-12
 
@@ -295,7 +300,7 @@ class TestInitialization:
         spec = KernelSpec(variant="glu", depth=1, head_dim=16)
         params = init_kernel_params(spec, 0, dtype=np.float64)
         bound = 1.0 / np.sqrt(16)
-        for layer in params.layers:
+        for layer in params:
             for t in layer.values():
                 assert np.abs(t.data).max() <= bound
 
@@ -303,6 +308,6 @@ class TestInitialization:
         spec = make_spec("aoglu", 2)
         a = init_kernel_params(spec, 42, dtype=np.float64)
         b = init_kernel_params(spec, 42, dtype=np.float64)
-        for la, lb in zip(a.layers, b.layers):
+        for la, lb in zip(a, b):
             for k in la:
                 np.testing.assert_array_equal(la[k].data, lb[k].data)

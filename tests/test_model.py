@@ -1,13 +1,16 @@
 """Encoder model: determinism, invariances, accounting, checkpointing."""
 
+import math
 import struct
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import linattn.tensor as T
 from linattn.attention import multi_head_kernel_attention
+from linattn.config import parse_config_file
 from linattn.data import gen_text_classification, batch_iter
 from linattn.errors import ConfigError, ContractError, DataError
 from linattn.kernels import KernelSpec
@@ -15,6 +18,8 @@ from linattn.model import (ModelConfig, ParamAccount, budget_check, build_model,
                            count_params, forward_classify, forward_match,
                            load_checkpoint, save_checkpoint)
 from linattn.tensor import Tensor, backward
+
+LISTOPS_CFG = Path(__file__).resolve().parent.parent / "configs" / "listops.cfg"
 
 
 def small_config(**overrides):
@@ -52,7 +57,7 @@ def padded_hidden(model, tokens, mask):
 
 
 def classify_head(model, pooled):
-    return pooled @ model.head_params["w"].data + model.head_params["b"].data
+    return pooled @ model.head["w"].data + model.head["b"].data
 
 
 class TestConfigValidation:
@@ -77,6 +82,18 @@ class TestConfigValidation:
     def test_unknown_attention_kind(self):
         with pytest.raises(ConfigError, match="attention_kind"):
             small_config(attention_kind="flash")
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("variant", "bogus", "unknown kernel variant"),
+        ("ortho_reg_weight", math.nan, "ortho_reg_weight"),
+    ], ids=["bogus-variant", "nan-weight"])
+    def test_kernel_spec_mutated_after_parsing_rejected(self, field, value, match):
+        cfg = parse_config_file(LISTOPS_CFG).model
+        setattr(cfg.kernel, field, value)
+        with pytest.raises(ConfigError, match=match):
+            cfg.validate()
+        with pytest.raises(ConfigError, match=match):
+            build_model(cfg, seed=0)
 
 
 class TestBuildModel:
@@ -282,6 +299,19 @@ class TestCountParams:
         account = count_params(build_model(cfg, 0))
         assert account.kernel_params == 0
         assert account.ratio == 0.0
+
+
+class TestParameterTree:
+    def test_listops_names_each_parameter_once_by_path(self):
+        model = build_model(parse_config_file(LISTOPS_CFG).model, seed=0)
+        named = model.named_parameters()
+        assert len(named) == 46
+        assert len({id(t) for t in named.values()}) == 46
+        names = list(named)
+        assert names[0] == "embed_tokens" and names[-1] == "head.b"
+        assert "blocks.1.attn.head_kernels.3.0.w_gate" in named
+        kernel = sum(t.size for name, t in named.items() if "_kernels." in name)
+        assert count_params(model).kernel_params == kernel == 4096
 
 
 class TestBudgetCheck:
@@ -572,20 +602,21 @@ class TestCheckpoint:
         with pytest.raises(DataError, match="trailing"):
             load_checkpoint(path)
 
-    def test_version_one_rejected(self, tmp_path):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_old_version_rejected(self, tmp_path, version):
         path = tmp_path / "model.ckpt"
         save_checkpoint(build_model(small_config(), seed=24), path)
         raw = bytearray(path.read_bytes())
-        struct.pack_into("<I", raw, 8, 1)
+        struct.pack_into("<I", raw, 8, version)
         path.write_bytes(bytes(raw))
-        with pytest.raises(DataError, match="unsupported checkpoint version 1"):
+        with pytest.raises(DataError, match=f"unsupported checkpoint version {version}"):
             load_checkpoint(path)
 
     def test_mixed_blob_dtypes_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
         model = build_model(small_config(), seed=25)
         assert list(model.named_parameters())[-1] == "head.b"
-        head_b = model.head_params["b"]
+        head_b = model.head["b"]
         head_b.data = head_b.data.astype(np.float64)  # the last blob alone is written as <f8
         save_checkpoint(model, path)
         raw = path.read_bytes()
@@ -613,4 +644,4 @@ class TestCheckpoint:
         save_checkpoint(model, path)
         raw = path.read_bytes()
         assert raw.startswith(b"LINATTN1")
-        assert struct.unpack_from("<I", raw, 8)[0] == 2  # version
+        assert struct.unpack_from("<I", raw, 8)[0] == 3  # version
