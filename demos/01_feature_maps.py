@@ -19,9 +19,9 @@ n = 16  # per-head feature width
 print("variant            depth  params   min output    max output   penalty@init")
 for variant in ("linear_softplus", "glu", "oglu", "aoglu"):
     for depth in (1, 2, 3):
-        spec = KernelSpec(variant=variant, depth=depth, head_dim=n,
+        spec = KernelSpec(variant=variant, depth=depth,
                           gate_rank=n // 4 if variant == "aoglu" else 0)
-        params = init_kernel_params(spec, seed=rng, dtype=np.float64)
+        params = init_kernel_params(spec, n, seed=rng, dtype=np.float64)
 
         # wide inputs: three standard deviations of a unit-scale activation
         x = Tensor(rng.normal(0.0, 3.0, size=(5000, n)))

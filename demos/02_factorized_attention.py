@@ -14,8 +14,8 @@ from linattn.tensor import Tensor
 
 rng = np.random.default_rng(7)
 
-spec = KernelSpec(variant="oglu", depth=2, head_dim=8)
-params = init_kernel_params(spec, seed=3, dtype=np.float64)
+spec = KernelSpec(variant="oglu", depth=2)
+params = init_kernel_params(spec, 8, seed=3, dtype=np.float64)
 
 L, d = 48, 12
 qf = kernel_stack_forward(Tensor(rng.standard_normal((L, 8))), spec, params)

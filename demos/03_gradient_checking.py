@@ -13,8 +13,8 @@ from linattn.model import ModelConfig, build_model, forward_classify
 from linattn.kernels import KernelSpec, orthogonality_penalty
 from linattn.tensor import cross_entropy, finite_difference_check
 
-spec = KernelSpec(variant="aoglu", depth=2, head_dim=4, gate_rank=1)
-config = ModelConfig(vocab_size=12, d_model=8, n_heads=2, head_dim=4, n_layers=1,
+spec = KernelSpec(variant="aoglu", depth=2, gate_rank=1)
+config = ModelConfig(vocab_size=12, d_model=8, n_heads=2, n_layers=1,
                      ffn_dim=16, max_len=8, classes=3, kernel=spec,
                      attention_kind="kernel_linear", eps=0.0, dropout_rate=0.0)
 model = build_model(config, seed=7, dtype=np.float64)

@@ -131,9 +131,10 @@ def init_attention_params(d_model: int, n_heads: int, spec: KernelSpec, seed,
     params = AttentionLayerParams(w_q=proj(), w_k=proj(), w_v=proj(), w_o=proj(),
                                   n_heads=n_heads)
     if kind != "softmax":
-        params.head_kernels = [init_kernel_params(spec, rng, dtype) for _ in range(n_heads)]
+        n = d_model // n_heads
+        params.head_kernels = [init_kernel_params(spec, n, rng, dtype) for _ in range(n_heads)]
         if not spec.share_query_key:
-            params.key_kernels = [init_kernel_params(spec, rng, dtype) for _ in range(n_heads)]
+            params.key_kernels = [init_kernel_params(spec, n, rng, dtype) for _ in range(n_heads)]
     return params
 
 

@@ -78,11 +78,9 @@ def bench_environment() -> dict:
 
 
 def _bench_config(kind: str, max_len: int) -> ModelConfig:
-    head_dim = D_MODEL // N_HEADS
     return ModelConfig(
-        vocab_size=32, d_model=D_MODEL, n_heads=N_HEADS, head_dim=head_dim,
-        n_layers=1, ffn_dim=FFN_DIM, max_len=max_len, classes=2,
-        kernel=KernelSpec(variant="linear_softplus", depth=1, head_dim=head_dim),
+        vocab_size=32, d_model=D_MODEL, n_heads=N_HEADS, n_layers=1, ffn_dim=FFN_DIM,
+        max_len=max_len, classes=2, kernel=KernelSpec(variant="linear_softplus", depth=1),
         attention_kind=kind, eps=1e-6, dropout_rate=0.0, pooling="mean")
 
 

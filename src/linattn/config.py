@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 
 from .data import (Dataset, gen_listops, gen_matching, gen_text_classification,
                    load_tsv_dataset)
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .kernels import KernelSpec
 from .model import ModelConfig
 
@@ -63,7 +63,7 @@ class TaskSpec:
     ``data_seed`` fixes the generated datasets independently of the
     training seed, so multi-seed runs train on identical data. The eval
     split uses ``data_seed + 1``; for TSV sources without ``eval_path``
-    the last tenth of the rows is held out.
+    the last tenth of the rows (at least 10) is held out.
     """
 
     source: str = "text_classification"
@@ -115,10 +115,12 @@ class TaskSpec:
         return gen_matching(seed, count, self.length, self.vocab_size, self.motif_len,
                             self.n_motifs)
 
-    @staticmethod
-    def _hold_out(full: Dataset) -> tuple[Dataset, Dataset]:
+    def _hold_out(self, full: Dataset) -> tuple[Dataset, Dataset]:
         """Split off the last tenth of the rows as the eval split."""
-        cut = max(1, len(full) - len(full) // 10)
+        if len(full) < 10:
+            raise DataError(f"{self.path}: {len(full)} rows leave no eval split; "
+                            f"set eval_path or supply at least 10 rows")
+        cut = len(full) - len(full) // 10
         return (Dataset(full.examples[:cut], full.vocab, full.classes, full.kind, full.meta),
                 Dataset(full.examples[cut:], full.vocab, full.classes, full.kind, full.meta))
 
@@ -166,15 +168,12 @@ def _to_seed_list(s: str) -> list[int]:
     return [int(tok) for tok in s.replace(",", " ").split()]
 
 
-_SECTION_FIELDS = {
-    "model": {f.name: f.type for f in fields(ModelConfig) if f.name != "kernel"},
-    "kernel": {f.name: f.type for f in fields(KernelSpec) if f.name != "head_dim"},
-    "task": {f.name: f.type for f in fields(TaskSpec)},
-    "optimizer": {f.name: f.type for f in fields(OptimizerConfig)},
-    "schedule": {f.name: f.type for f in fields(ScheduleConfig)},
-    "train": {f.name: f.type for f in fields(TrainConfig)
-              if f.name not in ("model", "task", "optimizer", "schedule")},
-}
+_SECTIONS = {"model": ModelConfig, "kernel": KernelSpec, "task": TaskSpec,
+             "optimizer": OptimizerConfig, "schedule": ScheduleConfig, "train": TrainConfig}
+
+# Each section's keys; a field holding another section (``train.task``) is no key.
+_SECTION_FIELDS = {name: {f.name: f.type for f in fields(cls) if f.name not in _SECTIONS}
+                   for name, cls in _SECTIONS.items()}
 
 # The ConfigParser method that converts a value of each annotated field type;
 # other types (str) are read as they stand, and ``seeds`` by _to_seed_list.
@@ -201,10 +200,11 @@ def parse_config_file(path) -> TrainConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
 
-    parser = configparser.ConfigParser(interpolation=None)
+    # No header names the empty default section, so [DEFAULT] is an unknown section.
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         parser.read_string(text, source=str(path))
     except configparser.Error as exc:
@@ -236,12 +236,9 @@ def parse_config_file(path) -> TrainConfig:
         sections[section] = values
 
     try:
-        model_kwargs = sections.get("model", {})
-        kernel_kwargs = sections.get("kernel", {})
-        kernel_kwargs["head_dim"] = model_kwargs.get("head_dim", ModelConfig.head_dim)
-        model = ModelConfig(kernel=KernelSpec(**kernel_kwargs), **model_kwargs)
         config = TrainConfig(
-            model=model,
+            model=ModelConfig(kernel=KernelSpec(**sections.get("kernel", {})),
+                              **sections.get("model", {})),
             task=TaskSpec(**sections.get("task", {})),
             optimizer=OptimizerConfig(**sections.get("optimizer", {})),
             schedule=ScheduleConfig(**sections.get("schedule", {})),

@@ -294,9 +294,12 @@ def load_tsv_dataset(path) -> Dataset:
     max_id = 0
     max_label = 0
     want_cols = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").rstrip("\r\n")
+            except UnicodeDecodeError as exc:
+                raise DataError(f"{path}:{lineno}: not UTF-8 text ({exc})") from None
             if not line:
                 continue
             cols = line.split("\t")
@@ -310,7 +313,7 @@ def load_tsv_dataset(path) -> Dataset:
                 label = int(cols[0])
                 token_cols = [np.asarray([int(t) for t in c.split()], dtype=np.int64)
                               for c in cols[1:]]
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:  # not an integer, or beyond int64
                 raise DataError(f"{path}:{lineno}: {exc}") from None
             if label < 0:
                 raise DataError(f"{path}:{lineno}: negative label {label}")

@@ -41,16 +41,15 @@ class KernelSpec:
     """Declarative description of one feature-map stack.
 
     ``gate_rank`` is only meaningful for the ``aoglu`` variant and must
-    satisfy 1 <= rank < head_dim / 2. ``low_rank_all_layers`` extends the
-    rank-r gate factorization from the output layer to the intermediate
-    gated layers as well (off by default: intermediate gates stay full
-    rank). ``share_query_key`` controls whether queries and keys run
-    through the same weights within a head.
+    satisfy 1 <= rank < n / 2 at head width n (``check_gate_rank``).
+    ``low_rank_all_layers`` extends the rank-r gate factorization from the
+    output layer to the intermediate gated layers as well (off by default:
+    intermediate gates stay full rank). ``share_query_key`` controls whether
+    queries and keys run through the same weights within a head.
     """
 
     variant: str = "linear_softplus"
     depth: int = 1
-    head_dim: int = 16
     gate_rank: int = 0
     orthogonal_init: bool = True
     ortho_reg_weight: float = 0.01
@@ -66,13 +65,6 @@ class KernelSpec:
             raise ConfigError(f"unknown kernel variant {self.variant!r}; expected one of {VARIANTS}")
         if not 1 <= self.depth <= MAX_DEPTH:
             raise ConfigError(f"kernel depth must be in [1, {MAX_DEPTH}], got {self.depth}")
-        if self.head_dim < 2:
-            raise ConfigError(f"head_dim must be >= 2, got {self.head_dim}")
-        if self.variant == "aoglu":
-            if not 1 <= self.gate_rank or not self.gate_rank < self.head_dim / 2:
-                raise ConfigError(
-                    f"aoglu gate_rank must satisfy 1 <= r < head_dim/2, "
-                    f"got r={self.gate_rank}, head_dim={self.head_dim}")
         if self.inner_nonlinearity not in INNER_NONLINEARITIES:
             raise ConfigError(
                 f"inner_nonlinearity must be one of {INNER_NONLINEARITIES}, "
@@ -80,6 +72,13 @@ class KernelSpec:
         if not 0 <= self.ortho_reg_weight < float("inf"):
             raise ConfigError(
                 f"ortho_reg_weight must be finite and >= 0, got {self.ortho_reg_weight}")
+
+
+def check_gate_rank(spec: KernelSpec, n: int):
+    """Reject an aoglu gate rank r outside 1 <= r < n / 2 at head width n."""
+    if spec.variant == "aoglu" and not 1 <= spec.gate_rank < n / 2:
+        raise ConfigError(f"aoglu gate_rank must satisfy 1 <= r < n/2 at head width n, "
+                          f"got r={spec.gate_rank}, n={n}")
 
 
 def orthogonal_init(n: int, seed, dtype=np.float64) -> np.ndarray:
@@ -105,16 +104,18 @@ def uniform_init(rng: np.random.Generator, rows: int, cols: int, dtype) -> np.nd
     return rng.uniform(-bound, bound, size=(rows, cols)).astype(dtype)
 
 
-def init_kernel_params(spec: KernelSpec, seed, dtype=np.float32) -> list[dict[str, Tensor]]:
-    """Allocate and initialize all weights for one feature-map stack, one
-    dict per layer: ``w``, ``w_feat``/``w_gate`` or ``w_feat``/``gate_in``/``gate_out``.
+def init_kernel_params(spec: KernelSpec, n: int, seed,
+                       dtype=np.float32) -> list[dict[str, Tensor]]:
+    """Allocate and initialize all weights for one feature-map stack of width
+    ``n``, one dict per layer: ``w``, ``w_feat``/``w_gate`` or ``w_feat``/``gate_in``/``gate_out``.
 
     Matrices subject to the orthogonality penalty (``w`` of the softplus
     variant, ``w_feat`` of oglu/aoglu) start orthogonal when the spec asks
     for it; every other matrix uses uniform(-1/sqrt(n), 1/sqrt(n)).
     """
+    check_gate_rank(spec, n)
     rng = np.random.default_rng(seed)
-    n, r = spec.head_dim, spec.gate_rank
+    r = spec.gate_rank
     ortho = spec.orthogonal_init and spec.variant in ("linear_softplus", "oglu", "aoglu")
 
     def feat_matrix():

@@ -28,7 +28,7 @@ from . import tensor as T
 from .attention import (ATTENTION_KINDS, AttentionLayerParams, init_attention_params,
                         multi_head_kernel_attention)
 from .errors import ConfigError, DataError, ShapeError
-from .kernels import KernelSpec, regularized_matrices, uniform_init
+from .kernels import KernelSpec, check_gate_rank, regularized_matrices, uniform_init
 from .tensor import Tensor
 
 POOLINGS = ("mean", "cls")
@@ -42,7 +42,6 @@ class ModelConfig:
     vocab_size: int = 32
     d_model: int = 64
     n_heads: int = 4
-    head_dim: int = 16
     n_layers: int = 1
     ffn_dim: int = 128
     max_len: int = 128
@@ -57,19 +56,20 @@ class ModelConfig:
     def __post_init__(self):
         self.validate()
 
+    @property
+    def head_dim(self) -> int:
+        """The width of one head's slice, the feature maps' input width."""
+        return self.d_model // self.n_heads
+
     def validate(self):
         self.kernel.validate()
-        if self.d_model != self.n_heads * self.head_dim:
-            raise ConfigError(
-                f"d_model must equal n_heads * head_dim: {self.d_model} != "
-                f"{self.n_heads} * {self.head_dim}")
-        if self.kernel.head_dim != self.head_dim:
-            raise ConfigError(
-                f"kernel head_dim {self.kernel.head_dim} does not match model head_dim "
-                f"{self.head_dim}")
-        for name in ("n_heads", "max_len", "n_layers", "ffn_dim"):
+        for name in ("n_heads", "d_model", "max_len", "n_layers", "ffn_dim"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.d_model % self.n_heads or self.head_dim < 2:
+            raise ConfigError(f"d_model must split into n_heads heads of width >= 2, got "
+                              f"d_model={self.d_model}, n_heads={self.n_heads}")
+        check_gate_rank(self.kernel, self.head_dim)
         if not 0 <= self.dropout_rate < 1:
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if self.attention_kind not in ATTENTION_KINDS:
@@ -341,7 +341,7 @@ def budget_check(account: ParamAccount, limit: float = 0.10) -> BudgetVerdict:
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"LINATTN1"
-_VERSION = 3
+_VERSION = 4
 _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _CODE_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 

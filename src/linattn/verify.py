@@ -35,7 +35,7 @@ class CheckResult:
 
 
 def _spec(variant: str, depth: int, n: int = 8) -> KernelSpec:
-    return KernelSpec(variant=variant, depth=depth, head_dim=n,
+    return KernelSpec(variant=variant, depth=depth,
                       gate_rank=max(1, n // 4) if variant == "aoglu" else 0)
 
 
@@ -48,11 +48,11 @@ def check_oracle_equivalence() -> list[CheckResult]:
         spec = _spec(variant, depth)
         worst, worst_length = 0.0, 0
         for _ in range(100):
-            kp = init_kernel_params(spec, rng, dtype=np.float64)
+            kp = init_kernel_params(spec, 8, rng, dtype=np.float64)
             length = int(rng.integers(2, 65))
             d = int(rng.integers(2, 17))
-            x_q = Tensor(rng.standard_normal((length, spec.head_dim)))
-            x_k = Tensor(rng.standard_normal((length, spec.head_dim)))
+            x_q = Tensor(rng.standard_normal((length, 8)))
+            x_k = Tensor(rng.standard_normal((length, 8)))
             v = Tensor(rng.standard_normal((length, d)))
             mask = np.ones(length, dtype=bool)
             if length > 2:
@@ -77,8 +77,8 @@ def check_gradients() -> list[CheckResult]:
     """Central differences on every parameter group of a 1-layer, 2-head
     aoglu (rank 1) model, loss = cross-entropy + 0.01 * orthogonality
     penalty; worst relative error 1e-4."""
-    spec = KernelSpec(variant="aoglu", depth=2, head_dim=4, gate_rank=1)
-    config = ModelConfig(vocab_size=12, d_model=8, n_heads=2, head_dim=4, n_layers=1,
+    spec = KernelSpec(variant="aoglu", depth=2, gate_rank=1)
+    config = ModelConfig(vocab_size=12, d_model=8, n_heads=2, n_layers=1,
                          ffn_dim=16, max_len=8, classes=3, kernel=spec,
                          attention_kind="kernel_linear", eps=0.0, dropout_rate=0.0)
     model = build_model(config, seed=7, dtype=np.float64)
@@ -111,8 +111,8 @@ def check_positivity() -> list[CheckResult]:
     results = []
     for variant, depth in VARIANT_GRID:
         spec = _spec(variant, depth)
-        kp = init_kernel_params(spec, rng, dtype=np.float64)
-        x = Tensor(rng.normal(0.0, 3.0, size=(10_000, spec.head_dim)))
+        kp = init_kernel_params(spec, 8, rng, dtype=np.float64)
+        x = Tensor(rng.normal(0.0, 3.0, size=(10_000, 8)))
         out = kernel_stack_forward(x, spec, kp)
         lo = float(out.data.min())
         results.append(CheckResult(
@@ -134,8 +134,8 @@ def check_orthogonal_init() -> list[CheckResult]:
 
 def check_gate_materialization() -> list[CheckResult]:
     rng = np.random.default_rng(3)
-    spec = KernelSpec(variant="aoglu", depth=1, head_dim=16, gate_rank=4)
-    layer = init_kernel_params(spec, rng, dtype=np.float64)[0]
+    spec = KernelSpec(variant="aoglu", depth=1, gate_rank=4)
+    layer = init_kernel_params(spec, 16, rng, dtype=np.float64)[0]
     x = Tensor(rng.standard_normal((32, 16)))
     factored = feature_layer(x, layer, T.softplus)
     dense_gate = Tensor(layer["gate_in"].data @ layer["gate_out"].data)
@@ -146,13 +146,12 @@ def check_gate_materialization() -> list[CheckResult]:
                         detail=f"max diff factored vs dense gate = {diff:.3e}")]
 
 
-def _kernel_param_formula(spec: KernelSpec) -> int:
-    n, r = spec.head_dim, spec.gate_rank
+def _kernel_param_formula(spec: KernelSpec, n: int) -> int:
     if spec.variant == "linear_softplus":
         return spec.depth * n * n
     if spec.variant in ("glu", "oglu"):
         return spec.depth * 2 * n * n
-    low_rank_layer = n * n + 2 * n * r
+    low_rank_layer = n * n + 2 * n * spec.gate_rank
     if spec.low_rank_all_layers:
         return spec.depth * low_rank_layer
     return (spec.depth - 1) * 2 * n * n + low_rank_layer
@@ -162,7 +161,7 @@ def check_param_counts() -> list[CheckResult]:
     results = []
     for variant, depth in (("linear_softplus", 1), ("glu", 2), ("aoglu", 3)):
         spec = _spec(variant, depth, n=16)
-        config = ModelConfig(vocab_size=16, d_model=32, n_heads=2, head_dim=16,
+        config = ModelConfig(vocab_size=16, d_model=32, n_heads=2,
                              n_layers=2, ffn_dim=64, max_len=32, classes=2, kernel=spec,
                              attention_kind="kernel_linear", dropout_rate=0.0)
         model = build_model(config, seed=0)
@@ -171,7 +170,7 @@ def check_param_counts() -> list[CheckResult]:
         base_expected = (config.vocab_size * d + config.max_len * d
                          + config.n_layers * (4 * d * d + d * f + f + f * d + d + 4 * d)
                          + 2 * d + d * config.classes + config.classes)
-        kernel_expected = config.n_layers * config.n_heads * _kernel_param_formula(spec)
+        kernel_expected = config.n_layers * config.n_heads * _kernel_param_formula(spec, 16)
         ok = account.base_params == base_expected and account.kernel_params == kernel_expected
         results.append(CheckResult(
             name=f"parameter closed form {variant} depth {depth}",
@@ -182,9 +181,9 @@ def check_param_counts() -> list[CheckResult]:
     n = 16
 
     def counted(variant: str, **kw) -> int:
-        config = ModelConfig(vocab_size=16, d_model=4 * n, n_heads=4, head_dim=n,
+        config = ModelConfig(vocab_size=16, d_model=4 * n, n_heads=4,
                              n_layers=1, ffn_dim=64, max_len=32, classes=2,
-                             kernel=KernelSpec(variant=variant, depth=1, head_dim=n, **kw),
+                             kernel=KernelSpec(variant=variant, depth=1, **kw),
                              attention_kind="kernel_linear", dropout_rate=0.0)
         return count_params(build_model(config, seed=0)).kernel_params
 

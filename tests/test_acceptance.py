@@ -89,9 +89,9 @@ class TestOrthogonality:
                                     TrainConfig)
 
         def run(lam):
-            spec = KernelSpec(variant="oglu", depth=1, head_dim=8, ortho_reg_weight=lam)
+            spec = KernelSpec(variant="oglu", depth=1, ortho_reg_weight=lam)
             cfg = TrainConfig(
-                model=ModelConfig(vocab_size=24, d_model=16, n_heads=2, head_dim=8,
+                model=ModelConfig(vocab_size=24, d_model=16, n_heads=2,
                                   n_layers=1, ffn_dim=32, max_len=64, classes=2,
                                   kernel=spec, attention_kind="kernel_linear",
                                   eps=0.0, dropout_rate=0.0),
@@ -115,9 +115,9 @@ class TestGradientAccumulation:
                                     TrainConfig)
 
         def run(micro, accum):
-            spec = KernelSpec(variant="oglu", depth=1, head_dim=8)
+            spec = KernelSpec(variant="oglu", depth=1)
             cfg = TrainConfig(
-                model=ModelConfig(vocab_size=24, d_model=16, n_heads=2, head_dim=8,
+                model=ModelConfig(vocab_size=24, d_model=16, n_heads=2,
                                   n_layers=1, ffn_dim=32, max_len=64, classes=2,
                                   kernel=spec, attention_kind="kernel_linear",
                                   eps=0.0, dropout_rate=0.0),

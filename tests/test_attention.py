@@ -20,7 +20,7 @@ ALL_VARIANT_DEPTHS = [(v, d) for v in ("linear_softplus", "glu", "oglu", "aoglu"
 
 
 def make_spec(variant, depth, n=8):
-    return KernelSpec(variant=variant, depth=depth, head_dim=n,
+    return KernelSpec(variant=variant, depth=depth,
                       gate_rank=n // 4 if variant == "aoglu" else 0)
 
 
@@ -109,7 +109,7 @@ class TestLinearEvaluator:
         spec = make_spec(variant, depth)
         worst = 0.0
         for _ in range(20):
-            kp = init_kernel_params(spec, rng, dtype=np.float64)
+            kp = init_kernel_params(spec, 8, rng, dtype=np.float64)
             length = int(rng.integers(2, 65))
             d = int(rng.integers(2, 17))
             qf = kernel_stack_forward(Tensor(rng.standard_normal((length, 8))), spec, kp)
@@ -130,7 +130,7 @@ class TestLinearEvaluator:
         # depth 2, about 30% of positions masked
         rng = np.random.default_rng(12)
         spec = make_spec(variant, 2)
-        kp64 = init_kernel_params(spec, rng, dtype=np.float64)
+        kp64 = init_kernel_params(spec, 8, rng, dtype=np.float64)
         kp32 = [{k: Tensor(t.data.astype(np.float32)) for k, t in layer.items()}
                 for layer in kp64]
         worst = 0.0
@@ -293,7 +293,7 @@ class TestMultiHead:
 
     def test_unshared_query_key_kernels(self):
         rng = np.random.default_rng(16)
-        spec = KernelSpec(variant="oglu", depth=1, head_dim=8, share_query_key=False)
+        spec = KernelSpec(variant="oglu", depth=1, share_query_key=False)
         params = init_attention_params(8, 1, spec, seed=4, dtype=np.float64)
         assert params.key_kernels is not None
         x = Tensor(rng.standard_normal((5, 8)))

@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -29,7 +30,6 @@ FAST_CFG = """\
 vocab_size = 24
 d_model = 16
 n_heads = 2
-head_dim = 8
 n_layers = 1
 ffn_dim = 32
 max_len = 64
@@ -69,7 +69,6 @@ OVER_BUDGET_CFG = """\
 vocab_size = 32
 d_model = 64
 n_heads = 4
-head_dim = 16
 n_layers = 2
 ffn_dim = 128
 max_len = 64
@@ -152,7 +151,7 @@ class TestConfigParsing:
         cfg = parse_config_file(fast_cfg)
         assert cfg.model.d_model == 16
         assert cfg.model.kernel.variant == "linear_softplus"
-        assert cfg.model.kernel.head_dim == 8  # inherited from model
+        assert cfg.model.head_dim == 8  # d_model / n_heads
         assert cfg.seeds == [1, 2]
         assert cfg.schedule.total_steps == 6
         assert cfg.task.source == "text_classification"
@@ -174,6 +173,47 @@ class TestConfigParsing:
         p.write_text("[warp]\nspeed = 9\n")
         with pytest.raises(ConfigError, match=r"\[warp\]"):
             parse_config_file(str(p))
+
+    def test_default_section_rejected(self, tmp_path, capsys):
+        p = tmp_path / "dflt.cfg"
+        p.write_text("[DEFAULT]\nlr = 0.5\n[model]\nvocab_size = 24\n")
+        with pytest.raises(ConfigError, match=r"dflt\.cfg: unknown section \[DEFAULT\]"):
+            parse_config_file(str(p))
+        assert main(["params", "--config", str(p)]) == 1
+        assert "unknown section [DEFAULT]" in capsys.readouterr().err
+
+    def test_non_utf8_file_names_path(self, tmp_path, capsys):
+        p = tmp_path / "latin.cfg"
+        p.write_bytes(b"[model]\nvocab_size = 8\xff")
+        with pytest.raises(ConfigError, match=r"cannot read config file .*latin\.cfg"):
+            parse_config_file(str(p))
+        assert main(["params", "--config", str(p)]) == 1
+        assert "latin.cfg" in capsys.readouterr().err
+
+    def test_head_dim_is_an_unknown_key(self, tmp_path):
+        p = tmp_path / "width.cfg"
+        p.write_text("[model]\nd_model = 64\nn_heads = 4\nhead_dim: 16\n")
+        with pytest.raises(ConfigError, match=r"width\.cfg:4: unknown key 'head_dim'"):
+            parse_config_file(str(p))
+
+    @pytest.mark.parametrize("text, message", [
+        ("[model]\nn_heads = 0\n", "n_heads must be >= 1"),
+        ("[model]\nd_model = 0\n", "d_model must be >= 1"),
+        ("[model]\nd_model = -64\n", "d_model must be >= 1"),
+        ("[model]\nd_model = 30\nn_heads = 4\n", "d_model must split into n_heads"),
+        ("[model]\nd_model = 4\nn_heads = 4\n", "d_model must split into n_heads"),
+        ("[model]\nd_model = 64\nn_heads = 4\n[kernel]\nvariant = aoglu\ngate_rank = 8\n",
+         "aoglu gate_rank must satisfy 1 <= r < n/2 at head width n, got r=8, n=16"),
+    ], ids=["zero-heads", "zero-width", "negative-width", "indivisible", "width-one",
+            "aoglu-rank"])
+    def test_bad_head_split_is_a_config_error(self, tmp_path, capsys, text, message):
+        p = tmp_path / "split.cfg"
+        p.write_text(text)
+        with pytest.raises(ConfigError, match=rf"split\.cfg: {re.escape(message)}"):
+            parse_config_file(str(p))
+        assert main(["params", "--config", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
     def test_syntax_error_names_line(self, tmp_path):
         p = tmp_path / "syntax.cfg"

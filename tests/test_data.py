@@ -7,6 +7,7 @@ from linattn.data import (PAD_ID, Batch, MatchBatch, batch_iter, eval_listops_to
                           gen_listops, gen_matching, gen_text_classification,
                           listops_to_string, load_tsv_dataset, motif_oracle,
                           save_tsv_dataset, LISTOPS_SYMBOLS)
+from linattn.config import TaskSpec
 from linattn.errors import ConfigError, DataError
 
 SYM = {s: i for i, s in enumerate(LISTOPS_SYMBOLS)}
@@ -140,6 +141,37 @@ class TestTsv:
         p.write_text("0\t1 2\t3 4\t5\n")
         with pytest.raises(DataError, match=r"cols\.tsv:1: expected 2 \(classify\) or 3"):
             load_tsv_dataset(p)
+
+    def test_token_id_beyond_int64_names_line(self, tmp_path):
+        p = tmp_path / "huge.tsv"
+        p.write_text("3\t1 2\n4\t5 99999999999999999999\n")
+        with pytest.raises(DataError, match=r"huge\.tsv:2"):
+            load_tsv_dataset(p)
+
+    def test_non_utf8_row_names_line(self, tmp_path):
+        p = tmp_path / "bytes.tsv"
+        p.write_bytes(b"1\t3 4\n0\t5 6\n1\t7 \xff\n")
+        with pytest.raises(DataError, match=r"bytes\.tsv:3: not UTF-8"):
+            load_tsv_dataset(p)
+
+    def test_crlf_rows(self, tmp_path):
+        p = tmp_path / "crlf.tsv"
+        p.write_bytes(b"1\t3 4\r\n\r\n0\t5 6\r\n")
+        ds = load_tsv_dataset(p)
+        assert [label for _, label in ds.examples] == [1, 0]
+        assert np.array_equal(ds.examples[1][0], [5, 6])
+
+    @pytest.mark.parametrize("build", ["build", "build_eval"])
+    def test_too_few_rows_to_hold_out_names_path(self, tmp_path, build):
+        p = tmp_path / "nine.tsv"
+        p.write_text("1\t3 4\n" * 9)
+        spec = TaskSpec(source="tsv", path=str(p))
+        with pytest.raises(DataError, match=r"nine\.tsv: 9 rows .* set eval_path or supply "
+                                            r"at least 10 rows"):
+            getattr(spec, build)()
+        p.write_text("1\t3 4\n" * 10)
+        train, held = spec.build()
+        assert (len(train), len(held)) == (9, 1)
 
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "empty.tsv"

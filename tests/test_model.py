@@ -23,9 +23,9 @@ LISTOPS_CFG = Path(__file__).resolve().parent.parent / "configs" / "listops.cfg"
 
 
 def small_config(**overrides):
-    base = dict(vocab_size=16, d_model=16, n_heads=2, head_dim=8, n_layers=2,
+    base = dict(vocab_size=16, d_model=16, n_heads=2, n_layers=2,
                 ffn_dim=32, max_len=32, classes=3,
-                kernel=KernelSpec(variant="oglu", depth=1, head_dim=8),
+                kernel=KernelSpec(variant="oglu", depth=1),
                 attention_kind="kernel_linear", eps=0.0, dropout_rate=0.0)
     base.update(overrides)
     return ModelConfig(**base)
@@ -61,14 +61,19 @@ def classify_head(model, pooled):
 
 
 class TestConfigValidation:
-    def test_head_dim_consistency(self):
-        with pytest.raises(ConfigError, match="d_model"):
-            ModelConfig(d_model=32, n_heads=2, head_dim=8,
-                        kernel=KernelSpec(head_dim=8))
+    @pytest.mark.parametrize("d_model, n_heads, match", [
+        (30, 4, "split into n_heads"), (4, 4, "split into n_heads"),
+        (0, 4, "d_model must be >= 1"), (-64, 4, "d_model must be >= 1"),
+        (64, 0, "n_heads must be >= 1"),
+    ])
+    def test_head_split(self, d_model, n_heads, match):
+        with pytest.raises(ConfigError, match=match):
+            small_config(d_model=d_model, n_heads=n_heads)
 
-    def test_kernel_head_dim_consistency(self):
-        with pytest.raises(ConfigError, match="head_dim"):
-            small_config(kernel=KernelSpec(variant="glu", head_dim=4))
+    def test_head_dim_is_derived(self):
+        assert small_config(d_model=48, n_heads=3).head_dim == 16
+        assert "head_dim" not in small_config().to_dict()
+        assert "head_dim" not in small_config().to_dict()["kernel"]
 
     def test_dropout_range(self):
         with pytest.raises(ConfigError, match="dropout"):
@@ -228,8 +233,8 @@ def closed_form_base(cfg: ModelConfig) -> int:
     return total
 
 
-def kernel_formula(spec: KernelSpec) -> int:
-    n, r = spec.head_dim, spec.gate_rank
+def kernel_formula(spec: KernelSpec, n: int) -> int:
+    r = spec.gate_rank
     if spec.variant == "linear_softplus":
         per_layer = [n * n] * spec.depth
     elif spec.variant in ("glu", "oglu"):
@@ -245,24 +250,23 @@ class TestCountParams:
     @pytest.mark.parametrize("cfg", [
         small_config(),
         small_config(n_layers=1, ffn_dim=64, head="match", classes=2,
-                     kernel=KernelSpec(variant="aoglu", depth=2, head_dim=8, gate_rank=2)),
-        small_config(vocab_size=24, d_model=32, n_heads=4, head_dim=8, max_len=16,
-                     kernel=KernelSpec(variant="linear_softplus", depth=3, head_dim=8)),
+                     kernel=KernelSpec(variant="aoglu", depth=2, gate_rank=2)),
+        small_config(vocab_size=24, d_model=32, n_heads=4, max_len=16,
+                     kernel=KernelSpec(variant="linear_softplus", depth=3)),
     ])
     def test_closed_form(self, cfg):
         model = build_model(cfg, seed=14)
         account = count_params(model)
         assert account.base_params == closed_form_base(cfg)
-        expected_kernel = cfg.n_layers * cfg.n_heads * kernel_formula(cfg.kernel)
+        expected_kernel = cfg.n_layers * cfg.n_heads * kernel_formula(cfg.kernel, cfg.head_dim)
         assert account.kernel_params == expected_kernel
 
     def test_glu_doubles_linear(self):
         h, n = 4, 16
-        glu_cfg = small_config(d_model=h * n, n_heads=h, head_dim=n, n_layers=1,
-                               kernel=KernelSpec(variant="glu", depth=1, head_dim=n))
-        lin_cfg = small_config(d_model=h * n, n_heads=h, head_dim=n, n_layers=1,
-                               kernel=KernelSpec(variant="linear_softplus", depth=1,
-                                                 head_dim=n))
+        glu_cfg = small_config(d_model=h * n, n_heads=h, n_layers=1,
+                               kernel=KernelSpec(variant="glu", depth=1))
+        lin_cfg = small_config(d_model=h * n, n_heads=h, n_layers=1,
+                               kernel=KernelSpec(variant="linear_softplus", depth=1))
         glu_count = count_params(build_model(glu_cfg, 0)).kernel_params
         lin_count = count_params(build_model(lin_cfg, 0)).kernel_params
         assert glu_count == 2 * lin_count
@@ -270,10 +274,10 @@ class TestCountParams:
 
     def test_aoglu_quarter_rank_is_three_quarters_of_glu(self):
         h, n = 2, 16
-        glu_cfg = small_config(d_model=h * n, n_heads=h, head_dim=n, n_layers=1,
-                               kernel=KernelSpec(variant="glu", depth=1, head_dim=n))
-        ao_cfg = small_config(d_model=h * n, n_heads=h, head_dim=n, n_layers=1,
-                              kernel=KernelSpec(variant="aoglu", depth=1, head_dim=n,
+        glu_cfg = small_config(d_model=h * n, n_heads=h, n_layers=1,
+                               kernel=KernelSpec(variant="glu", depth=1))
+        ao_cfg = small_config(d_model=h * n, n_heads=h, n_layers=1,
+                              kernel=KernelSpec(variant="aoglu", depth=1,
                                                 gate_rank=n // 4))
         glu_count = count_params(build_model(glu_cfg, 0)).kernel_params
         ao_count = count_params(build_model(ao_cfg, 0)).kernel_params
@@ -281,7 +285,7 @@ class TestCountParams:
 
     def test_unshared_query_key_doubles_kernel_stacks(self, tmp_path):
         shared = build_model(small_config(), seed=0, dtype=np.float64)
-        cfg = small_config(kernel=KernelSpec(variant="oglu", depth=1, head_dim=8,
+        cfg = small_config(kernel=KernelSpec(variant="oglu", depth=1,
                                              share_query_key=False))
         model = build_model(cfg, seed=0, dtype=np.float64)
         assert count_params(shared).kernel_params == 512
@@ -328,9 +332,9 @@ class TestBudgetCheck:
         assert verdict.passed
 
     def test_triple_gated_stack_small_backbone_fails(self):
-        cfg = ModelConfig(vocab_size=32, d_model=64, n_heads=4, head_dim=16, n_layers=2,
+        cfg = ModelConfig(vocab_size=32, d_model=64, n_heads=4, n_layers=2,
                           ffn_dim=128, max_len=128, classes=2,
-                          kernel=KernelSpec(variant="glu", depth=3, head_dim=16),
+                          kernel=KernelSpec(variant="glu", depth=3),
                           attention_kind="kernel_linear", dropout_rate=0.0)
         verdict = budget_check(count_params(build_model(cfg, 0)))
         assert not verdict.passed
@@ -392,7 +396,7 @@ class TestPaddingInvariance:
 
     @staticmethod
     def _model(kind, variant, pooling):
-        spec = KernelSpec(variant=variant, depth=2, head_dim=8,
+        spec = KernelSpec(variant=variant, depth=2,
                           gate_rank=2 if variant == "aoglu" else 0)
         cfg = small_config(kernel=spec, attention_kind=kind, pooling=pooling, eps=0.0)
         return build_model(cfg, seed=25, dtype=np.float64)
@@ -602,7 +606,7 @@ class TestCheckpoint:
         with pytest.raises(DataError, match="trailing"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_old_version_rejected(self, tmp_path, version):
         path = tmp_path / "model.ckpt"
         save_checkpoint(build_model(small_config(), seed=24), path)
@@ -644,4 +648,4 @@ class TestCheckpoint:
         save_checkpoint(model, path)
         raw = path.read_bytes()
         assert raw.startswith(b"LINATTN1")
-        assert struct.unpack_from("<I", raw, 8)[0] == 3  # version
+        assert struct.unpack_from("<I", raw, 8)[0] == 4  # version

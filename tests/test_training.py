@@ -23,9 +23,9 @@ CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cf
 
 
 def tiny_config(variant="oglu", steps=5, lam=0.01, micro=8, accum=1, **train_overrides):
-    spec = KernelSpec(variant=variant, depth=1, head_dim=8, ortho_reg_weight=lam)
+    spec = KernelSpec(variant=variant, depth=1, ortho_reg_weight=lam)
     defaults = dict(
-        model=ModelConfig(vocab_size=24, d_model=16, n_heads=2, head_dim=8, n_layers=1,
+        model=ModelConfig(vocab_size=24, d_model=16, n_heads=2, n_layers=1,
                           ffn_dim=32, max_len=64, classes=2, kernel=spec,
                           attention_kind="kernel_linear", eps=0.0, dropout_rate=0.0),
         task=TaskSpec(source="text_classification", count=96, eval_count=64, length=64,
@@ -160,9 +160,9 @@ class TestTrainLoop:
 
     def test_budget_gate_refuses(self):
         cfg = tiny_config()
-        cfg.model = ModelConfig(vocab_size=32, d_model=64, n_heads=4, head_dim=16,
+        cfg.model = ModelConfig(vocab_size=32, d_model=64, n_heads=4,
                                 n_layers=2, ffn_dim=128, max_len=64, classes=2,
-                                kernel=KernelSpec(variant="glu", depth=3, head_dim=16),
+                                kernel=KernelSpec(variant="glu", depth=3),
                                 attention_kind="kernel_linear", dropout_rate=0.0)
         with pytest.raises(ConfigError, match="0.1"):
             train(cfg, seed=0)
