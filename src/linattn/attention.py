@@ -100,9 +100,8 @@ def kernel_attention_linear(qf: Tensor, kf: Tensor, v: Tensor, mask,
 class AttentionLayerParams:
     """Projection matrices plus per-head kernel weights for one layer.
 
-    ``head_kernels[i]`` feeds both the query and key slices of head i;
-    when ``key_kernels`` is present (spec.share_query_key = False) keys
-    get their own stack. Softmax-only layers carry no kernel stacks.
+    ``head_kernels[i]`` feeds both the query and key slices of head i.
+    Softmax-only layers carry no kernel stacks.
     """
 
     w_q: Tensor
@@ -111,18 +110,14 @@ class AttentionLayerParams:
     w_o: Tensor
     n_heads: int = 1
     head_kernels: list[list[dict[str, Tensor]]] = field(default_factory=list)
-    key_kernels: list[list[dict[str, Tensor]]] | None = None
-
-    def kernel_stacks(self) -> list[list[dict[str, Tensor]]]:
-        """Every feature-map stack of the layer: the query stacks, then the
-        key stacks when keys are unshared."""
-        return self.head_kernels + (self.key_kernels or [])
 
 
 def init_attention_params(d_model: int, n_heads: int, spec: KernelSpec, seed,
                           dtype=np.float32, kind: str = "kernel_linear") -> AttentionLayerParams:
     """Uniform(+-1/sqrt(d)) projections; for the kernel kinds, kernel stacks
-    drawn per head."""
+    drawn per head. ``n_heads`` must divide ``d_model``."""
+    if n_heads < 1 or d_model % n_heads:
+        raise ShapeError(f"d_model {d_model} does not split into {n_heads} heads")
     rng = np.random.default_rng(seed)
 
     def proj():
@@ -133,8 +128,6 @@ def init_attention_params(d_model: int, n_heads: int, spec: KernelSpec, seed,
     if kind != "softmax":
         n = d_model // n_heads
         params.head_kernels = [init_kernel_params(spec, n, rng, dtype) for _ in range(n_heads)]
-        if not spec.share_query_key:
-            params.key_kernels = [init_kernel_params(spec, n, rng, dtype) for _ in range(n_heads)]
     return params
 
 
@@ -197,9 +190,8 @@ def multi_head_kernel_attention(x: Tensor, params: AttentionLayerParams,
     else:
         if len(params.head_kernels) != n_heads:
             raise ShapeError(f"expected {n_heads} kernel stacks, got {len(params.head_kernels)}")
-        key_kernels = params.key_kernels if params.key_kernels is not None else params.head_kernels
         q = _stack_head_features(T.matmul(x, params.w_q), params.head_kernels, spec)
-        k = _stack_head_features(T.matmul(x, params.w_k), key_kernels, spec)
+        k = _stack_head_features(T.matmul(x, params.w_k), params.head_kernels, spec)
         q = _heads(q, n_heads, m, fill=1.0)
         k = _heads(k, n_heads, m, fill=1.0)
     v = _heads(T.matmul(x, params.w_v), n_heads, m)

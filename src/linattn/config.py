@@ -177,8 +177,7 @@ _SECTION_FIELDS = {name: {f.name: f.type for f in fields(cls) if f.name not in _
 
 # The ConfigParser method that converts a value of each annotated field type;
 # other types (str) are read as they stand, and ``seeds`` by _to_seed_list.
-_GETTERS = {"int": "getint", "float": "getfloat", "bool": "getboolean",
-            "float | None": "getfloat"}
+_GETTERS = {"int": "getint", "float": "getfloat", "float | None": "getfloat"}
 
 
 def _line_of(text: str, section: str, key: str, optionxform) -> int:

@@ -14,10 +14,9 @@ before the factorized attention product:
   a rank-r product (n x r)(r x n) to cut parameters.
 
 Stacks of depth 2-3 insert plain gated layers (or, for the softplus
-variant, linear layers under a configurable inner nonlinearity) before
-the positive output layer. No normalization between layers.
-Every layer of every variant is one ``feature_layer``; the stack only
-picks each layer's activation.
+variant, linear layers under gelu) before the positive output layer. No
+normalization between layers. Every layer of every variant is one
+``feature_layer``; the stack only picks each layer's activation.
 """
 
 from __future__ import annotations
@@ -31,9 +30,12 @@ from .errors import ConfigError
 from .tensor import Tensor
 
 VARIANTS = ("linear_softplus", "glu", "oglu", "aoglu")
-INNER_NONLINEARITIES = ("softplus", "gelu", "sigmoid")
 
 MAX_DEPTH = 3
+
+# Variants whose feature matrices (``w``, ``w_feat``) start orthogonal and
+# carry the orthogonality penalty: every variant but plain glu.
+_ORTHOGONAL_VARIANTS = ("linear_softplus", "oglu", "aoglu")
 
 
 @dataclass
@@ -42,20 +44,13 @@ class KernelSpec:
 
     ``gate_rank`` is only meaningful for the ``aoglu`` variant and must
     satisfy 1 <= rank < n / 2 at head width n (``check_gate_rank``).
-    ``low_rank_all_layers`` extends the rank-r gate factorization from the
-    output layer to the intermediate gated layers as well (off by default:
-    intermediate gates stay full rank). ``share_query_key`` controls whether
-    queries and keys run through the same weights within a head.
+    Queries and keys of a head run through the same stack.
     """
 
     variant: str = "linear_softplus"
     depth: int = 1
     gate_rank: int = 0
-    orthogonal_init: bool = True
     ortho_reg_weight: float = 0.01
-    inner_nonlinearity: str = "gelu"
-    low_rank_all_layers: bool = False
-    share_query_key: bool = True
 
     def __post_init__(self):
         self.validate()
@@ -65,10 +60,6 @@ class KernelSpec:
             raise ConfigError(f"unknown kernel variant {self.variant!r}; expected one of {VARIANTS}")
         if not 1 <= self.depth <= MAX_DEPTH:
             raise ConfigError(f"kernel depth must be in [1, {MAX_DEPTH}], got {self.depth}")
-        if self.inner_nonlinearity not in INNER_NONLINEARITIES:
-            raise ConfigError(
-                f"inner_nonlinearity must be one of {INNER_NONLINEARITIES}, "
-                f"got {self.inner_nonlinearity!r}")
         if not 0 <= self.ortho_reg_weight < float("inf"):
             raise ConfigError(
                 f"ortho_reg_weight must be finite and >= 0, got {self.ortho_reg_weight}")
@@ -110,36 +101,31 @@ def init_kernel_params(spec: KernelSpec, n: int, seed,
     ``n``, one dict per layer: ``w``, ``w_feat``/``w_gate`` or ``w_feat``/``gate_in``/``gate_out``.
 
     Matrices subject to the orthogonality penalty (``w`` of the softplus
-    variant, ``w_feat`` of oglu/aoglu) start orthogonal when the spec asks
-    for it; every other matrix uses uniform(-1/sqrt(n), 1/sqrt(n)).
+    variant, ``w_feat`` of oglu/aoglu) start orthogonal; every other matrix
+    uses uniform(-1/sqrt(n), 1/sqrt(n)). Only aoglu's output layer has a
+    rank-r gate.
     """
     check_gate_rank(spec, n)
     rng = np.random.default_rng(seed)
     r = spec.gate_rank
-    ortho = spec.orthogonal_init and spec.variant in ("linear_softplus", "oglu", "aoglu")
+
+    def weight(rows, cols):
+        return Tensor(uniform_init(rng, rows, cols, dtype), requires_grad=True)
 
     def feat_matrix():
-        if ortho:
+        if spec.variant in _ORTHOGONAL_VARIANTS:
             return Tensor(orthogonal_init(n, rng, dtype=dtype), requires_grad=True)
-        return Tensor(uniform_init(rng, n, n, dtype), requires_grad=True)
+        return weight(n, n)
 
     layers = []
     for i in range(spec.depth):
-        last = i == spec.depth - 1
         if spec.variant == "linear_softplus":
             layers.append({"w": feat_matrix()})
-        elif spec.variant in ("glu", "oglu"):
-            layers.append({"w_feat": feat_matrix(),
-                           "w_gate": Tensor(uniform_init(rng, n, n, dtype), requires_grad=True)})
-        else:  # aoglu
-            low_rank = last or spec.low_rank_all_layers
-            layer = {"w_feat": feat_matrix()}
-            if low_rank:
-                layer["gate_in"] = Tensor(uniform_init(rng, n, r, dtype), requires_grad=True)
-                layer["gate_out"] = Tensor(uniform_init(rng, r, n, dtype), requires_grad=True)
-            else:
-                layer["w_gate"] = Tensor(uniform_init(rng, n, n, dtype), requires_grad=True)
-            layers.append(layer)
+        elif spec.variant == "aoglu" and i == spec.depth - 1:
+            layers.append({"w_feat": feat_matrix(), "gate_in": weight(n, r),
+                           "gate_out": weight(r, n)})
+        else:
+            layers.append({"w_feat": feat_matrix(), "w_gate": weight(n, n)})
     return layers
 
 
@@ -158,9 +144,6 @@ def feature_layer(x: Tensor, layer: dict[str, Tensor], act) -> Tensor:
     return h
 
 
-_INNER = {"softplus": T.softplus, "gelu": T.gelu, "sigmoid": T.sigmoid}
-
-
 def kernel_stack_forward(x: Tensor, spec: KernelSpec, layers: list[dict[str, Tensor]]) -> Tensor:
     """Run the full feature-map stack; the final layer output is strictly
     positive for every variant."""
@@ -171,7 +154,7 @@ def kernel_stack_forward(x: Tensor, spec: KernelSpec, layers: list[dict[str, Ten
         if i == spec.depth - 1:
             act = T.softplus
         elif spec.variant == "linear_softplus":
-            act = _INNER[spec.inner_nonlinearity]
+            act = T.gelu
         else:
             act = None
         h = feature_layer(h, layer, act)
@@ -181,12 +164,11 @@ def kernel_stack_forward(x: Tensor, spec: KernelSpec, layers: list[dict[str, Ten
 def regularized_matrices(spec: KernelSpec, layers: list[dict[str, Tensor]]) -> list[Tensor]:
     """The matrices the orthogonality penalty applies to: ``w`` for the
     softplus variant, each layer's ``w_feat`` for oglu/aoglu, none for
-    plain glu."""
-    if spec.variant == "linear_softplus":
-        return [layer["w"] for layer in layers]
-    if spec.variant in ("oglu", "aoglu"):
-        return [layer["w_feat"] for layer in layers]
-    return []
+    plain glu: the matrices ``init_kernel_params`` starts orthogonal."""
+    if spec.variant not in _ORTHOGONAL_VARIANTS:
+        return []
+    key = "w" if spec.variant == "linear_softplus" else "w_feat"
+    return [layer[key] for layer in layers]
 
 
 def orthogonality_penalty(matrices: list[Tensor], weight: float) -> Tensor:

@@ -36,6 +36,11 @@ HEADS = ("classify", "match")
 
 LAYERNORM_EPS = 1e-5
 
+# The largest model ``ModelConfig.validate`` accepts, in parameters (400 MB
+# of float32 weights), so a huge vocab_size or max_len in a config file or a
+# checkpoint header fails before anything allocates.
+MAX_PARAMS = 10**8
+
 
 @dataclass
 class ModelConfig:
@@ -85,6 +90,10 @@ class ModelConfig:
             raise ConfigError(f"classes must be >= 2, got {self.classes}")
         if not 0 <= self.eps < float("inf"):
             raise ConfigError(f"eps must be finite and >= 0, got {self.eps}")
+        account = closed_form_params(self)
+        total = account.base_params + account.kernel_params
+        if total > MAX_PARAMS:
+            raise ConfigError(f"model has {total} parameters, more than the {MAX_PARAMS} allowed")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -106,6 +115,26 @@ class ParamAccount:
     @property
     def ratio(self) -> float:
         return self.kernel_params / self.base_params
+
+
+def closed_form_params(config: ModelConfig) -> ParamAccount:
+    """The counts ``count_params`` finds in a model built from ``config``,
+    computed without building it."""
+    d, f, n, spec = config.d_model, config.ffn_dim, config.head_dim, config.kernel
+    block = 4 * d * d + 2 * d * f + f + 5 * d  # projections, FFN, two layer norms
+    if config.head == "classify":
+        head = d * config.classes + config.classes
+    else:
+        head = 4 * d * d + 3 * d + 2
+    base = (config.vocab_size + config.max_len + 2) * d + config.n_layers * block + head
+    if spec.variant == "linear_softplus":
+        stack = spec.depth * n * n
+    else:  # gated layers; aoglu's output gate is rank r
+        stack = spec.depth * 2 * n * n
+        if spec.variant == "aoglu":
+            stack += 2 * n * spec.gate_rank - n * n
+    kernel = 0 if config.attention_kind == "softmax" else config.n_layers * config.n_heads * stack
+    return ParamAccount(base_params=base, kernel_params=kernel)
 
 
 @dataclass
@@ -170,7 +199,7 @@ class Model:
         return named_tensors(self)
 
     def regularized_matrices(self) -> list[Tensor]:
-        return [w for blk in self.blocks for kp in blk.attn.kernel_stacks()
+        return [w for blk in self.blocks for kp in blk.attn.head_kernels
                 for w in regularized_matrices(self.config.kernel, kp)]
 
     # -- forward -----------------------------------------------------------
@@ -325,7 +354,7 @@ def count_params(model: Model) -> ParamAccount:
     same set a softmax model of this architecture carries).
     """
     kernel = sum(t.size for blk in model.blocks
-                 for t in named_tensors(blk.attn.kernel_stacks()).values())
+                 for t in named_tensors(blk.attn.head_kernels).values())
     total = sum(t.size for t in model.named_parameters().values())
     return ParamAccount(base_params=total - kernel, kernel_params=kernel)
 
@@ -341,7 +370,7 @@ def budget_check(account: ParamAccount, limit: float = 0.10) -> BudgetVerdict:
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"LINATTN1"
-_VERSION = 4
+_VERSION = 5
 _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _CODE_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 

@@ -18,7 +18,7 @@ from . import tensor as T
 from .attention import kernel_attention_linear, kernel_attention_quadratic
 from .kernels import (KernelSpec, feature_layer, init_kernel_params, kernel_stack_forward,
                       orthogonal_init, orthogonality_penalty)
-from .model import ModelConfig, build_model, count_params, forward_classify
+from .model import ModelConfig, build_model, closed_form_params, count_params, forward_classify
 from .tensor import Tensor, cross_entropy, finite_difference_check
 
 VARIANT_GRID = [("linear_softplus", 1), ("linear_softplus", 2), ("linear_softplus", 3),
@@ -146,17 +146,6 @@ def check_gate_materialization() -> list[CheckResult]:
                         detail=f"max diff factored vs dense gate = {diff:.3e}")]
 
 
-def _kernel_param_formula(spec: KernelSpec, n: int) -> int:
-    if spec.variant == "linear_softplus":
-        return spec.depth * n * n
-    if spec.variant in ("glu", "oglu"):
-        return spec.depth * 2 * n * n
-    low_rank_layer = n * n + 2 * n * spec.gate_rank
-    if spec.low_rank_all_layers:
-        return spec.depth * low_rank_layer
-    return (spec.depth - 1) * 2 * n * n + low_rank_layer
-
-
 def check_param_counts() -> list[CheckResult]:
     results = []
     for variant, depth in (("linear_softplus", 1), ("glu", 2), ("aoglu", 3)):
@@ -165,18 +154,12 @@ def check_param_counts() -> list[CheckResult]:
                              n_layers=2, ffn_dim=64, max_len=32, classes=2, kernel=spec,
                              attention_kind="kernel_linear", dropout_rate=0.0)
         model = build_model(config, seed=0)
-        account = count_params(model)
-        d, f = config.d_model, config.ffn_dim
-        base_expected = (config.vocab_size * d + config.max_len * d
-                         + config.n_layers * (4 * d * d + d * f + f + f * d + d + 4 * d)
-                         + 2 * d + d * config.classes + config.classes)
-        kernel_expected = config.n_layers * config.n_heads * _kernel_param_formula(spec, 16)
-        ok = account.base_params == base_expected and account.kernel_params == kernel_expected
+        account, expected = count_params(model), closed_form_params(config)
         results.append(CheckResult(
             name=f"parameter closed form {variant} depth {depth}",
-            passed=ok,
-            detail=f"base {account.base_params} (expected {base_expected}), "
-                   f"kernel {account.kernel_params} (expected {kernel_expected})"))
+            passed=account == expected,
+            detail=f"base {account.base_params} (expected {expected.base_params}), "
+                   f"kernel {account.kernel_params} (expected {expected.kernel_params})"))
 
     n = 16
 

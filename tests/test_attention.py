@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import linattn.tensor as T
-from linattn.attention import (ATTENTION_KINDS, AttentionLayerParams, init_attention_params,
+from linattn.attention import (ATTENTION_KINDS, init_attention_params,
                                kernel_attention_linear, kernel_attention_quadratic,
                                multi_head_kernel_attention, softmax_attention)
 from linattn.errors import ConfigError, ContractError, ShapeError
@@ -291,20 +291,6 @@ class TestMultiHead:
             err = np.abs(g32[name].astype(np.float64) - ref).max()
             assert err <= 1e-5 * np.abs(ref).max(), name
 
-    def test_unshared_query_key_kernels(self):
-        rng = np.random.default_rng(16)
-        spec = KernelSpec(variant="oglu", depth=1, share_query_key=False)
-        params = init_attention_params(8, 1, spec, seed=4, dtype=np.float64)
-        assert params.key_kernels is not None
-        x = Tensor(rng.standard_normal((5, 8)))
-        out = multi_head_kernel_attention(x, params, spec, np.ones(5, bool), eps=0.0)
-        assert out.shape == (5, 8)
-        shared = AttentionLayerParams(w_q=params.w_q, w_k=params.w_k, w_v=params.w_v,
-                                      w_o=params.w_o, n_heads=1,
-                                      head_kernels=params.head_kernels)
-        out_shared = multi_head_kernel_attention(x, shared, spec, np.ones(5, bool), eps=0.0)
-        assert np.abs(out.data - out_shared.data).max() > 1e-6
-
     @pytest.mark.parametrize("kind", ["kernel_linear", "softmax"], ids=["kernel", "softmax"])
     def test_only_packed_rows_accepted(self, kind):
         rng = np.random.default_rng(18)
@@ -327,6 +313,17 @@ class TestMultiHead:
         with pytest.raises(ShapeError):
             multi_head_kernel_attention(Tensor(np.zeros((4, 8))), params, spec,
                                         np.ones(4, bool))
+
+    @pytest.mark.parametrize("d_model, n_heads", [(30, 4), (8, 0), (8, -2)],
+                             ids=["indivisible", "zero-heads", "negative-heads"])
+    def test_bad_head_split_rejected_before_any_draw(self, d_model, n_heads):
+        with pytest.raises(ShapeError, match=rf"d_model {d_model} .* {n_heads} heads"):
+            init_attention_params(d_model, n_heads, KernelSpec(variant="glu"), 0)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ShapeError):
+            init_attention_params(d_model, n_heads, KernelSpec(variant="glu"), rng)
+        assert rng.bit_generator.state == state
 
     def test_unknown_kind_rejected(self):
         spec = make_spec("glu", 1)

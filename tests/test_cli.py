@@ -252,16 +252,31 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=rf"finite\.cfg: {field} must be"):
             parse_config_file(str(p))
 
-    @pytest.mark.parametrize("raw, value", [("On", True), ("no", False), ("1", True),
-                                            ("FALSE", False), ("maybe", None)])
-    def test_boolean_spellings(self, tmp_path, raw, value):
-        p = tmp_path / "bool.cfg"
-        p.write_text(f"[kernel]\nvariant = oglu\northogonal_init = {raw}\n")
-        if value is None:
-            with pytest.raises(ConfigError, match=r"bool\.cfg:3: bad value for orthogonal_init"):
-                parse_config_file(str(p))
-        else:
-            assert parse_config_file(str(p)).model.kernel.orthogonal_init is value
+    @pytest.mark.parametrize("line", ["orthogonal_init = true", "inner_nonlinearity = gelu",
+                                      "low_rank_all_layers = false", "share_query_key = true"])
+    def test_removed_kernel_option_is_an_unknown_key(self, tmp_path, line):
+        p = tmp_path / "old.cfg"
+        p.write_text(f"[kernel]\nvariant = oglu\n{line}\n")
+        with pytest.raises(ConfigError, match=rf"old\.cfg:3: unknown key '{line.split()[0]}'"):
+            parse_config_file(str(p))
+
+    def test_readme_config_block_names_exactly_the_keys(self):
+        text = (ROOT / "README.md").read_text(encoding="utf-8")
+        block = text.split("```ini\n", 1)[1].split("```", 1)[0]
+        documented, section = {}, None
+        for line in block.splitlines():
+            head, _, comment = line.partition(";")
+            if head.strip():
+                section = head.strip().strip("[]")
+                documented[section] = ""
+            documented[section] += " " + comment
+        assert set(documented) == set(linattn.config._SECTION_FIELDS)
+        for section, prose in documented.items():
+            dropped = 1
+            while dropped:  # remove parenthesized notes, innermost first
+                prose, dropped = re.subn(r"\([^()]*\)", "", prose)
+            keys = {key.strip() for key in re.sub(r"^\s*\w+:", "", prose).split(",")}
+            assert keys == set(linattn.config._SECTION_FIELDS[section]), section
 
     def test_defaults_fill_missing_sections(self, tmp_path):
         p = tmp_path / "minimal.cfg"
@@ -272,6 +287,16 @@ class TestConfigParsing:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("line", ["max_len = 99999999999", "vocab_size = 10000000000"])
+    def test_oversized_model_exit_one(self, tmp_path, capsys, line):
+        p = tmp_path / "huge.cfg"
+        p.write_text(f"[model]\n{line}\n")
+        with pytest.raises(ConfigError, match=r"huge\.cfg: model has \d+ parameters, more than"):
+            parse_config_file(str(p))
+        assert main(["params", "--config", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "parameters, more than" in err
+
     def test_missing_config_file(self, capsys):
         assert main(["params", "--config", "/no/such/file.cfg"]) == 1
         assert "/no/such/file.cfg" in capsys.readouterr().err

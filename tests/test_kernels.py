@@ -225,12 +225,6 @@ class TestKernelStack:
         # two full-rank gated layers plus one low-rank output layer
         assert param_count(params) == 2 * 8192 + 6144 == 22528
 
-    def test_depth3_aoglu_all_low_rank_switch(self):
-        spec = KernelSpec(variant="aoglu", depth=3, gate_rank=16,
-                          low_rank_all_layers=True)
-        params = init_kernel_params(spec, 64, 0)
-        assert param_count(params) == 3 * 6144
-
     def test_spec_params_mismatch(self):
         spec = make_spec("glu", 2)
         params = init_kernel_params(make_spec("glu", 1), 8, 0)
@@ -292,7 +286,7 @@ class TestOrthogonalityPenalty:
 
 class TestInitialization:
     def test_orthogonal_flag_respected(self):
-        spec = KernelSpec(variant="oglu", depth=2, orthogonal_init=True)
+        spec = KernelSpec(variant="oglu", depth=2)
         params = init_kernel_params(spec, 16, 0, dtype=np.float64)
         for layer in params:
             w = layer["w_feat"].data

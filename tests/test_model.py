@@ -1,5 +1,6 @@
 """Encoder model: determinism, invariances, accounting, checkpointing."""
 
+import json
 import math
 import struct
 import zlib
@@ -15,11 +16,12 @@ from linattn.data import gen_text_classification, batch_iter
 from linattn.errors import ConfigError, ContractError, DataError
 from linattn.kernels import KernelSpec
 from linattn.model import (ModelConfig, ParamAccount, budget_check, build_model,
-                           count_params, forward_classify, forward_match,
+                           closed_form_params, count_params, forward_classify, forward_match,
                            load_checkpoint, save_checkpoint)
 from linattn.tensor import Tensor, backward
 
-LISTOPS_CFG = Path(__file__).resolve().parent.parent / "configs" / "listops.cfg"
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+LISTOPS_CFG = CONFIGS / "listops.cfg"
 
 
 def small_config(**overrides):
@@ -240,9 +242,7 @@ def kernel_formula(spec: KernelSpec, n: int) -> int:
     elif spec.variant in ("glu", "oglu"):
         per_layer = [2 * n * n] * spec.depth
     else:
-        low = n * n + 2 * n * r
-        per_layer = ([low] * spec.depth if spec.low_rank_all_layers
-                     else [2 * n * n] * (spec.depth - 1) + [low])
+        per_layer = [2 * n * n] * (spec.depth - 1) + [n * n + 2 * n * r]
     return sum(per_layer)
 
 
@@ -283,20 +283,17 @@ class TestCountParams:
         ao_count = count_params(build_model(ao_cfg, 0)).kernel_params
         assert 4 * ao_count == 3 * glu_count
 
-    def test_unshared_query_key_doubles_kernel_stacks(self, tmp_path):
-        shared = build_model(small_config(), seed=0, dtype=np.float64)
-        cfg = small_config(kernel=KernelSpec(variant="oglu", depth=1,
-                                             share_query_key=False))
-        model = build_model(cfg, seed=0, dtype=np.float64)
-        assert count_params(shared).kernel_params == 512
-        assert count_params(model).kernel_params == 1024
-        assert len(shared.regularized_matrices()) == 4
-        assert len(model.regularized_matrices()) == 8
-        save_checkpoint(model, tmp_path / "unshared.ckpt")
-        tokens, mask = random_batch(cfg)
-        np.testing.assert_array_equal(
-            forward_classify(model, tokens, mask).data,
-            forward_classify(load_checkpoint(tmp_path / "unshared.ckpt"), tokens, mask).data)
+    @pytest.mark.parametrize("source", [
+        "softmax", "match-aoglu3", *sorted(p.name for p in CONFIGS.glob("*.cfg"))])
+    def test_closed_form_params_matches_count(self, source):
+        if source == "softmax":
+            cfg = small_config(attention_kind="softmax")
+        elif source == "match-aoglu3":
+            cfg = small_config(head="match", classes=2,
+                               kernel=KernelSpec(variant="aoglu", depth=3, gate_rank=2))
+        else:
+            cfg = parse_config_file(CONFIGS / source).model
+        assert closed_form_params(cfg) == count_params(build_model(cfg, seed=0))
 
     def test_softmax_model_has_no_kernel_params(self):
         cfg = small_config(attention_kind="softmax")
@@ -606,7 +603,7 @@ class TestCheckpoint:
         with pytest.raises(DataError, match="trailing"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
     def test_old_version_rejected(self, tmp_path, version):
         path = tmp_path / "model.ckpt"
         save_checkpoint(build_model(small_config(), seed=24), path)
@@ -614,6 +611,19 @@ class TestCheckpoint:
         struct.pack_into("<I", raw, 8, version)
         path.write_bytes(bytes(raw))
         with pytest.raises(DataError, match=f"unsupported checkpoint version {version}"):
+            load_checkpoint(path)
+
+    def test_oversized_header_rejected_before_building(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(build_model(small_config(), seed=26), path)
+        raw = path.read_bytes()
+        (cfg_len,) = struct.unpack_from("<Q", raw, 12)
+        header = json.loads(raw[20:20 + cfg_len])
+        header["max_len"] = 99999999999
+        text = json.dumps(header, sort_keys=True).encode("utf-8")
+        body = raw[:12] + struct.pack("<Q", len(text)) + text + raw[20 + cfg_len:-4]
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        with pytest.raises(DataError, match="parameters, more than"):
             load_checkpoint(path)
 
     def test_mixed_blob_dtypes_rejected(self, tmp_path):
@@ -648,4 +658,4 @@ class TestCheckpoint:
         save_checkpoint(model, path)
         raw = path.read_bytes()
         assert raw.startswith(b"LINATTN1")
-        assert struct.unpack_from("<I", raw, 8)[0] == 4  # version
+        assert struct.unpack_from("<I", raw, 8)[0] == 5  # version
