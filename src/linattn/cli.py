@@ -154,7 +154,7 @@ def _cmd_params(args) -> int:
     config = parse_config_file(args.config)
     model = build_model(config.model, seed=0)
     account = count_params(model)
-    verdict = budget_check(account, config.budget_limit)
+    verdict = budget_check(account)
     print(f"base parameters:   {account.base_params}")
     print(f"kernel parameters: {account.kernel_params}")
     print(f"ratio:             {account.ratio:.4f}")

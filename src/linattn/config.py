@@ -12,8 +12,8 @@ import configparser
 import re
 from dataclasses import dataclass, field, fields
 
-from .data import (Dataset, gen_listops, gen_matching, gen_text_classification,
-                   load_tsv_dataset)
+from .data import (LISTOPS_SYMBOLS, Dataset, gen_listops, gen_matching,
+                   gen_text_classification, load_tsv_dataset)
 from .errors import ConfigError, DataError
 from .kernels import KernelSpec
 from .model import ModelConfig
@@ -24,21 +24,10 @@ TASK_SOURCES = ("listops", "text_classification", "matching", "tsv")
 @dataclass
 class OptimizerConfig:
     lr: float = 5e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.0
 
     def validate(self):
         if not 0 < self.lr < float("inf"):
             raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
-        for name in ("beta1", "beta2"):
-            if not 0 <= getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
-        if not self.eps > 0:
-            raise ConfigError(f"eps must be > 0, got {self.eps}")
-        if not self.weight_decay >= 0:
-            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
 
 
 @dataclass
@@ -73,8 +62,6 @@ class TaskSpec:
     vocab_size: int = 32
     classes: int = 2
     max_depth: int = 4
-    motif_len: int = 3
-    n_motifs: int = 6
     path: str = ""
     eval_path: str = ""
     data_seed: int = 1234
@@ -86,6 +73,9 @@ class TaskSpec:
             raise ConfigError("tsv task needs a path")
         if self.data_seed < 0:
             raise ConfigError(f"data_seed must be >= 0, got {self.data_seed}")
+        for name in ("count", "eval_count"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     def build(self) -> tuple[Dataset, Dataset]:
         """Materialize (train, eval) datasets."""
@@ -111,9 +101,8 @@ class TaskSpec:
             return gen_listops(seed, count, self.length, self.max_depth)
         if self.source == "text_classification":
             return gen_text_classification(seed, count, self.length, self.vocab_size,
-                                           self.classes, self.motif_len)
-        return gen_matching(seed, count, self.length, self.vocab_size, self.motif_len,
-                            self.n_motifs)
+                                           self.classes)
+        return gen_matching(seed, count, self.length, self.vocab_size)
 
     def _hold_out(self, full: Dataset) -> tuple[Dataset, Dataset]:
         """Split off the last tenth of the rows as the eval split."""
@@ -135,7 +124,6 @@ class TrainConfig:
     accumulation_steps: int = 1
     seeds: list[int] = field(default_factory=lambda: [1, 2, 3, 4, 5])
     eval_every: int = 50
-    budget_limit: float = 0.10
     target_accuracy: float | None = None
 
     def validate(self):
@@ -153,11 +141,32 @@ class TrainConfig:
             raise ConfigError("need at least one seed")
         if any(seed < 0 for seed in self.seeds):
             raise ConfigError(f"seeds must be >= 0, got {self.seeds}")
-        if not 0 < self.budget_limit < float("inf"):
-            raise ConfigError(f"budget_limit must be finite and > 0, got {self.budget_limit}")
         if self.target_accuracy is not None and not 0 <= self.target_accuracy <= 1:
             raise ConfigError(
                 f"target_accuracy must be unset or in [0, 1], got {self.target_accuracy}")
+        self._check_task_fits_model()
+
+    def _check_task_fits_model(self):
+        """A generated task must fit the model it trains. (TSV rows are known
+        only once read; rows longer than max_len are truncated when batched.)"""
+        task, model = self.task, self.model
+        if task.source == "tsv":
+            return
+        if (task.source == "matching") != (model.head == "match"):
+            raise ConfigError(f"task.source = {task.source} needs model.head = "
+                              f"{'match' if task.source == 'matching' else 'classify'}, "
+                              f"got {model.head}")
+        if task.source == "listops":  # a fixed symbol table, values 0-9
+            needs = [("task.source = listops", len(LISTOPS_SYMBOLS), "vocab_size"),
+                     ("task.source = listops", 10, "classes")]
+        else:
+            needs = [(f"task.vocab_size = {task.vocab_size}", task.vocab_size, "vocab_size"),
+                     (f"task.classes = {task.classes}", task.classes, "classes")]
+        for what, need, key in [(f"task.length = {task.length}", task.length, "max_len"),
+                                *needs]:
+            if getattr(model, key) < need:
+                raise ConfigError(f"{what} needs model.{key} >= {need}, "
+                                  f"got {getattr(model, key)}")
 
 
 # ---------------------------------------------------------------------------

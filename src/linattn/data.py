@@ -38,6 +38,10 @@ _DIGIT_BASE = 2 + len(LISTOPS_OPS)
 LISTOPS_ARITY_RANGE = (2, 5)
 LISTOPS_RECURSE_PROB = 0.55
 
+# Motif shape: every motif is a MOTIF_LEN-gram; matching draws from N_MOTIFS.
+MOTIF_LEN = 3
+N_MOTIFS = 6
+
 
 @dataclass
 class Dataset:
@@ -180,15 +184,17 @@ def gen_listops(seed: int, count: int, max_len: int = 128, max_depth: int = 4) -
 # motif classification / matching
 # ---------------------------------------------------------------------------
 
-def _motif_layout(vocab_size: int, n_motifs: int, motif_len: int):
+def _motif_layout(vocab_size: int, length: int, n_motifs: int):
     """Split the vocab into filler ids and per-motif id runs."""
-    needed = 1 + 2 + n_motifs * motif_len  # pad + >=2 filler + motif tokens
+    if length < MOTIF_LEN:
+        raise ConfigError(f"length {length} shorter than a motif ({MOTIF_LEN})")
+    needed = 1 + 2 + n_motifs * MOTIF_LEN  # pad + >=2 filler + motif tokens
     if vocab_size < needed:
         raise ConfigError(
             f"vocab_size {vocab_size} too small for {n_motifs} distinct motifs of "
-            f"length {motif_len} (need >= {needed})")
-    motif_base = vocab_size - n_motifs * motif_len
-    motifs = [tuple(range(motif_base + i * motif_len, motif_base + (i + 1) * motif_len))
+            f"length {MOTIF_LEN} (need >= {needed})")
+    motif_base = vocab_size - n_motifs * MOTIF_LEN
+    motifs = [tuple(range(motif_base + i * MOTIF_LEN, motif_base + (i + 1) * MOTIF_LEN))
               for i in range(n_motifs)]
     return motif_base, motifs
 
@@ -201,8 +207,7 @@ def _plant(rng, length: int, motif, filler_hi: int) -> np.ndarray:
 
 
 def gen_text_classification(seed: int, count: int, length: int = 128,
-                            vocab_size: int = 32, classes: int = 2,
-                            motif_len: int = 3) -> Dataset:
+                            vocab_size: int = 32, classes: int = 2) -> Dataset:
     """Each class plants its own k-gram motif in uniform filler noise.
 
     Filler ids and motif ids are disjoint, so the task is perfectly
@@ -211,37 +216,29 @@ def gen_text_classification(seed: int, count: int, length: int = 128,
     """
     if classes < 2:
         raise ConfigError(f"classes must be >= 2, got {classes}")
-    if length < motif_len:
-        raise ConfigError(f"length {length} shorter than motif_len {motif_len}")
-    filler_hi, motifs = _motif_layout(vocab_size, classes, motif_len)
+    filler_hi, motifs = _motif_layout(vocab_size, length, classes)
     rng = np.random.default_rng(seed)
     labels = np.arange(count) % classes
     rng.shuffle(labels)
     examples = [(_plant(rng, length, motifs[lbl], filler_hi), int(lbl)) for lbl in labels]
     return Dataset(examples=examples, vocab=[str(i) for i in range(vocab_size)],
                    classes=classes, kind="classify",
-                   meta={"task": "text_classification", "motifs": motifs,
-                         "motif_len": motif_len})
+                   meta={"task": "text_classification", "motifs": motifs})
 
 
-def gen_matching(seed: int, count: int, length: int = 128, vocab_size: int = 48,
-                 motif_len: int = 3, n_motifs: int = 6) -> Dataset:
+def gen_matching(seed: int, count: int, length: int = 128, vocab_size: int = 48) -> Dataset:
     """Sequence pairs; label 1 iff both sides carry the same motif."""
-    if n_motifs < 2:
-        raise ConfigError(f"need >= 2 motifs to form negatives, got {n_motifs}")
-    if length < motif_len:
-        raise ConfigError(f"length {length} shorter than motif_len {motif_len}")
-    filler_hi, motifs = _motif_layout(vocab_size, n_motifs, motif_len)
+    filler_hi, motifs = _motif_layout(vocab_size, length, N_MOTIFS)
     rng = np.random.default_rng(seed)
     labels = np.arange(count) % 2
     rng.shuffle(labels)
     examples = []
     for lbl in labels:
-        i = int(rng.integers(0, n_motifs))
+        i = int(rng.integers(0, N_MOTIFS))
         if lbl == 1:
             j = i
         else:
-            j = int(rng.integers(0, n_motifs - 1))
+            j = int(rng.integers(0, N_MOTIFS - 1))
             if j >= i:
                 j += 1
         a = _plant(rng, length, motifs[i], filler_hi)
@@ -249,7 +246,7 @@ def gen_matching(seed: int, count: int, length: int = 128, vocab_size: int = 48,
         examples.append((a, b, int(lbl)))
     return Dataset(examples=examples, vocab=[str(i) for i in range(vocab_size)],
                    classes=2, kind="match",
-                   meta={"task": "matching", "motifs": motifs, "motif_len": motif_len})
+                   meta={"task": "matching", "motifs": motifs})
 
 
 def _find_motifs(tokens: np.ndarray, motifs) -> set[int]:

@@ -2,8 +2,8 @@
 
 Pre-norm blocks (layer norm -> attention -> residual, layer norm -> gelu
 FFN -> residual), learned positional embeddings, a final layer norm, and
-either a linear classification head over pooled features or a two-layer
-matching head over [u, v, u*v, |u-v|] of two independently encoded
+either a linear classification head over mean-pooled features or a
+two-layer matching head over [u, v, u*v, |u-v|] of two independently encoded
 sequences.
 
 The encoder runs one of the attention kinds of ``linattn.attention`` so
@@ -31,7 +31,6 @@ from .errors import ConfigError, DataError, ShapeError
 from .kernels import KernelSpec, check_gate_rank, regularized_matrices, uniform_init
 from .tensor import Tensor
 
-POOLINGS = ("mean", "cls")
 HEADS = ("classify", "match")
 
 LAYERNORM_EPS = 1e-5
@@ -40,6 +39,10 @@ LAYERNORM_EPS = 1e-5
 # of float32 weights), so a huge vocab_size or max_len in a config file or a
 # checkpoint header fails before anything allocates.
 MAX_PARAMS = 10**8
+
+# The additional-parameter budget: feature-map weights must stay strictly
+# below this share of the rest of the model.
+BUDGET_LIMIT = 0.10
 
 
 @dataclass
@@ -55,7 +58,6 @@ class ModelConfig:
     attention_kind: str = "kernel_linear"
     eps: float = 1e-6
     dropout_rate: float = 0.1
-    pooling: str = "mean"
     head: str = "classify"
 
     def __post_init__(self):
@@ -80,8 +82,6 @@ class ModelConfig:
         if self.attention_kind not in ATTENTION_KINDS:
             raise ConfigError(f"attention_kind must be one of {ATTENTION_KINDS}, "
                               f"got {self.attention_kind!r}")
-        if self.pooling not in POOLINGS:
-            raise ConfigError(f"pooling must be one of {POOLINGS}, got {self.pooling!r}")
         if self.head not in HEADS:
             raise ConfigError(f"head must be one of {HEADS}, got {self.head!r}")
         if self.vocab_size < 2:
@@ -141,11 +141,10 @@ def closed_form_params(config: ModelConfig) -> ParamAccount:
 class BudgetVerdict:
     passed: bool
     ratio: float
-    limit: float
 
     def __str__(self):
         word = "PASS" if self.passed else "FAIL"
-        return f"{word}: kernel/base parameter ratio {self.ratio:.4f} vs limit {self.limit:.2f}"
+        return f"{word}: kernel/base parameter ratio {self.ratio:.4f} vs limit {BUDGET_LIMIT:.2f}"
 
 
 @dataclass
@@ -223,12 +222,11 @@ class Model:
 
     def encode(self, tokens: np.ndarray, mask: np.ndarray, train: bool = False,
                rng=None) -> Tensor:
-        """Token ids (B, L) + mask -> pooled features (B, d_model).
+        """Token ids (B, L) + mask -> mean-pooled features (B, d_model).
 
         Every position-wise op runs on the packed rows (N, d_model) of the
         real tokens, in row-major order; only attention's S/z aggregation and
-        the pooling see sequences. ``mean`` pooling averages each sequence's
-        rows; ``cls`` pooling takes its first unmasked position.
+        the pooling, which averages each sequence's rows, see sequences.
         """
         tokens = np.asarray(tokens)
         mask = np.asarray(mask, dtype=bool)
@@ -262,9 +260,6 @@ class Model:
             h = T.add(h, ffn_out)
 
         h = self._layer_norm(h, self.final_gamma, self.final_beta)
-
-        if cfg.pooling == "cls":
-            return T.getitem(h, np.r_[True, seq[1:] != seq[:-1]])
         # Attention rejected empty sequences, so every count is >= 1.
         members = seq == np.arange(b)[:, None]
         return T.matmul(Tensor((members / members.sum(axis=-1, keepdims=True))
@@ -359,10 +354,9 @@ def count_params(model: Model) -> ParamAccount:
     return ParamAccount(base_params=total - kernel, kernel_params=kernel)
 
 
-def budget_check(account: ParamAccount, limit: float = 0.10) -> BudgetVerdict:
-    """Pass iff kernel params stay strictly below ``limit`` of the base."""
-    ratio = account.ratio
-    return BudgetVerdict(passed=ratio < limit, ratio=ratio, limit=limit)
+def budget_check(account: ParamAccount) -> BudgetVerdict:
+    """Pass iff kernel params stay strictly below ``BUDGET_LIMIT`` of the base."""
+    return BudgetVerdict(passed=account.ratio < BUDGET_LIMIT, ratio=account.ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +364,7 @@ def budget_check(account: ParamAccount, limit: float = 0.10) -> BudgetVerdict:
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"LINATTN1"
-_VERSION = 5
+_VERSION = 6
 _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _CODE_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 

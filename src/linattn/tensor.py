@@ -496,27 +496,25 @@ def _is_bool_mask(key) -> bool:
 
 
 def getitem(x, key) -> Tensor:
-    """``x[key]``. Keys that cannot select an element twice (basic keys and
-    boolean masks) get their gradient by assignment; other advanced keys
-    (integer arrays, lists, boolean scalars) may repeat elements, so theirs
-    scatter-adds."""
+    """``x[key]`` for a basic key or a boolean mask, which never select an
+    element twice, so the gradient is assigned. Other keys (integer arrays,
+    lists, boolean scalars) may repeat elements and raise ``ShapeError``;
+    ``embedding`` is the integer gather."""
     x = _as_tensor(x)
+    if not (_is_basic_key(key) or _is_bool_mask(key)):
+        raise ShapeError("getitem takes basic keys and boolean masks only: an integer "
+                         "array, list or boolean scalar may select an element twice")
     if _is_bool_mask(key) and key.shape == x.shape[:key.ndim] and key.all():
         # Every element selected, as for a batch without padding: a reshape.
         return _make(x.data.reshape((-1,) + x.shape[key.ndim:]), (x,),
                      lambda g: (g.reshape(x.shape),))
-    out = x.data[key]
-    assign = _is_basic_key(key) or _is_bool_mask(key)
 
     def vjp(g):
         dx = np.zeros_like(x.data)
-        if assign:
-            dx[key] = g
-        else:
-            np.add.at(dx, key, g)
+        dx[key] = g
         return (dx,)
 
-    return _make(np.ascontiguousarray(out), (x,), vjp)
+    return _make(np.ascontiguousarray(x.data[key]), (x,), vjp)
 
 
 def unpack(x, mask, fill: float = 0.0) -> Tensor:

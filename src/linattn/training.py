@@ -30,7 +30,7 @@ from .config import TrainConfig
 from .data import Batch, Dataset, MatchBatch, batch_iter
 from .errors import ConfigError
 from .kernels import orthogonality_penalty
-from .model import (Model, budget_check, build_model, count_params,
+from .model import (BUDGET_LIMIT, Model, budget_check, build_model, count_params,
                     forward_classify, forward_match, save_checkpoint)
 from .tensor import Tensor, backward, no_grad
 
@@ -65,21 +65,24 @@ class TrainResult:
     steps_run: int = 0
 
 
-class Adam:
-    """Adam with bias correction and decoupled weight decay."""
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
-    def __init__(self, params: dict[str, Tensor], beta1=0.9, beta2=0.999,
-                 eps=1e-8, weight_decay=0.0):
+
+class Adam:
+    """Adam with bias correction at ``ADAM_BETA1``, ``ADAM_BETA2`` and
+    ``ADAM_EPS``; no weight decay."""
+
+    def __init__(self, params: dict[str, Tensor]):
         self.params = params
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.weight_decay = weight_decay
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.t = 0
 
     def step(self, grads: dict[str, np.ndarray], lr: float):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
         for name, p in self.params.items():
@@ -90,9 +93,7 @@ class Adam:
             m += (1 - b1) * g
             v *= b2
             v += (1 - b2) * (g * g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            if self.weight_decay:
-                update = update + self.weight_decay * p.data
+            update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
             p.data -= (lr * update).astype(p.data.dtype, copy=False)
 
 
@@ -198,15 +199,14 @@ def train(config: TrainConfig, seed: int, out_dir: str | None = None,
     train_ds, eval_ds = config.task.build()
 
     model = build_model(config.model, seed, dtype=dtype)
-    verdict = budget_check(count_params(model), config.budget_limit)
+    verdict = budget_check(count_params(model))
     if not verdict.passed and not override_budget:
         raise ConfigError(
             f"over parameter budget: kernel/base ratio {verdict.ratio:.4f} >= "
-            f"{verdict.limit:.2f} (pass --override-budget to train anyway)")
+            f"{BUDGET_LIMIT:.2f} (pass --override-budget to train anyway)")
 
     params = model.named_parameters()
-    opt = Adam(params, beta1=config.optimizer.beta1, beta2=config.optimizer.beta2,
-               eps=config.optimizer.eps, weight_decay=config.optimizer.weight_decay)
+    opt = Adam(params)
     dropout_rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
     stream = _batch_stream(train_ds, config.micro_batch, config.model.max_len, seed)
 

@@ -67,11 +67,10 @@ class TestParameterAccounting:
                *summarize(check_param_counts()))
 
     def test_budget_gate_rejects_at_limit(self):
-        at_limit = budget_check(ParamAccount(base_params=1000, kernel_params=100), 0.10)
-        below = budget_check(ParamAccount(base_params=1000, kernel_params=99), 0.10)
+        at_limit = budget_check(ParamAccount(base_params=1000, kernel_params=100))
+        below = budget_check(ParamAccount(base_params=1000, kernel_params=99))
         config = parse_config_file(CONFIGS / "glu3.cfg")
-        over = budget_check(count_params(build_model(config.model, 0)),
-                            config.budget_limit)
+        over = budget_check(count_params(build_model(config.model, 0)))
         with pytest.raises(ConfigError):
             train(config, seed=1)
         ok = (not at_limit.passed) and below.passed and (not over.passed)

@@ -91,7 +91,7 @@ class TestGenTextClassification:
 
     def test_vocab_too_small_rejected(self):
         with pytest.raises(ConfigError, match="vocab"):
-            gen_text_classification(0, 10, length=32, vocab_size=6, classes=2, motif_len=3)
+            gen_text_classification(0, 10, length=32, vocab_size=6, classes=2)
 
     def test_pad_never_emitted(self):
         ds = gen_text_classification(3, 200, length=32)

@@ -43,7 +43,7 @@ def random_batch(cfg, b=4, length=20, seed=0):
 def padded_hidden(model, tokens, mask):
     """Final hidden states (B, L, d) of the encoder run on the padded batch,
     as the encoder ran before it packed its rows: the reference for what
-    each pooling reads at the real positions."""
+    the pooling reads at the real positions."""
     cfg = model.config
     h = T.add(T.embedding(model.embed_tokens, tokens),
               T.getitem(model.embed_pos, np.s_[:tokens.shape[1]]))
@@ -321,11 +321,11 @@ class TestBudgetCheck:
         assert verdict.passed and verdict.ratio == 0.0
 
     def test_exactly_at_limit_fails(self):
-        verdict = budget_check(ParamAccount(base_params=1000, kernel_params=100), limit=0.10)
+        verdict = budget_check(ParamAccount(base_params=1000, kernel_params=100))
         assert not verdict.passed
 
     def test_just_below_passes(self):
-        verdict = budget_check(ParamAccount(base_params=1000, kernel_params=99), limit=0.10)
+        verdict = budget_check(ParamAccount(base_params=1000, kernel_params=99))
         assert verdict.passed
 
     def test_triple_gated_stack_small_backbone_fails(self):
@@ -339,29 +339,7 @@ class TestBudgetCheck:
 
 
 class TestPooling:
-    """``cls`` reads the first unmasked position of each sequence; ``mean``
-    averages the unmasked positions."""
-
-    def test_cls_on_right_padded_batch_reads_slot_zero(self):
-        model = build_model(small_config(pooling="cls"), seed=21, dtype=np.float64)
-        tokens, mask = random_batch(model.config, b=4, length=12, seed=1)
-        mask[1, 5:] = False
-        mask[3, 1:] = False
-        logits = forward_classify(model, tokens, mask).data
-        expected = classify_head(model, padded_hidden(model, tokens, mask)[:, 0])
-        np.testing.assert_allclose(logits, expected, rtol=0, atol=1e-12)
-
-    def test_cls_on_left_padded_batch_reads_first_real_token(self):
-        model = build_model(small_config(pooling="cls"), seed=22, dtype=np.float64)
-        tokens, mask = random_batch(model.config, b=3, length=10, seed=2)
-        mask[0, :4] = False
-        mask[2, :9] = False
-        first = np.argmax(mask, axis=-1)
-        logits = forward_classify(model, tokens, mask).data
-        hidden = padded_hidden(model, tokens, mask)
-        expected = classify_head(model, hidden[np.arange(3), first])
-        np.testing.assert_allclose(logits, expected, rtol=0, atol=1e-12)
-        assert np.abs(logits[0] - classify_head(model, hidden[0, 0])).max() > 1e-6
+    """Pooling averages the unmasked positions of each sequence."""
 
     def test_mean_averages_real_positions(self):
         model = build_model(small_config(), seed=23, dtype=np.float64)
@@ -373,9 +351,8 @@ class TestPooling:
         np.testing.assert_allclose(forward_classify(model, tokens, mask).data,
                                    classify_head(model, pooled), rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("pooling", ["mean", "cls"])
-    def test_empty_sequence_rejected(self, pooling):
-        model = build_model(small_config(pooling=pooling), seed=24, dtype=np.float64)
+    def test_empty_sequence_rejected(self):
+        model = build_model(small_config(), seed=24, dtype=np.float64)
         tokens, mask = random_batch(model.config, b=3, length=8)
         mask[1] = False
         with pytest.raises(ContractError, match="at least one unmasked"):
@@ -392,10 +369,10 @@ class TestPaddingInvariance:
     LENGTHS = (17, 12, 24, 14)  # 67 of 96 slots real: 30% padding
 
     @staticmethod
-    def _model(kind, variant, pooling):
+    def _model(kind, variant):
         spec = KernelSpec(variant=variant, depth=2,
                           gate_rank=2 if variant == "aoglu" else 0)
-        cfg = small_config(kernel=spec, attention_kind=kind, pooling=pooling, eps=0.0)
+        cfg = small_config(kernel=spec, attention_kind=kind, eps=0.0)
         return build_model(cfg, seed=25, dtype=np.float64)
 
     def _batch(self, cfg, seed=4):
@@ -410,11 +387,10 @@ class TestPaddingInvariance:
         grads = backward(T.sum(T.mul(logits, Tensor(weights))), params=params)
         return logits.data, {name: grads[p].data for name, p in params.items()}
 
-    @pytest.mark.parametrize("pooling", ["mean", "cls"])
     @pytest.mark.parametrize("kind,variant", PADDING_KINDS,
                              ids=[f"{k}-{v}" for k, v in PADDING_KINDS])
-    def test_batch_equals_each_sequence_alone(self, kind, variant, pooling):
-        model = self._model(kind, variant, pooling)
+    def test_batch_equals_each_sequence_alone(self, kind, variant):
+        model = self._model(kind, variant)
         tokens, mask = self._batch(model.config)
         weights = np.random.default_rng(5).standard_normal((len(self.LENGTHS), 3))
         logits, grads = self._loss_and_grads(model, tokens, mask, weights)
@@ -428,11 +404,10 @@ class TestPaddingInvariance:
         for name, g in grads.items():
             np.testing.assert_allclose(g, summed[name], rtol=0, atol=1e-12, err_msg=name)
 
-    @pytest.mark.parametrize("pooling", ["mean", "cls"])
     @pytest.mark.parametrize("kind,variant", PADDING_KINDS,
                              ids=[f"{k}-{v}" for k, v in PADDING_KINDS])
-    def test_pad_token_ids_change_nothing(self, kind, variant, pooling):
-        model = self._model(kind, variant, pooling)
+    def test_pad_token_ids_change_nothing(self, kind, variant):
+        model = self._model(kind, variant)
         tokens, mask = self._batch(model.config)
         other = tokens.copy()
         other[~mask] = np.random.default_rng(6).integers(0, model.config.vocab_size,
@@ -444,7 +419,7 @@ class TestPaddingInvariance:
     @pytest.mark.parametrize("kind,variant", PADDING_KINDS,
                              ids=[f"{k}-{v}" for k, v in PADDING_KINDS])
     def test_zero_eps_gradients_finite(self, kind, variant):
-        model = self._model(kind, variant, "mean")
+        model = self._model(kind, variant)
         assert model.config.eps == 0.0
         tokens, mask = self._batch(model.config, seed=7)
         with np.errstate(divide="raise", invalid="raise"):
@@ -603,7 +578,7 @@ class TestCheckpoint:
         with pytest.raises(DataError, match="trailing"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
     def test_old_version_rejected(self, tmp_path, version):
         path = tmp_path / "model.ckpt"
         save_checkpoint(build_model(small_config(), seed=24), path)
@@ -658,4 +633,4 @@ class TestCheckpoint:
         save_checkpoint(model, path)
         raw = path.read_bytes()
         assert raw.startswith(b"LINATTN1")
-        assert struct.unpack_from("<I", raw, 8)[0] == 5  # version
+        assert struct.unpack_from("<I", raw, 8)[0] == 6  # version

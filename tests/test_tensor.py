@@ -459,8 +459,8 @@ class TestDtypeDiscipline:
 
 
 class TestGetitemGradient:
-    """Basic keys are assigned, advanced keys scatter-add; both must equal
-    the np.add.at scatter exactly."""
+    """Basic keys and boolean masks are assigned and must equal the np.add.at
+    scatter exactly; keys that may select an element twice are rejected."""
 
     @staticmethod
     def _grad_and_reference(key):
@@ -485,13 +485,14 @@ class TestGetitemGradient:
         grad, reference = self._grad_and_reference(key)
         np.testing.assert_array_equal(grad, reference)
 
-    @pytest.mark.parametrize("key", [np.array([2, 0, 2, 2]), np.s_[[1, 1], :, 0],
-                                     np.array([True, False, True, True])],
-                             ids=["repeated-ints", "repeated-list", "bool-mask"])
-    def test_advanced_keys_accumulate_duplicates(self, key):
-        assert not T._is_basic_key(key)
-        grad, reference = self._grad_and_reference(key)
-        np.testing.assert_array_equal(grad, reference)
+    @pytest.mark.parametrize("key", [np.array([2, 0, 2, 2]), np.s_[[1, 1], :, 0], True,
+                                     (0, np.bool_(True))],
+                             ids=["repeated-ints", "repeated-list", "bool-scalar",
+                                  "int-bool-scalar"])
+    def test_repeatable_keys_rejected(self, key):
+        x = t64(np.zeros((4, 5, 3)), grad=True)
+        with pytest.raises(ShapeError, match="basic keys and boolean masks only"):
+            T.getitem(x, key)
 
     def test_bool_scalar_key_is_advanced(self):
         assert not T._is_basic_key(True)
