@@ -31,5 +31,5 @@ for rec in result.records:
         acc = f"{rec.eval_accuracy:.3f}" if rec.eval_accuracy is not None else "  -  "
         print(f"{rec.step:>4}   {rec.train_loss:>9.4f}   {rec.ortho_penalty:.3e}   {acc}")
 
-print(f"\nstopped at step {result.steps_run} with eval accuracy "
+print(f"\nstopped at step {result.records[-1].step} with eval accuracy "
       f"{result.final_accuracy:.3f}")

@@ -6,7 +6,7 @@ low-rank gate pushes it out.
 """
 
 from linattn.kernels import KernelSpec
-from linattn.model import ModelConfig, budget_check, build_model, count_params
+from linattn.model import ModelConfig, build_model, count_params
 
 BASE = dict(vocab_size=32, d_model=64, n_heads=4, n_layers=2,
             ffn_dim=128, max_len=128, classes=2, attention_kind="kernel_linear",
@@ -19,8 +19,7 @@ for variant in ("linear_softplus", "glu", "oglu", "aoglu"):
                           gate_rank=4 if variant == "aoglu" else 0)
         model = build_model(ModelConfig(kernel=spec, **BASE), seed=0)
         account = count_params(model)
-        verdict = budget_check(account)
-        word = "ok" if verdict.passed else "OVER"
+        word = "ok" if account.within_budget else "OVER"
         print(f"{variant:<18} x{depth}      {account.kernel_params:>8}      "
               f"{account.ratio:.4f}   {word}")
 

@@ -13,8 +13,8 @@ from .attention import (AttentionLayerParams, kernel_attention_linear,
 from .errors import ConfigError, ContractError, DataError, GraphError, ShapeError
 from .kernels import (KernelSpec, feature_layer, kernel_stack_forward, orthogonal_init,
                       orthogonality_penalty)
-from .model import (ModelConfig, ParamAccount, budget_check, build_model, count_params,
-                    forward_classify, forward_match, load_checkpoint, save_checkpoint)
+from .model import (ModelConfig, ParamAccount, build_model, count_params, forward_classify,
+                    forward_match, load_checkpoint, save_checkpoint)
 from .tensor import Tensor, backward, finite_difference_check, no_grad
 
 __version__ = "0.1.0"

@@ -25,6 +25,7 @@ WARMUP_PASSES = 2
 D_MODEL, N_HEADS, FFN_DIM = 64, 4, 64  # the one-layer encoder that is timed
 SEED = 0  # model initialization and token draws
 MIN_MEDIAN_MS = 1.0
+MAX_REPEATS = 64  # the cap on doubling a repeat count below MIN_MEDIAN_MS
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -84,13 +85,13 @@ def _bench_config(kind: str, max_len: int) -> ModelConfig:
         attention_kind=kind, eps=1e-6, dropout_rate=0.0)
 
 
-def _time_lengths(model, inputs, repeats: int, max_repeats: int) -> list[tuple[float, int]]:
+def _time_lengths(model, inputs, repeats: int) -> list[tuple[float, int]]:
     """(median ms, repeats) of forward passes for each (tokens, mask) input.
 
     The inputs are timed round-robin, one pass each per round, so a burst
     of load on the machine spreads over every length instead of landing on
     one. An input whose median is under ``MIN_MEDIAN_MS`` once it has its
-    repeats gets twice as many (up to ``max_repeats``).
+    repeats gets twice as many (up to ``MAX_REPEATS``).
     """
     times = [[] for _ in inputs]
     target = [repeats] * len(inputs)
@@ -100,9 +101,9 @@ def _time_lengths(model, inputs, repeats: int, max_repeats: int) -> list[tuple[f
                 forward_classify(model, tokens, mask)
         while True:
             for i, ts in enumerate(times):
-                if (len(ts) == target[i] < max_repeats
+                if (len(ts) == target[i] < MAX_REPEATS
                         and np.median(ts) < MIN_MEDIAN_MS):
-                    target[i] = min(target[i] * 2, max_repeats)
+                    target[i] = min(target[i] * 2, MAX_REPEATS)
             pending = [i for i, ts in enumerate(times) if len(ts) < target[i]]
             if not pending:
                 return [(float(np.median(ts)), len(ts)) for ts in times]
@@ -125,12 +126,11 @@ def check_scaling_args(lengths: list[int], repeats: int):
         raise ConfigError(f"lengths must be strictly increasing, got {lengths}")
 
 
-def bench_scaling(lengths, repeats: int = 5, dtype=np.float32,
-                  max_repeats: int = 64) -> BenchResult:
+def bench_scaling(lengths, repeats: int = 5, dtype=np.float32) -> BenchResult:
     """Measure both attention kinds across ``lengths`` and fit exponents.
 
     When the median lands under 1 ms the repeat count doubles (up to
-    ``max_repeats``) for a steadier median; if it still cannot resolve, a
+    ``MAX_REPEATS``) for a steadier median; if it still cannot resolve, a
     warning is recorded instead of failing.
     """
     lengths = [int(x) for x in lengths]
@@ -141,7 +141,7 @@ def bench_scaling(lengths, repeats: int = 5, dtype=np.float32,
         model = build_model(_bench_config(kind, max(lengths)), seed=SEED, dtype=dtype)
         inputs = [(rng.integers(1, 32, size=(1, length)), np.ones((1, length), dtype=bool))
                   for length in lengths]
-        timed = _time_lengths(model, inputs, repeats, max_repeats)
+        timed = _time_lengths(model, inputs, repeats)
         for length, (median, reps) in zip(lengths, timed):
             if median < MIN_MEDIAN_MS:
                 result.resolution_warnings.append(

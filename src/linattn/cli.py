@@ -20,7 +20,7 @@ import numpy as np
 from .bench import bench_environment, bench_scaling, check_scaling_args
 from .config import parse_config_file
 from .errors import ConfigError, ContractError, DataError
-from .model import budget_check, build_model, count_params, load_checkpoint
+from .model import BUDGET_LIMIT, build_model, count_params, load_checkpoint
 from .training import evaluate, run_seeds, train
 from .verify import run_verify
 
@@ -82,10 +82,10 @@ def _cmd_train(args) -> int:
     if args.out_dir:
         _write_environment(args.out_dir)
     if result.diverged:
-        print(f"run diverged at step {result.steps_run} "
+        print(f"run diverged at step {result.records[-1].step} "
               f"(non-finite loss, orthogonality penalty or eval loss)")
         return EXIT_DIVERGED
-    print(f"finished after {result.steps_run} steps: "
+    print(f"finished after {result.records[-1].step} steps: "
           f"eval accuracy {result.final_accuracy:.4f}")
     if result.checkpoint_path:
         print(f"checkpoint: {result.checkpoint_path}")
@@ -152,13 +152,12 @@ def _cmd_verify(args) -> int:
 
 def _cmd_params(args) -> int:
     config = parse_config_file(args.config)
-    model = build_model(config.model, seed=0)
-    account = count_params(model)
-    verdict = budget_check(account)
+    account = count_params(build_model(config.model, seed=0))
     print(f"base parameters:   {account.base_params}")
     print(f"kernel parameters: {account.kernel_params}")
     print(f"ratio:             {account.ratio:.4f}")
-    print(verdict)
+    print(f"{'PASS' if account.within_budget else 'FAIL'}: kernel/base parameter ratio "
+          f"{account.ratio:.4f} vs limit {BUDGET_LIMIT:.2f}")
     return EXIT_OK
 
 

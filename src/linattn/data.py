@@ -49,11 +49,12 @@ class Dataset:
 
     ``examples`` holds (tokens, label) pairs for ``kind="classify"`` and
     (tokens_a, tokens_b, label) triples for ``kind="match"``; tokens are
-    int arrays, labels ints below ``classes``.
+    int arrays, labels ints below ``classes``. ``vocab`` names each id
+    (listops) or, for a task whose ids name nothing, is the id range.
     """
 
     examples: list
-    vocab: list[str]
+    vocab: list[str] | range
     classes: int
     kind: str = "classify"
     meta: dict = field(default_factory=dict)
@@ -221,8 +222,7 @@ def gen_text_classification(seed: int, count: int, length: int = 128,
     labels = np.arange(count) % classes
     rng.shuffle(labels)
     examples = [(_plant(rng, length, motifs[lbl], filler_hi), int(lbl)) for lbl in labels]
-    return Dataset(examples=examples, vocab=[str(i) for i in range(vocab_size)],
-                   classes=classes, kind="classify",
+    return Dataset(examples=examples, vocab=range(vocab_size), classes=classes, kind="classify",
                    meta={"task": "text_classification", "motifs": motifs})
 
 
@@ -244,8 +244,7 @@ def gen_matching(seed: int, count: int, length: int = 128, vocab_size: int = 48)
         a = _plant(rng, length, motifs[i], filler_hi)
         b = _plant(rng, length, motifs[j], filler_hi)
         examples.append((a, b, int(lbl)))
-    return Dataset(examples=examples, vocab=[str(i) for i in range(vocab_size)],
-                   classes=2, kind="match",
+    return Dataset(examples=examples, vocab=range(vocab_size), classes=2, kind="match",
                    meta={"task": "matching", "motifs": motifs})
 
 
@@ -286,7 +285,7 @@ def load_tsv_dataset(path) -> Dataset:
     """Rows are ``label<TAB>ids`` (classify) or ``label<TAB>ids<TAB>ids``
     (match), ids space-separated integers. The first row's column count
     sets the schema; every later row must have the same count. The vocab
-    is max id + 1."""
+    is the id range up to the largest id."""
     examples = []
     max_id = 0
     max_label = 0
@@ -324,8 +323,7 @@ def load_tsv_dataset(path) -> Dataset:
             examples.append((*token_cols, label))
     if not examples:
         raise DataError(f"{path}: no rows")
-    vocab = [str(i) for i in range(max_id + 1)]
-    return Dataset(examples=examples, vocab=vocab, classes=max_label + 1,
+    return Dataset(examples=examples, vocab=range(max_id + 1), classes=max_label + 1,
                    kind="classify" if want_cols == 2 else "match",
                    meta={"task": "tsv", "path": str(path)})
 

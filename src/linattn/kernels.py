@@ -21,7 +21,7 @@ normalization between layers. Every layer of every variant is one
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -56,6 +56,7 @@ class KernelSpec:
         self.validate()
 
     def validate(self):
+        check_int_fields(self)
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown kernel variant {self.variant!r}; expected one of {VARIANTS}")
         if not 1 <= self.depth <= MAX_DEPTH:
@@ -63,6 +64,16 @@ class KernelSpec:
         if not 0 <= self.ortho_reg_weight < float("inf"):
             raise ConfigError(
                 f"ortho_reg_weight must be finite and >= 0, got {self.ortho_reg_weight}")
+
+
+def check_int_fields(spec):
+    """Reject a float, bool or string (a checkpoint header can carry one) in
+    a dataclass field annotated ``int``."""
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if f.type == "int" and (isinstance(value, bool)
+                                or not isinstance(value, (int, np.integer))):
+            raise ConfigError(f"{f.name} must be an integer, got {value!r}")
 
 
 def check_gate_rank(spec: KernelSpec, n: int):

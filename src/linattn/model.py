@@ -28,7 +28,8 @@ from . import tensor as T
 from .attention import (ATTENTION_KINDS, AttentionLayerParams, init_attention_params,
                         multi_head_kernel_attention)
 from .errors import ConfigError, DataError, ShapeError
-from .kernels import KernelSpec, check_gate_rank, regularized_matrices, uniform_init
+from .kernels import (KernelSpec, check_gate_rank, check_int_fields, regularized_matrices,
+                      uniform_init)
 from .tensor import Tensor
 
 HEADS = ("classify", "match")
@@ -70,6 +71,7 @@ class ModelConfig:
 
     def validate(self):
         self.kernel.validate()
+        check_int_fields(self)
         for name in ("n_heads", "d_model", "max_len", "n_layers", "ffn_dim"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -95,15 +97,6 @@ class ModelConfig:
         if total > MAX_PARAMS:
             raise ConfigError(f"model has {total} parameters, more than the {MAX_PARAMS} allowed")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        d = dict(d)
-        d["kernel"] = KernelSpec(**d["kernel"])
-        return cls(**d)
-
 
 @dataclass
 class ParamAccount:
@@ -115,6 +108,11 @@ class ParamAccount:
     @property
     def ratio(self) -> float:
         return self.kernel_params / self.base_params
+
+    @property
+    def within_budget(self) -> bool:
+        """Kernel parameters strictly below ``BUDGET_LIMIT`` of the base."""
+        return self.ratio < BUDGET_LIMIT
 
 
 def closed_form_params(config: ModelConfig) -> ParamAccount:
@@ -138,16 +136,6 @@ def closed_form_params(config: ModelConfig) -> ParamAccount:
 
 
 @dataclass
-class BudgetVerdict:
-    passed: bool
-    ratio: float
-
-    def __str__(self):
-        word = "PASS" if self.passed else "FAIL"
-        return f"{word}: kernel/base parameter ratio {self.ratio:.4f} vs limit {BUDGET_LIMIT:.2f}"
-
-
-@dataclass
 class Block:
     ln1_gamma: Tensor
     ln1_beta: Tensor
@@ -164,7 +152,7 @@ def named_tensors(tree, prefix: str = "") -> dict[str, Tensor]:
     """Every tensor in a tree of dataclasses (fields in order), dicts (keys
     in order) and lists (indices in order), named by its dotted path, such
     as ``blocks.0.attn.head_kernels.1.0.w_feat``. Leaves that are not
-    tensors (configs, dtypes, counts, ``None``) are skipped."""
+    tensors (configs, counts, ``None``) are skipped."""
     if isinstance(tree, Tensor):
         return {prefix: tree}
     if is_dataclass(tree):
@@ -184,7 +172,6 @@ class Model:
     parameters are the tensors of its tree, named by their paths."""
 
     config: ModelConfig
-    dtype: np.dtype
     embed_tokens: Tensor
     embed_pos: Tensor
     blocks: list[Block]
@@ -210,19 +197,19 @@ class Model:
         inv = T.div(centered, T.sqrt(T.add(var, float(LAYERNORM_EPS))))
         return T.add(T.mul(inv, gamma), beta)
 
-    def _dropout(self, x: Tensor, mask: np.ndarray, train: bool, rng) -> Tensor:
-        """Inverted dropout on packed rows. The keep mask is drawn at the
-        padded shape and then gathered, so the random stream does not
-        depend on how much of the batch is padding."""
+    def _dropout(self, x: Tensor, mask: np.ndarray, rng) -> Tensor:
+        """Inverted dropout on packed rows, iff an ``rng`` is given. The keep
+        mask is drawn at the padded shape and then gathered, so the random
+        stream does not depend on how much of the batch is padding."""
         rate = self.config.dropout_rate
-        if not train or rate == 0.0 or rng is None:
+        if rng is None or rate == 0.0:
             return x
         keep = rng.random(mask.shape + x.shape[1:]) >= rate
         return T.mul(x, Tensor(keep[mask].astype(x.dtype) / (1.0 - rate)))
 
-    def encode(self, tokens: np.ndarray, mask: np.ndarray, train: bool = False,
-               rng=None) -> Tensor:
-        """Token ids (B, L) + mask -> mean-pooled features (B, d_model).
+    def encode(self, tokens: np.ndarray, mask: np.ndarray, rng=None) -> Tensor:
+        """Token ids (B, L) + mask -> mean-pooled features (B, d_model), with
+        dropout iff ``rng`` is given.
 
         Every position-wise op runs on the packed rows (N, d_model) of the
         real tokens, in row-major order; only attention's S/z aggregation and
@@ -251,11 +238,11 @@ class Model:
             normed = self._layer_norm(h, blk.ln1_gamma, blk.ln1_beta)
             attn_out = multi_head_kernel_attention(normed, blk.attn, cfg.kernel, mask,
                                                    eps=cfg.eps, kind=cfg.attention_kind)
-            h = T.add(h, self._dropout(attn_out, mask, train, rng))
+            h = T.add(h, self._dropout(attn_out, mask, rng))
 
             normed = self._layer_norm(h, blk.ln2_gamma, blk.ln2_beta)
             inner = T.gelu(T.add(T.matmul(normed, blk.ffn_w1), blk.ffn_b1))
-            inner = self._dropout(inner, mask, train, rng)
+            inner = self._dropout(inner, mask, rng)
             ffn_out = T.add(T.matmul(inner, blk.ffn_w2), blk.ffn_b2)
             h = T.add(h, ffn_out)
 
@@ -263,7 +250,7 @@ class Model:
         # Attention rejected empty sequences, so every count is >= 1.
         members = seq == np.arange(b)[:, None]
         return T.matmul(Tensor((members / members.sum(axis=-1, keepdims=True))
-                               .astype(self.dtype)), h)
+                               .astype(h.dtype)), h)
 
 
 def build_model(config: ModelConfig, seed: int, dtype=np.float32) -> Model:
@@ -307,35 +294,33 @@ def build_model(config: ModelConfig, seed: int, dtype=np.float32) -> Model:
             "w": param(uniform_init(rng, d, config.classes, dtype)),
             "b": param(np.zeros(config.classes, dtype=dtype)),
         }
-    else:
-        hidden = d
+    else:  # a hidden layer of width d_model
         head = {
-            "w1": param(uniform_init(rng, 4 * d, hidden, dtype)),
-            "b1": param(np.zeros(hidden, dtype=dtype)),
-            "w2": param(uniform_init(rng, hidden, 2, dtype)),
+            "w1": param(uniform_init(rng, 4 * d, d, dtype)),
+            "b1": param(np.zeros(d, dtype=dtype)),
+            "w2": param(uniform_init(rng, d, 2, dtype)),
             "b2": param(np.zeros(2, dtype=dtype)),
         }
-    return Model(config, dtype, embed_tokens, embed_pos, blocks, final_gamma, final_beta, head)
+    return Model(config, embed_tokens, embed_pos, blocks, final_gamma, final_beta, head)
 
 
-def forward_classify(model: Model, tokens, mask, train: bool = False, rng=None) -> Tensor:
-    """Logits (B, classes) for a batch of padded token sequences."""
+def forward_classify(model: Model, tokens, mask, rng=None) -> Tensor:
+    """Logits (B, classes) of padded token sequences, with dropout iff ``rng`` is given."""
     if model.config.head != "classify":
         raise ConfigError("model was built with a matching head")
-    pooled = model.encode(tokens, mask, train=train, rng=rng)
+    pooled = model.encode(tokens, mask, rng=rng)
     return T.add(T.matmul(pooled, model.head["w"]), model.head["b"])
 
 
-def forward_match(model: Model, tokens_a, mask_a, tokens_b, mask_b,
-                  train: bool = False, rng=None) -> Tensor:
-    """Logits (B, 2) for sequence pairs encoded independently.
+def forward_match(model: Model, tokens_a, mask_a, tokens_b, mask_b, rng=None) -> Tensor:
+    """Logits (B, 2) for sequence pairs encoded independently (dropout iff ``rng``).
 
     Head input is [u, v, u*v, |u-v|] through a gelu hidden layer.
     """
     if model.config.head != "match":
         raise ConfigError("model was built with a classification head")
-    u = model.encode(tokens_a, mask_a, train=train, rng=rng)
-    v = model.encode(tokens_b, mask_b, train=train, rng=rng)
+    u = model.encode(tokens_a, mask_a, rng=rng)
+    v = model.encode(tokens_b, mask_b, rng=rng)
     feats = T.concat([u, v, T.mul(u, v), T.abs(T.sub(u, v))], axis=-1)
     hidden = T.gelu(T.add(T.matmul(feats, model.head["w1"]), model.head["b1"]))
     return T.add(T.matmul(hidden, model.head["w2"]), model.head["b2"])
@@ -352,11 +337,6 @@ def count_params(model: Model) -> ParamAccount:
                  for t in named_tensors(blk.attn.head_kernels).values())
     total = sum(t.size for t in model.named_parameters().values())
     return ParamAccount(base_params=total - kernel, kernel_params=kernel)
-
-
-def budget_check(account: ParamAccount) -> BudgetVerdict:
-    """Pass iff kernel params stay strictly below ``BUDGET_LIMIT`` of the base."""
-    return BudgetVerdict(passed=account.ratio < BUDGET_LIMIT, ratio=account.ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +357,7 @@ def save_checkpoint(model: Model, path):
     buf = io.BytesIO()
     buf.write(_MAGIC)
     buf.write(struct.pack("<I", _VERSION))
-    cfg = json.dumps(model.config.to_dict(), sort_keys=True).encode("utf-8")
+    cfg = json.dumps(asdict(model.config), sort_keys=True).encode("utf-8")
     buf.write(struct.pack("<Q", len(cfg)))
     buf.write(cfg)
     buf.write(struct.pack("<I", len(params)))
@@ -420,7 +400,8 @@ def load_checkpoint(path) -> Model:
         raise DataError(f"{path}: unsupported checkpoint version {version}")
     (cfg_len,) = unpack("<Q")
     try:
-        config = ModelConfig.from_dict(json.loads(take(cfg_len).decode("utf-8")))
+        header = json.loads(take(cfg_len).decode("utf-8"))
+        config = ModelConfig(**{**header, "kernel": KernelSpec(**header["kernel"])})
     except (ValueError, TypeError, KeyError) as exc:
         raise DataError(f"{path}: bad config header ({exc})") from None
 

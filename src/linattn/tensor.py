@@ -623,10 +623,10 @@ def _toposort(root: Tensor) -> list[Tensor]:
     return order
 
 
-def backward(loss: Tensor, params=None) -> dict[Tensor, Tensor]:
+def backward(loss: Tensor, params=None) -> dict[Tensor, np.ndarray]:
     """Reverse-mode gradients of a scalar loss for every trainable leaf.
 
-    Returns a mapping from leaf tensor (identity) to its gradient tensor.
+    Returns a mapping from leaf tensor (identity) to its gradient array.
     When ``params`` is given (an iterable or name->tensor mapping), every
     requested tensor gets exactly one entry, zero-filled if the loss does
     not depend on it. The traversed graph is consumed. Every gradient keeps
@@ -642,13 +642,13 @@ def backward(loss: Tensor, params=None) -> dict[Tensor, Tensor]:
 
     order = _toposort(loss)
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    leaves: dict[Tensor, Tensor] = {}
+    leaves: dict[Tensor, np.ndarray] = {}
     for node in reversed(order):
         g = grads.pop(id(node), None)
         if g is None:
             continue
         if node._vjp is None:
-            leaves[node] = Tensor(g)
+            leaves[node] = np.asarray(g)  # 0-d products come back as numpy scalars
             continue
         for p, pg in zip(node._prev, node._vjp(g)):
             if not p.requires_grad or pg is None:
@@ -666,7 +666,7 @@ def backward(loss: Tensor, params=None) -> dict[Tensor, Tensor]:
         requested = params.values() if isinstance(params, dict) else params
         for p in requested:
             if p not in leaves:
-                leaves[p] = Tensor(np.zeros_like(p.data))
+                leaves[p] = np.zeros_like(p.data)
     return leaves
 
 
@@ -705,7 +705,7 @@ def finite_difference_check(f: Callable[[dict], Tensor], params: dict,
 
     report: dict[str, FiniteDiffReport] = {}
     for name, p in params.items():
-        g = grads[p].data
+        g = grads[p]
         worst = 0.0
         failed = False
         for idx in np.ndindex(p.shape):

@@ -30,8 +30,8 @@ from .config import TrainConfig
 from .data import Batch, Dataset, MatchBatch, batch_iter
 from .errors import ConfigError
 from .kernels import orthogonality_penalty
-from .model import (BUDGET_LIMIT, Model, budget_check, build_model, count_params,
-                    forward_classify, forward_match, save_checkpoint)
+from .model import (BUDGET_LIMIT, Model, build_model, count_params, forward_classify,
+                    forward_match, save_checkpoint)
 from .tensor import Tensor, backward, no_grad
 
 
@@ -56,13 +56,20 @@ class MetricsRecord:
 
 @dataclass
 class TrainResult:
-    final: MetricsRecord
+    """A run's records (one per step run), its model and its checkpoint."""
+
     records: list[MetricsRecord]
     model: Model
-    final_accuracy: float
-    diverged: bool
     checkpoint_path: str | None = None
-    steps_run: int = 0
+
+    @property
+    def diverged(self) -> bool:
+        return self.records[-1].diverged
+
+    @property
+    def final_accuracy(self) -> float:
+        """0 if the run diverged, else the eval accuracy of its last step."""
+        return 0.0 if self.diverged else self.records[-1].eval_accuracy
 
 
 ADAM_BETA1 = 0.9
@@ -108,18 +115,18 @@ def lr_at(step: int, base_lr: float, warmup_steps: int, total_steps: int,
     return base_lr * math.sqrt(max(warmup_steps, 1) / step)
 
 
-def _logits(model: Model, batch, train: bool = False, rng=None) -> Tensor:
-    """Logits of a classification batch or of a matching batch."""
+def _logits(model: Model, batch, rng=None) -> Tensor:
+    """Logits of a classification or matching batch; dropout iff ``rng``."""
     if isinstance(batch, MatchBatch):
         return forward_match(model, batch.tokens_a, batch.mask_a,
-                             batch.tokens_b, batch.mask_b, train=train, rng=rng)
-    return forward_classify(model, batch.tokens, batch.mask, train=train, rng=rng)
+                             batch.tokens_b, batch.mask_b, rng=rng)
+    return forward_classify(model, batch.tokens, batch.mask, rng=rng)
 
 
 def _forward_loss(model: Model, batch, rng) -> tuple[Tensor, Tensor]:
     """Training loss (cross-entropy plus the kernel spec's weighted
     orthogonality penalty) and the cross-entropy alone."""
-    task_loss = T.cross_entropy(_logits(model, batch, train=True, rng=rng), batch.labels)
+    task_loss = T.cross_entropy(_logits(model, batch, rng=rng), batch.labels)
     weight = model.config.kernel.ortho_reg_weight
     mats = model.regularized_matrices()
     if weight > 0 and mats:
@@ -148,9 +155,9 @@ def _accumulated_step(model: Model, params: dict[str, Tensor], stream, k: int, r
         grads = backward(loss, params=params)
         for name, p in params.items():
             if name in grad_sum:
-                grad_sum[name] += grads[p].data
+                grad_sum[name] += grads[p]
             else:
-                grad_sum[name] = grads[p].data.copy()
+                grad_sum[name] = grads[p].copy()
     for g in grad_sum.values():
         g /= k
     return loss_sum / k, task_sum / k, grad_sum
@@ -199,10 +206,10 @@ def train(config: TrainConfig, seed: int, out_dir: str | None = None,
     train_ds, eval_ds = config.task.build()
 
     model = build_model(config.model, seed, dtype=dtype)
-    verdict = budget_check(count_params(model))
-    if not verdict.passed and not override_budget:
+    account = count_params(model)
+    if not account.within_budget and not override_budget:
         raise ConfigError(
-            f"over parameter budget: kernel/base ratio {verdict.ratio:.4f} >= "
+            f"over parameter budget: kernel/base ratio {account.ratio:.4f} >= "
             f"{BUDGET_LIMIT:.2f} (pass --override-budget to train anyway)")
 
     params = model.named_parameters()
@@ -214,7 +221,6 @@ def train(config: TrainConfig, seed: int, out_dir: str | None = None,
         os.makedirs(out_dir, exist_ok=True)
     sched = config.schedule
     records: list[MetricsRecord] = []
-    final_acc = 0.0
     with (open(os.path.join(out_dir, "metrics.jsonl"), "w", encoding="utf-8")
           if out_dir else nullcontext()) as fh:
         for step in range(1, sched.total_steps + 1):
@@ -231,7 +237,6 @@ def train(config: TrainConfig, seed: int, out_dir: str | None = None,
                 if ((config.eval_every and step % config.eval_every == 0)
                         or step == sched.total_steps):
                     eval_acc, eval_loss = evaluate(model, eval_ds, batch_size=64)
-                    final_acc = eval_acc
 
             penalty = _measure_penalty(model)
             diverged = not all(math.isfinite(v) for v in (loss, penalty, eval_loss))
@@ -251,14 +256,11 @@ def train(config: TrainConfig, seed: int, out_dir: str | None = None,
                                 and eval_acc >= config.target_accuracy):
                 break
 
-    diverged = records[-1].diverged
-    checkpoint_path = None
-    if out_dir and not diverged:
-        checkpoint_path = os.path.join(out_dir, "checkpoint.bin")
-        save_checkpoint(model, checkpoint_path)
-    return TrainResult(final=records[-1], records=records, model=model,
-                       final_accuracy=0.0 if diverged else final_acc, diverged=diverged,
-                       checkpoint_path=checkpoint_path, steps_run=records[-1].step)
+    result = TrainResult(records=records, model=model)
+    if out_dir and not result.diverged:
+        result.checkpoint_path = os.path.join(out_dir, "checkpoint.bin")
+        save_checkpoint(model, result.checkpoint_path)
+    return result
 
 
 @dataclass
@@ -294,7 +296,7 @@ def run_seeds(config: TrainConfig, out_dir: str | None = None, dtype=np.float32,
         result = train(config, seed, out_dir=seed_dir, dtype=dtype,
                        override_budget=override_budget, log=log)
         row = {"seed": seed, "accuracy": result.final_accuracy,
-               "steps": result.steps_run, "diverged": result.diverged}
+               "steps": result.records[-1].step, "diverged": result.diverged}
         summary.rows.append(row)
         if result.diverged:
             summary.diverged_seeds.append(seed)

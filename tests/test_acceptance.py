@@ -16,7 +16,7 @@ from linattn.bench import bench_scaling
 from linattn.config import parse_config_file
 from linattn.errors import ConfigError
 from linattn.kernels import KernelSpec
-from linattn.model import ModelConfig, ParamAccount, budget_check, build_model, count_params
+from linattn.model import ModelConfig, ParamAccount, build_model, count_params
 from linattn.training import train
 from linattn.verify import (check_gradients, check_oracle_equivalence, check_orthogonal_init,
                             check_param_counts, check_positivity)
@@ -67,13 +67,13 @@ class TestParameterAccounting:
                *summarize(check_param_counts()))
 
     def test_budget_gate_rejects_at_limit(self):
-        at_limit = budget_check(ParamAccount(base_params=1000, kernel_params=100))
-        below = budget_check(ParamAccount(base_params=1000, kernel_params=99))
+        at_limit = ParamAccount(base_params=1000, kernel_params=100)
+        below = ParamAccount(base_params=1000, kernel_params=99)
         config = parse_config_file(CONFIGS / "glu3.cfg")
-        over = budget_check(count_params(build_model(config.model, 0)))
+        over = count_params(build_model(config.model, 0))
         with pytest.raises(ConfigError):
             train(config, seed=1)
-        ok = (not at_limit.passed) and below.passed and (not over.passed)
+        ok = (not at_limit.within_budget) and below.within_budget and (not over.within_budget)
         report("budget gate (strict: ratio >= 0.10 rejected, training refused)",
                ok, f"ratio 0.100 -> fail, 0.099 -> pass, shipped 3x gated config "
                    f"ratio {over.ratio:.4f} -> refused")
@@ -99,7 +99,7 @@ class TestOrthogonality:
                 optimizer=OptimizerConfig(lr=1e-3),
                 schedule=ScheduleConfig(warmup_steps=0, total_steps=200),
                 micro_batch=16, eval_every=0)
-            return train(cfg, seed=5, dtype=np.float64).final.ortho_penalty
+            return train(cfg, seed=5, dtype=np.float64).records[-1].ortho_penalty
 
         with_reg = run(0.01)
         without = run(0.0)
@@ -156,10 +156,10 @@ class TestDeskScaleLearning:
             res = train(config, seed=1)
             results[name] = res
         elapsed = time.time() - t0
-        ok = all(r.final_accuracy >= 0.95 and r.steps_run <= 2000
+        ok = all(r.final_accuracy >= 0.95 and r.records[-1].step <= 2000
                  for r in results.values()) and elapsed < 1800
         detail = ", ".join(f"{n.split('.')[0]}: {r.final_accuracy:.3f} in "
-                           f"{r.steps_run} steps" for n, r in results.items())
+                           f"{r.records[-1].step} steps" for n, r in results.items())
         report("desk-scale learning (>= 95% within 2000 steps, both kernels)",
                ok, f"{detail}, {elapsed:.0f}s total")
 

@@ -283,7 +283,7 @@ class TestMultiHead:
                                               eps=1e-6)
             grads = backward(T.mean(T.mul(T.square(out), Tensor(c.astype(dtype)))),
                              params=named)
-            return {name: grads[t].data for name, t in named.items()}
+            return {name: grads[t] for name, t in named.items()}
 
         g32, g64 = gradients(np.float32), gradients(np.float64)
         for name, ref in g64.items():

@@ -21,15 +21,17 @@ class TestOpCount:
 
 
 class TestBenchScaling:
-    def test_row_per_kind_and_length(self):
-        result = bench_scaling([8, 16, 32], repeats=2, max_repeats=4)
+    def test_row_per_kind_and_length(self, monkeypatch):
+        monkeypatch.setattr(linattn.bench, "MAX_REPEATS", 4)
+        result = bench_scaling([8, 16, 32], repeats=2)
         assert len(result.rows) == 6
         got = {(r.kind, r.length) for r in result.rows}
         expected = {(k, L) for k in ("kernel_linear", "softmax") for L in (8, 16, 32)}
         assert got == expected
 
-    def test_tiny_lengths_trigger_repeat_escalation(self):
-        result = bench_scaling([8, 16, 32], repeats=2, max_repeats=8)
+    def test_tiny_lengths_trigger_repeat_escalation(self, monkeypatch):
+        monkeypatch.setattr(linattn.bench, "MAX_REPEATS", 8)
+        result = bench_scaling([8, 16, 32], repeats=2)
         assert any(r.repeats > 2 for r in result.rows)
         # sub-millisecond medians at the cap are warned about, not fatal
         assert all("below timer" in w for w in result.resolution_warnings)
@@ -46,7 +48,8 @@ class TestBenchScaling:
 
         monkeypatch.setattr(linattn.bench, "forward_classify", record)
         lengths = [8, 16, 32]
-        result = bench_scaling(lengths, repeats=3, max_repeats=3)
+        monkeypatch.setattr(linattn.bench, "MAX_REPEATS", 3)
+        result = bench_scaling(lengths, repeats=3)
         assert [r.repeats for r in result.rows] == [3] * 6
         warmup = [L for L in lengths for _ in range(WARMUP_PASSES)]
         for kind in ("kernel_linear", "softmax"):

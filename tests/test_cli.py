@@ -4,8 +4,10 @@ import argparse
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +20,7 @@ from linattn.cli import main
 from linattn.config import parse_config_file
 from linattn.data import gen_matching, save_tsv_dataset
 from linattn.errors import ConfigError
-from linattn.model import load_checkpoint
+from linattn.model import build_model, load_checkpoint, save_checkpoint
 from linattn.tensor import MALLOC_POLICY
 from linattn.training import evaluate
 
@@ -562,6 +564,25 @@ class TestEvalCommand:
         assert main(["eval", "--config", fast_cfg, "--checkpoint", str(ckpt)]) == 1
         err = capsys.readouterr().err
         assert "error:" in err and str(ckpt) in err
+
+    @pytest.mark.parametrize("field,value", [("vocab_size", 12.0), ("n_layers", 1.0),
+                                             ("kernel.depth", 1.0), ("classes", True),
+                                             ("d_model", "32")])
+    def test_non_integer_header_field_exit_one(self, fast_cfg, tmp_path, capsys, field, value):
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(build_model(parse_config_file(fast_cfg).model, seed=0), ckpt)
+        raw = ckpt.read_bytes()
+        (cfg_len,) = struct.unpack_from("<Q", raw, 12)
+        header = json.loads(raw[20:20 + cfg_len])
+        *section, key = field.split(".")
+        (header[section[0]] if section else header)[key] = value
+        text = json.dumps(header, sort_keys=True).encode("utf-8")
+        body = raw[:12] + struct.pack("<Q", len(text)) + text + raw[20 + cfg_len:-4]
+        ckpt.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        capsys.readouterr()
+        assert main(["eval", "--config", fast_cfg, "--checkpoint", str(ckpt)]) == 1
+        err = capsys.readouterr().err
+        assert f"{key} must be an integer" in err and str(ckpt) in err
 
 
 class TestSeedsCommand:

@@ -278,7 +278,7 @@ class TestOrthogonalityPenalty:
         w = Tensor(rng.standard_normal((5, 5)), requires_grad=True)
         grads = backward(orthogonality_penalty([w], 1.0), params={"w": w})
         analytic = 4.0 * w.data @ (w.data.T @ w.data - np.eye(5))
-        np.testing.assert_allclose(grads[w].data, analytic, rtol=1e-10)
+        np.testing.assert_allclose(grads[w], analytic, rtol=1e-10)
         report = finite_difference_check(
             lambda p: orthogonality_penalty([p["w"]], 1.0), {"w": w}, step=1e-5)
         assert report["w"].max_rel_err <= 1e-6

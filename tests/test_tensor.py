@@ -77,7 +77,7 @@ class TestSoftplus:
         x = t64(np.linspace(-6, 6, 25), grad=True)
         grads = backward(T.sum(T.softplus(x)))
         expected = 1.0 / (1.0 + np.exp(-x.data))
-        np.testing.assert_allclose(grads[x].data, expected, atol=1e-12)
+        np.testing.assert_allclose(grads[x], expected, atol=1e-12)
 
 
 class TestSigmoid:
@@ -131,7 +131,7 @@ class TestElementwise:
         out = T.mul(T.sum(x, axis=0), 2.0)
         np.testing.assert_array_equal(out.data, [6.0, 10.0, 14.0])
         grads = backward(T.sum(out))
-        np.testing.assert_array_equal(grads[x].data, np.full((2, 3), 2.0))
+        np.testing.assert_array_equal(grads[x], np.full((2, 3), 2.0))
 
 
 class TestBroadcastVjps:
@@ -245,12 +245,12 @@ class TestBackward:
     def test_sum_gives_ones(self):
         w = t64(np.random.default_rng(7).standard_normal((2, 2)), grad=True)
         grads = backward(T.sum(w))
-        np.testing.assert_array_equal(grads[w].data, np.ones((2, 2)))
+        np.testing.assert_array_equal(grads[w], np.ones((2, 2)))
 
     def test_sum_square_gives_2w(self):
         w = t64(np.random.default_rng(8).standard_normal((3, 3)), grad=True)
         grads = backward(T.sum(T.square(w)))
-        np.testing.assert_allclose(grads[w].data, 2 * w.data, atol=1e-14)
+        np.testing.assert_allclose(grads[w], 2 * w.data, atol=1e-14)
 
     def test_non_scalar_loss_rejected(self):
         w = t64(np.ones(3), grad=True)
@@ -277,15 +277,19 @@ class TestBackward:
 
         def run():
             w = t64(w_data, grad=True)
-            return backward(T.sum(T.softplus(T.matmul(w, w))))[w].data
+            return backward(T.sum(T.softplus(T.matmul(w, w))))[w]
 
         np.testing.assert_array_equal(run(), run())
 
     def test_params_argument_fills_zeros(self):
-        w = t64(np.ones(2), grad=True)
-        unused = t64(np.ones(3), grad=True)
-        grads = backward(T.sum(w), params={"w": w, "unused": unused})
-        np.testing.assert_array_equal(grads[unused].data, np.zeros(3))
+        for dtype in (np.float32, np.float64):
+            w = Tensor(np.ones(2, dtype=dtype), requires_grad=True)
+            unused = Tensor(np.ones(3, dtype=dtype), requires_grad=True)
+            grads = backward(T.sum(T.square(w)), params={"w": w, "unused": unused})
+            for g in grads.values():  # arrays of the operand dtype, reached or not
+                assert type(g) is np.ndarray and g.dtype == dtype
+            np.testing.assert_array_equal(grads[w], np.full(2, 2.0))
+            np.testing.assert_array_equal(grads[unused], np.zeros(3))
 
     def test_constant_inputs_are_not_leaves(self):
         w = t64(np.ones(2), grad=True)
@@ -333,7 +337,7 @@ class TestFiniteDifferenceCheck:
 
         grads = backward(f({"w": w}), params={"w": w})
         analytic = 4.0 * w.data @ (w.data.T @ w.data - np.eye(4))
-        np.testing.assert_allclose(grads[w].data, analytic, rtol=1e-10)
+        np.testing.assert_allclose(grads[w], analytic, rtol=1e-10)
         report = finite_difference_check(f, {"w": w}, step=1e-5)
         assert report["w"].max_rel_err <= 1e-6
 
@@ -397,7 +401,7 @@ class TestStructuralOps:
         expected = np.zeros((6, 3))
         expected[1] = 2.0
         expected[4] = 1.0
-        np.testing.assert_array_equal(grads[table].data, expected)
+        np.testing.assert_array_equal(grads[table], expected)
 
     def test_embedding_rejects_out_of_range(self):
         table = t64(np.zeros((4, 2)), grad=True)
@@ -474,7 +478,7 @@ class TestGetitemGradient:
         report = finite_difference_check(
             lambda p: T.sum(T.mul(T.getitem(p["x"], key), t64(w))), {"x": x}, step=1e-5)
         assert report["x"].max_rel_err <= 1e-6
-        return grads[x].data, reference
+        return grads[x], reference
 
     @pytest.mark.parametrize("key", [np.s_[1:3], np.s_[:, ::-2], -1, np.s_[..., 2],
                                      np.s_[None, 2], np.s_[1, None, -2:]],
@@ -531,7 +535,7 @@ class TestUnpack:
         x = t64(rng.standard_normal((int(mask.sum()), 3)), grad=True)
         w = rng.standard_normal(mask.shape + (3,))
         grads = backward(T.sum(T.mul(T.unpack(x, mask, fill=1.0), t64(w))))
-        np.testing.assert_array_equal(grads[x].data, w[mask])
+        np.testing.assert_array_equal(grads[x], w[mask])
         report = finite_difference_check(
             lambda p: T.sum(T.mul(T.unpack(p["x"], mask, fill=2.0), t64(w))),
             {"x": x}, step=1e-5)
@@ -556,9 +560,9 @@ class TestEmbeddingGradient:
         grads = backward(T.sum(T.mul(T.embedding(table, ids), t64(w))))
         reference = np.zeros(table.shape)
         np.add.at(reference, ids.reshape(-1), w.reshape(-1, 4))
-        np.testing.assert_allclose(grads[table].data, reference, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(grads[table], reference, rtol=0, atol=1e-12)
         absent = [2, 4, 5, 6, 8]
-        assert np.all(grads[table].data[absent] == 0.0)
+        assert np.all(grads[table][absent] == 0.0)
         report = finite_difference_check(
             lambda p: T.sum(T.mul(T.embedding(p["t"], ids), t64(w))), {"t": table}, step=1e-5)
         assert report["t"].max_rel_err <= 1e-6
@@ -581,13 +585,13 @@ class TestSaturatedLogistic:
             sp = T.softplus(x)
             grads = backward(T.sum(T.add(s, sp)))
         assert s.dtype == sp.dtype == grads[x].dtype == dtype
-        for out in (s.data, sp.data, grads[x].data):
+        for out in (s.data, sp.data, grads[x]):
             assert np.all(np.isfinite(out))
         assert s.data[0] == tiny and sp.data[0] == tiny
         assert s.data[-1] == 1.0 and sp.data[-1] == dtype(1e4)
         assert np.all(s.data >= tiny) and np.all(sp.data >= tiny)
         # d/dx [sigmoid + softplus] = s (1 - s) + s; both terms vanish at -1e4
-        np.testing.assert_allclose(grads[x].data, s.data * (1 - s.data) + s.data,
+        np.testing.assert_allclose(grads[x], s.data * (1 - s.data) + s.data,
                                    rtol=1e-6, atol=tiny)
 
     def test_gradients_match_finite_differences(self):
@@ -623,7 +627,7 @@ class TestScipyOracles:
         y = T.gelu(tx)
         np.testing.assert_array_equal(y.data, x * cdf)
         grads = backward(T.sum(T.mul(y, Tensor(g))))
-        np.testing.assert_array_equal(grads[tx].data, g * (cdf + x * pdf))
+        np.testing.assert_array_equal(grads[tx], g * (cdf + x * pdf))
 
     def test_float32_gelu_against_exact(self):
         x = np.linspace(-8.0, 8.0, 100_001, dtype=np.float32)
@@ -644,8 +648,8 @@ class TestScipyOracles:
         tx, td = Tensor(x, requires_grad=True), Tensor(dense, requires_grad=True)
         yx, yd = T.gelu(tx), T.gelu(td)
         np.testing.assert_array_equal(yx.data, yd.data)
-        np.testing.assert_array_equal(backward(T.sum(yx))[tx].data,
-                                      backward(T.sum(yd))[td].data)
+        np.testing.assert_array_equal(backward(T.sum(yx))[tx],
+                                      backward(T.sum(yd))[td])
 
     def test_float64_gelu_bit_identical_to_formula(self):
         x = np.random.default_rng(22).standard_normal((64, 33)) * 4
@@ -657,7 +661,7 @@ class TestScipyOracles:
         y = T.gelu(tx)
         np.testing.assert_array_equal(y.data, x * cdf)
         grads = backward(T.sum(T.mul(y, t64(g))))
-        np.testing.assert_array_equal(grads[tx].data, g * (cdf + x * pdf))
+        np.testing.assert_array_equal(grads[tx], g * (cdf + x * pdf))
 
     def test_zero_dimensional_inputs(self):
         for dtype in (np.float32, np.float64):
@@ -687,7 +691,7 @@ class TestScipyOracles:
         x = np.concatenate([np.linspace(-20.0, 20.0, 400_001),
                             np.linspace(-700.0, 700.0, 140_001)]).astype(dtype)
         tx = Tensor(x, requires_grad=True)
-        got = backward(T.sum(T.softplus(tx)))[tx].data
+        got = backward(T.sum(T.softplus(tx)))[tx]
         ref = expit(x.astype(np.float64))
         assert got.dtype == dtype
         tiny = np.finfo(dtype).tiny
@@ -725,8 +729,8 @@ class TestConstantOperands:
 
         unused = t64(np.ones(2), grad=True)
         grads = backward(T.sum(call(w)), params={"w": w, "c": c, "unused": unused})
-        np.testing.assert_array_equal(grads[c].data, np.zeros(c.shape))
-        np.testing.assert_array_equal(grads[unused].data, np.zeros(2))
+        np.testing.assert_array_equal(grads[c], np.zeros(c.shape))
+        np.testing.assert_array_equal(grads[unused], np.zeros(2))
         report = finite_difference_check(lambda p: T.sum(T.square(call(p["w"]))), {"w": w},
                                          step=1e-6)
         assert report["w"].max_rel_err <= 1e-6

@@ -161,7 +161,7 @@ class TestTrainLoop:
         with pytest.raises(ConfigError, match="0.1"):
             train(cfg, seed=0)
         res = train(cfg, seed=0, override_budget=True)
-        assert res.steps_run >= 1
+        assert len(res.records) >= 1
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_flagged(self, tmp_path):
@@ -172,9 +172,9 @@ class TestTrainLoop:
         out = tmp_path / "run"
         res = train(cfg, seed=0, dtype=np.float32, out_dir=str(out))
         assert res.diverged
-        assert res.final.diverged
-        assert math.isnan(res.final.train_loss)  # in memory, NaN stays NaN
-        assert res.steps_run == res.final.step
+        assert res.records[-1].diverged
+        assert math.isnan(res.records[-1].train_loss)  # in memory, NaN stays NaN
+        assert res.records[-1].step == len(res.records)
         assert res.checkpoint_path is None
         assert not (out / "checkpoint.bin").exists()
 
@@ -183,7 +183,7 @@ class TestTrainLoop:
 
         lines = (out / "metrics.jsonl").read_text().splitlines()
         recs = [json.loads(line, parse_constant=reject) for line in lines]
-        assert len(recs) == res.steps_run
+        assert len(recs) == len(res.records)
         assert recs[-1]["diverged"] is True
         assert recs[-1]["train_loss"] is None
 
@@ -195,9 +195,9 @@ class TestTrainLoop:
         cfg.optimizer = OptimizerConfig(lr=1e18)
         out = tmp_path / "run"
         res = train(cfg, seed=0, dtype=np.float32, out_dir=str(out))
-        assert math.isfinite(res.final.train_loss)
-        assert not math.isfinite(res.final.ortho_penalty)
-        assert res.diverged and res.final.diverged
+        assert math.isfinite(res.records[-1].train_loss)
+        assert not math.isfinite(res.records[-1].ortho_penalty)
+        assert res.diverged
         assert res.final_accuracy == 0.0
         assert res.checkpoint_path is None
         assert not (out / "checkpoint.bin").exists()
@@ -209,9 +209,9 @@ class TestTrainLoop:
                             lambda *args, **kwargs: (0.5, float("nan")))
         cfg = tiny_config(steps=4, eval_every=2)
         res = train(cfg, seed=0, out_dir=str(tmp_path))
-        assert res.diverged and res.steps_run == 2
+        assert res.diverged and res.records[-1].step == 2
         assert [r.diverged for r in res.records] == [False, True]
-        assert math.isfinite(res.final.ortho_penalty)
+        assert math.isfinite(res.records[-1].ortho_penalty)
         assert res.final_accuracy == 0.0
         assert not (tmp_path / "checkpoint.bin").exists()
 
@@ -221,12 +221,12 @@ class TestTrainLoop:
         cfg.optimizer = OptimizerConfig(lr=2e-3)
         res = train(cfg, seed=1)
         assert res.final_accuracy >= 0.9
-        assert res.steps_run < 400
+        assert res.records[-1].step < 400
 
     def test_ortho_regularization_reduces_measured_penalty(self):
         reg = train(tiny_config(steps=200, lam=0.01), seed=5, dtype=np.float64)
         unreg = train(tiny_config(steps=200, lam=0.0), seed=5, dtype=np.float64)
-        assert reg.final.ortho_penalty < unreg.final.ortho_penalty
+        assert reg.records[-1].ortho_penalty < unreg.records[-1].ortho_penalty
 
 
 class TestRunSeeds:
@@ -251,7 +251,8 @@ class TestRunSeeds:
         accs = {}
 
         def fixed(config, seed, **kw):
-            return SimpleNamespace(final_accuracy=accs[seed], steps_run=1, diverged=False)
+            return SimpleNamespace(final_accuracy=accs[seed], records=[SimpleNamespace(step=1)],
+                                   diverged=False)
 
         monkeypatch.setattr(tr, "train", fixed)
         for offset, flagged in ((0.001, True), (-0.001, False)):
@@ -269,8 +270,7 @@ class TestRunSeeds:
         def flaky(config, seed, **kw):
             res = real_train(config, seed, **kw)
             if seed == 2:
-                res.diverged = True
-                res.final_accuracy = 0.0
+                res.records[-1].diverged = True
             return res
 
         monkeypatch.setattr(tr, "train", flaky)
