@@ -20,7 +20,7 @@ import numpy as np
 from .bench import bench_environment, bench_scaling, check_scaling_args
 from .config import parse_config_file
 from .errors import ConfigError, ContractError, DataError
-from .model import BUDGET_LIMIT, build_model, count_params, load_checkpoint
+from .model import BUDGET_LIMIT, closed_form_params, load_checkpoint
 from .training import evaluate, run_seeds, train
 from .verify import run_verify
 
@@ -152,7 +152,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_params(args) -> int:
     config = parse_config_file(args.config)
-    account = count_params(build_model(config.model, seed=0))
+    account = closed_form_params(config.model)  # builds no model
     print(f"base parameters:   {account.base_params}")
     print(f"kernel parameters: {account.kernel_params}")
     print(f"ratio:             {account.ratio:.4f}")

@@ -68,10 +68,6 @@ class Dataset:
     def __len__(self):
         return len(self.examples)
 
-    @property
-    def vocab_size(self) -> int:
-        return len(self.vocab)
-
 
 @dataclass
 class Batch:

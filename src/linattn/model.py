@@ -15,9 +15,7 @@ additional-parameter budget.
 
 from __future__ import annotations
 
-import io
 import json
-import math
 import struct
 import zlib
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
@@ -27,7 +25,7 @@ import numpy as np
 from . import tensor as T
 from .attention import (ATTENTION_KINDS, AttentionLayerParams, init_attention_params,
                         multi_head_kernel_attention)
-from .errors import ConfigError, DataError, ShapeError
+from .errors import ConfigError, ContractError, DataError, ShapeError
 from .kernels import (KernelSpec, check_gate_rank, check_int_fields, regularized_matrices,
                       uniform_init)
 from .tensor import Tensor
@@ -344,35 +342,32 @@ def count_params(model: Model) -> ParamAccount:
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"LINATTN1"
-_VERSION = 6
+_VERSION = 7
 _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _CODE_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
+_HEAD = len(_MAGIC) + 12  # magic, version, config length
 
 
 def save_checkpoint(model: Model, path):
-    """Write magic, version, canonical-JSON config, named parameter blobs
-    (name, dtype code, shape, raw little-endian data), then a CRC32 of all
-    the bytes before it."""
+    """Write magic, version, canonical-JSON config, one dtype code, the raw
+    little-endian data of every parameter in ``named_parameters`` order,
+    then a CRC32 of all the bytes before it. The config fixes each
+    parameter's name and shape, so the file does not restate them."""
     params = model.named_parameters()
-    buf = io.BytesIO()
-    buf.write(_MAGIC)
-    buf.write(struct.pack("<I", _VERSION))
-    cfg = json.dumps(asdict(model.config), sort_keys=True).encode("utf-8")
-    buf.write(struct.pack("<Q", len(cfg)))
-    buf.write(cfg)
-    buf.write(struct.pack("<I", len(params)))
+    first = next(iter(params))
+    dtype = params[first].dtype
     for name, t in params.items():
-        nb = name.encode("utf-8")
-        buf.write(struct.pack("<I", len(nb)))
-        buf.write(nb)
-        buf.write(struct.pack("<B", _DTYPE_CODES[t.dtype]))
-        buf.write(struct.pack("<I", t.ndim))
-        buf.write(struct.pack(f"<{t.ndim}Q", *t.shape))
-        data = t.data.astype(t.data.dtype.newbyteorder("<"), copy=False)
-        buf.write(data.tobytes())
-    buf.write(struct.pack("<I", zlib.crc32(buf.getvalue())))
+        if t.dtype != dtype:
+            raise ContractError(f"{name} is {t.dtype.name}, unlike {first} ({dtype.name}): "
+                                f"a checkpoint holds one dtype")
+    cfg = json.dumps(asdict(model.config), sort_keys=True).encode("utf-8")
+    body = b"".join([_MAGIC, struct.pack("<IQ", _VERSION, len(cfg)), cfg,
+                     struct.pack("<B", _DTYPE_CODES[dtype]),
+                     *(t.data.astype(dtype.newbyteorder("<"), copy=False).tobytes()
+                       for t in params.values())])
     with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+        fh.write(body)
+        fh.write(struct.pack("<I", zlib.crc32(body)))
 
 
 def load_checkpoint(path) -> Model:
@@ -380,64 +375,34 @@ def load_checkpoint(path) -> Model:
     corrupted content raises ``DataError`` naming the path."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    pos = 0
-
-    def take(n: int) -> bytes:
-        nonlocal pos
-        if n > len(raw) - pos:
-            raise DataError(f"{path}: truncated or corrupt checkpoint (read past the end "
-                            f"at offset {pos} of {len(raw)})")
-        pos += n
-        return raw[pos - n:pos]
-
-    def unpack(fmt: str) -> tuple:
-        return struct.unpack(fmt, take(struct.calcsize(fmt)))
-
-    if take(len(_MAGIC)) != _MAGIC:
-        raise DataError(f"{path}: not a model checkpoint (bad magic)")
-    (version,) = unpack("<I")
+    if len(raw) < _HEAD + 5 or not raw.startswith(_MAGIC):  # 5: dtype code and CRC32
+        raise DataError(f"{path}: not a model checkpoint (bad magic or only {len(raw)} bytes)")
+    version, cfg_len = struct.unpack_from("<IQ", raw, len(_MAGIC))
     if version != _VERSION:
         raise DataError(f"{path}: unsupported checkpoint version {version}")
-    (cfg_len,) = unpack("<Q")
+    if struct.unpack_from("<I", raw, len(raw) - 4)[0] != zlib.crc32(raw[:-4]):
+        raise DataError(f"{path}: checksum mismatch (corrupt checkpoint)")
+    if cfg_len > len(raw) - _HEAD - 5:
+        raise DataError(f"{path}: config length {cfg_len} overruns the {len(raw)}-byte file")
     try:
-        header = json.loads(take(cfg_len).decode("utf-8"))
+        header = json.loads(raw[_HEAD:_HEAD + cfg_len].decode("utf-8"))
         config = ModelConfig(**{**header, "kernel": KernelSpec(**header["kernel"])})
     except (ValueError, TypeError, KeyError) as exc:
         raise DataError(f"{path}: bad config header ({exc})") from None
-
-    (n_params,) = unpack("<I")
-    blobs: dict[str, np.ndarray] = {}
-    dtype_code = 0
-    for i in range(n_params):
-        (name_len,) = unpack("<I")
-        name = take(name_len).decode("utf-8", errors="replace")
-        code, ndim = unpack("<BI")
-        if code not in _CODE_DTYPES or ndim > 2:  # every parameter is a vector or a matrix
-            raise DataError(f"{path}: bad header for {name} (dtype code {code}, {ndim} dims)")
-        if i and code != dtype_code:
-            raise DataError(f"{path}: {name} is {_CODE_DTYPES[code].name}, unlike the "
-                            f"{_CODE_DTYPES[dtype_code].name} parameters before it")
-        dtype_code = code
-        shape = unpack(f"<{ndim}Q")
-        dt = _CODE_DTYPES[code]
-        arr = np.frombuffer(take(math.prod(shape) * dt.itemsize), dtype=dt).reshape(shape)
-        blobs[name] = np.ascontiguousarray(arr, dtype=dt.newbyteorder("="))
-
-    body_len = pos
-    (crc,) = unpack("<I")
-    if crc != zlib.crc32(raw[:body_len]):
-        raise DataError(f"{path}: checksum mismatch (corrupt checkpoint)")
-    if pos != len(raw):
-        raise DataError(f"{path}: {len(raw) - pos} trailing bytes after the checksum")
-
-    model = build_model(config, seed=0, dtype=_CODE_DTYPES[dtype_code].newbyteorder("="))
-    params = model.named_parameters()
-    if set(params) != set(blobs):
-        missing = set(params) ^ set(blobs)
-        raise DataError(f"{path}: parameter names do not match the config ({sorted(missing)[:4]}...)")
-    for name, t in params.items():
-        if blobs[name].shape != t.shape:
-            raise DataError(f"{path}: shape mismatch for {name}: "
-                            f"{blobs[name].shape} vs {t.shape}")
-        t.data[...] = blobs[name]
+    code = raw[_HEAD + cfg_len]
+    if code not in _CODE_DTYPES:
+        raise DataError(f"{path}: unknown dtype code {code}")
+    dtype = _CODE_DTYPES[code]
+    model = build_model(config, seed=0, dtype=dtype.newbyteorder("="))
+    params = model.named_parameters().values()
+    body = memoryview(raw)[_HEAD + cfg_len + 1:-4]
+    need = sum(t.size for t in params) * dtype.itemsize
+    if len(body) != need:
+        raise DataError(f"{path}: {len(body)} bytes of weights, but the config's "
+                        f"{dtype.name} parameters take {need}")
+    data = np.frombuffer(body, dtype=dtype)
+    offset = 0
+    for t in params:
+        t.data[...] = data[offset:offset + t.size].reshape(t.shape)
+        offset += t.size
     return model

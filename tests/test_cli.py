@@ -16,11 +16,12 @@ import scipy
 
 import linattn.cli
 import linattn.config
+import linattn.model
 from linattn.cli import main
 from linattn.config import parse_config_file
 from linattn.data import gen_matching, save_tsv_dataset
 from linattn.errors import ConfigError
-from linattn.model import build_model, load_checkpoint, save_checkpoint
+from linattn.model import build_model, count_params, load_checkpoint, save_checkpoint
 from linattn.tensor import MALLOC_POLICY
 from linattn.training import evaluate
 
@@ -707,6 +708,23 @@ class TestParamsCommand:
     def test_under_budget_prints_pass(self, fast_cfg, capsys):
         assert main(["params", "--config", fast_cfg]) == 0
         assert "PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.cfg")))
+    def test_counts_by_closed_form_without_building(self, name, capsys, monkeypatch):
+        account = count_params(build_model(parse_config_file(CONFIGS / name).model, seed=0))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("linattn params built a model")
+
+        monkeypatch.setattr(linattn.model, "build_model", refuse)
+        monkeypatch.setattr(linattn.cli, "build_model", refuse, raising=False)
+        assert main(["params", "--config", str(CONFIGS / name)]) == 0
+        verdict = "PASS" if account.within_budget else "FAIL"
+        assert capsys.readouterr().out.splitlines() == [
+            f"base parameters:   {account.base_params}",
+            f"kernel parameters: {account.kernel_params}",
+            f"ratio:             {account.ratio:.4f}",
+            f"{verdict}: kernel/base parameter ratio {account.ratio:.4f} vs limit 0.10"]
 
 
 class TestVerifyCommand:

@@ -125,13 +125,13 @@ class TestTsv:
         assert len(ds) == 1
         tokens, label = ds.examples[0]
         assert label == 1 and np.array_equal(tokens, [3, 4, 5])
-        assert ds.vocab_size == 6  # max id + 1
-        assert ds.vocab == range(6)  # ids name nothing, so no string per id
+        assert ds.vocab == range(6)  # max id + 1; ids name nothing, so no string per id
 
     def test_huge_id_stores_only_its_range(self, tmp_path):
         p = tmp_path / "huge.tsv"
-        p.write_text(f"0\t1 {2**62}\n")
-        assert load_tsv_dataset(p).vocab_size == 2**62 + 1
+        for top in (2**62, 2**63 - 1):  # int64's largest id too: a range, never its len()
+            p.write_text(f"0\t1 {top}\n")
+            assert load_tsv_dataset(p).vocab == range(top + 1)
 
     def test_non_integer_token_names_line(self, tmp_path):
         p = tmp_path / "bad.tsv"

@@ -575,10 +575,10 @@ class TestCheckpoint:
         with pytest.raises(DataError, match="checksum"):
             load_checkpoint(path)
         path.write_bytes(raw + b"\0")
-        with pytest.raises(DataError, match="trailing"):
+        with pytest.raises(DataError, match="checksum"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
     def test_old_version_rejected(self, tmp_path, version):
         path = tmp_path / "model.ckpt"
         save_checkpoint(build_model(small_config(), seed=24), path)
@@ -606,22 +606,19 @@ class TestCheckpoint:
         model = build_model(small_config(), seed=25)
         assert list(model.named_parameters())[-1] == "head.b"
         head_b = model.head["b"]
-        head_b.data = head_b.data.astype(np.float64)  # the last blob alone is written as <f8
-        save_checkpoint(model, path)
-        raw = path.read_bytes()
-        assert struct.unpack_from("<I", raw, len(raw) - 4)[0] == zlib.crc32(raw[:-4])
-        with pytest.raises(DataError, match=r"head\.b is float64, unlike the float32") as exc:
-            load_checkpoint(path)
-        assert str(path) in str(exc.value)
+        head_b.data = head_b.data.astype(np.float64)  # the last parameter alone is f64
+        with pytest.raises(ContractError, match=r"head\.b is float64, unlike embed_tokens "
+                                                r"\(float32\)"):
+            save_checkpoint(model, path)
+        assert not path.exists()
 
     def test_unknown_dtype_code_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
         save_checkpoint(build_model(small_config(), seed=21), path)
         raw = bytearray(path.read_bytes())
         (cfg_len,) = struct.unpack_from("<Q", raw, 12)
-        name_len_at = 12 + 8 + cfg_len + 4
-        (name_len,) = struct.unpack_from("<I", raw, name_len_at)
-        raw[name_len_at + 4 + name_len] = 7  # first parameter's dtype code
+        raw[20 + cfg_len] = 7  # the dtype code, right after the config
+        struct.pack_into("<I", raw, len(raw) - 4, zlib.crc32(raw[:-4]))
         path.write_bytes(bytes(raw))
         with pytest.raises(DataError, match="dtype code 7"):
             load_checkpoint(path)
@@ -633,4 +630,87 @@ class TestCheckpoint:
         save_checkpoint(model, path)
         raw = path.read_bytes()
         assert raw.startswith(b"LINATTN1")
-        assert struct.unpack_from("<I", raw, 8)[0] == 6  # version
+        assert struct.unpack_from("<I", raw, 8)[0] == 7  # version
+
+    def test_version_7_layout(self, tmp_path):
+        model = build_model(small_config(), seed=27, dtype=np.float64)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        cfg = json.dumps(asdict(model.config), sort_keys=True).encode("utf-8")
+        body = (b"LINATTN1" + struct.pack("<IQ", 7, len(cfg)) + cfg + b"\x01"
+                + b"".join(t.data.astype("<f8").tobytes()
+                           for t in model.named_parameters().values()))
+        assert path.read_bytes() == body + struct.pack("<I", zlib.crc32(body))
+
+    @staticmethod
+    def _rewrite(path, raw, cfg_len=None, weights=None):
+        """Write ``raw`` with its config length or weights replaced and a
+        valid checksum, so only the loader's later checks can reject it."""
+        (old_len,) = struct.unpack_from("<Q", raw, 12)
+        new_len = old_len if cfg_len is None else cfg_len
+        body = (raw[:12] + struct.pack("<Q", new_len) + raw[20:21 + old_len]
+                + (raw[21 + old_len:-4] if weights is None else weights))
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+
+    @pytest.mark.parametrize("cfg_len", [10**6, 2**64 - 1])
+    def test_config_length_beyond_file_rejected(self, tmp_path, cfg_len):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(build_model(small_config(), seed=28), path)
+        self._rewrite(path, path.read_bytes(), cfg_len=cfg_len)
+        with pytest.raises(DataError, match=f"config length {cfg_len} overruns"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("delta", [-4, -1, 1, 4])
+    def test_weight_bytes_must_match_config(self, tmp_path, delta):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(build_model(small_config(), seed=29), path)
+        raw = path.read_bytes()
+        (cfg_len,) = struct.unpack_from("<Q", raw, 12)
+        weights = raw[21 + cfg_len:-4]
+        weights = weights[:delta] if delta < 0 else weights + b"\0" * delta
+        self._rewrite(path, raw, weights=weights)
+        with pytest.raises(DataError, match="bytes of weights, but the config's float32 "
+                                            "parameters take") as exc:
+            load_checkpoint(path)
+        assert str(path) in str(exc.value)
+
+
+def _layout(stack_names, head):
+    """The ordered (name, shape) pairs of a one-layer, two-head model of
+    width 8 (head width 4) whose stacks hold ``stack_names`` per head."""
+    return [("embed_tokens", (8, 8)), ("embed_pos", (8, 8)),
+            ("blocks.0.ln1_gamma", (8,)), ("blocks.0.ln1_beta", (8,)),
+            ("blocks.0.attn.w_q", (8, 8)), ("blocks.0.attn.w_k", (8, 8)),
+            ("blocks.0.attn.w_v", (8, 8)), ("blocks.0.attn.w_o", (8, 8)),
+            *[(f"blocks.0.attn.head_kernels.{h}.{name}", shape)
+              for h in range(2) for name, shape in stack_names],
+            ("blocks.0.ln2_gamma", (8,)), ("blocks.0.ln2_beta", (8,)),
+            ("blocks.0.ffn_w1", (8, 16)), ("blocks.0.ffn_b1", (16,)),
+            ("blocks.0.ffn_w2", (16, 8)), ("blocks.0.ffn_b2", (8,)),
+            ("final_gamma", (8,)), ("final_beta", (8,)), *head]
+
+
+class TestCheckpointLayout:
+    """A version-7 checkpoint stores weights in ``named_parameters`` order
+    without names, so this order is the file format."""
+
+    @pytest.mark.parametrize("head,spec,expected", [
+        ("classify", KernelSpec(variant="oglu", depth=1),
+         _layout([("0.w_feat", (4, 4)), ("0.w_gate", (4, 4))],
+                 [("head.w", (8, 3)), ("head.b", (3,))])),
+        ("classify", KernelSpec(variant="linear_softplus", depth=1),
+         _layout([("0.w", (4, 4))], [("head.w", (8, 3)), ("head.b", (3,))])),
+        ("match", KernelSpec(variant="aoglu", depth=2, gate_rank=1),
+         _layout([("0.w_feat", (4, 4)), ("0.w_gate", (4, 4)), ("1.w_feat", (4, 4)),
+                  ("1.gate_in", (4, 1)), ("1.gate_out", (1, 4))],
+                 [("head.w1", (32, 8)), ("head.b1", (8,)), ("head.w2", (8, 2)),
+                  ("head.b2", (2,))])),
+    ])
+    def test_parameter_order_and_shapes_are_pinned(self, head, spec, expected):
+        cfg = ModelConfig(vocab_size=8, d_model=8, n_heads=2, n_layers=1, ffn_dim=16,
+                          max_len=8, classes=2 if head == "match" else 3, kernel=spec,
+                          head=head)
+        layout = [(name, t.shape) for name, t in build_model(cfg, 0).named_parameters().items()]
+        assert layout == expected, (
+            "the checkpoint layout changed: files written before this change would load "
+            "permuted weights, so bump model._VERSION and update this list")
