@@ -64,6 +64,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _shown(path: str) -> str:
+    """``path`` as text any stdout can encode: the bytes of a non-UTF-8 name,
+    which argv holds as surrogates, as ``\\xNN`` escapes."""
+    return os.fsencode(path).decode("utf-8", "backslashreplace")
+
+
 def _write_environment(out_dir: str) -> str:
     """Record ``bench_environment()`` in ``<out_dir>/env.json``; returns the path."""
     path = os.path.join(out_dir, "env.json")
@@ -88,8 +94,8 @@ def _cmd_train(args) -> int:
     print(f"finished after {result.records[-1].step} steps: "
           f"eval accuracy {result.final_accuracy:.4f}")
     if result.checkpoint_path:
-        print(f"checkpoint: {result.checkpoint_path}")
-        print(f"metrics: {os.path.join(args.out_dir, 'metrics.jsonl')}")
+        print(f"checkpoint: {_shown(result.checkpoint_path)}")
+        print(f"metrics: {_shown(os.path.join(args.out_dir, 'metrics.jsonl'))}")
     return EXIT_OK
 
 
@@ -142,7 +148,7 @@ def _cmd_bench(args) -> int:
         print(f"fitted exponent {kind}: {slope:.3f}")
     for warning in result.resolution_warnings:
         print(f"warning: {warning}")
-    print(f"csv written to {csv_path}, environment to {env_path}")
+    print(f"csv written to {_shown(csv_path)}, environment to {_shown(env_path)}")
     return EXIT_OK
 
 

@@ -12,14 +12,17 @@ Three desk-scale sequence tasks:
 * motif matching (``gen_matching``): positive pairs plant the same motif
   in both sequences, negative pairs plant two different ones.
 
-Token id 0 is reserved for padding and never emitted by a generator. All
-generators run on numpy's PCG64 generator seeded explicitly, so a given
-(seed, arguments) pair reproduces the dataset byte for byte.
+Token id 0 is reserved for padding and never emitted by a generator. Every
+generator is seeded explicitly, so a given (seed, arguments) pair
+reproduces the dataset byte for byte. ListOps decodes its draws from the
+raw PCG64 stream (``_PCG64Draws``), whose output NumPy keeps fixed across
+releases; the motif tasks draw whole arrays through ``Generator`` methods.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -104,24 +107,75 @@ def _eval_op(op: str, vals: list[int]) -> int:
     raise DataError(f"unknown operator {op}")
 
 
-def _gen_expr(rng: np.random.Generator, depth_left: int, budget: int, out: list[int]) -> int:
+class _PCG64Draws:
+    """The draws of ``np.random.Generator(bitgen)``'s ``integers(0, n)``
+    and ``random()``, decoded in Python from ``bitgen.random_raw``.
+
+    A scalar ``Generator`` call costs 1-2 us of overhead; decoding the raw
+    words costs a fraction of that. The mappings are NumPy's own:
+    ``integers`` runs 32-bit Lemire rejection on 32-bit draws, which take
+    each 64-bit word's low half and then its high half; ``random`` takes a
+    whole word as ``(u64 >> 11) * 2**-53`` and leaves a pending high half
+    for the next 32-bit draw. Only the PCG64 stream is under NumPy's
+    compatibility policy (NEP 19), not the ``Generator`` methods, so the
+    tests pin these draws call for call against ``Generator`` and pin
+    ``gen_listops``'s bytes.
+    """
+
+    _CHUNK = 1024
+
+    def __init__(self, bitgen: np.random.PCG64):
+        # An endless iterator over the raw words, as Python ints, fetched
+        # _CHUNK at a time. The lambda must not hold ``self``: a reference
+        # cycle would keep the last chunk alive until the cyclic collector ran.
+        size = self._CHUNK
+        chunks = iter(lambda: bitgen.random_raw(size).tolist(), None)
+        self._word = chain.from_iterable(chunks).__next__
+        self._half = None  # a split word's high half, pending for the next 32-bit draw
+
+    def _uint32(self) -> int:
+        half = self._half
+        if half is not None:
+            self._half = None
+            return half
+        word = self._word()
+        self._half = word >> 32
+        return word & 0xFFFFFFFF
+
+    def integers(self, n: int) -> int:
+        """``Generator.integers(0, n)`` for ``1 <= n < 2**32``."""
+        if n == 1:
+            return 0  # numpy draws nothing for a range of one
+        m = self._uint32() * n
+        if (m & 0xFFFFFFFF) < n:
+            threshold = (0x100000000 - n) % n
+            while (m & 0xFFFFFFFF) < threshold:
+                m = self._uint32() * n
+        return m >> 32
+
+    def random(self) -> float:
+        """``Generator.random()``: a uniform double in [0, 1)."""
+        return (self._word() >> 11) * 2.0 ** -53
+
+
+def _gen_expr(draws: _PCG64Draws, depth_left: int, budget: int, out: list[int]) -> int:
     """Append one random expression of at most ``budget`` token ids to
     ``out``; returns its value. A bare digit when it cannot nest."""
     lo, hi = LISTOPS_ARITY_RANGE
     if depth_left <= 0 or budget < lo + 2:  # [OP digit digit ] does not fit
-        digit = int(rng.integers(0, 10))
+        digit = draws.integers(10)
         out.append(_DIGIT_BASE + digit)
         return digit
-    op = LISTOPS_OPS[rng.integers(0, len(LISTOPS_OPS))]
-    arity = int(rng.integers(lo, min(hi, budget - 2) + 1))
+    op = LISTOPS_OPS[draws.integers(len(LISTOPS_OPS))]
+    arity = lo + draws.integers(min(hi, budget - 2) + 1 - lo)
     start = len(out)
     out.append(_OP_IDS[op])
     vals = []
     for i in range(arity):
         used = len(out) - start + 1  # tokens so far plus the closing ]
         child_budget = budget - used - (arity - i - 1)  # leave room for digits
-        recurse = child_budget >= lo + 2 and rng.random() < LISTOPS_RECURSE_PROB
-        vals.append(_gen_expr(rng, depth_left - 1 if recurse else 0, child_budget, out))
+        recurse = child_budget >= lo + 2 and draws.random() < LISTOPS_RECURSE_PROB
+        vals.append(_gen_expr(draws, depth_left - 1 if recurse else 0, child_budget, out))
     out.append(_CLOSE_ID)
     return _eval_op(op, vals)
 
@@ -167,11 +221,11 @@ def gen_listops(seed: int, count: int, max_len: int = 128, max_depth: int = 4) -
         raise ConfigError(f"max_depth must be >= 1, got {max_depth}")
     if max_len < 8:
         raise ConfigError(f"max_len must be >= 8 to fit an expression, got {max_len}")
-    rng = np.random.default_rng(seed)
+    draws = _PCG64Draws(np.random.PCG64(seed))
     examples = []
     for _ in range(count):
         toks: list[int] = []
-        value = _gen_expr(rng, max_depth, max_len, toks)  # the checks above make it nest
+        value = _gen_expr(draws, max_depth, max_len, toks)  # the checks above make it nest
         examples.append((np.asarray(toks, dtype=np.int64), value))
     return Dataset(examples=examples, vocab=list(LISTOPS_SYMBOLS), classes=10,
                    kind="classify", meta={"task": "listops", "max_depth": max_depth})

@@ -1,10 +1,14 @@
 """Synthetic task generators, TSV ingestion, batching."""
 
+import gc
+import weakref
+import zlib
+
 import numpy as np
 import pytest
 
-from linattn.data import (PAD_ID, Batch, MatchBatch, batch_iter, eval_listops_tokens,
-                          gen_listops, gen_matching, gen_text_classification,
+from linattn.data import (PAD_ID, Batch, MatchBatch, _PCG64Draws, batch_iter,
+                          eval_listops_tokens, gen_listops, gen_matching, gen_text_classification,
                           listops_to_string, load_tsv_dataset, motif_oracle,
                           save_tsv_dataset, LISTOPS_SYMBOLS)
 from linattn.config import TaskSpec
@@ -69,6 +73,74 @@ class TestGenListops:
             gen_listops(0, 10, max_len=4)
         with pytest.raises(ConfigError):
             gen_listops(0, 10, max_depth=0)
+
+
+class TestPCG64Draws:
+    """The ListOps decoder against ``Generator``, whose method algorithms
+    NumPy may change between releases while the PCG64 stream stays fixed."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 12345, 2**40 + 7])
+    def test_matches_generator_call_for_call(self, seed):
+        gen = np.random.default_rng(seed)
+        draws = _PCG64Draws(np.random.PCG64(seed))
+        # Ranges 1..10 and uniforms in a random order, so every pairing of a
+        # buffered 32-bit half with a following call occurs.
+        calls = np.random.default_rng([seed, 99]).integers(0, 11, size=30_000).tolist()
+        for i, n in enumerate(calls):
+            if n == 0:
+                assert draws.random() == gen.random(), (seed, i)
+            else:
+                assert draws.integers(n) == gen.integers(0, n), (seed, i, n)
+
+    def test_rejection_matches_generator(self):
+        """Seed 0's 32-bit draw 336,999,057 (the high half of word
+        168,499,528) is rejected by Lemire's method at a range of 10."""
+        words = 168_499_528
+        high = int(np.random.PCG64(0).advance(words).random_raw(1)[0]) >> 32
+        assert (high * 10) & 0xFFFFFFFF < (2**32 - 10) % 10  # the rejection branch runs
+        gen = np.random.Generator(np.random.PCG64(0).advance(words))
+        draws = _PCG64Draws(np.random.PCG64(0).advance(words))
+        for i in range(6):
+            assert draws.integers(10) == gen.integers(0, 10), i
+        assert draws.random() == gen.random()
+        assert draws.integers(7) == gen.integers(0, 7)
+
+    def test_freed_by_reference_counting(self):
+        """A reference cycle would keep the last chunk of raw words alive
+        until the cyclic collector ran."""
+        gc.disable()
+        try:
+            draws = _PCG64Draws(np.random.PCG64(0))
+            draws.random()
+            ref = weakref.ref(draws)
+            del draws
+            assert ref() is None
+        finally:
+            gc.enable()
+
+
+def listops_digest(ds) -> int:
+    """CRC32 over each example's little-endian int64 tokens and label byte."""
+    crc = 0
+    for tokens, label in ds.examples:
+        crc = zlib.crc32(np.asarray(tokens, dtype="<i8").tobytes(), crc)
+        crc = zlib.crc32(bytes([label]), crc)
+    return crc
+
+
+class TestListopsGolden:
+    """``gen_listops``'s bytes, recorded when it still drew through
+    ``np.random.default_rng``: a change here changes every listops dataset,
+    its reference losses and the checkpoints trained on it."""
+
+    @pytest.mark.parametrize("seed, count, max_len, max_depth, digest", [
+        (0, 200, 128, 4, 0x7199D046),
+        (7, 20, 2048, 8, 0x4E4716F4),
+        (3, 500, 8, 1, 0xA6214EF6),
+        (11, 300, 16, 3, 0x8D66C663),
+    ])
+    def test_digest(self, seed, count, max_len, max_depth, digest):
+        assert listops_digest(gen_listops(seed, count, max_len, max_depth)) == digest
 
 
 class TestGenTextClassification:

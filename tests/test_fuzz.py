@@ -1,14 +1,20 @@
-"""Fuzz battery for the external inputs read as text: config files and
-TSV datasets. Each valid input is corrupted systematically (truncation,
-byte flips, non-UTF-8 bytes, numbers no field accepts, repeated and
-``[DEFAULT]`` sections); every case must end in a typed error or a
-result, never in an exception of another kind. Checkpoint corruptions are
-fuzzed in ``test_model.py``."""
+"""Fuzz batteries. The external inputs read as text (config files, TSV
+datasets) and the CLI flags are corrupted systematically (truncation, byte
+flips, non-UTF-8 bytes, numbers no field accepts, repeated and
+``[DEFAULT]`` sections, dropped, repeated and foreign flags); every case
+must end in a typed error or a result, never in an exception of another
+kind. Checkpoint corruptions are fuzzed in ``test_model.py``. The tape
+battery checks seeded random graphs of the autodiff ops against central
+differences."""
 
+import io
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import linattn.tensor as T
 from linattn.cli import main
 from linattn.config import TaskSpec
 from linattn.data import gen_matching, gen_text_classification, save_tsv_dataset
@@ -104,3 +110,251 @@ class TestTsvFuzz:
                 assert str(path) in str(exc), case
                 rejected += 1
         assert loaded and rejected
+
+
+TINY_CFG = """\
+[model]
+vocab_size = 24
+d_model = 16
+n_heads = 2
+n_layers = 1
+ffn_dim = 32
+max_len = 16
+classes = 2
+
+[task]
+source = text_classification
+count = 32
+eval_count = 16
+length = 16
+vocab_size = 24
+classes = 2
+
+[optimizer]
+lr = 2e-3
+
+[schedule]
+warmup_steps = 0
+total_steps = 2
+
+[train]
+micro_batch = 16
+seeds = 1
+eval_every = 2
+"""
+
+
+class TestCliFlagFuzz:
+    """Each subcommand's valid flags, mutated one at a time through
+    ``cli.main`` in-process: every case exits 0-3 with an ``error:`` line
+    (exit 1) or a usage message (exit 2), never an exception. A flag the
+    subcommand does not take is a usage error.
+
+    No value that passes validation and then allocates is fuzzed: ``bench``
+    checks no upper bound on ``--lengths`` or ``--repeats``, so those get
+    only values it rejects, and ``--lengths`` is never dropped (its default
+    times lengths up to 2048). Values hold no NUL byte, which an argv from
+    the operating system cannot carry."""
+
+    @staticmethod
+    def _valid_flags(tmp_path) -> dict[str, dict[str, str | None]]:
+        """Per subcommand, flag -> value (``None`` for a switch), all valid."""
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(TINY_CFG)
+        assert main(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "made")]) == 0
+        ckpt = str(tmp_path / "made" / "checkpoint.bin")
+        out = str(tmp_path / "out")
+        training = {"--config": str(cfg), "--out-dir": out, "--precision": "f64",
+                    "--override-budget": None}
+        return {"train": {**training, "--seed": "2"},
+                "eval": {"--config": str(cfg), "--checkpoint": ckpt},
+                "seeds": training,
+                "bench": {"--lengths": "4,8,16", "--repeats": "1", "--out-dir": out},
+                "verify": {},
+                "params": {"--config": str(cfg)}}
+
+    @staticmethod
+    def _bad_values(flag: str, tmp_path, flags) -> tuple[str, ...]:
+        """Values ``flag`` must reject or survive; none can allocate much."""
+        cfg = str(tmp_path / "tiny.cfg")
+        paths = ("", str(tmp_path / "missing"), str(tmp_path), "\udcff.cfg")
+        return {
+            "--config": paths + (flags["eval"]["--checkpoint"],),
+            "--checkpoint": paths + (cfg,),
+            "--out-dir": ("", cfg, cfg + "/sub", "\udcff"),
+            "--precision": ("", "f16", "F32"),
+            "--seed": ("", "-1", "1.5", "nan", "0x10", str(2**63), "9" * 23),
+            "--repeats": ("", "0", "-1", "1.5", "nan"),
+            "--lengths": ("", "x", "4,8", "8,4,16", "0,4,8", "-4,8,16", "4,4,8", "1e2,2e2,3e2"),
+        }[flag]
+
+    def _cases(self, command: str, tmp_path):
+        flags = self._valid_flags(tmp_path)
+        valid = flags[command]
+
+        def argv(items):
+            out = [command]
+            for flag, value in items:
+                out += [flag] if value is None else [flag, value]
+            return out
+
+        items = list(valid.items())
+        yield "valid", argv(items)
+        yield "--help", argv(items) + ["--help"]
+        yield "stray positional", argv(items) + ["extra"]
+        for i, (flag, value) in enumerate(items):
+            rest = items[:i] + items[i + 1:]
+            if flag != "--lengths":
+                yield f"{flag} dropped", argv(rest)
+            yield f"{flag} twice", argv(items + [(flag, value)])
+            if value is None:
+                yield f"{flag} given a value", argv(rest) + [flag, "1"]
+                continue
+            yield f"{flag} without a value", argv(rest) + [flag]
+            for bad in self._bad_values(flag, tmp_path, flags):
+                yield f"{flag} {bad!r}", argv(rest + [(flag, bad)])
+        foreign = {flag for other in flags.values() for flag in other} - set(valid)
+        for flag in sorted(foreign | {"--bogus"}):
+            yield f"foreign {flag}", argv(items) + [flag, "1"], 2
+
+    @pytest.mark.parametrize("command", ["train", "eval", "seeds", "bench", "verify", "params"])
+    def test_mutated_flags_exit_zero_to_three(self, command, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # a dropped --out-dir writes to ./runs
+        codes = set()
+        for case, args, *expected in self._cases(command, tmp_path):
+            # The streams of a process under a UTF-8 locale other than C.UTF-8:
+            # stdout rejects the surrogates that stand for non-UTF-8 bytes in
+            # argv, and stderr escapes them.
+            stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="strict")
+            stderr = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="backslashreplace")
+            with monkeypatch.context() as m:
+                m.setattr(sys, "stdout", stdout)
+                m.setattr(sys, "stderr", stderr)
+                code = main(args)
+            stderr.seek(0)
+            err = stderr.read()
+            assert code in (0, 1, 2, 3), case
+            if code == 1:
+                assert err.startswith("error:"), case
+            if code == 2:
+                assert "usage:" in err, case
+            if expected:
+                assert code == expected[0], case
+            codes.add(code)
+        assert {0, 2} <= codes
+
+
+class TestTapeBattery:
+    """Seeded random float64 graphs of 3-9 ops over three small leaves, with
+    nodes reused by later ops and a scalar loss over every node: each leaf
+    gradient agrees with central differences within 1e-7 + 1e-6 |g|. The
+    absolute term covers gradients near 1e-7, where a purely relative
+    bound flags rounding."""
+
+    N_GRAPHS = 300
+    STEP = 1e-6
+    UNARY = {"sigmoid": T.sigmoid, "softplus": T.softplus, "gelu": T.gelu,
+             "square": T.square, "abs": T.abs, "swapaxes": lambda x: T.swapaxes(x, 0, 1)}
+    BINARY = {"add": T.add, "sub": T.sub, "mul": T.mul, "matmul": T.matmul,
+              # A denominator bounded away from zero keeps the quotient smooth.
+              "div": lambda x, y: T.div(x, T.add(T.square(y), 0.5))}
+    LEAF_SHAPES = ((3, 4), (4, 4), (4, 3), (1, 4), (4, 1), (4,))
+
+    @classmethod
+    def _pick_op(cls, rng, shapes):
+        """One op applicable to the nodes of ``shapes``: (name, operand
+        indices, extra arguments)."""
+        while True:
+            kind = rng.choice(["unary", "binary", "reduce", "concat", "getitem"])
+            i = int(rng.integers(len(shapes)))
+            si = shapes[i]
+            if kind == "unary":
+                name = str(rng.choice(list(cls.UNARY)))
+                if name != "swapaxes" or len(si) == 2:
+                    return name, (i,), ()
+            elif kind == "binary":
+                name = str(rng.choice(list(cls.BINARY)))
+                if name == "matmul":
+                    fits = [j for j, sj in enumerate(shapes)
+                            if len(si) == len(sj) == 2 and si[1] == sj[0]]
+                else:  # the second operand broadcasts to the first
+                    fits = [j for j, sj in enumerate(shapes) if len(sj) <= len(si) and all(
+                        b in (1, a) for a, b in zip(si[::-1], sj[::-1]))]
+                if fits:
+                    j = int(rng.choice(fits))
+                    pair = (j, i) if name != "matmul" and rng.random() < 0.5 else (i, j)
+                    return name, pair, ()
+            elif kind == "reduce" and si:
+                axis = None if rng.random() < 0.3 else int(rng.integers(len(si)))
+                return str(rng.choice(["sum", "mean"])), (i,), (axis, bool(rng.random() < 0.5))
+            elif kind == "concat" and si:
+                axis = int(rng.integers(len(si)))
+                fits = [j for j, sj in enumerate(shapes) if len(sj) == len(si) and all(
+                    a == b for k, (a, b) in enumerate(zip(si, sj)) if k != axis)]
+                return "concat", (i, int(rng.choice(fits))), (axis,)
+            elif kind == "getitem" and si:
+                if rng.random() < 0.5 and si[0] > 1:
+                    return "getitem", (i,), (slice(int(rng.integers(1, si[0])), None),)
+                mask = rng.random(si[0]) < 0.6
+                mask[rng.integers(si[0])] = True
+                return "getitem", (i,), (mask,)
+
+    @classmethod
+    def _apply(cls, name, operands, extra):
+        if name in cls.UNARY:
+            return cls.UNARY[name](*operands)
+        if name in cls.BINARY:
+            return cls.BINARY[name](*operands)
+        if name in ("sum", "mean"):
+            return getattr(T, name)(operands[0], axis=extra[0], keepdims=extra[1])
+        if name == "concat":
+            return T.concat(operands, axis=extra[0])
+        return T.getitem(operands[0], extra[0])
+
+    @classmethod
+    def _graph(cls, seed: int):
+        """Leaves, and a loss function that replays one random program on them."""
+        rng = np.random.default_rng(seed)
+        picks = rng.choice(len(cls.LEAF_SHAPES), size=3)
+        leaves = [T.Tensor(rng.standard_normal(cls.LEAF_SHAPES[k]), requires_grad=True)
+                  for k in picks]
+        program, shapes = [], [leaf.shape for leaf in leaves]
+        for _ in range(int(rng.integers(3, 10))):
+            name, args, extra = cls._pick_op(rng, shapes)
+            program.append((name, args, extra))
+            out = cls._apply(name, [T.Tensor(np.zeros(shapes[a])) for a in args], extra)
+            shapes.append(out.shape)
+        weights = [rng.standard_normal(shape) for shape in shapes]
+
+        def loss(leaves):
+            nodes = list(leaves)
+            for name, args, extra in program:
+                nodes.append(cls._apply(name, [nodes[a] for a in args], extra))
+            total = T.sum(T.mul(nodes[0], weights[0]))
+            for node, w in zip(nodes[1:], weights[1:]):
+                total = T.add(total, T.sum(T.mul(node, w)))
+            return total
+
+        return leaves, loss, program
+
+    def test_random_graphs_match_central_differences(self):
+        ops = set()
+        for seed in range(self.N_GRAPHS):
+            leaves, loss, program = self._graph(seed)
+            ops.update(name for name, _, _ in program)
+            grads = T.backward(loss(leaves), params=leaves)
+            for k, leaf in enumerate(leaves):
+                g = grads[leaf]
+                for idx in np.ndindex(leaf.shape):
+                    orig = leaf.data[idx]
+                    with T.no_grad():
+                        leaf.data[idx] = orig + self.STEP
+                        up = loss(leaves).item()
+                        leaf.data[idx] = orig - self.STEP
+                        down = loss(leaves).item()
+                    leaf.data[idx] = orig
+                    fd = (up - down) / (2 * self.STEP)
+                    assert abs(g[idx] - fd) <= 1e-7 + 1e-6 * abs(g[idx]), (
+                        f"seed {seed}, leaf {k}{idx}: tape {g[idx]!r}, central {fd!r}, "
+                        f"program {[name for name, _, _ in program]}")
+        assert ops == {*self.UNARY, *self.BINARY, "sum", "mean", "concat", "getitem"}
