@@ -17,13 +17,17 @@ evaluator's (..., L) key axis; masked positions contribute nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ContractError, ShapeError
+from .errors import ContractError, ShapeError
 from .kernels import KernelSpec, init_kernel_params, kernel_stack_forward, uniform_init
 from .tensor import Tensor
+
+if TYPE_CHECKING:
+    from .model import ModelConfig
 
 ATTENTION_KINDS = ("softmax", "kernel_linear", "kernel_quadratic")
 
@@ -108,26 +112,22 @@ class AttentionLayerParams:
     w_k: Tensor
     w_v: Tensor
     w_o: Tensor
-    n_heads: int = 1
     head_kernels: list[list[dict[str, Tensor]]] = field(default_factory=list)
 
 
-def init_attention_params(d_model: int, n_heads: int, spec: KernelSpec, seed,
-                          dtype=np.float32, kind: str = "kernel_linear") -> AttentionLayerParams:
-    """Uniform(+-1/sqrt(d)) projections; for the kernel kinds, kernel stacks
-    drawn per head. ``n_heads`` must divide ``d_model``."""
-    if n_heads < 1 or d_model % n_heads:
-        raise ShapeError(f"d_model {d_model} does not split into {n_heads} heads")
-    rng = np.random.default_rng(seed)
+def init_attention_params(config: ModelConfig, rng: np.random.Generator,
+                          dtype=np.float32) -> AttentionLayerParams:
+    """Uniform(+-1/sqrt(d)) projections; for the kernel kinds, one
+    ``config.kernel`` stack per head, drawn from ``rng`` in head order."""
+    d = config.d_model
 
     def proj():
-        return Tensor(uniform_init(rng, d_model, d_model, dtype), requires_grad=True)
+        return Tensor(uniform_init(rng, d, d, dtype), requires_grad=True)
 
-    params = AttentionLayerParams(w_q=proj(), w_k=proj(), w_v=proj(), w_o=proj(),
-                                  n_heads=n_heads)
-    if kind != "softmax":
-        n = d_model // n_heads
-        params.head_kernels = [init_kernel_params(spec, n, rng, dtype) for _ in range(n_heads)]
+    params = AttentionLayerParams(w_q=proj(), w_k=proj(), w_v=proj(), w_o=proj())
+    if config.attention_kind != "softmax":
+        params.head_kernels = [init_kernel_params(config.kernel, config.head_dim, rng, dtype)
+                               for _ in range(config.n_heads)]
     return params
 
 
@@ -163,15 +163,15 @@ def _stack_head_features(rows: Tensor, kernels: list[list[dict[str, Tensor]]],
 
 
 def multi_head_kernel_attention(x: Tensor, params: AttentionLayerParams,
-                                spec: KernelSpec, mask, eps: float = 0.0,
-                                kind: str = "kernel_linear") -> Tensor:
+                                config: ModelConfig, mask) -> Tensor:
     """Project, run kernel attention per head, merge, project out.
 
-    ``kind`` is one of ``ATTENTION_KINDS``. ``softmax`` is kernel attention
-    under the exponential kernel exp(q . k / sqrt(n)), evaluated exactly
-    (the quadratic baseline). ``kernel_linear`` and ``kernel_quadratic`` map
-    queries and keys through each head's feature stack (``spec``), then run
-    the factorized evaluator or its oracle (to cross-check full layers).
+    ``config`` supplies the width, head count, kernel spec, ``eps`` and
+    ``attention_kind``. ``softmax`` is kernel attention under the
+    exponential kernel exp(q . k / sqrt(n)), evaluated exactly (the
+    quadratic baseline). ``kernel_linear`` and ``kernel_quadratic`` map
+    queries and keys through each head's feature stack, then run the
+    factorized evaluator or its oracle (to cross-check full layers).
 
     ``x`` holds the packed rows ``(mask.sum(), d_model)`` of the unmasked
     positions of a ``(..., L)`` mask, in row-major order, and so does the
@@ -180,18 +180,14 @@ def multi_head_kernel_attention(x: Tensor, params: AttentionLayerParams,
     slots hold features of 1 and values of 0, so a pad query never divides
     0 by 0 and the key mask keeps pad keys out of S and z.
     """
-    if kind not in ATTENTION_KINDS:
-        raise ConfigError(f"attention kind must be one of {ATTENTION_KINDS}, got {kind!r}")
-    m = _rows_mask(x, mask, params.w_q.shape[0])
-    n_heads = params.n_heads
+    m = _rows_mask(x, mask, config.d_model)
+    kind, n_heads = config.attention_kind, config.n_heads
     if kind == "softmax":
         q = _heads(T.matmul(x, params.w_q), n_heads, m)
         k = _heads(T.matmul(x, params.w_k), n_heads, m)
     else:
-        if len(params.head_kernels) != n_heads:
-            raise ShapeError(f"expected {n_heads} kernel stacks, got {len(params.head_kernels)}")
-        q = _stack_head_features(T.matmul(x, params.w_q), params.head_kernels, spec)
-        k = _stack_head_features(T.matmul(x, params.w_k), params.head_kernels, spec)
+        q = _stack_head_features(T.matmul(x, params.w_q), params.head_kernels, config.kernel)
+        k = _stack_head_features(T.matmul(x, params.w_k), params.head_kernels, config.kernel)
         q = _heads(q, n_heads, m, fill=1.0)
         k = _heads(k, n_heads, m, fill=1.0)
     v = _heads(T.matmul(x, params.w_v), n_heads, m)
@@ -200,7 +196,7 @@ def multi_head_kernel_attention(x: Tensor, params: AttentionLayerParams,
     if kind == "softmax":
         heads_out = softmax_attention(q, k, v, m_heads)
     elif kind == "kernel_linear":
-        heads_out = kernel_attention_linear(q, k, v, m_heads, eps=eps)
+        heads_out = kernel_attention_linear(q, k, v, m_heads, eps=config.eps)
     else:
-        heads_out = kernel_attention_quadratic(q, k, v, m_heads, eps=eps)
+        heads_out = kernel_attention_quadratic(q, k, v, m_heads, eps=config.eps)
     return T.matmul(_merge_rows(heads_out, m), params.w_o)

@@ -25,7 +25,10 @@ WARMUP_PASSES = 2
 D_MODEL, N_HEADS, FFN_DIM = 64, 4, 64  # the one-layer encoder that is timed
 SEED = 0  # model initialization and token draws
 MIN_MEDIAN_MS = 1.0
-MAX_REPEATS = 64  # the cap on doubling a repeat count below MIN_MEDIAN_MS
+MAX_REPEATS = 64  # the cap on doubling a repeat count below MIN_MEDIAN_MS, and on --repeats
+# The longest length timed: the softmax baseline's (1, N_HEADS, L, L) float32
+# scores take 256 MiB there.
+MAX_LENGTH = 4096
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -115,13 +118,16 @@ def _time_lengths(model, inputs, repeats: int) -> list[tuple[float, int]]:
 
 def check_scaling_args(lengths: list[int], repeats: int):
     """Raise ``ConfigError`` unless ``bench_scaling`` can fit exponents to
-    these lengths at this repeat count."""
-    if repeats < 1:
-        raise ConfigError(f"repeats must be >= 1, got {repeats}")
+    these lengths at this repeat count, within ``MAX_LENGTH`` and
+    ``MAX_REPEATS``."""
+    if not 1 <= repeats <= MAX_REPEATS:
+        raise ConfigError(f"repeats must be in [1, {MAX_REPEATS}], got {repeats}")
     if len(lengths) < 3:
         raise ConfigError(f"need >= 3 lengths to fit an exponent, got {lengths}")
     if min(lengths) < 1:
         raise ConfigError(f"lengths must be >= 1, got {lengths}")
+    if max(lengths) > MAX_LENGTH:
+        raise ConfigError(f"lengths must be <= {MAX_LENGTH}, got {lengths}")
     if any(b <= a for a, b in zip(lengths, lengths[1:])):
         raise ConfigError(f"lengths must be strictly increasing, got {lengths}")
 

@@ -234,8 +234,7 @@ class Model:
 
         for blk in self.blocks:
             normed = self._layer_norm(h, blk.ln1_gamma, blk.ln1_beta)
-            attn_out = multi_head_kernel_attention(normed, blk.attn, cfg.kernel, mask,
-                                                   eps=cfg.eps, kind=cfg.attention_kind)
+            attn_out = multi_head_kernel_attention(normed, blk.attn, cfg, mask)
             h = T.add(h, self._dropout(attn_out, mask, rng))
 
             normed = self._layer_norm(h, blk.ln2_gamma, blk.ln2_beta)
@@ -270,8 +269,7 @@ def build_model(config: ModelConfig, seed: int, dtype=np.float32) -> Model:
 
     blocks = []
     for _ in range(config.n_layers):
-        attn = init_attention_params(d, config.n_heads, config.kernel, rng, dtype,
-                                     kind=config.attention_kind)
+        attn = init_attention_params(config, rng, dtype)
         blocks.append(Block(
             ln1_gamma=param(np.ones(d, dtype=dtype)),
             ln1_beta=param(np.zeros(d, dtype=dtype)),
@@ -393,13 +391,14 @@ def load_checkpoint(path) -> Model:
     if code not in _CODE_DTYPES:
         raise DataError(f"{path}: unknown dtype code {code}")
     dtype = _CODE_DTYPES[code]
-    model = build_model(config, seed=0, dtype=dtype.newbyteorder("="))
-    params = model.named_parameters().values()
     body = memoryview(raw)[_HEAD + cfg_len + 1:-4]
-    need = sum(t.size for t in params) * dtype.itemsize
+    account = closed_form_params(config)
+    need = (account.base_params + account.kernel_params) * dtype.itemsize
     if len(body) != need:
         raise DataError(f"{path}: {len(body)} bytes of weights, but the config's "
                         f"{dtype.name} parameters take {need}")
+    model = build_model(config, seed=0, dtype=dtype.newbyteorder("="))
+    params = model.named_parameters().values()
     data = np.frombuffer(body, dtype=dtype)
     offset = 0
     for t in params:

@@ -631,7 +631,9 @@ def backward(loss: Tensor, params=None) -> dict[Tensor, np.ndarray]:
     requested tensor gets exactly one entry, zero-filled if the loss does
     not depend on it. The traversed graph is consumed. Every gradient keeps
     its operand's dtype: a VJP that returns another dtype raises
-    ``GraphError``.
+    ``GraphError``. Returned gradients may share memory: for
+    ``sum(3 (a + b))`` the gradients of ``a`` and ``b`` are one array, so
+    copy one before changing it in place.
     """
     if not isinstance(loss, Tensor):
         raise ContractError("backward expects a Tensor loss")

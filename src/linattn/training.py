@@ -30,7 +30,7 @@ from .config import TrainConfig
 from .data import Batch, Dataset, MatchBatch, batch_iter
 from .errors import ConfigError
 from .kernels import orthogonality_penalty
-from .model import (BUDGET_LIMIT, Model, build_model, count_params, forward_classify,
+from .model import (BUDGET_LIMIT, Model, build_model, closed_form_params, forward_classify,
                     forward_match, save_checkpoint)
 from .tensor import Tensor, backward, no_grad
 
@@ -203,14 +203,13 @@ def train(config: TrainConfig, seed: int, out_dir: str | None = None,
     docstring), or early once ``target_accuracy`` is reached.
     """
     config.validate()
-    train_ds, eval_ds = config.task.build()
-
-    model = build_model(config.model, seed, dtype=dtype)
-    account = count_params(model)
+    account = closed_form_params(config.model)
     if not account.within_budget and not override_budget:
         raise ConfigError(
             f"over parameter budget: kernel/base ratio {account.ratio:.4f} >= "
             f"{BUDGET_LIMIT:.2f} (pass --override-budget to train anyway)")
+    train_ds, eval_ds = config.task.build()
+    model = build_model(config.model, seed, dtype=dtype)
 
     params = model.named_parameters()
     opt = Adam(params)

@@ -1,18 +1,18 @@
 """Attention evaluators: oracle equivalence, masking, hull, gradients."""
 
 import math
-import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import linattn.tensor as T
-from linattn.attention import (ATTENTION_KINDS, init_attention_params,
-                               kernel_attention_linear, kernel_attention_quadratic,
-                               multi_head_kernel_attention, softmax_attention)
-from linattn.errors import ConfigError, ContractError, ShapeError
+from linattn.attention import (init_attention_params, kernel_attention_linear,
+                               kernel_attention_quadratic, multi_head_kernel_attention,
+                               softmax_attention)
+from linattn.errors import ContractError, ShapeError
 from linattn.kernels import KernelSpec, init_kernel_params, kernel_stack_forward
-from linattn.model import named_tensors
+from linattn.model import ModelConfig, named_tensors
 from linattn.tensor import Tensor, backward, finite_difference_check
 
 ALL_VARIANT_DEPTHS = [(v, d) for v in ("linear_softplus", "glu", "oglu", "aoglu")
@@ -22,6 +22,16 @@ ALL_VARIANT_DEPTHS = [(v, d) for v in ("linear_softplus", "glu", "oglu", "aoglu"
 def make_spec(variant, depth, n=8):
     return KernelSpec(variant=variant, depth=depth,
                       gate_rank=n // 4 if variant == "aoglu" else 0)
+
+
+def layer_config(spec, d_model, n_heads, eps=0.0):
+    """A ``ModelConfig`` for one ``kernel_linear`` attention layer; the
+    layer reads only its width, head count, kernel spec, eps and kind."""
+    return ModelConfig(d_model=d_model, n_heads=n_heads, kernel=spec, eps=eps)
+
+
+def init_layer(cfg, seed, dtype=np.float32):
+    return init_attention_params(cfg, np.random.default_rng(seed), dtype=dtype)
 
 
 def random_features(rng, length, feat, val):
@@ -213,10 +223,11 @@ class TestMultiHead:
     def test_single_head_reduces_to_pipeline(self):
         rng = np.random.default_rng(12)
         spec = make_spec("oglu", 1)
-        params = init_attention_params(8, 1, spec, seed=0, dtype=np.float64)
+        cfg = layer_config(spec, 8, 1)
+        params = init_layer(cfg, 0, dtype=np.float64)
         x = Tensor(rng.standard_normal((5, 8)))
         mask = np.ones(5, bool)
-        out = multi_head_kernel_attention(x, params, spec, mask, eps=0.0)
+        out = multi_head_kernel_attention(x, params, cfg, mask)
 
         q = T.matmul(x, params.w_q)
         k = T.matmul(x, params.w_k)
@@ -230,35 +241,36 @@ class TestMultiHead:
     def test_output_shape(self, n_heads, head_dim):
         rng = np.random.default_rng(13)
         d_model = n_heads * head_dim
-        spec = make_spec("glu", 2, n=head_dim)
-        params = init_attention_params(d_model, n_heads, spec, seed=1, dtype=np.float64)
+        cfg = layer_config(make_spec("glu", 2, n=head_dim), d_model, n_heads)
+        params = init_layer(cfg, 1, dtype=np.float64)
+        assert len(params.head_kernels) == n_heads
         mask = np.ones((3, 10), bool)
         x = Tensor(rng.standard_normal((3, 10, d_model))[mask])
-        out = multi_head_kernel_attention(x, params, spec, mask, eps=0.0)
+        out = multi_head_kernel_attention(x, params, cfg, mask)
         assert out.shape == (30, d_model)
 
     def test_matches_quadratic_replica(self):
         rng = np.random.default_rng(14)
-        spec = make_spec("aoglu", 2)
-        params = init_attention_params(16, 2, spec, seed=2, dtype=np.float64)
+        cfg = layer_config(make_spec("aoglu", 2), 16, 2)
+        params = init_layer(cfg, 2, dtype=np.float64)
         mask = np.ones((2, 14), bool)
         mask[1, -5:] = False
         x = Tensor(rng.standard_normal((2, 14, 16))[mask])
-        lin = multi_head_kernel_attention(x, params, spec, mask, eps=0.0, kind="kernel_linear")
-        quad = multi_head_kernel_attention(x, params, spec, mask, eps=0.0,
-                                           kind="kernel_quadratic")
+        quad_cfg = replace(cfg, attention_kind="kernel_quadratic")
+        lin = multi_head_kernel_attention(x, params, cfg, mask)
+        quad = multi_head_kernel_attention(x, params, quad_cfg, mask)
         assert np.abs(lin.data - quad.data).max() <= 1e-9
 
     def test_full_layer_gradients(self):
         rng = np.random.default_rng(15)
-        spec = make_spec("oglu", 1, n=4)
-        params = init_attention_params(8, 2, spec, seed=3, dtype=np.float64)
+        cfg = layer_config(make_spec("oglu", 1, n=4), 8, 2)
+        params = init_layer(cfg, 3, dtype=np.float64)
         mask = np.array([True] * 5 + [False])
         x = Tensor(rng.standard_normal((6, 8))[mask])
         named = named_tensors(params)
 
         def f(_):
-            out = multi_head_kernel_attention(x, params, spec, mask, eps=0.0)
+            out = multi_head_kernel_attention(x, params, cfg, mask)
             return T.mean(T.square(out))
 
         report = finite_difference_check(f, named, step=1e-5)
@@ -268,19 +280,18 @@ class TestMultiHead:
         # One layer at L = 2048 with about 30% of positions masked: each
         # parameter's f32 gradient against the f64 gradient of the same weights.
         rng = np.random.default_rng(19)
-        spec = make_spec("oglu", 1, n=16)
+        cfg = layer_config(make_spec("oglu", 1, n=16), 64, 4, eps=1e-6)
         mask = rng.random((2, 2048)) >= 0.3
         x = rng.standard_normal((int(mask.sum()), 64))
         c = rng.standard_normal(x.shape)
-        named64 = named_tensors(init_attention_params(64, 4, spec, seed=8, dtype=np.float64))
+        named64 = named_tensors(init_layer(cfg, 8, dtype=np.float64))
 
         def gradients(dtype):
-            params = init_attention_params(64, 4, spec, seed=8, dtype=dtype)
+            params = init_layer(cfg, 8, dtype=dtype)
             named = named_tensors(params)
             for name, t in named.items():
                 t.data = named64[name].data.astype(dtype)
-            out = multi_head_kernel_attention(Tensor(x.astype(dtype)), params, spec, mask,
-                                              eps=1e-6)
+            out = multi_head_kernel_attention(Tensor(x.astype(dtype)), params, cfg, mask)
             grads = backward(T.mean(T.mul(T.square(out), Tensor(c.astype(dtype)))),
                              params=named)
             return {name: grads[t] for name, t in named.items()}
@@ -294,59 +305,39 @@ class TestMultiHead:
     @pytest.mark.parametrize("kind", ["kernel_linear", "softmax"], ids=["kernel", "softmax"])
     def test_only_packed_rows_accepted(self, kind):
         rng = np.random.default_rng(18)
-        spec = make_spec("oglu", 2)
-        params = init_attention_params(16, 2, spec, seed=7, dtype=np.float64, kind=kind)
+        cfg = replace(layer_config(make_spec("oglu", 2), 16, 2), attention_kind=kind)
+        params = init_layer(cfg, 7, dtype=np.float64)
         x = rng.standard_normal((3, 9, 16))
         mask = np.arange(9) < np.array([9, 4, 1])[:, None]
 
         def run(inp):
-            return multi_head_kernel_attention(Tensor(inp), params, spec, mask, eps=0.0,
-                                               kind=kind)
+            return multi_head_kernel_attention(Tensor(inp), params, cfg, mask)
         assert run(x[mask]).shape == (14, 16)
         for bad in (x, x[mask][:-1], x[mask][:, :8]):
             with pytest.raises(ShapeError, match=r"\(14, 16\)"):
                 run(bad)
 
     def test_dimension_mismatch(self):
-        spec = make_spec("glu", 1)
-        params = init_attention_params(16, 2, spec, seed=5)
+        cfg = layer_config(make_spec("glu", 1), 16, 2)
+        params = init_layer(cfg, 5)
         with pytest.raises(ShapeError):
-            multi_head_kernel_attention(Tensor(np.zeros((4, 8))), params, spec,
+            multi_head_kernel_attention(Tensor(np.zeros((4, 8))), params, cfg,
                                         np.ones(4, bool))
-
-    @pytest.mark.parametrize("d_model, n_heads", [(30, 4), (8, 0), (8, -2)],
-                             ids=["indivisible", "zero-heads", "negative-heads"])
-    def test_bad_head_split_rejected_before_any_draw(self, d_model, n_heads):
-        with pytest.raises(ShapeError, match=rf"d_model {d_model} .* {n_heads} heads"):
-            init_attention_params(d_model, n_heads, KernelSpec(variant="glu"), 0)
-        rng = np.random.default_rng(0)
-        state = rng.bit_generator.state
-        with pytest.raises(ShapeError):
-            init_attention_params(d_model, n_heads, KernelSpec(variant="glu"), rng)
-        assert rng.bit_generator.state == state
-
-    def test_unknown_kind_rejected(self):
-        spec = make_spec("glu", 1)
-        params = init_attention_params(16, 2, spec, seed=5)
-        with pytest.raises(ConfigError, match=re.escape(str(ATTENTION_KINDS))):
-            multi_head_kernel_attention(Tensor(np.zeros((4, 16))), params, spec,
-                                        np.ones(4, bool), kind="linear")
 
     def test_softmax_baseline_shape_and_grads(self):
         rng = np.random.default_rng(17)
-        spec = make_spec("glu", 1)
-        params = init_attention_params(16, 2, spec, seed=6, dtype=np.float64,
-                                       kind="softmax")
+        cfg = replace(layer_config(make_spec("glu", 1), 16, 2), attention_kind="softmax")
+        params = init_layer(cfg, 6, dtype=np.float64)
+        assert params.head_kernels == []
         mask = np.ones((2, 7), bool)
         mask[0, -2:] = False
         x = Tensor(rng.standard_normal((2, 7, 16))[mask])
-        out = multi_head_kernel_attention(x, params, spec, mask, kind="softmax")
+        out = multi_head_kernel_attention(x, params, cfg, mask)
         assert out.shape == (12, 16)
         named = {"w_q": params.w_q, "w_o": params.w_o}
 
         def f(_):
-            return T.mean(T.square(multi_head_kernel_attention(x, params, spec, mask,
-                                                               kind="softmax")))
+            return T.mean(T.square(multi_head_kernel_attention(x, params, cfg, mask)))
 
         report = finite_difference_check(f, named, step=1e-5)
         assert max(r.max_rel_err for r in report.values()) <= 1e-5

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import linattn.bench
-from linattn.bench import (WARMUP_PASSES, BenchResult, BenchRow, bench_scaling,
-                           linear_attention_op_count)
+from linattn.bench import (MAX_LENGTH, MAX_REPEATS, WARMUP_PASSES, BenchResult, BenchRow,
+                           bench_scaling, check_scaling_args, linear_attention_op_count)
 from linattn.errors import ConfigError
 
 
@@ -67,6 +67,13 @@ class TestBenchScaling:
     def test_needs_at_least_one_repeat(self):
         with pytest.raises(ConfigError):
             bench_scaling([8, 16, 32], repeats=0)
+
+    def test_sizes_bounded_inclusive(self):
+        check_scaling_args([8, 16, MAX_LENGTH], MAX_REPEATS)
+        with pytest.raises(ConfigError, match=f"lengths must be <= {MAX_LENGTH}"):
+            check_scaling_args([8, 16, MAX_LENGTH + 1], 1)
+        with pytest.raises(ConfigError, match="repeats must be in"):
+            check_scaling_args([8, 16, 32], MAX_REPEATS + 1)
 
     def test_needs_three_lengths(self):
         with pytest.raises(ConfigError):

@@ -678,6 +678,20 @@ class TestBenchCommand:
         monkeypatch.setattr(linattn.cli, "bench_scaling",
                             lambda *a, **k: pytest.fail("swept before making --out-dir"))
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--lengths", "8,16,4097"], "lengths must be <= 4096"),
+        (["--lengths", f"8,16,{10**9}"], "lengths must be <= 4096"),
+        (["--lengths", "8,16,32", "--repeats", "65"], "repeats must be in [1, 64], got 65"),
+        (["--lengths", "8,16,32", "--repeats", str(10**12)], "repeats must be in [1, 64]"),
+    ], ids=["length-4097", "length-1e9", "repeats-65", "repeats-1e12"])
+    def test_oversized_sizes_exit_one_before_any_work(self, flags, message, tmp_path, capsys,
+                                                       monkeypatch):
+        self._forbid_sweep(monkeypatch)
+        out = tmp_path / "bench"
+        assert main(["bench", *flags, "--out-dir", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_out_dir_is_a_file_exit_one(self, tmp_path, capsys, monkeypatch):
         self._forbid_sweep(monkeypatch)
         taken = tmp_path / "taken"

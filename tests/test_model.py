@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import linattn.model
 import linattn.tensor as T
 from linattn.attention import multi_head_kernel_attention
 from linattn.config import parse_config_file
@@ -50,8 +51,7 @@ def padded_hidden(model, tokens, mask):
               T.getitem(model.embed_pos, np.s_[:tokens.shape[1]]))
     for blk in model.blocks:
         normed = T.getitem(model._layer_norm(h, blk.ln1_gamma, blk.ln1_beta), mask)
-        attn_out = multi_head_kernel_attention(normed, blk.attn, cfg.kernel, mask,
-                                               eps=cfg.eps, kind=cfg.attention_kind)
+        attn_out = multi_head_kernel_attention(normed, blk.attn, cfg, mask)
         h = T.add(h, T.unpack(attn_out, mask))
         normed = model._layer_norm(h, blk.ln2_gamma, blk.ln2_beta)
         inner = T.gelu(T.add(T.matmul(normed, blk.ffn_w1), blk.ffn_b1))
@@ -588,17 +588,34 @@ class TestCheckpoint:
         with pytest.raises(DataError, match=f"unsupported checkpoint version {version}"):
             load_checkpoint(path)
 
-    def test_oversized_header_rejected_before_building(self, tmp_path):
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(build_model(small_config(), seed=26), path)
+    @staticmethod
+    def _edit_header(path, **fields):
+        """Rewrite the config header of the checkpoint at ``path`` with
+        ``fields`` changed, keeping its weights, and recompute the checksum."""
         raw = path.read_bytes()
         (cfg_len,) = struct.unpack_from("<Q", raw, 12)
-        header = json.loads(raw[20:20 + cfg_len])
-        header["max_len"] = 99999999999
+        header = {**json.loads(raw[20:20 + cfg_len]), **fields}
         text = json.dumps(header, sort_keys=True).encode("utf-8")
         body = raw[:12] + struct.pack("<Q", len(text)) + text + raw[20 + cfg_len:-4]
         path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+
+    def test_oversized_header_rejected_before_building(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(build_model(small_config(), seed=26), path)
+        self._edit_header(path, max_len=99999999999)
         with pytest.raises(DataError, match="parameters, more than"):
+            load_checkpoint(path)
+
+    def test_weight_bytes_checked_before_building(self, tmp_path, monkeypatch):
+        # A valid header naming a far larger model than the file's weights
+        # fails on the byte count, without drawing the model it names.
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(build_model(small_config(), seed=30), path)
+        self._edit_header(path, vocab_size=200000)
+        monkeypatch.setattr(linattn.model, "build_model",
+                            lambda *a, **k: pytest.fail("built before checking the weight bytes"))
+        with pytest.raises(DataError, match="bytes of weights, but the config's float32 "
+                                            "parameters take"):
             load_checkpoint(path)
 
     def test_mixed_blob_dtypes_rejected(self, tmp_path):

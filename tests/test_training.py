@@ -152,16 +152,30 @@ class TestTrainLoop:
 
         assert stream("a") == stream("b")
 
-    def test_budget_gate_refuses(self):
+    @staticmethod
+    def _over_budget_config():
+        """``glu3.cfg``'s model: a 3-layer glu stack over the 10% budget."""
         cfg = tiny_config()
         cfg.model = ModelConfig(vocab_size=32, d_model=64, n_heads=4,
                                 n_layers=2, ffn_dim=128, max_len=64, classes=2,
                                 kernel=KernelSpec(variant="glu", depth=3),
                                 attention_kind="kernel_linear", dropout_rate=0.0)
+        return cfg
+
+    def test_budget_gate_refuses(self):
+        cfg = self._over_budget_config()
         with pytest.raises(ConfigError, match="0.1"):
             train(cfg, seed=0)
         res = train(cfg, seed=0, override_budget=True)
         assert len(res.records) >= 1
+
+    def test_budget_checked_before_data_or_weights(self, monkeypatch):
+        monkeypatch.setattr(TaskSpec, "build", lambda self: pytest.fail("generated the data"))
+        monkeypatch.setattr(linattn.training, "build_model",
+                            lambda *a, **k: pytest.fail("drew the weights"))
+        with pytest.raises(ConfigError, match=r"over parameter budget: kernel/base ratio "
+                                              r"0\.\d{4} >= 0\.10 \(pass --override-budget"):
+            train(self._over_budget_config(), seed=0)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_flagged(self, tmp_path):
