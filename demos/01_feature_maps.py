@@ -8,7 +8,7 @@ parameter costs.
 
 import numpy as np
 
-from linattn.kernels import (KernelSpec, init_kernel_params, kernel_stack_forward,
+from linattn.kernels import (KernelSpec, drawer, init_kernel_params, kernel_stack_forward,
                              orthogonality_penalty, regularized_matrices)
 from linattn.model import named_tensors
 from linattn.tensor import Tensor
@@ -21,7 +21,7 @@ for variant in ("linear_softplus", "glu", "oglu", "aoglu"):
     for depth in (1, 2, 3):
         spec = KernelSpec(variant=variant, depth=depth,
                           gate_rank=n // 4 if variant == "aoglu" else 0)
-        params = init_kernel_params(spec, n, seed=rng, dtype=np.float64)
+        params = init_kernel_params(spec, n, drawer(rng, np.float64))
 
         # wide inputs: three standard deviations of a unit-scale activation
         x = Tensor(rng.normal(0.0, 3.0, size=(5000, n)))

@@ -9,13 +9,13 @@ once and reuse them for every query. Same numbers, different cost.
 import numpy as np
 
 from linattn.attention import kernel_attention_linear, kernel_attention_quadratic
-from linattn.kernels import KernelSpec, init_kernel_params, kernel_stack_forward
+from linattn.kernels import KernelSpec, drawer, init_kernel_params, kernel_stack_forward
 from linattn.tensor import Tensor
 
 rng = np.random.default_rng(7)
 
 spec = KernelSpec(variant="oglu", depth=2)
-params = init_kernel_params(spec, 8, seed=3, dtype=np.float64)
+params = init_kernel_params(spec, 8, drawer(3, np.float64))
 
 L, d = 48, 12
 qf = kernel_stack_forward(Tensor(rng.standard_normal((L, 8))), spec, params)

@@ -22,8 +22,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractError, ShapeError
-from .kernels import KernelSpec, init_kernel_params, kernel_stack_forward, uniform_init
+from .errors import ConfigError, ContractError, ShapeError
+from .kernels import KernelSpec, init_kernel_params, kernel_stack_forward
 from .tensor import Tensor
 
 if TYPE_CHECKING:
@@ -115,20 +115,16 @@ class AttentionLayerParams:
     head_kernels: list[list[dict[str, Tensor]]] = field(default_factory=list)
 
 
-def init_attention_params(config: ModelConfig, rng: np.random.Generator,
-                          dtype=np.float32) -> AttentionLayerParams:
-    """Uniform(+-1/sqrt(d)) projections; for the kernel kinds, one
-    ``config.kernel`` stack per head, drawn from ``rng`` in head order."""
+def init_attention_params(config: ModelConfig, param) -> AttentionLayerParams:
+    """Four ``uniform`` projections, then for the kernel kinds one
+    ``config.kernel`` stack per head in head order, each tensor made by
+    ``param(kind, shape)`` (see ``kernels.drawer``)."""
     d = config.d_model
-
-    def proj():
-        return Tensor(uniform_init(rng, d, d, dtype), requires_grad=True)
-
-    params = AttentionLayerParams(w_q=proj(), w_k=proj(), w_v=proj(), w_o=proj())
-    if config.attention_kind != "softmax":
-        params.head_kernels = [init_kernel_params(config.kernel, config.head_dim, rng, dtype)
-                               for _ in range(config.n_heads)]
-    return params
+    heads = 0 if config.attention_kind == "softmax" else config.n_heads
+    return AttentionLayerParams(
+        *[param("uniform", (d, d)) for _ in range(4)],  # a list: made before the stacks
+        head_kernels=[init_kernel_params(config.kernel, config.head_dim, param)
+                      for _ in range(heads)])
 
 
 def _rows_mask(x: Tensor, mask, d_model: int) -> np.ndarray:
@@ -171,7 +167,8 @@ def multi_head_kernel_attention(x: Tensor, params: AttentionLayerParams,
     exponential kernel exp(q . k / sqrt(n)), evaluated exactly (the
     quadratic baseline). ``kernel_linear`` and ``kernel_quadratic`` map
     queries and keys through each head's feature stack, then run the
-    factorized evaluator or its oracle (to cross-check full layers).
+    factorized evaluator or its oracle (to cross-check full layers). Any
+    other kind raises ``ConfigError``: a ``ModelConfig`` stays mutable.
 
     ``x`` holds the packed rows ``(mask.sum(), d_model)`` of the unmasked
     positions of a ``(..., L)`` mask, in row-major order, and so does the
@@ -182,6 +179,8 @@ def multi_head_kernel_attention(x: Tensor, params: AttentionLayerParams,
     """
     m = _rows_mask(x, mask, config.d_model)
     kind, n_heads = config.attention_kind, config.n_heads
+    if kind not in ATTENTION_KINDS:
+        raise ConfigError(f"attention_kind must be one of {ATTENTION_KINDS}, got {kind!r}")
     if kind == "softmax":
         q = _heads(T.matmul(x, params.w_q), n_heads, m)
         k = _heads(T.matmul(x, params.w_k), n_heads, m)
@@ -197,6 +196,6 @@ def multi_head_kernel_attention(x: Tensor, params: AttentionLayerParams,
         heads_out = softmax_attention(q, k, v, m_heads)
     elif kind == "kernel_linear":
         heads_out = kernel_attention_linear(q, k, v, m_heads, eps=config.eps)
-    else:
+    elif kind == "kernel_quadratic":
         heads_out = kernel_attention_quadratic(q, k, v, m_heads, eps=config.eps)
     return T.matmul(_merge_rows(heads_out, m), params.w_o)

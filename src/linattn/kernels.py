@@ -100,43 +100,50 @@ def orthogonal_init(n: int, seed, dtype=np.float64) -> np.ndarray:
     return (q * signs).astype(dtype)
 
 
-def uniform_init(rng: np.random.Generator, rows: int, cols: int, dtype) -> np.ndarray:
-    """A (rows, cols) draw from uniform(-1/sqrt(rows), 1/sqrt(rows))."""
-    bound = 1.0 / np.sqrt(rows)
-    return rng.uniform(-bound, bound, size=(rows, cols)).astype(dtype)
+def drawer(seed, dtype=np.float32):
+    """A ``param(kind, shape) -> Tensor`` that draws from
+    ``np.random.default_rng(seed)``, one call at a time. ``uniform`` is
+    uniform(-1/sqrt(rows), 1/sqrt(rows)), ``normal`` is N(0, 0.02),
+    ``orthogonal`` an ``orthogonal_init`` draw; ``ones`` and ``zeros``
+    draw nothing."""
+    rng = np.random.default_rng(seed)
+
+    def param(kind: str, shape: tuple[int, ...]) -> Tensor:
+        if kind == "uniform":
+            bound = 1.0 / np.sqrt(shape[0])
+            arr = rng.uniform(-bound, bound, size=shape)
+        elif kind == "normal":
+            arr = rng.standard_normal(shape) * 0.02
+        elif kind == "orthogonal":
+            arr = orthogonal_init(shape[0], rng)
+        else:
+            arr = {"ones": np.ones, "zeros": np.zeros}[kind](shape)
+        return Tensor(arr.astype(dtype), requires_grad=True)
+
+    return param
 
 
-def init_kernel_params(spec: KernelSpec, n: int, seed,
-                       dtype=np.float32) -> list[dict[str, Tensor]]:
-    """Allocate and initialize all weights for one feature-map stack of width
-    ``n``, one dict per layer: ``w``, ``w_feat``/``w_gate`` or ``w_feat``/``gate_in``/``gate_out``.
+def init_kernel_params(spec: KernelSpec, n: int, param) -> list[dict[str, Tensor]]:
+    """Make all weights for one feature-map stack of width ``n`` through
+    ``param(kind, shape)`` (see ``drawer``), one dict per layer: ``w``,
+    ``w_feat``/``w_gate`` or ``w_feat``/``gate_in``/``gate_out``.
 
     Matrices subject to the orthogonality penalty (``w`` of the softplus
-    variant, ``w_feat`` of oglu/aoglu) start orthogonal; every other matrix
-    uses uniform(-1/sqrt(n), 1/sqrt(n)). Only aoglu's output layer has a
-    rank-r gate.
+    variant, ``w_feat`` of oglu/aoglu) are ``orthogonal``; every other
+    matrix is ``uniform``. Only aoglu's output layer has a rank-r gate.
     """
     check_gate_rank(spec, n)
-    rng = np.random.default_rng(seed)
     r = spec.gate_rank
-
-    def weight(rows, cols):
-        return Tensor(uniform_init(rng, rows, cols, dtype), requires_grad=True)
-
-    def feat_matrix():
-        if spec.variant in _ORTHOGONAL_VARIANTS:
-            return Tensor(orthogonal_init(n, rng, dtype=dtype), requires_grad=True)
-        return weight(n, n)
-
+    feat = "orthogonal" if spec.variant in _ORTHOGONAL_VARIANTS else "uniform"
     layers = []
     for i in range(spec.depth):
         if spec.variant == "linear_softplus":
-            layers.append({"w": feat_matrix()})
+            layers.append({"w": param(feat, (n, n))})
         elif spec.variant == "aoglu" and i == spec.depth - 1:
-            layers.append({"w_feat": feat_matrix(), "gate_in": weight(n, r),
-                           "gate_out": weight(r, n)})
+            layers.append({"w_feat": param(feat, (n, n)), "gate_in": param("uniform", (n, r)),
+                           "gate_out": param("uniform", (r, n))})
         else:
-            layers.append({"w_feat": feat_matrix(), "w_gate": weight(n, n)})
+            layers.append({"w_feat": param(feat, (n, n)), "w_gate": param("uniform", (n, n))})
     return layers
 
 

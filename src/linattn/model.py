@@ -26,8 +26,7 @@ from . import tensor as T
 from .attention import (ATTENTION_KINDS, AttentionLayerParams, init_attention_params,
                         multi_head_kernel_attention)
 from .errors import ConfigError, ContractError, DataError, ShapeError
-from .kernels import (KernelSpec, check_gate_rank, check_int_fields, regularized_matrices,
-                      uniform_init)
+from .kernels import KernelSpec, check_gate_rank, check_int_fields, drawer, regularized_matrices
 from .tensor import Tensor
 
 HEADS = ("classify", "match")
@@ -250,6 +249,30 @@ class Model:
                                .astype(h.dtype)), h)
 
 
+def _assemble(config: ModelConfig, param) -> Model:
+    """The model tree of ``config``, every tensor made by ``param(kind,
+    shape)`` in ``named_parameters`` order, which is also the checkpoint's
+    order. ``kernels.drawer`` draws them; ``load_checkpoint`` reads them."""
+    d, f = config.d_model, config.ffn_dim
+    return Model(
+        config,
+        embed_tokens=param("normal", (config.vocab_size, d)),
+        embed_pos=param("normal", (config.max_len, d)),
+        blocks=[Block(ln1_gamma=param("ones", (d,)), ln1_beta=param("zeros", (d,)),
+                      attn=init_attention_params(config, param),
+                      ln2_gamma=param("ones", (d,)), ln2_beta=param("zeros", (d,)),
+                      ffn_w1=param("uniform", (d, f)), ffn_b1=param("zeros", (f,)),
+                      ffn_w2=param("uniform", (f, d)), ffn_b2=param("zeros", (d,)))
+                for _ in range(config.n_layers)],
+        final_gamma=param("ones", (d,)),
+        final_beta=param("zeros", (d,)),
+        head=({"w": param("uniform", (d, config.classes)),
+               "b": param("zeros", (config.classes,))}
+              if config.head == "classify" else  # a hidden layer of width d_model
+              {"w1": param("uniform", (4 * d, d)), "b1": param("zeros", (d,)),
+               "w2": param("uniform", (d, 2)), "b2": param("zeros", (2,))}))
+
+
 def build_model(config: ModelConfig, seed: int, dtype=np.float32) -> Model:
     """Deterministically initialize a model from a seed.
 
@@ -258,46 +281,7 @@ def build_model(config: ModelConfig, seed: int, dtype=np.float32) -> Model:
     follow their spec (orthogonal or uniform).
     """
     config.validate()
-    rng = np.random.default_rng(seed)
-    d, dtype = config.d_model, np.dtype(dtype)
-
-    def param(arr):
-        return Tensor(arr, requires_grad=True)
-
-    embed_tokens = param((rng.standard_normal((config.vocab_size, d)) * 0.02).astype(dtype))
-    embed_pos = param((rng.standard_normal((config.max_len, d)) * 0.02).astype(dtype))
-
-    blocks = []
-    for _ in range(config.n_layers):
-        attn = init_attention_params(config, rng, dtype)
-        blocks.append(Block(
-            ln1_gamma=param(np.ones(d, dtype=dtype)),
-            ln1_beta=param(np.zeros(d, dtype=dtype)),
-            attn=attn,
-            ln2_gamma=param(np.ones(d, dtype=dtype)),
-            ln2_beta=param(np.zeros(d, dtype=dtype)),
-            ffn_w1=param(uniform_init(rng, d, config.ffn_dim, dtype)),
-            ffn_b1=param(np.zeros(config.ffn_dim, dtype=dtype)),
-            ffn_w2=param(uniform_init(rng, config.ffn_dim, d, dtype)),
-            ffn_b2=param(np.zeros(d, dtype=dtype)),
-        ))
-
-    final_gamma = param(np.ones(d, dtype=dtype))
-    final_beta = param(np.zeros(d, dtype=dtype))
-
-    if config.head == "classify":
-        head = {
-            "w": param(uniform_init(rng, d, config.classes, dtype)),
-            "b": param(np.zeros(config.classes, dtype=dtype)),
-        }
-    else:  # a hidden layer of width d_model
-        head = {
-            "w1": param(uniform_init(rng, 4 * d, d, dtype)),
-            "b1": param(np.zeros(d, dtype=dtype)),
-            "w2": param(uniform_init(rng, d, 2, dtype)),
-            "b2": param(np.zeros(2, dtype=dtype)),
-        }
-    return Model(config, embed_tokens, embed_pos, blocks, final_gamma, final_beta, head)
+    return _assemble(config, drawer(seed, dtype))
 
 
 def forward_classify(model: Model, tokens, mask, rng=None) -> Tensor:
@@ -369,7 +353,8 @@ def save_checkpoint(model: Model, path):
 
 
 def load_checkpoint(path) -> Model:
-    """Rebuild a model from a checkpoint file. Malformed, truncated or
+    """Rebuild a model from a checkpoint file, reading each parameter in
+    turn from the weights and drawing nothing. Malformed, truncated or
     corrupted content raises ``DataError`` naming the path."""
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -397,11 +382,13 @@ def load_checkpoint(path) -> Model:
     if len(body) != need:
         raise DataError(f"{path}: {len(body)} bytes of weights, but the config's "
                         f"{dtype.name} parameters take {need}")
-    model = build_model(config, seed=0, dtype=dtype.newbyteorder("="))
-    params = model.named_parameters().values()
-    data = np.frombuffer(body, dtype=dtype)
     offset = 0
-    for t in params:
-        t.data[...] = data[offset:offset + t.size].reshape(t.shape)
-        offset += t.size
-    return model
+
+    def read(kind, shape):
+        nonlocal offset
+        count = int(np.prod(shape))
+        arr = np.frombuffer(body, dtype, count, offset).reshape(shape)
+        offset += count * dtype.itemsize
+        return Tensor(arr.astype(dtype.newbyteorder("=")), requires_grad=True)
+
+    return _assemble(config, read)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import tensor as T
 from .attention import kernel_attention_linear, kernel_attention_quadratic
-from .kernels import (KernelSpec, feature_layer, init_kernel_params, kernel_stack_forward,
+from .kernels import (KernelSpec, drawer, feature_layer, init_kernel_params, kernel_stack_forward,
                       orthogonal_init, orthogonality_penalty)
 from .model import ModelConfig, build_model, closed_form_params, count_params, forward_classify
 from .tensor import Tensor, cross_entropy, finite_difference_check
@@ -48,7 +48,7 @@ def check_oracle_equivalence() -> list[CheckResult]:
         spec = _spec(variant, depth)
         worst, worst_length = 0.0, 0
         for _ in range(100):
-            kp = init_kernel_params(spec, 8, rng, dtype=np.float64)
+            kp = init_kernel_params(spec, 8, drawer(rng, np.float64))
             length = int(rng.integers(2, 65))
             d = int(rng.integers(2, 17))
             x_q = Tensor(rng.standard_normal((length, 8)))
@@ -111,7 +111,7 @@ def check_positivity() -> list[CheckResult]:
     results = []
     for variant, depth in VARIANT_GRID:
         spec = _spec(variant, depth)
-        kp = init_kernel_params(spec, 8, rng, dtype=np.float64)
+        kp = init_kernel_params(spec, 8, drawer(rng, np.float64))
         x = Tensor(rng.normal(0.0, 3.0, size=(10_000, 8)))
         out = kernel_stack_forward(x, spec, kp)
         lo = float(out.data.min())
@@ -135,7 +135,7 @@ def check_orthogonal_init() -> list[CheckResult]:
 def check_gate_materialization() -> list[CheckResult]:
     rng = np.random.default_rng(3)
     spec = KernelSpec(variant="aoglu", depth=1, gate_rank=4)
-    layer = init_kernel_params(spec, 16, rng, dtype=np.float64)[0]
+    layer = init_kernel_params(spec, 16, drawer(rng, np.float64))[0]
     x = Tensor(rng.standard_normal((32, 16)))
     factored = feature_layer(x, layer, T.softplus)
     dense_gate = Tensor(layer["gate_in"].data @ layer["gate_out"].data)

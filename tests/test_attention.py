@@ -11,7 +11,7 @@ from linattn.attention import (init_attention_params, kernel_attention_linear,
                                kernel_attention_quadratic, multi_head_kernel_attention,
                                softmax_attention)
 from linattn.errors import ContractError, ShapeError
-from linattn.kernels import KernelSpec, init_kernel_params, kernel_stack_forward
+from linattn.kernels import KernelSpec, drawer, init_kernel_params, kernel_stack_forward
 from linattn.model import ModelConfig, named_tensors
 from linattn.tensor import Tensor, backward, finite_difference_check
 
@@ -31,7 +31,7 @@ def layer_config(spec, d_model, n_heads, eps=0.0):
 
 
 def init_layer(cfg, seed, dtype=np.float32):
-    return init_attention_params(cfg, np.random.default_rng(seed), dtype=dtype)
+    return init_attention_params(cfg, drawer(seed, dtype))
 
 
 def random_features(rng, length, feat, val):
@@ -119,7 +119,7 @@ class TestLinearEvaluator:
         spec = make_spec(variant, depth)
         worst = 0.0
         for _ in range(20):
-            kp = init_kernel_params(spec, 8, rng, dtype=np.float64)
+            kp = init_kernel_params(spec, 8, drawer(rng, np.float64))
             length = int(rng.integers(2, 65))
             d = int(rng.integers(2, 17))
             qf = kernel_stack_forward(Tensor(rng.standard_normal((length, 8))), spec, kp)
@@ -140,7 +140,7 @@ class TestLinearEvaluator:
         # depth 2, about 30% of positions masked
         rng = np.random.default_rng(12)
         spec = make_spec(variant, 2)
-        kp64 = init_kernel_params(spec, 8, rng, dtype=np.float64)
+        kp64 = init_kernel_params(spec, 8, drawer(rng, np.float64))
         kp32 = [{k: Tensor(t.data.astype(np.float32)) for k, t in layer.items()}
                 for layer in kp64]
         worst = 0.0

@@ -5,9 +5,9 @@ import pytest
 
 import linattn.tensor as T
 from linattn.errors import ConfigError, ShapeError
-from linattn.kernels import (KernelSpec, check_gate_rank, feature_layer, init_kernel_params,
-                             kernel_stack_forward, orthogonal_init, orthogonality_penalty,
-                             regularized_matrices)
+from linattn.kernels import (KernelSpec, check_gate_rank, drawer, feature_layer,
+                             init_kernel_params, kernel_stack_forward, orthogonal_init,
+                             orthogonality_penalty, regularized_matrices)
 from linattn.model import named_tensors
 from linattn.tensor import Tensor, backward, finite_difference_check
 
@@ -51,7 +51,7 @@ class TestKernelSpec:
             with pytest.raises(ConfigError, match="gate_rank"):
                 check_gate_rank(spec, 8)
             with pytest.raises(ConfigError, match="gate_rank"):
-                init_kernel_params(spec, 8, 0)
+                init_kernel_params(spec, 8, drawer(0))
 
     def test_depth_capped(self):
         with pytest.raises(ConfigError):
@@ -167,9 +167,9 @@ class TestAOGLU:
     def test_parameter_reduction_arithmetic(self):
         n, r = 64, 16
         spec = KernelSpec(variant="aoglu", depth=1, gate_rank=r)
-        params = init_kernel_params(spec, n, 0, dtype=np.float64)
+        params = init_kernel_params(spec, n, drawer(0, np.float64))
         assert param_count(params) == n * n + 2 * n * r == 6144
-        glu_params = init_kernel_params(KernelSpec(variant="glu", depth=1), n, 0)
+        glu_params = init_kernel_params(KernelSpec(variant="glu", depth=1), n, drawer(0))
         assert param_count(glu_params) == 2 * n * n == 8192
         assert param_count(params) == int(0.75 * param_count(glu_params))
 
@@ -185,7 +185,7 @@ class TestKernelStack:
     def test_depth1_linear_reduces_to_single_layer(self):
         rng = np.random.default_rng(9)
         spec = make_spec("linear_softplus", 1)
-        params = init_kernel_params(spec, 8, rng, dtype=np.float64)
+        params = init_kernel_params(spec, 8, drawer(rng, np.float64))
         x = Tensor(rng.standard_normal((5, 8)))
         stacked = kernel_stack_forward(x, spec, params)
         direct = softplus_layer(x, params[0]["w"])
@@ -202,7 +202,7 @@ class TestKernelStack:
     def test_positivity_sweep(self, variant, depth):
         rng = np.random.default_rng(hash((variant, depth)) % 2**32)
         spec = make_spec(variant, depth)
-        params = init_kernel_params(spec, 8, rng, dtype=np.float64)
+        params = init_kernel_params(spec, 8, drawer(rng, np.float64))
         x = Tensor(rng.normal(0.0, 3.0, size=(10_000, 8)))
         out = kernel_stack_forward(x, spec, params)
         assert out.data.min() > 0
@@ -210,7 +210,7 @@ class TestKernelStack:
     def test_depth2_oglu_composes_plain_then_positive_output(self):
         rng = np.random.default_rng(20)
         spec = make_spec("oglu", 2)
-        params = init_kernel_params(spec, 8, rng, dtype=np.float64)
+        params = init_kernel_params(spec, 8, drawer(rng, np.float64))
         x = Tensor(rng.standard_normal((6, 8)))
         stacked = kernel_stack_forward(x, spec, params)
         l0, l1 = params
@@ -221,13 +221,13 @@ class TestKernelStack:
 
     def test_depth3_aoglu_param_count_by_construction(self):
         spec = KernelSpec(variant="aoglu", depth=3, gate_rank=16)
-        params = init_kernel_params(spec, 64, 0)
+        params = init_kernel_params(spec, 64, drawer(0))
         # two full-rank gated layers plus one low-rank output layer
         assert param_count(params) == 2 * 8192 + 6144 == 22528
 
     def test_spec_params_mismatch(self):
         spec = make_spec("glu", 2)
-        params = init_kernel_params(make_spec("glu", 1), 8, 0)
+        params = init_kernel_params(make_spec("glu", 1), 8, drawer(0))
         with pytest.raises(ConfigError):
             kernel_stack_forward(Tensor(np.zeros((2, 8))), spec, params)
 
@@ -235,7 +235,7 @@ class TestKernelStack:
     def test_stack_gradients(self, variant, depth):
         rng = np.random.default_rng(11)
         spec = make_spec(variant, depth)
-        kp = init_kernel_params(spec, 8, rng, dtype=np.float64)
+        kp = init_kernel_params(spec, 8, drawer(rng, np.float64))
         x = Tensor(rng.standard_normal((4, 8)))
         named = named_tensors(kp)
 
@@ -257,7 +257,7 @@ class TestOrthogonalityPenalty:
 
     def test_plain_glu_has_empty_set(self):
         spec = make_spec("glu", 2)
-        params = init_kernel_params(spec, 8, 0, dtype=np.float64)
+        params = init_kernel_params(spec, 8, drawer(0, np.float64))
         mats = regularized_matrices(spec, params)
         assert mats == []
         assert orthogonality_penalty(mats, 1.0).item() == 0.0
@@ -265,7 +265,7 @@ class TestOrthogonalityPenalty:
     def test_regularized_sets(self):
         for variant, expected_per_layer in (("linear_softplus", 1), ("oglu", 1), ("aoglu", 1)):
             spec = make_spec(variant, 3)
-            params = init_kernel_params(spec, 8, 0, dtype=np.float64)
+            params = init_kernel_params(spec, 8, drawer(0, np.float64))
             assert len(regularized_matrices(spec, params)) == 3 * expected_per_layer
 
     def test_zero_weight_is_exact_zero(self):
@@ -287,14 +287,14 @@ class TestOrthogonalityPenalty:
 class TestInitialization:
     def test_orthogonal_flag_respected(self):
         spec = KernelSpec(variant="oglu", depth=2)
-        params = init_kernel_params(spec, 16, 0, dtype=np.float64)
+        params = init_kernel_params(spec, 16, drawer(0, np.float64))
         for layer in params:
             w = layer["w_feat"].data
             assert np.abs(w.T @ w - np.eye(16)).max() <= 1e-12
 
     def test_uniform_bound(self):
         spec = KernelSpec(variant="glu", depth=1)
-        params = init_kernel_params(spec, 16, 0, dtype=np.float64)
+        params = init_kernel_params(spec, 16, drawer(0, np.float64))
         bound = 1.0 / np.sqrt(16)
         for layer in params:
             for t in layer.values():
@@ -302,8 +302,8 @@ class TestInitialization:
 
     def test_deterministic_by_seed(self):
         spec = make_spec("aoglu", 2)
-        a = init_kernel_params(spec, 8, 42, dtype=np.float64)
-        b = init_kernel_params(spec, 8, 42, dtype=np.float64)
+        a = init_kernel_params(spec, 8, drawer(42, np.float64))
+        b = init_kernel_params(spec, 8, drawer(42, np.float64))
         for la, lb in zip(a, b):
             for k in la:
                 np.testing.assert_array_equal(la[k].data, lb[k].data)

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import linattn.kernels
 import linattn.model
 import linattn.tensor as T
 from linattn.attention import multi_head_kernel_attention
@@ -21,6 +22,7 @@ from linattn.model import (ModelConfig, ParamAccount, build_model,
                            closed_form_params, count_params, forward_classify, forward_match,
                            load_checkpoint, save_checkpoint)
 from linattn.tensor import Tensor, backward
+from linattn.training import Adam
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 LISTOPS_CFG = CONFIGS / "listops.cfg"
@@ -445,6 +447,18 @@ class TestAttentionLookup:
                          "kernel_stack_forward": cfg.n_layers * cfg.n_heads * 2}
 
 
+class TestAttentionKind:
+    @pytest.mark.parametrize("built", ["kernel_linear", "softmax"])
+    def test_unknown_kind_on_a_built_model_raises(self, built):
+        # ModelConfig stays mutable, so the layer names a kind it cannot run
+        # instead of falling through to one of the evaluators.
+        model = build_model(small_config(attention_kind=built), seed=0)
+        model.config.attention_kind = "bogus"
+        tokens, mask = random_batch(model.config)
+        with pytest.raises(ConfigError, match="'bogus'"):
+            forward_classify(model, tokens, mask)
+
+
 class TestEndToEndEquivalence:
     def test_linear_equals_quadratic_forward(self):
         cfg_l = small_config()
@@ -612,7 +626,7 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(build_model(small_config(), seed=30), path)
         self._edit_header(path, vocab_size=200000)
-        monkeypatch.setattr(linattn.model, "build_model",
+        monkeypatch.setattr(linattn.model, "_assemble",
                             lambda *a, **k: pytest.fail("built before checking the weight bytes"))
         with pytest.raises(DataError, match="bytes of weights, but the config's float32 "
                                             "parameters take"):
@@ -731,3 +745,63 @@ class TestCheckpointLayout:
         assert layout == expected, (
             "the checkpoint layout changed: files written before this change would load "
             "permuted weights, so bump model._VERSION and update this list")
+
+
+class TestOneLayout:
+    """Building and loading make every parameter through one ``param(kind,
+    shape)`` in ``named_parameters`` order, so draws and file reads land in
+    the same tensors."""
+
+    CASES = {**{p.stem: parse_config_file(p).model for p in sorted(CONFIGS.glob("*.cfg"))},
+             "softmax": small_config(attention_kind="softmax"),
+             "match_aoglu_2": small_config(head="match", classes=2, kernel=KernelSpec(
+                 variant="aoglu", depth=2, gate_rank=1))}
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_param_calls_follow_named_parameters(self, name):
+        calls = []
+
+        def record(kind, shape):
+            t = Tensor(np.zeros(shape), requires_grad=True)
+            calls.append((shape, t))
+            return t
+
+        named = linattn.model._assemble(self.CASES[name], record).named_parameters()
+        assert len(calls) == len(named)
+        for (param_name, t), (shape, made) in zip(named.items(), calls):
+            assert made is t and t.shape == shape, param_name
+
+    def test_load_draws_nothing(self, tmp_path, monkeypatch):
+        model = build_model(small_config(), seed=31)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew a parameter")
+
+        for module, name in [(linattn.model, "build_model"), (linattn.model, "drawer"),
+                             (linattn.kernels, "drawer"), (linattn.kernels, "orthogonal_init"),
+                             (np.random, "default_rng")]:
+            monkeypatch.setattr(module, name, refuse)
+        loaded = load_checkpoint(path).named_parameters()
+        for name, t in model.named_parameters().items():
+            np.testing.assert_array_equal(loaded[name].data, t.data)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_loaded_parameters_train_and_leave_the_file_alone(self, tmp_path, dtype):
+        cfg = small_config()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(build_model(cfg, seed=32, dtype=dtype), path)
+        raw = path.read_bytes()
+        model = load_checkpoint(path)
+        params = model.named_parameters()
+        for name, t in params.items():
+            flags = t.data.flags
+            assert flags.writeable and flags.owndata and t.data.dtype.isnative, name
+        before = {name: t.data.copy() for name, t in params.items()}
+        tokens, mask = random_batch(cfg)
+        loss = T.cross_entropy(forward_classify(model, tokens, mask), np.arange(4) % 3)
+        grads = backward(loss, params=params)
+        Adam(params).step({name: grads[p] for name, p in params.items()}, lr=1e-2)
+        assert all(not np.array_equal(t.data, before[name]) for name, t in params.items())
+        assert path.read_bytes() == raw
