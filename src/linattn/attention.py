@@ -168,7 +168,8 @@ def multi_head_kernel_attention(x: Tensor, params: AttentionLayerParams,
     quadratic baseline). ``kernel_linear`` and ``kernel_quadratic`` map
     queries and keys through each head's feature stack, then run the
     factorized evaluator or its oracle (to cross-check full layers). Any
-    other kind raises ``ConfigError``: a ``ModelConfig`` stays mutable.
+    other kind, or a head count other than the layer's number of stacks,
+    raises ``ConfigError``: a ``ModelConfig`` stays mutable.
 
     ``x`` holds the packed rows ``(mask.sum(), d_model)`` of the unmasked
     positions of a ``(..., L)`` mask, in row-major order, and so does the
@@ -185,6 +186,9 @@ def multi_head_kernel_attention(x: Tensor, params: AttentionLayerParams,
         q = _heads(T.matmul(x, params.w_q), n_heads, m)
         k = _heads(T.matmul(x, params.w_k), n_heads, m)
     else:
+        if len(params.head_kernels) != n_heads:
+            raise ConfigError(f"{kind} runs {n_heads} heads, but the layer holds "
+                              f"{len(params.head_kernels)} feature stacks")
         q = _stack_head_features(T.matmul(x, params.w_q), params.head_kernels, config.kernel)
         k = _stack_head_features(T.matmul(x, params.w_k), params.head_kernels, config.kernel)
         q = _heads(q, n_heads, m, fill=1.0)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 from .data import (LISTOPS_SYMBOLS, Dataset, gen_listops, gen_matching,
                    gen_text_classification, load_tsv_dataset)
 from .errors import ConfigError, DataError
-from .kernels import KernelSpec
+from .kernels import KernelSpec, at_least, check_fields, one_of, ruled
 from .model import ModelConfig
 
 TASK_SOURCES = ("listops", "text_classification", "matching", "tsv")
@@ -23,26 +23,23 @@ TASK_SOURCES = ("listops", "text_classification", "matching", "tsv")
 
 @dataclass
 class OptimizerConfig:
-    lr: float = 5e-4
+    lr: float = ruled("finite and > 0", lambda v: 0 < v < float("inf"), default=5e-4)
 
     def validate(self):
-        if not 0 < self.lr < float("inf"):
-            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
+        check_fields(self)
 
 
 @dataclass
 class ScheduleConfig:
-    warmup_steps: int = 50
+    warmup_steps: int = at_least(0, default=50)
     total_steps: int = 1000
-    decay: str = "linear"
+    decay: str = one_of(("linear", "inv_sqrt"), default="linear")
 
     def validate(self):
-        if not 0 <= self.warmup_steps < self.total_steps:
-            raise ConfigError(
-                f"need total_steps > warmup_steps >= 0, got warmup={self.warmup_steps}, "
-                f"total={self.total_steps}")
-        if self.decay not in ("linear", "inv_sqrt"):
-            raise ConfigError(f"decay must be 'linear' or 'inv_sqrt', got {self.decay!r}")
+        check_fields(self)
+        if self.warmup_steps >= self.total_steps:
+            raise ConfigError(f"need total_steps > warmup_steps >= 0, got "
+                              f"warmup={self.warmup_steps}, total={self.total_steps}")
 
 
 @dataclass
@@ -55,27 +52,21 @@ class TaskSpec:
     the last tenth of the rows (at least 10) is held out.
     """
 
-    source: str = "text_classification"
-    count: int = 2000
-    eval_count: int = 500
+    source: str = one_of(TASK_SOURCES, default="text_classification")
+    data_seed: int = at_least(0, default=1234)
+    count: int = at_least(1, default=2000)
+    eval_count: int = at_least(1, default=500)
     length: int = 128
     vocab_size: int = 32
     classes: int = 2
     max_depth: int = 4
     path: str = ""
     eval_path: str = ""
-    data_seed: int = 1234
 
     def validate(self):
-        if self.source not in TASK_SOURCES:
-            raise ConfigError(f"task source must be one of {TASK_SOURCES}, got {self.source!r}")
         if self.source == "tsv" and not self.path:
             raise ConfigError("tsv task needs a path")
-        if self.data_seed < 0:
-            raise ConfigError(f"data_seed must be >= 0, got {self.data_seed}")
-        for name in ("count", "eval_count"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        check_fields(self)
 
     def build(self) -> tuple[Dataset, Dataset]:
         """Materialize (train, eval) datasets."""
@@ -120,30 +111,20 @@ class TrainConfig:
     task: TaskSpec = field(default_factory=TaskSpec)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     schedule: ScheduleConfig = field(default_factory=ScheduleConfig)
-    micro_batch: int = 16
-    accumulation_steps: int = 1
-    seeds: list[int] = field(default_factory=lambda: [1, 2, 3, 4, 5])
-    eval_every: int = 50
-    target_accuracy: float | None = None
+    micro_batch: int = at_least(1, default=16)
+    accumulation_steps: int = at_least(1, default=1)
+    eval_every: int = at_least(0, default=50)
+    seeds: list[int] = ruled(">= 0", lambda seeds: all(s >= 0 for s in seeds),
+                             default_factory=lambda: [1, 2, 3, 4, 5])
+    target_accuracy: float | None = ruled("unset or in [0, 1]",
+                                          lambda v: v is None or 0 <= v <= 1, default=None)
 
     def validate(self):
-        self.model.validate()
-        self.task.validate()
-        self.optimizer.validate()
-        self.schedule.validate()
-        if self.micro_batch < 1:
-            raise ConfigError(f"micro_batch must be >= 1, got {self.micro_batch}")
-        if self.accumulation_steps < 1:
-            raise ConfigError(f"accumulation_steps must be >= 1, got {self.accumulation_steps}")
-        if self.eval_every < 0:
-            raise ConfigError(f"eval_every must be >= 0, got {self.eval_every}")
+        for section in (self.model, self.task, self.optimizer, self.schedule):
+            section.validate()
         if not self.seeds:
             raise ConfigError("need at least one seed")
-        if any(seed < 0 for seed in self.seeds):
-            raise ConfigError(f"seeds must be >= 0, got {self.seeds}")
-        if self.target_accuracy is not None and not 0 <= self.target_accuracy <= 1:
-            raise ConfigError(
-                f"target_accuracy must be unset or in [0, 1], got {self.target_accuracy}")
+        check_fields(self)
         self._check_task_fits_model()
 
     def _check_task_fits_model(self):

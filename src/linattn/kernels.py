@@ -21,7 +21,7 @@ normalization between layers. Every layer of every variant is one
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -38,6 +38,39 @@ MAX_DEPTH = 3
 _ORTHOGONAL_VARIANTS = ("linear_softplus", "oglu", "aoglu")
 
 
+def ruled(rule: str, ok, **kw):
+    """A dataclass ``field(**kw)`` whose values must satisfy ``ok``, stated
+    as ``rule`` for messages; ``check_fields`` applies it."""
+    return field(metadata={"rule": rule, "ok": ok}, **kw)
+
+
+def at_least(low, **kw):
+    return ruled(f">= {low}", lambda v: v >= low, **kw)
+
+
+def one_of(choices, **kw):
+    return ruled(f"one of {choices}", lambda v: v in choices, **kw)
+
+
+def finite_at_least(low, **kw):
+    return ruled(f"finite and >= {low}", lambda v: low <= v < float("inf"), **kw)
+
+
+def check_fields(config):
+    """Reject a float, bool or string (a checkpoint header can carry one) in
+    a dataclass field annotated ``int``, then a value outside any field's
+    ``ruled`` domain, in field order."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type == "int" and (isinstance(value, bool)
+                                or not isinstance(value, (int, np.integer))):
+            raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if "ok" in f.metadata and not f.metadata["ok"](value):
+            raise ConfigError(f"{f.name} must be {f.metadata['rule']}, got {value!r}")
+
+
 @dataclass
 class KernelSpec:
     """Declarative description of one feature-map stack.
@@ -47,33 +80,16 @@ class KernelSpec:
     Queries and keys of a head run through the same stack.
     """
 
-    variant: str = "linear_softplus"
-    depth: int = 1
+    variant: str = one_of(VARIANTS, default="linear_softplus")
+    depth: int = ruled(f"in [1, {MAX_DEPTH}]", lambda v: 1 <= v <= MAX_DEPTH, default=1)
     gate_rank: int = 0
-    ortho_reg_weight: float = 0.01
+    ortho_reg_weight: float = finite_at_least(0, default=0.01)
 
     def __post_init__(self):
         self.validate()
 
     def validate(self):
-        check_int_fields(self)
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"unknown kernel variant {self.variant!r}; expected one of {VARIANTS}")
-        if not 1 <= self.depth <= MAX_DEPTH:
-            raise ConfigError(f"kernel depth must be in [1, {MAX_DEPTH}], got {self.depth}")
-        if not 0 <= self.ortho_reg_weight < float("inf"):
-            raise ConfigError(
-                f"ortho_reg_weight must be finite and >= 0, got {self.ortho_reg_weight}")
-
-
-def check_int_fields(spec):
-    """Reject a float, bool or string (a checkpoint header can carry one) in
-    a dataclass field annotated ``int``."""
-    for f in fields(spec):
-        value = getattr(spec, f.name)
-        if f.type == "int" and (isinstance(value, bool)
-                                or not isinstance(value, (int, np.integer))):
-            raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+        check_fields(self)
 
 
 def check_gate_rank(spec: KernelSpec, n: int):

@@ -26,7 +26,8 @@ from . import tensor as T
 from .attention import (ATTENTION_KINDS, AttentionLayerParams, init_attention_params,
                         multi_head_kernel_attention)
 from .errors import ConfigError, ContractError, DataError, ShapeError
-from .kernels import KernelSpec, check_gate_rank, check_int_fields, drawer, regularized_matrices
+from .kernels import (KernelSpec, at_least, check_fields, check_gate_rank, drawer,
+                      finite_at_least, one_of, regularized_matrices, ruled)
 from .tensor import Tensor
 
 HEADS = ("classify", "match")
@@ -45,18 +46,21 @@ BUDGET_LIMIT = 0.10
 
 @dataclass
 class ModelConfig:
-    vocab_size: int = 32
-    d_model: int = 64
-    n_heads: int = 4
-    n_layers: int = 1
-    ffn_dim: int = 128
-    max_len: int = 128
-    classes: int = 2
+    """An encoder's shape and behaviour. ``validate`` applies the field rules
+    in declaration order, so a config that breaks several names the first."""
+
+    n_heads: int = at_least(1, default=4)
+    d_model: int = at_least(1, default=64)
+    max_len: int = at_least(1, default=128)
+    n_layers: int = at_least(1, default=1)
+    ffn_dim: int = at_least(1, default=128)
     kernel: KernelSpec = field(default_factory=KernelSpec)
-    attention_kind: str = "kernel_linear"
-    eps: float = 1e-6
-    dropout_rate: float = 0.1
-    head: str = "classify"
+    dropout_rate: float = ruled("in [0, 1)", lambda v: 0 <= v < 1, default=0.1)
+    attention_kind: str = one_of(ATTENTION_KINDS, default="kernel_linear")
+    head: str = one_of(HEADS, default="classify")
+    vocab_size: int = at_least(2, default=32)
+    classes: int = at_least(2, default=2)
+    eps: float = finite_at_least(0, default=1e-6)
 
     def __post_init__(self):
         self.validate()
@@ -68,27 +72,11 @@ class ModelConfig:
 
     def validate(self):
         self.kernel.validate()
-        check_int_fields(self)
-        for name in ("n_heads", "d_model", "max_len", "n_layers", "ffn_dim"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        check_fields(self)
         if self.d_model % self.n_heads or self.head_dim < 2:
             raise ConfigError(f"d_model must split into n_heads heads of width >= 2, got "
                               f"d_model={self.d_model}, n_heads={self.n_heads}")
         check_gate_rank(self.kernel, self.head_dim)
-        if not 0 <= self.dropout_rate < 1:
-            raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        if self.attention_kind not in ATTENTION_KINDS:
-            raise ConfigError(f"attention_kind must be one of {ATTENTION_KINDS}, "
-                              f"got {self.attention_kind!r}")
-        if self.head not in HEADS:
-            raise ConfigError(f"head must be one of {HEADS}, got {self.head!r}")
-        if self.vocab_size < 2:
-            raise ConfigError(f"vocab_size must be >= 2, got {self.vocab_size}")
-        if self.classes < 2:
-            raise ConfigError(f"classes must be >= 2, got {self.classes}")
-        if not 0 <= self.eps < float("inf"):
-            raise ConfigError(f"eps must be finite and >= 0, got {self.eps}")
         account = closed_form_params(self)
         total = account.base_params + account.kernel_params
         if total > MAX_PARAMS:

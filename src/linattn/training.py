@@ -174,10 +174,8 @@ def _batch_stream(ds: Dataset, micro_batch: int, max_len: int, seed: int):
 
 def evaluate(model: Model, ds: Dataset, batch_size: int = 64,
              max_len: int | None = None) -> tuple[float, float]:
-    """Deterministic accuracy and mean loss (dropout off, no graphs)."""
-    if (model.config.head == "match") != (ds.kind == "match"):
-        raise ConfigError(f"dataset kind {ds.kind!r} does not match model head "
-                          f"{model.config.head!r}")
+    """Deterministic accuracy and mean loss (dropout off, no graphs). The
+    forward pass rejects a dataset of the other head's kind (``ConfigError``)."""
     max_len = max_len or model.config.max_len
     correct = 0
     loss_sum = 0.0

@@ -1,7 +1,9 @@
 """CLI surface: subcommands, config files, exit codes, outputs."""
 
 import argparse
+import dataclasses
 import json
+import math
 import os
 import re
 import struct
@@ -18,10 +20,13 @@ import linattn.cli
 import linattn.config
 import linattn.model
 from linattn.cli import main
-from linattn.config import parse_config_file
+from linattn.config import (OptimizerConfig, ScheduleConfig, TaskSpec, TrainConfig,
+                            parse_config_file)
 from linattn.data import gen_matching, save_tsv_dataset
 from linattn.errors import ConfigError
-from linattn.model import build_model, count_params, load_checkpoint, save_checkpoint
+from linattn.kernels import KernelSpec, check_fields
+from linattn.model import (ModelConfig, build_model, count_params, load_checkpoint,
+                           save_checkpoint)
 from linattn.tensor import MALLOC_POLICY
 from linattn.training import evaluate
 
@@ -267,23 +272,34 @@ class TestConfigParsing:
         assert main(["params", "--config", str(p)]) == 1
         assert message in capsys.readouterr().err
 
-    def test_readme_config_block_names_exactly_the_keys(self):
+    @staticmethod
+    def _readme_config_block() -> dict[str, dict[str, str]]:
+        """Each section of the README's ini block: its keys and their notes."""
         text = (ROOT / "README.md").read_text(encoding="utf-8")
         block = text.split("```ini\n", 1)[1].split("```", 1)[0]
         documented, section = {}, None
         for line in block.splitlines():
-            head, _, comment = line.partition(";")
-            if head.strip():
-                section = head.strip().strip("[]")
-                documented[section] = ""
-            documented[section] += " " + comment
+            head, _, note = (part.strip() for part in line.partition(";"))
+            if head.startswith("["):
+                section = head.strip("[]")
+                documented[section] = {}
+            else:
+                documented[section][head] = note
+        return documented
+
+    def test_readme_config_block_names_exactly_the_keys(self):
+        documented = self._readme_config_block()
         assert set(documented) == set(linattn.config._SECTION_FIELDS)
-        for section, prose in documented.items():
-            dropped = 1
-            while dropped:  # remove parenthesized notes, innermost first
-                prose, dropped = re.subn(r"\([^()]*\)", "", prose)
-            keys = {key.strip() for key in re.sub(r"^\s*\w+:", "", prose).split(",")}
-            assert keys == set(linattn.config._SECTION_FIELDS[section]), section
+        for section, keys in documented.items():  # in field order, the order of checks
+            assert list(keys) == list(linattn.config._SECTION_FIELDS[section]), section
+
+    def test_readme_config_block_states_each_rule(self):
+        documented = self._readme_config_block()
+        for section, cls in linattn.config._SECTIONS.items():
+            for f in dataclasses.fields(cls):
+                if "rule" in f.metadata:
+                    note = documented[section][f.name]
+                    assert note.split(";")[0].strip() == f.metadata["rule"], (section, f.name)
 
     # The defaults are a text_classification task of length 128 over 32 ids
     # and 2 classes, on a classify model of max_len 128, 32 ids and 2 classes.
@@ -318,6 +334,86 @@ class TestConfigParsing:
         cfg = parse_config_file(str(p))
         assert cfg.model.d_model == 64
         assert cfg.micro_batch == 16
+
+
+# (class, field, a value at the edge of the field's rule, a value just
+# past it): every field with a ``ruled`` domain, at each of its edges.
+RULE_EDGES = [
+    (KernelSpec, "variant", "aoglu", "bogus"),
+    (KernelSpec, "depth", 1, 0),
+    (KernelSpec, "depth", 3, 4),
+    (KernelSpec, "ortho_reg_weight", 0.0, -1e-9),
+    (KernelSpec, "ortho_reg_weight", 1e308, math.inf),
+    (ModelConfig, "vocab_size", 2, 1),
+    (ModelConfig, "n_heads", 1, 0),
+    (ModelConfig, "d_model", 1, 0),
+    (ModelConfig, "n_layers", 1, 0),
+    (ModelConfig, "ffn_dim", 1, 0),
+    (ModelConfig, "max_len", 1, 0),
+    (ModelConfig, "classes", 2, 1),
+    (ModelConfig, "attention_kind", "softmax", "flash"),
+    (ModelConfig, "eps", 0.0, -1e-9),
+    (ModelConfig, "eps", 1e308, math.inf),
+    (ModelConfig, "dropout_rate", 0.0, -1e-9),
+    (ModelConfig, "dropout_rate", 0.999, 1.0),
+    (ModelConfig, "head", "match", "pair"),
+    (TaskSpec, "source", "tsv", "csv"),
+    (TaskSpec, "count", 1, 0),
+    (TaskSpec, "eval_count", 1, 0),
+    (TaskSpec, "data_seed", 0, -1),
+    (OptimizerConfig, "lr", 5e-324, 0.0),
+    (OptimizerConfig, "lr", 1e308, math.inf),
+    (ScheduleConfig, "warmup_steps", 0, -1),
+    (ScheduleConfig, "decay", "inv_sqrt", "cosine"),
+    (TrainConfig, "micro_batch", 1, 0),
+    (TrainConfig, "accumulation_steps", 1, 0),
+    (TrainConfig, "seeds", [0], [0, -1]),
+    (TrainConfig, "eval_every", 0, -1),
+    (TrainConfig, "target_accuracy", 0.0, -1e-9),
+    (TrainConfig, "target_accuracy", 1.0, 1.0 + 1e-9),
+]
+EDGE_IDS = [f"{cls.__name__}.{name}={bad}" for cls, name, _, bad in RULE_EDGES]
+SECTION_OF = {cls: section for section, cls in linattn.config._SECTIONS.items()}
+
+
+class TestFieldRules:
+    def test_table_covers_every_ruled_field(self):
+        ruled = {(cls, f.name) for cls in SECTION_OF for f in dataclasses.fields(cls)
+                 if "rule" in f.metadata}
+        assert {(cls, name) for cls, name, _, _ in RULE_EDGES} == ruled
+
+    @pytest.mark.parametrize("cls, name, good, bad", RULE_EDGES, ids=EDGE_IDS)
+    def test_edge_value_passes(self, cls, name, good, bad):
+        config = cls()
+        setattr(config, name, good)
+        check_fields(config)
+
+    @pytest.mark.parametrize("cls, name, good, bad", RULE_EDGES, ids=EDGE_IDS)
+    def test_value_past_edge_rejected_by_validate(self, cls, name, good, bad):
+        config = cls()
+        setattr(config, name, bad)
+        with pytest.raises(ConfigError, match=rf"^{name} must be .*, got "):
+            config.validate()
+
+    @pytest.mark.parametrize("cls, name, good, bad", RULE_EDGES, ids=EDGE_IDS)
+    def test_value_past_edge_rejected_in_file(self, tmp_path, cls, name, good, bad):
+        p = tmp_path / "edge.cfg"
+        text = ", ".join(map(str, bad)) if isinstance(bad, list) else bad
+        p.write_text(f"[{SECTION_OF[cls]}]\n{name} = {text}\n")
+        with pytest.raises(ConfigError, match=rf"edge\.cfg: {name} must be .*, got "):
+            parse_config_file(str(p))
+
+    INT_FIELDS = [(cls, f.name) for cls in (TaskSpec, ScheduleConfig, TrainConfig)
+                  for f in dataclasses.fields(cls) if f.type == "int"]
+
+    @pytest.mark.parametrize("cls, name", INT_FIELDS,
+                             ids=[f"{cls.__name__}.{name}" for cls, name in INT_FIELDS])
+    @pytest.mark.parametrize("value", [True, 2.0])
+    def test_int_field_rejects_bool_and_float(self, cls, name, value):
+        config = cls()
+        setattr(config, name, value)
+        with pytest.raises(ConfigError, match=rf"^{name} must be an integer, got {value}"):
+            config.validate()
 
 
 class TestExitCodes:
@@ -598,6 +694,7 @@ class TestSeedsCommand:
         assert (out / "seed1" / "metrics.jsonl").exists()
         assert (out / "seed2" / "metrics.jsonl").exists()
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # lr = 1e18
     def test_every_seed_diverged_exits_three_with_null_aggregate(self, tmp_path, capsys):
         cfg = tmp_path / "diverging.cfg"
         cfg.write_text(FAST_CFG.replace("lr = 2e-3", "lr = 1e18"))

@@ -94,7 +94,7 @@ class TestConfigValidation:
             small_config(attention_kind="flash")
 
     @pytest.mark.parametrize("field, value, match", [
-        ("variant", "bogus", "unknown kernel variant"),
+        ("variant", "bogus", "variant must be one of"),
         ("ortho_reg_weight", math.nan, "ortho_reg_weight"),
     ], ids=["bogus-variant", "nan-weight"])
     def test_kernel_spec_mutated_after_parsing_rejected(self, field, value, match):
@@ -458,6 +458,20 @@ class TestAttentionKind:
         with pytest.raises(ConfigError, match="'bogus'"):
             forward_classify(model, tokens, mask)
 
+    @pytest.mark.parametrize("built, kind, heads, stacks", [
+        ("kernel_linear", "kernel_linear", 4, 2), ("softmax", "kernel_linear", 2, 0),
+        ("softmax", "kernel_quadratic", 2, 0)], ids=["more-heads", "softmax-to-linear",
+                                                     "softmax-to-quadratic"])
+    def test_head_count_unlike_the_layer_stacks_raises(self, built, kind, heads, stacks):
+        # Without the check, more heads split the stacks' output silently and
+        # no stacks at all divided by zero.
+        model = build_model(small_config(attention_kind=built), seed=0)
+        model.config.attention_kind, model.config.n_heads = kind, heads
+        tokens, mask = random_batch(model.config)
+        with pytest.raises(ConfigError, match=f"{kind} runs {heads} heads, but the layer "
+                                              f"holds {stacks} feature stacks"):
+            forward_classify(model, tokens, mask)
+
 
 class TestEndToEndEquivalence:
     def test_linear_equals_quadratic_forward(self):
@@ -618,6 +632,13 @@ class TestCheckpoint:
         save_checkpoint(build_model(small_config(), seed=26), path)
         self._edit_header(path, max_len=99999999999)
         with pytest.raises(DataError, match="parameters, more than"):
+            load_checkpoint(path)
+
+    def test_header_value_outside_its_rule_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(build_model(small_config(), seed=27), path)
+        self._edit_header(path, dropout_rate=1.0)
+        with pytest.raises(DataError, match=r"dropout_rate must be in \[0, 1\), got 1\.0"):
             load_checkpoint(path)
 
     def test_weight_bytes_checked_before_building(self, tmp_path, monkeypatch):
