@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from .bench import bench_environment, bench_scaling, check_scaling_args
-from .config import parse_config_file
+from .config import check_task_fits_model, parse_config_file
 from .errors import ConfigError, ContractError, DataError
 from .model import BUDGET_LIMIT, closed_form_params, load_checkpoint
 from .training import evaluate, run_seeds, train
@@ -102,6 +102,10 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     config = parse_config_file(args.config)
     model = load_checkpoint(args.checkpoint)
+    try:  # the checkpoint's model scores the task, not the config's [model]
+        check_task_fits_model(config.task, model.config)
+    except ConfigError as exc:
+        raise ConfigError(f"{args.checkpoint}: {exc}") from None
     eval_ds = config.task.build_eval()
     accuracy, loss = evaluate(model, eval_ds, batch_size=64)
     print(f"eval accuracy {accuracy:.4f}  mean loss {loss:.4f} "

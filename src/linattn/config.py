@@ -12,13 +12,18 @@ import configparser
 import re
 from dataclasses import dataclass, field, fields
 
-from .data import (LISTOPS_SYMBOLS, Dataset, gen_listops, gen_matching,
-                   gen_text_classification, load_tsv_dataset)
+from .data import (LISTOPS_SYMBOLS, N_MOTIFS, Dataset, gen_listops, gen_matching,
+                   gen_text_classification, load_tsv_dataset, motif_layout)
 from .errors import ConfigError, DataError
 from .kernels import KernelSpec, at_least, check_fields, one_of, ruled
 from .model import ModelConfig
 
 TASK_SOURCES = ("listops", "text_classification", "matching", "tsv")
+
+# Each generated source's model needs: vocab size, classes (a number or a [task] key), head.
+_TASK_NEEDS = {"listops": (len(LISTOPS_SYMBOLS), 10, "classify"),
+               "text_classification": ("vocab_size", "classes", "classify"),
+               "matching": ("vocab_size", 2, "match")}
 
 
 @dataclass
@@ -56,10 +61,10 @@ class TaskSpec:
     data_seed: int = at_least(0, default=1234)
     count: int = at_least(1, default=2000)
     eval_count: int = at_least(1, default=500)
-    length: int = 128
+    length: int = at_least(8, default=128)  # a listops expression's shortest budget
     vocab_size: int = 32
-    classes: int = 2
-    max_depth: int = 4
+    classes: int = at_least(2, default=2)
+    max_depth: int = at_least(1, default=4)
     path: str = ""
     eval_path: str = ""
 
@@ -67,6 +72,8 @@ class TaskSpec:
         if self.source == "tsv" and not self.path:
             raise ConfigError("tsv task needs a path")
         check_fields(self)
+        if self.source in ("text_classification", "matching"):
+            motif_layout(self.vocab_size, N_MOTIFS if self.source == "matching" else self.classes)
 
     def build(self) -> tuple[Dataset, Dataset]:
         """Materialize (train, eval) datasets."""
@@ -114,7 +121,8 @@ class TrainConfig:
     micro_batch: int = at_least(1, default=16)
     accumulation_steps: int = at_least(1, default=1)
     eval_every: int = at_least(0, default=50)
-    seeds: list[int] = ruled(">= 0", lambda seeds: all(s >= 0 for s in seeds),
+    seeds: list[int] = ruled(">= 0 and distinct",
+                             lambda s: all(x >= 0 for x in s) and len(set(s)) == len(s),
                              default_factory=lambda: [1, 2, 3, 4, 5])
     target_accuracy: float | None = ruled("unset or in [0, 1]",
                                           lambda v: v is None or 0 <= v <= 1, default=None)
@@ -125,29 +133,24 @@ class TrainConfig:
         if not self.seeds:
             raise ConfigError("need at least one seed")
         check_fields(self)
-        self._check_task_fits_model()
+        check_task_fits_model(self.task, self.model)
 
-    def _check_task_fits_model(self):
-        """A generated task must fit the model it trains. (TSV rows are known
-        only once read; rows longer than max_len are truncated when batched.)"""
-        task, model = self.task, self.model
-        if task.source == "tsv":
-            return
-        if (task.source == "matching") != (model.head == "match"):
-            raise ConfigError(f"task.source = {task.source} needs model.head = "
-                              f"{'match' if task.source == 'matching' else 'classify'}, "
-                              f"got {model.head}")
-        if task.source == "listops":  # a fixed symbol table, values 0-9
-            needs = [("task.source = listops", len(LISTOPS_SYMBOLS), "vocab_size"),
-                     ("task.source = listops", 10, "classes")]
-        else:
-            needs = [(f"task.vocab_size = {task.vocab_size}", task.vocab_size, "vocab_size"),
-                     (f"task.classes = {task.classes}", task.classes, "classes")]
-        for what, need, key in [(f"task.length = {task.length}", task.length, "max_len"),
-                                *needs]:
-            if getattr(model, key) < need:
-                raise ConfigError(f"{what} needs model.{key} >= {need}, "
-                                  f"got {getattr(model, key)}")
+
+def check_task_fits_model(task: TaskSpec, model: ModelConfig):
+    """A generated task must fit the model it trains or is scored on. (TSV rows
+    are known only once read; rows longer than max_len are truncated when batched.)"""
+    if task.source == "tsv":
+        return
+    *sizes, head = _TASK_NEEDS[task.source]
+    if model.head != head:
+        raise ConfigError(f"task.source = {task.source} needs model.head = {head}, "
+                          f"got {model.head}")
+    for key, need in zip(("max_len", "vocab_size", "classes"), ("length", *sizes)):
+        what = f"task.source = {task.source}"
+        if isinstance(need, str):  # a [task] key
+            what, need = f"task.{need} = {getattr(task, need)}", getattr(task, need)
+        if getattr(model, key) < need:
+            raise ConfigError(f"{what} needs model.{key} >= {need}, got {getattr(model, key)}")
 
 
 # ---------------------------------------------------------------------------

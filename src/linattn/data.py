@@ -217,15 +217,11 @@ def listops_to_string(tokens) -> str:
 
 def gen_listops(seed: int, count: int, max_len: int = 128, max_depth: int = 4) -> Dataset:
     """Nested prefix expressions; the label is the expression value (0-9)."""
-    if max_depth < 1:
-        raise ConfigError(f"max_depth must be >= 1, got {max_depth}")
-    if max_len < 8:
-        raise ConfigError(f"max_len must be >= 8 to fit an expression, got {max_len}")
     draws = _PCG64Draws(np.random.PCG64(seed))
     examples = []
     for _ in range(count):
         toks: list[int] = []
-        value = _gen_expr(draws, max_depth, max_len, toks)  # the checks above make it nest
+        value = _gen_expr(draws, max_depth, max_len, toks)
         examples.append((np.asarray(toks, dtype=np.int64), value))
     return Dataset(examples=examples, vocab=list(LISTOPS_SYMBOLS), classes=10,
                    kind="classify", meta={"task": "listops", "max_depth": max_depth})
@@ -235,15 +231,12 @@ def gen_listops(seed: int, count: int, max_len: int = 128, max_depth: int = 4) -
 # motif classification / matching
 # ---------------------------------------------------------------------------
 
-def _motif_layout(vocab_size: int, length: int, n_motifs: int):
-    """Split the vocab into filler ids and per-motif id runs."""
-    if length < MOTIF_LEN:
-        raise ConfigError(f"length {length} shorter than a motif ({MOTIF_LEN})")
+def motif_layout(vocab_size: int, n_motifs: int):
+    """Split the vocab into filler ids and per-motif id runs, if it has room."""
     needed = 1 + 2 + n_motifs * MOTIF_LEN  # pad + >=2 filler + motif tokens
     if vocab_size < needed:
-        raise ConfigError(
-            f"vocab_size {vocab_size} too small for {n_motifs} distinct motifs of "
-            f"length {MOTIF_LEN} (need >= {needed})")
+        raise ConfigError(f"vocab_size must be >= {needed} for {n_motifs} motifs of "
+                          f"length {MOTIF_LEN}, got {vocab_size}")
     motif_base = vocab_size - n_motifs * MOTIF_LEN
     motifs = [tuple(range(motif_base + i * MOTIF_LEN, motif_base + (i + 1) * MOTIF_LEN))
               for i in range(n_motifs)]
@@ -265,9 +258,7 @@ def gen_text_classification(seed: int, count: int, length: int = 128,
     separable and a motif scan recovers every label. Labels alternate for
     an exactly balanced histogram.
     """
-    if classes < 2:
-        raise ConfigError(f"classes must be >= 2, got {classes}")
-    filler_hi, motifs = _motif_layout(vocab_size, length, classes)
+    filler_hi, motifs = motif_layout(vocab_size, classes)
     rng = np.random.default_rng(seed)
     labels = np.arange(count) % classes
     rng.shuffle(labels)
@@ -278,7 +269,7 @@ def gen_text_classification(seed: int, count: int, length: int = 128,
 
 def gen_matching(seed: int, count: int, length: int = 128, vocab_size: int = 48) -> Dataset:
     """Sequence pairs; label 1 iff both sides carry the same motif."""
-    filler_hi, motifs = _motif_layout(vocab_size, length, N_MOTIFS)
+    filler_hi, motifs = motif_layout(vocab_size, N_MOTIFS)
     rng = np.random.default_rng(seed)
     labels = np.arange(count) % 2
     rng.shuffle(labels)

@@ -317,8 +317,15 @@ class TestConfigParsing:
                                     "classify, got match"),
         ("[task]\ncount = 0\n", "count must be >= 1, got 0"),
         ("[task]\neval_count = 0\n", "eval_count must be >= 1, got 0"),
+        # A [task] value outside its domain fails here too, before any data is built.
+        ("[task]\nsource = listops\nmax_depth = -1\n", "max_depth must be >= 1, got -1"),
+        ("[task]\nsource = listops\nlength = 4\n", "length must be >= 8, got 4"),
+        ("[task]\nclasses = 1\n", "classes must be >= 2, got 1"),
+        ("[model]\nhead = match\n[task]\nsource = matching\nvocab_size = 10\n",
+         "vocab_size must be >= 21 for 6 motifs of length 3, got 10"),
     ], ids=["length", "vocab", "classes", "listops-vocab", "listops-classes", "matching-head",
-            "match-head", "count", "eval-count"])
+            "match-head", "count", "eval-count", "listops-max_depth", "listops-length",
+            "text-classes", "matching-vocab_size"])
     def test_task_that_does_not_fit_the_model_is_a_config_error(self, tmp_path, capsys, text,
                                                                 message):
         p = tmp_path / "fit.cfg"
@@ -327,6 +334,14 @@ class TestConfigParsing:
             parse_config_file(str(p))
         assert main(["params", "--config", str(p)]) == 1
         assert message in capsys.readouterr().err
+
+    def test_matching_ignores_task_classes(self, tmp_path, capsys):
+        text = (CONFIGS / "match.cfg").read_text()
+        p = tmp_path / "match.cfg"
+        p.write_text(text.replace("[optimizer]", "classes = 7\n\n[optimizer]"))
+        assert parse_config_file(str(p)).task.classes == 7
+        assert main(["params", "--config", str(p)]) == 0
+        assert "PASS" in capsys.readouterr().out
 
     def test_defaults_fill_missing_sections(self, tmp_path):
         p = tmp_path / "minimal.cfg"
@@ -361,6 +376,9 @@ RULE_EDGES = [
     (TaskSpec, "count", 1, 0),
     (TaskSpec, "eval_count", 1, 0),
     (TaskSpec, "data_seed", 0, -1),
+    (TaskSpec, "length", 8, 7),
+    (TaskSpec, "classes", 2, 1),
+    (TaskSpec, "max_depth", 1, 0),
     (OptimizerConfig, "lr", 5e-324, 0.0),
     (OptimizerConfig, "lr", 1e308, math.inf),
     (ScheduleConfig, "warmup_steps", 0, -1),
@@ -368,6 +386,7 @@ RULE_EDGES = [
     (TrainConfig, "micro_batch", 1, 0),
     (TrainConfig, "accumulation_steps", 1, 0),
     (TrainConfig, "seeds", [0], [0, -1]),
+    (TrainConfig, "seeds", [0, 1], [1, 0, 1]),
     (TrainConfig, "eval_every", 0, -1),
     (TrainConfig, "target_accuracy", 0.0, -1e-9),
     (TrainConfig, "target_accuracy", 1.0, 1.0 + 1e-9),
@@ -489,9 +508,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("old, new, message", [
         ("seeds = 1, 2", "seeds = -2", "seeds must be >= 0"),
+        ("seeds = 1, 2", "seeds = 1, 1, 2", "seeds must be >= 0 and distinct, got [1, 1, 2]"),
         ("classes = 2\n\n[optimizer]", "classes = 2\ndata_seed = -5\n\n[optimizer]",
          "data_seed must be >= 0"),
-    ], ids=["train_seeds", "task_data_seed"])
+    ], ids=["train_seeds", "train_seeds_repeated", "task_data_seed"])
     def test_negative_config_seed_exit_one(self, fast_cfg, tmp_path, capsys, old, new,
                                            message):
         text = open(fast_cfg).read()
@@ -630,6 +650,23 @@ class TestEvalCommand:
         assert seeds == [config.task.data_seed + 1]
         assert (f"eval accuracy {accuracy:.4f}  mean loss {loss:.4f} "
                 f"({len(eval_ds)} examples)") in capsys.readouterr().out
+
+    def test_task_longer_than_the_checkpoint_exit_one(self, fast_cfg, tmp_path, capsys,
+                                                       monkeypatch):
+        """The config's [model] fits its task, but the checkpoint's model
+        (max_len 64) is the one that scores it: nothing is built or truncated."""
+        out = tmp_path / "run"
+        main(["train", "--config", fast_cfg, "--out-dir", str(out)])
+        p = tmp_path / "long.cfg"
+        p.write_text(open(fast_cfg).read().replace("max_len = 64", "max_len = 256")
+                     .replace("length = 64", "length = 256"))
+        monkeypatch.setattr(linattn.config, "gen_text_classification",
+                            lambda *a: pytest.fail("eval built data"))
+        capsys.readouterr()
+        ckpt = out / "checkpoint.bin"
+        assert main(["eval", "--config", str(p), "--checkpoint", str(ckpt)]) == 1
+        assert (f"error: {ckpt}: task.length = 256 needs model.max_len >= 256, got 64"
+                in capsys.readouterr().err)
 
     def test_corrupt_checkpoint_exit_one(self, fast_cfg, tmp_path, capsys):
         out = tmp_path / "run"

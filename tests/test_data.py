@@ -68,12 +68,6 @@ class TestGenListops:
             assert 0 <= label <= 9
             assert PAD_ID not in tokens
 
-    def test_too_small_parameters_rejected(self):
-        with pytest.raises(ConfigError):
-            gen_listops(0, 10, max_len=4)
-        with pytest.raises(ConfigError):
-            gen_listops(0, 10, max_depth=0)
-
 
 class TestPCG64Draws:
     """The ListOps decoder against ``Generator``, whose method algorithms
@@ -161,10 +155,6 @@ class TestGenTextClassification:
         for (ta, ya), (tb, yb) in zip(a.examples, b.examples):
             assert np.array_equal(ta, tb) and ya == yb
 
-    def test_vocab_too_small_rejected(self):
-        with pytest.raises(ConfigError, match="vocab"):
-            gen_text_classification(0, 10, length=32, vocab_size=6, classes=2)
-
     def test_pad_never_emitted(self):
         ds = gen_text_classification(3, 200, length=32)
         assert all(PAD_ID not in t for t, _ in ds.examples)
@@ -187,6 +177,33 @@ class TestGenMatching:
         for ea, eb in zip(a.examples, b.examples):
             assert np.array_equal(ea[0], eb[0]) and np.array_equal(ea[1], eb[1])
             assert ea[2] == eb[2]
+
+
+class TestTaskSpecDomains:
+    """``TaskSpec.validate`` owns every generated task's domains; it runs
+    before ``build`` draws anything."""
+
+    def test_too_small_parameters_rejected(self):
+        for source in ("listops", "text_classification", "matching"):
+            for key, value, rule in [("length", 7, ">= 8"), ("classes", 1, ">= 2"),
+                                     ("max_depth", 0, ">= 1")]:
+                spec = TaskSpec(source=source, vocab_size=48, **{key: value})
+                with pytest.raises(ConfigError, match=rf"^{key} must be {rule}, got {value}$"):
+                    spec.validate()
+                with pytest.raises(ConfigError, match=rf"^{key} must be {rule}"):
+                    spec.build()
+
+    def test_vocab_too_small_rejected(self):
+        for source, need in [("text_classification", 9), ("matching", 21)]:
+            spec = TaskSpec(source=source, length=32, vocab_size=need - 1, classes=2)
+            with pytest.raises(ConfigError, match=rf"^vocab_size must be >= {need} for "
+                                                  rf".*, got {need - 1}$"):
+                spec.validate()
+            spec.vocab_size = need
+            spec.validate()
+
+    def test_listops_ignores_vocab_size(self):
+        TaskSpec(source="listops", vocab_size=2).validate()
 
 
 class TestTsv:

@@ -244,12 +244,23 @@ class TestTrainLoop:
 
 
 class TestRunSeeds:
-    def test_identical_seeds_zero_std(self):
-        cfg = tiny_config(steps=3, seeds=[7, 7, 7, 7, 7])
-        summary = run_seeds(cfg)
+    def test_equal_accuracies_zero_std(self, monkeypatch):
+        from linattn import training as tr
+        monkeypatch.setattr(tr, "train", lambda config, seed, **kw: SimpleNamespace(
+            final_accuracy=0.75, records=[SimpleNamespace(step=1)], diverged=False))
+        summary = tr.run_seeds(tiny_config(seeds=[3, 5, 7, 9, 11]))
         assert summary.std == 0.0
         assert not summary.high_variance
         assert len(summary.rows) == 5
+
+    def test_repeated_seed_rejected_before_training(self, monkeypatch):
+        from linattn import training as tr
+        built = []
+        monkeypatch.setattr(tr, "build_model", lambda *a, **kw: built.append(a))
+        with pytest.raises(ConfigError, match=r"^seeds must be >= 0 and distinct, "
+                                              r"got \[1, 1, 2\]$"):
+            tr.run_seeds(tiny_config(seeds=[1, 1, 2]))
+        assert built == []
 
     def test_one_row_per_seed_plus_aggregate(self, tmp_path):
         cfg = tiny_config(steps=3, seeds=[1, 2, 3])
