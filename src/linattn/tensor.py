@@ -1,9 +1,17 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 Tensors wrap a numpy array (float32 for training, float64 for verification)
-and optionally participate in a differentiation graph. Graphs are built
+and optionally link to a node of a differentiation graph. Graphs are built
 eagerly as operations run and are single-use: ``backward`` consumes the
 graph and a second pass through it raises ``GraphError``.
+
+The graph is a tape of nodes, not of tensors: a node holds its parents'
+nodes and a VJP closure, and each VJP keeps only the shapes and arrays it
+reads (``add`` keeps shapes, ``mul`` the other operand, ``sigmoid`` its
+output, ...). An intermediate that no VJP reads is freed during the forward
+pass as soon as the caller drops its tensor. A VJP reads the arrays it
+captured at forward time: an in-place write to one (as Adam makes) is seen,
+a rebinding of ``Tensor.data`` is not.
 
 Broadcasting follows numpy's trailing-dimension alignment; gradients of a
 broadcast operand are summed back over the expanded axes. The intended use
@@ -105,6 +113,21 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
+class _Node:
+    """One entry of a differentiation graph: the parents' nodes (None for an
+    operand that needs no gradient), the VJP, and the dtype its gradient
+    must have. A leaf node holds its trainable tensor and has no VJP."""
+
+    __slots__ = ("prev", "vjp", "dtype", "leaf", "consumed")
+
+    def __init__(self, prev: tuple, vjp: Callable | None, dtype, leaf: Tensor | None = None):
+        self.prev = prev
+        self.vjp = vjp
+        self.dtype = dtype
+        self.leaf = leaf
+        self.consumed = False
+
+
 class Tensor:
     """A dense n-dimensional array with an optional differentiation node.
 
@@ -114,7 +137,7 @@ class Tensor:
     graph node comes from one of this module's functions.
     """
 
-    __slots__ = ("data", "requires_grad", "_prev", "_vjp", "_consumed")
+    __slots__ = ("data", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -122,9 +145,7 @@ class Tensor:
             arr = arr.astype(np.float64)
         self.data = arr
         self.requires_grad = bool(requires_grad)
-        self._prev: tuple[Tensor, ...] = ()
-        self._vjp: Callable | None = None
-        self._consumed = False
+        self._node: _Node | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -188,13 +209,23 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
+def _node_of(t: Tensor) -> _Node:
+    """The graph node of a tensor that requires grad; a tensor no op made
+    gets a leaf node on its first use."""
+    if t._node is None:
+        t._node = _Node((), None, t.dtype, leaf=t)
+    return t._node
+
+
 def _make(out_data: np.ndarray, prev: Sequence[Tensor], vjp: Callable) -> Tensor:
-    """Wrap an op result, attaching a graph node when grads are live."""
+    """Wrap an op result, attaching a graph node when grads are live. The
+    node links the operands' nodes, not the operands, so it keeps no array
+    that ``vjp`` does not capture."""
     out = Tensor(out_data)
     if _GRAD_ENABLED and any(p.requires_grad for p in prev):
         out.requires_grad = True
-        out._prev = tuple(prev)
-        out._vjp = vjp
+        out._node = _Node(tuple(_node_of(p) if p.requires_grad else None for p in prev),
+                          vjp, out.dtype)
     return out
 
 
@@ -207,10 +238,11 @@ def add(a, b) -> Tensor:
     b = _as_tensor(b, like=a)
     _check_dtypes(a, b, "add")
     out = a.data + b.data
+    a_shape, b_shape, need_a, need_b = a.shape, b.shape, a.requires_grad, b.requires_grad
 
     def vjp(g):
-        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
-                _unbroadcast(g, b.shape) if b.requires_grad else None)
+        return (_unbroadcast(g, a_shape) if need_a else None,
+                _unbroadcast(g, b_shape) if need_b else None)
 
     return _make(out, (a, b), vjp)
 
@@ -220,11 +252,12 @@ def sub(a, b) -> Tensor:
     b = _as_tensor(b, like=a)
     _check_dtypes(a, b, "sub")
     out = a.data - b.data
+    a_shape, b_shape, need_a, need_b = a.shape, b.shape, a.requires_grad, b.requires_grad
 
     def vjp(g):
         # Negated after the sum, so a broadcast b negates only its own size.
-        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
-                -_unbroadcast(g, b.shape) if b.requires_grad else None)
+        return (_unbroadcast(g, a_shape) if need_a else None,
+                -_unbroadcast(g, b_shape) if need_b else None)
 
     return _make(out, (a, b), vjp)
 
@@ -234,10 +267,14 @@ def mul(a, b) -> Tensor:
     b = _as_tensor(b, like=a)
     _check_dtypes(a, b, "mul")
     out = a.data * b.data
+    # Each gradient reads the other operand: kept only when it is needed.
+    a_shape, b_shape = a.shape, b.shape
+    ad = a.data if b.requires_grad else None
+    bd = b.data if a.requires_grad else None
 
     def vjp(g):
-        return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
-                _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
+        return (None if bd is None else _unbroadcast(g * bd, a_shape),
+                None if ad is None else _unbroadcast(g * ad, b_shape))
 
     return _make(out, (a, b), vjp)
 
@@ -250,16 +287,19 @@ def div(a, b) -> Tensor:
     _check_dtypes(a, b, "div")
     with np.errstate(divide="ignore", invalid="ignore"):
         out = a.data / b.data
+    # d(a/b)/db = -(a/b)/b, so both gradients come from g/b and the output,
+    # which is kept only when b needs a gradient.
+    a_shape, b_shape, need_a, bd = a.shape, b.shape, a.requires_grad, b.data
+    quotient = out if b.requires_grad else None
 
     def vjp(g):
-        # d(a/b)/db = -(a/b)/b, so both gradients come from g/b and the output.
         da = db = None
         with np.errstate(divide="ignore", invalid="ignore"):
-            ga = g / b.data
-            if a.requires_grad:
-                da = _unbroadcast(ga, a.shape)
-            if b.requires_grad:
-                db = -_unbroadcast(ga * out, b.shape)
+            ga = g / bd
+            if need_a:
+                da = _unbroadcast(ga, a_shape)
+            if quotient is not None:
+                db = -_unbroadcast(ga * quotient, b_shape)
         return da, db
 
     return _make(out, (a, b), vjp)
@@ -360,15 +400,16 @@ def gelu(x) -> Tensor:
         np.multiply(flat[s], c, out=out[s])
     cdf = cdf.reshape(x.shape)
     out = out.reshape(x.shape)
+    xd = x.data
 
     def vjp(g):
         # g (cdf + x e^(-x^2/2) / sqrt(2 pi)) in place, rounded step for step
         # as that expression, so float64 stays bit-identical to it.
-        d = np.multiply(-0.5, x.data, out=np.empty_like(x.data))
-        d *= x.data
+        d = np.multiply(-0.5, xd, out=np.empty_like(xd))
+        d *= xd
         np.exp(d, out=d)
         d *= _INV_SQRT2PI
-        d *= x.data
+        d *= xd
         d += cdf
         d *= g
         return (d,)
@@ -378,7 +419,8 @@ def gelu(x) -> Tensor:
 
 def square(x) -> Tensor:
     x = _as_tensor(x)
-    return _make(x.data * x.data, (x,), lambda g: (g * 2.0 * x.data,))
+    xd = x.data
+    return _make(xd * xd, (x,), lambda g: (g * 2.0 * xd,))
 
 
 def sqrt(x) -> Tensor:
@@ -390,15 +432,17 @@ def sqrt(x) -> Tensor:
 def abs(x) -> Tensor:
     """Elementwise absolute value; subgradient 0 at the origin."""
     x = _as_tensor(x)
-    return _make(np.abs(x.data), (x,), lambda g: (g * np.sign(x.data),))
+    xd = x.data
+    return _make(np.abs(xd), (x,), lambda g: (g * np.sign(xd),))
 
 
 def sum(x, axis=None, keepdims=False) -> Tensor:
     x = _as_tensor(x)
     out = np.sum(x.data, axis=axis, keepdims=keepdims)
+    shape = x.shape
 
     def vjp(g):
-        return (_spread(g, x.shape, axis, keepdims),)
+        return (_spread(g, shape, axis, keepdims),)
 
     return _make(np.asarray(out, dtype=x.dtype), (x,), vjp)
 
@@ -410,9 +454,10 @@ def mean(x, axis=None, keepdims=False) -> Tensor:
     # promote float32 to float64).
     count = x.data.size if axis is None else math.prod(
         x.shape[a] for a in (axis if isinstance(axis, tuple) else (axis,)))
+    shape = x.shape
 
     def vjp(g):
-        return (_spread(g / count, x.shape, axis, keepdims),)
+        return (_spread(g / count, shape, axis, keepdims),)
 
     return _make(np.asarray(out, dtype=x.dtype), (x,), vjp)
 
@@ -440,16 +485,20 @@ def matmul(a, b) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions differ: {a.shape} vs {b.shape}")
     out = a.data @ b.data
+    # Each gradient reads the other operand: kept only when it is needed.
+    a_shape, b_shape = a.shape, b.shape
+    ad = a.data if b.requires_grad else None
+    bd = b.data if a.requires_grad else None
 
     def vjp(g):
         da = db = None
-        if a.requires_grad:
-            bt = b.data.swapaxes(-1, -2)
+        if bd is not None:
+            bt = bd.swapaxes(-1, -2)
             # With one column, g b^T is an outer product: one product per
             # element, as exact as BLAS and faster as a broadcast multiply.
-            da = _unbroadcast(g * bt if g.shape[-1] == 1 else g @ bt, a.shape)
-        if b.requires_grad:
-            db = _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape)
+            da = _unbroadcast(g * bt if g.shape[-1] == 1 else g @ bt, a_shape)
+        if ad is not None:
+            db = _unbroadcast(ad.swapaxes(-1, -2) @ g, b_shape)
         return da, db
 
     return _make(out, (a, b), vjp)
@@ -458,7 +507,8 @@ def matmul(a, b) -> Tensor:
 def reshape(x, shape) -> Tensor:
     x = _as_tensor(x)
     out = x.data.reshape(shape)
-    return _make(out, (x,), lambda g: (g.reshape(x.shape),))
+    in_shape = x.shape
+    return _make(out, (x,), lambda g: (g.reshape(in_shape),))
 
 
 def swapaxes(x, a: int, b: int) -> Tensor:
@@ -504,13 +554,14 @@ def getitem(x, key) -> Tensor:
     if not (_is_basic_key(key) or _is_bool_mask(key)):
         raise ShapeError("getitem takes basic keys and boolean masks only: an integer "
                          "array, list or boolean scalar may select an element twice")
-    if _is_bool_mask(key) and key.shape == x.shape[:key.ndim] and key.all():
+    shape, dtype = x.shape, x.dtype
+    if _is_bool_mask(key) and key.shape == shape[:key.ndim] and key.all():
         # Every element selected, as for a batch without padding: a reshape.
-        return _make(x.data.reshape((-1,) + x.shape[key.ndim:]), (x,),
-                     lambda g: (g.reshape(x.shape),))
+        return _make(x.data.reshape((-1,) + shape[key.ndim:]), (x,),
+                     lambda g: (g.reshape(shape),))
 
     def vjp(g):
-        dx = np.zeros_like(x.data)
+        dx = np.zeros(shape, dtype)
         dx[key] = g
         return (dx,)
 
@@ -527,9 +578,9 @@ def unpack(x, mask, fill: float = 0.0) -> Tensor:
     n = int(np.count_nonzero(mask))
     if x.ndim < 1 or x.shape[0] != n:
         raise ShapeError(f"unpack: {x.shape[:1]} rows for a mask with {n} True entries")
-    shape = mask.shape + x.shape[1:]
+    shape, in_shape = mask.shape + x.shape[1:], x.shape
     if n == mask.size:  # no slot to fill: a reshape
-        return _make(x.data.reshape(shape), (x,), lambda g: (g.reshape(x.shape),))
+        return _make(x.data.reshape(shape), (x,), lambda g: (g.reshape(in_shape),))
     out = np.full(shape, fill, dtype=x.dtype)
     out[mask] = x.data
     return _make(out, (x,), lambda g: (g[mask],))
@@ -544,15 +595,16 @@ def embedding(table, ids: np.ndarray) -> Tensor:
         raise ContractError(
             f"embedding ids out of range [0, {table.shape[0]}): min={ids.min()}, max={ids.max()}")
     out = table.data[ids]
+    shape, dtype = table.shape, table.dtype
 
     def vjp(g):
-        dt = np.zeros_like(table.data)
+        dt = np.zeros(shape, dtype)
         flat = ids.reshape(-1)
         if flat.size:
             order = np.argsort(flat, kind="stable")
             sorted_ids = flat[order]
             starts = np.flatnonzero(np.r_[True, sorted_ids[1:] != sorted_ids[:-1]])
-            rows = g.reshape(-1, table.shape[-1])[order]
+            rows = g.reshape(-1, shape[-1])[order]
             dt[sorted_ids[starts]] = np.add.reduceat(rows, starts, axis=0)
         return (dt,)
 
@@ -602,23 +654,23 @@ def cross_entropy(logits, labels: np.ndarray) -> Tensor:
 # reverse pass
 # ---------------------------------------------------------------------------
 
-def _toposort(root: Tensor) -> list[Tensor]:
-    order: list[Tensor] = []
-    seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+def _toposort(root: _Node) -> list[_Node]:
+    order: list[_Node] = []
+    seen: set[_Node] = set()
+    stack: list[tuple[_Node, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
             order.append(node)
             continue
-        if id(node) in seen:
+        if node in seen:
             continue
-        seen.add(id(node))
-        if node._consumed:
+        seen.add(node)
+        if node.consumed:
             raise GraphError("graph already consumed by a previous backward pass")
         stack.append((node, True))
-        for p in node._prev:
-            if p.requires_grad:
+        for p in node.prev:
+            if p is not None:
                 stack.append((p, False))
     return order
 
@@ -642,27 +694,29 @@ def backward(loss: Tensor, params=None) -> dict[Tensor, np.ndarray]:
     if not loss.requires_grad:
         raise ContractError("loss does not depend on any trainable tensor")
 
-    order = _toposort(loss)
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    root = _node_of(loss)
+    order = _toposort(root)
+    grads: dict[_Node, np.ndarray] = {root: np.ones_like(loss.data)}
     leaves: dict[Tensor, np.ndarray] = {}
     for node in reversed(order):
-        g = grads.pop(id(node), None)
+        g = grads.pop(node, None)
         if g is None:
             continue
-        if node._vjp is None:
-            leaves[node] = np.asarray(g)  # 0-d products come back as numpy scalars
+        if node.leaf is not None:
+            leaves[node.leaf] = np.asarray(g)  # 0-d products come back as numpy scalars
             continue
-        for p, pg in zip(node._prev, node._vjp(g)):
-            if not p.requires_grad or pg is None:
+        for p, pg in zip(node.prev, node.vjp(g)):
+            if p is None or pg is None:
                 continue
             if pg.dtype != p.dtype:
                 raise GraphError(f"a gradient of dtype {pg.dtype.name} reached an operand "
                                  f"of dtype {p.dtype.name}")
-            acc = grads.get(id(p))
-            grads[id(p)] = pg if acc is None else acc + pg
-        node._consumed = True
-        node._vjp = None
-        node._prev = ()
+            acc = grads.get(p)
+            grads[p] = pg if acc is None else acc + pg
+        # Drop the VJP and its captured arrays as soon as it has run.
+        node.consumed = True
+        node.vjp = None
+        node.prev = ()
 
     if params is not None:
         requested = params.values() if isinstance(params, dict) else params

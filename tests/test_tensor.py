@@ -1,10 +1,13 @@
 """Tensor core: op semantics, reverse-mode gradients, verification oracle."""
 
+import inspect
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -12,10 +15,15 @@ import pytest
 from scipy.special import erf, expit
 
 import linattn.tensor as T
+from linattn.config import parse_config_file
+from linattn.data import batch_iter
 from linattn.errors import ContractError, GraphError, ShapeError
+from linattn.model import build_model
 from linattn.tensor import Tensor, backward, finite_difference_check, no_grad
+from linattn.training import _forward_loss
 
 LN2 = 0.6931471805599453
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def t64(data, grad=False):
@@ -189,7 +197,7 @@ class TestBroadcastVjps:
         a = Tensor(rng.standard_normal((8, 4, 33, 16)).astype(np.float32), requires_grad=True)
         b = Tensor(rng.standard_normal((8, 4, 16, 1)).astype(np.float32), requires_grad=True)
         g = rng.standard_normal((8, 4, 33, 1)).astype(np.float32)
-        da, _ = T.matmul(a, b)._vjp(g)
+        da, _ = T.matmul(a, b)._node.vjp(g)
         np.testing.assert_array_equal(da, g @ b.data.swapaxes(-1, -2))
 
     @pytest.mark.parametrize("dtype, rtol", [(np.float32, 1e-6), (np.float64, 1e-12)])
@@ -570,7 +578,7 @@ class TestEmbeddingGradient:
     def test_empty_ids_give_zero_gradient(self):
         table = t64(np.ones((3, 2)), grad=True)
         out = T.embedding(table, np.zeros((0,), dtype=np.int64))
-        (grad,) = out._vjp(np.zeros((0, 2)))
+        (grad,) = out._node.vjp(np.zeros((0, 2)))
         np.testing.assert_array_equal(grad, np.zeros((3, 2)))
 
 
@@ -723,7 +731,7 @@ class TestConstantOperands:
             return op(c, wt) if const_at == 0 else op(wt, c)
 
         out = call(w)
-        pieces = out._vjp(np.ones_like(out.data))
+        pieces = out._node.vjp(np.ones_like(out.data))
         assert pieces[const_at] is None
         assert pieces[1 - const_at].shape == w.shape
 
@@ -738,9 +746,119 @@ class TestConstantOperands:
     def test_both_trainable_still_get_both(self):
         a = t64(np.ones((2, 2)), grad=True)
         b = t64(np.full((2, 2), 2.0), grad=True)
-        pieces = T.div(a, b)._vjp(np.ones((2, 2)))
+        pieces = T.div(a, b)._node.vjp(np.ones((2, 2)))
         np.testing.assert_array_equal(pieces[0], np.full((2, 2), 0.5))
         np.testing.assert_array_equal(pieces[1], np.full((2, 2), -0.25))
+
+
+def trainable(shape, seed=0):
+    """A tensor that needs a gradient and, unlike a leaf, whose array the
+    graph does not hold by itself: the output of an op."""
+    rng = np.random.default_rng(seed)
+    return T.add(t64(rng.uniform(0.5, 2.0, shape), grad=True), 0.0)
+
+
+def constant(shape, seed=1):
+    return t64(np.random.default_rng(seed).uniform(0.5, 2.0, shape))
+
+
+PACK_MASK = np.array([[True, True, False], [True, False, False]])
+
+# Per op: its operands, the call, and the arrays its graph keeps until
+# backward ("out" is the op's own output). Everything else is freed as soon
+# as the caller drops it.
+KEPT = {
+    "add": (lambda: {"a": trainable((2, 3)), "b": trainable((3,))}, T.add, set()),
+    "sub": (lambda: {"a": trainable((2, 3)), "b": trainable((2, 1))}, T.sub, set()),
+    "mul": (lambda: {"a": trainable((2, 3)), "b": trainable((3,))}, T.mul, {"a", "b"}),
+    "mul-const-a": (lambda: {"a": constant((2, 3)), "b": trainable((3,))}, T.mul, {"a"}),
+    "mul-const-b": (lambda: {"a": trainable((2, 3)), "b": constant((3,))}, T.mul, {"b"}),
+    "div": (lambda: {"a": trainable((2, 3)), "b": trainable((2, 1))}, T.div, {"b", "out"}),
+    "div-const-a": (lambda: {"a": constant((2, 3)), "b": trainable((2, 1))}, T.div,
+                    {"b", "out"}),
+    "div-const-b": (lambda: {"a": trainable((2, 3)), "b": constant((2, 1))}, T.div, {"b"}),
+    "matmul": (lambda: {"a": trainable((2, 3)), "b": trainable((3, 4))}, T.matmul,
+               {"a", "b"}),
+    "matmul-const-a": (lambda: {"a": constant((2, 3)), "b": trainable((3, 4))}, T.matmul,
+                       {"a"}),
+    "matmul-const-b": (lambda: {"a": trainable((2, 3)), "b": constant((3, 4))}, T.matmul,
+                       {"b"}),
+    "square": (lambda: {"x": trainable((2, 3))}, T.square, {"x"}),
+    "abs": (lambda: {"x": trainable((2, 3))}, T.abs, {"x"}),
+    "gelu": (lambda: {"x": trainable((2, 3))}, T.gelu, {"x"}),
+    "sigmoid": (lambda: {"x": trainable((2, 3))}, T.sigmoid, {"out"}),
+    "softplus": (lambda: {"x": trainable((2, 3))}, T.softplus, {"out"}),
+    "sqrt": (lambda: {"x": trainable((2, 3))}, T.sqrt, {"out"}),
+    "softmax_rows": (lambda: {"x": trainable((2, 3))}, T.softmax_rows, {"out"}),
+    "sum": (lambda: {"x": trainable((2, 3))}, lambda x: T.sum(x, axis=0), set()),
+    "mean": (lambda: {"x": trainable((2, 3))}, lambda x: T.mean(x, axis=-1), set()),
+    "reshape": (lambda: {"x": trainable((2, 3))}, lambda x: T.reshape(x, (3, 2)), set()),
+    "swapaxes": (lambda: {"x": trainable((2, 3))}, lambda x: T.swapaxes(x, 0, 1), set()),
+    "concat": (lambda: {"a": trainable((2, 3)), "b": trainable((2, 1))},
+               lambda a, b: T.concat([a, b], axis=-1), set()),
+    "getitem": (lambda: {"x": trainable((2, 3))}, lambda x: T.getitem(x, (slice(1), 2)),
+                set()),
+    "getitem-mask": (lambda: {"x": trainable((2, 3, 4))},
+                     lambda x: T.getitem(x, PACK_MASK), set()),
+    "unpack": (lambda: {"x": trainable((3, 4))}, lambda x: T.unpack(x, PACK_MASK), set()),
+    "embedding": (lambda: {"table": trainable((5, 3))},
+                  lambda table: T.embedding(table, np.array([[4, 0], [4, 1]])), set()),
+    "cross_entropy": (lambda: {"logits": trainable((2, 3))},
+                      lambda logits: T.cross_entropy(logits, np.array([0, 2])), set()),
+}
+
+
+class TestTapeContract:
+    """A graph links nodes, not tensors, and each VJP keeps only what it reads."""
+
+    def test_every_public_op_has_a_row(self):
+        ops = {name for name, fn in vars(T).items()
+               if inspect.isfunction(fn) and fn.__module__ == T.__name__
+               and not name.startswith("_")} - {"no_grad", "backward", "finite_difference_check"}
+        assert {case.split("-")[0] for case in KEPT} == ops
+
+    @pytest.mark.parametrize("case", sorted(KEPT))
+    def test_graph_keeps_only_what_the_vjp_reads(self, case):
+        build, op, kept = KEPT[case]
+        operands = build()
+        arrays = {name: weakref.ref(t.data) for name, t in operands.items()}
+        out = op(**operands)
+        arrays["out"] = weakref.ref(out.data)
+        loss = T.sum(out)
+        del operands, out
+        assert {name for name, ref in arrays.items() if ref() is not None} == kept
+        backward(loss)
+        assert [name for name, ref in arrays.items() if ref() is not None] == []
+
+    def test_forward_tape_holds_under_half_of_what_the_ops_made(self, monkeypatch):
+        # One f32 configs/listops.cfg micro-batch, with dropout: the bytes still
+        # live once the forward pass returns, against the bytes of every op
+        # output. A tape of whole tensors holds about all of them; this one
+        # holds 44%. Allocation sizes are fixed by the data, so the figure
+        # repeats exactly.
+        cfg = parse_config_file(CONFIGS / "listops.cfg")
+        cfg.task.data_seed = 1
+        train_ds, _ = cfg.task.build()
+        model = build_model(cfg.model, 1, dtype=np.float32)
+        batch = next(batch_iter(train_ds, cfg.micro_batch, cfg.model.max_len, shuffle_seed=1))
+        made = [0]
+        make = T._make
+
+        def counting_make(out, prev, vjp):
+            made[0] += out.nbytes
+            return make(out, prev, vjp)
+
+        monkeypatch.setattr(T, "_make", counting_make)
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            loss, _ = _forward_loss(model, batch, rng)
+            live = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert live <= 0.5 * made[0], f"{live} live bytes of {made[0]} made"
+        backward(loss)
 
 
 FAULT_PROBE = """
