@@ -25,7 +25,7 @@ for variant in ("linear_softplus", "glu", "oglu", "aoglu"):
 
         # wide inputs: three standard deviations of a unit-scale activation
         x = Tensor(rng.normal(0.0, 3.0, size=(5000, n)))
-        out = kernel_stack_forward(x, spec, params)
+        out = kernel_stack_forward(x, params)
 
         penalty = orthogonality_penalty(regularized_matrices(spec, params), 1.0)
         size = sum(t.size for t in named_tensors(params).values())

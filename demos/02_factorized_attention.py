@@ -18,8 +18,8 @@ spec = KernelSpec(variant="oglu", depth=2)
 params = init_kernel_params(spec, 8, drawer(3, np.float64))
 
 L, d = 48, 12
-qf = kernel_stack_forward(Tensor(rng.standard_normal((L, 8))), spec, params)
-kf = kernel_stack_forward(Tensor(rng.standard_normal((L, 8))), spec, params)
+qf = kernel_stack_forward(Tensor(rng.standard_normal((L, 8))), params)
+kf = kernel_stack_forward(Tensor(rng.standard_normal((L, 8))), params)
 v = Tensor(rng.standard_normal((L, d)))
 mask = np.ones(L, bool)
 mask[-10:] = False  # pretend the tail is padding

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ContractError, ShapeError
-from .kernels import KernelSpec, init_kernel_params, kernel_stack_forward
+from .kernels import init_kernel_params, kernel_stack_forward
 from .tensor import Tensor
 
 if TYPE_CHECKING:
@@ -149,12 +149,11 @@ def _merge_rows(x: Tensor, m: np.ndarray) -> Tensor:
     return T.reshape(rows, (rows.shape[0], -1))
 
 
-def _stack_head_features(rows: Tensor, kernels: list[list[dict[str, Tensor]]],
-                         spec: KernelSpec) -> Tensor:
+def _stack_head_features(rows: Tensor, kernels: list[list[dict[str, Tensor]]]) -> Tensor:
     """Apply each head's feature-map stack to its column block of the packed
     rows (N, h*n); returns (N, h*C)."""
     n = rows.shape[-1] // len(kernels)
-    return T.concat([kernel_stack_forward(T.getitem(rows, np.s_[:, i * n:(i + 1) * n]), spec, kp)
+    return T.concat([kernel_stack_forward(T.getitem(rows, np.s_[:, i * n:(i + 1) * n]), kp)
                      for i, kp in enumerate(kernels)], axis=-1)
 
 
@@ -162,13 +161,13 @@ def multi_head_kernel_attention(x: Tensor, params: AttentionLayerParams,
                                 config: ModelConfig, mask) -> Tensor:
     """Project, run kernel attention per head, merge, project out.
 
-    ``config`` supplies the width, head count, kernel spec, ``eps`` and
-    ``attention_kind``. ``softmax`` is kernel attention under the
-    exponential kernel exp(q . k / sqrt(n)), evaluated exactly (the
-    quadratic baseline). ``kernel_linear`` and ``kernel_quadratic`` map
-    queries and keys through each head's feature stack, then run the
-    factorized evaluator or its oracle (to cross-check full layers). Any
-    other kind, or a head count other than the layer's number of stacks,
+    ``config`` supplies the width, head count, ``eps`` and ``attention_kind``;
+    each head's feature stack runs as its weights say. ``softmax`` is kernel
+    attention under the exponential kernel exp(q . k / sqrt(n)), evaluated
+    exactly (the quadratic baseline). ``kernel_linear`` and
+    ``kernel_quadratic`` map queries and keys through each head's stack, then
+    run the factorized evaluator or its oracle (to cross-check full layers).
+    Any other kind, or a head count other than the layer's number of stacks,
     raises ``ConfigError``: a ``ModelConfig`` stays mutable.
 
     ``x`` holds the packed rows ``(mask.sum(), d_model)`` of the unmasked
@@ -189,8 +188,8 @@ def multi_head_kernel_attention(x: Tensor, params: AttentionLayerParams,
         if len(params.head_kernels) != n_heads:
             raise ConfigError(f"{kind} runs {n_heads} heads, but the layer holds "
                               f"{len(params.head_kernels)} feature stacks")
-        q = _stack_head_features(T.matmul(x, params.w_q), params.head_kernels, config.kernel)
-        k = _stack_head_features(T.matmul(x, params.w_k), params.head_kernels, config.kernel)
+        q = _stack_head_features(T.matmul(x, params.w_q), params.head_kernels)
+        k = _stack_head_features(T.matmul(x, params.w_k), params.head_kernels)
         q = _heads(q, n_heads, m, fill=1.0)
         k = _heads(k, n_heads, m, fill=1.0)
     v = _heads(T.matmul(x, params.w_v), n_heads, m)

@@ -16,11 +16,13 @@ before the factorized attention product:
 Stacks of depth 2-3 insert plain gated layers (or, for the softplus
 variant, linear layers under gelu) before the positive output layer. No
 normalization between layers. Every layer of every variant is one
-``feature_layer``; the stack only picks each layer's activation.
+``feature_layer`` over ``w_feat`` and any gate; the stack takes each layer's
+activation from its place and its weights.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -33,8 +35,8 @@ VARIANTS = ("linear_softplus", "glu", "oglu", "aoglu")
 
 MAX_DEPTH = 3
 
-# Variants whose feature matrices (``w``, ``w_feat``) start orthogonal and
-# carry the orthogonality penalty: every variant but plain glu.
+# Variants whose feature matrices (``w_feat``) start orthogonal and carry
+# the orthogonality penalty: every variant but plain glu.
 _ORTHOGONAL_VARIANTS = ("linear_softplus", "oglu", "aoglu")
 
 
@@ -56,15 +58,20 @@ def finite_at_least(low, **kw):
     return ruled(f"finite and >= {low}", lambda v: low <= v < float("inf"), **kw)
 
 
+_FIELD_TYPES = {"int": ("an integer", (int, np.integer)), "float": ("a real number", numbers.Real),
+                "float | None": ("a real number", (numbers.Real, type(None)))}
+
+
 def check_fields(config):
-    """Reject a float, bool or string (a checkpoint header can carry one) in
-    a dataclass field annotated ``int``, then a value outside any field's
-    ``ruled`` domain, in field order."""
+    """Reject a bool or a value of another type (a checkpoint header can carry
+    any) in a field annotated ``int``, ``float`` or ``float | None``, then a
+    value outside any field's ``ruled`` domain, in field order."""
     for f in fields(config):
         value = getattr(config, f.name)
-        if f.type == "int" and (isinstance(value, bool)
-                                or not isinstance(value, (int, np.integer))):
-            raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+        if f.type in _FIELD_TYPES:
+            what, types = _FIELD_TYPES[f.type]
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise ConfigError(f"{f.name} must be {what}, got {value!r}")
     for f in fields(config):
         value = getattr(config, f.name)
         if "ok" in f.metadata and not f.metadata["ok"](value):
@@ -73,9 +80,10 @@ def check_fields(config):
 
 @dataclass
 class KernelSpec:
-    """Declarative description of one feature-map stack.
+    """How to make one feature-map stack. No forward pass reads it: a built
+    stack describes itself.
 
-    ``gate_rank`` is only meaningful for the ``aoglu`` variant and must
+    ``gate_rank`` is 0 unless the variant is ``aoglu``, where it must
     satisfy 1 <= rank < n / 2 at head width n (``check_gate_rank``).
     Queries and keys of a head run through the same stack.
     """
@@ -90,6 +98,8 @@ class KernelSpec:
 
     def validate(self):
         check_fields(self)
+        if self.gate_rank != 0 and self.variant != "aoglu":
+            raise ConfigError(f"gate_rank must be 0 unless variant = aoglu, got {self.gate_rank}")
 
 
 def check_gate_rank(spec: KernelSpec, n: int):
@@ -141,34 +151,31 @@ def drawer(seed, dtype=np.float32):
 
 def init_kernel_params(spec: KernelSpec, n: int, param) -> list[dict[str, Tensor]]:
     """Make all weights for one feature-map stack of width ``n`` through
-    ``param(kind, shape)`` (see ``drawer``), one dict per layer: ``w``,
-    ``w_feat``/``w_gate`` or ``w_feat``/``gate_in``/``gate_out``.
-
-    Matrices subject to the orthogonality penalty (``w`` of the softplus
-    variant, ``w_feat`` of oglu/aoglu) are ``orthogonal``; every other
-    matrix is ``uniform``. Only aoglu's output layer has a rank-r gate.
+    ``param(kind, shape)`` (see ``drawer``), one dict per layer: ``w_feat``,
+    then ``w_gate`` for a gated variant or, on aoglu's output layer only, a
+    rank-r gate ``gate_in``/``gate_out``. ``w_feat`` is ``orthogonal`` for
+    the variants under the orthogonality penalty; every other matrix is
+    ``uniform``.
     """
     check_gate_rank(spec, n)
     r = spec.gate_rank
     feat = "orthogonal" if spec.variant in _ORTHOGONAL_VARIANTS else "uniform"
     layers = []
     for i in range(spec.depth):
-        if spec.variant == "linear_softplus":
-            layers.append({"w": param(feat, (n, n))})
-        elif spec.variant == "aoglu" and i == spec.depth - 1:
-            layers.append({"w_feat": param(feat, (n, n)), "gate_in": param("uniform", (n, r)),
-                           "gate_out": param("uniform", (r, n))})
-        else:
-            layers.append({"w_feat": param(feat, (n, n)), "w_gate": param("uniform", (n, n))})
+        layer = {"w_feat": param(feat, (n, n))}
+        if spec.variant == "aoglu" and i == spec.depth - 1:
+            layer.update(gate_in=param("uniform", (n, r)), gate_out=param("uniform", (r, n)))
+        elif spec.variant != "linear_softplus":
+            layer["w_gate"] = param("uniform", (n, n))
+        layers.append(layer)
     return layers
 
 
 def feature_layer(x: Tensor, layer: dict[str, Tensor], act) -> Tensor:
-    """act(X W), times sigmoid(X W_gate) or sigmoid((X gate_in) gate_out)
-    when the layer holds those weights; ``act=None`` leaves X W linear.
+    """act(X W_feat), times sigmoid(X W_gate) or sigmoid((X gate_in) gate_out)
+    when the layer holds those weights; ``act=None`` leaves X W_feat linear.
     With ``act=T.softplus`` the output is strictly positive."""
-    w = layer["w"] if "w" in layer else layer["w_feat"]
-    h = T.matmul(x, w)
+    h = T.matmul(x, layer["w_feat"])
     if act is not None:
         h = act(h)
     if "w_gate" in layer:
@@ -178,31 +185,23 @@ def feature_layer(x: Tensor, layer: dict[str, Tensor], act) -> Tensor:
     return h
 
 
-def kernel_stack_forward(x: Tensor, spec: KernelSpec, layers: list[dict[str, Tensor]]) -> Tensor:
-    """Run the full feature-map stack; the final layer output is strictly
-    positive for every variant."""
-    if len(layers) != spec.depth:
-        raise ConfigError(f"params hold {len(layers)} layers but spec depth is {spec.depth}")
-    h = x
-    for i, layer in enumerate(layers):
-        if i == spec.depth - 1:
-            act = T.softplus
-        elif spec.variant == "linear_softplus":
-            act = T.gelu
-        else:
-            act = None
-        h = feature_layer(h, layer, act)
-    return h
+def kernel_stack_forward(x: Tensor, layers: list[dict[str, Tensor]]) -> Tensor:
+    """Run a feature-map stack: gelu on an inner layer that is ``w_feat``
+    alone, no activation on an inner gated layer, softplus on the last, so
+    the output is strictly positive."""
+    *inner, last = layers
+    for layer in inner:
+        x = feature_layer(x, layer, T.gelu if len(layer) == 1 else None)
+    return feature_layer(x, last, T.softplus)
 
 
 def regularized_matrices(spec: KernelSpec, layers: list[dict[str, Tensor]]) -> list[Tensor]:
-    """The matrices the orthogonality penalty applies to: ``w`` for the
-    softplus variant, each layer's ``w_feat`` for oglu/aoglu, none for
-    plain glu: the matrices ``init_kernel_params`` starts orthogonal."""
+    """The matrices the orthogonality penalty applies to: each layer's
+    ``w_feat`` for linear_softplus, oglu and aoglu, none for plain glu: the
+    matrices ``init_kernel_params`` starts orthogonal."""
     if spec.variant not in _ORTHOGONAL_VARIANTS:
         return []
-    key = "w" if spec.variant == "linear_softplus" else "w_feat"
-    return [layer[key] for layer in layers]
+    return [layer["w_feat"] for layer in layers]
 
 
 def orthogonality_penalty(matrices: list[Tensor], weight: float) -> Tensor:

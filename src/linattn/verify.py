@@ -58,8 +58,8 @@ def check_oracle_equivalence() -> list[CheckResult]:
             if length > 2:
                 mask[rng.random(length) < 0.25] = False
                 mask[0] = True
-            qf = kernel_stack_forward(x_q, spec, kp)
-            kf = kernel_stack_forward(x_k, spec, kp)
+            qf = kernel_stack_forward(x_q, kp)
+            kf = kernel_stack_forward(x_k, kp)
             lin = kernel_attention_linear(qf, kf, v, mask, eps=0.0)
             quad = kernel_attention_quadratic(qf, kf, v, mask, eps=0.0)
             diff = float(np.abs(lin.data - quad.data).max())
@@ -113,7 +113,7 @@ def check_positivity() -> list[CheckResult]:
         spec = _spec(variant, depth)
         kp = init_kernel_params(spec, 8, drawer(rng, np.float64))
         x = Tensor(rng.normal(0.0, 3.0, size=(10_000, 8)))
-        out = kernel_stack_forward(x, spec, kp)
+        out = kernel_stack_forward(x, kp)
         lo = float(out.data.min())
         results.append(CheckResult(
             name=f"positivity {variant} depth {depth}",

@@ -26,7 +26,8 @@ def make_spec(variant, depth, n=8):
 
 def layer_config(spec, d_model, n_heads, eps=0.0):
     """A ``ModelConfig`` for one ``kernel_linear`` attention layer; the
-    layer reads only its width, head count, kernel spec, eps and kind."""
+    layer reads only its width, head count, eps and kind, and the kernel
+    spec makes its stacks."""
     return ModelConfig(d_model=d_model, n_heads=n_heads, kernel=spec, eps=eps)
 
 
@@ -122,8 +123,8 @@ class TestLinearEvaluator:
             kp = init_kernel_params(spec, 8, drawer(rng, np.float64))
             length = int(rng.integers(2, 65))
             d = int(rng.integers(2, 17))
-            qf = kernel_stack_forward(Tensor(rng.standard_normal((length, 8))), spec, kp)
-            kf = kernel_stack_forward(Tensor(rng.standard_normal((length, 8))), spec, kp)
+            qf = kernel_stack_forward(Tensor(rng.standard_normal((length, 8))), kp)
+            kf = kernel_stack_forward(Tensor(rng.standard_normal((length, 8))), kp)
             v = Tensor(rng.standard_normal((length, d)))
             mask = np.ones(length, bool)
             if length > 2:
@@ -152,8 +153,8 @@ class TestLinearEvaluator:
                 mask[0] = True
 
                 def attend(kp, dtype, evaluator):
-                    qf = kernel_stack_forward(Tensor(x_q.astype(dtype)), spec, kp)
-                    kf = kernel_stack_forward(Tensor(x_k.astype(dtype)), spec, kp)
+                    qf = kernel_stack_forward(Tensor(x_q.astype(dtype)), kp)
+                    kf = kernel_stack_forward(Tensor(x_k.astype(dtype)), kp)
                     return evaluator(qf, kf, Tensor(v.astype(dtype)), mask, eps=0.0).data
 
                 lin = attend(kp32, np.float32, kernel_attention_linear)
@@ -232,8 +233,8 @@ class TestMultiHead:
         q = T.matmul(x, params.w_q)
         k = T.matmul(x, params.w_k)
         v = T.matmul(x, params.w_v)
-        qf = kernel_stack_forward(q, spec, params.head_kernels[0])
-        kf = kernel_stack_forward(k, spec, params.head_kernels[0])
+        qf = kernel_stack_forward(q, params.head_kernels[0])
+        kf = kernel_stack_forward(k, params.head_kernels[0])
         manual = T.matmul(kernel_attention_linear(qf, kf, v, mask, eps=0.0), params.w_o)
         np.testing.assert_allclose(out.data, manual.data, atol=1e-13)
 

@@ -323,9 +323,12 @@ class TestConfigParsing:
         ("[task]\nclasses = 1\n", "classes must be >= 2, got 1"),
         ("[model]\nhead = match\n[task]\nsource = matching\nvocab_size = 10\n",
          "vocab_size must be >= 21 for 6 motifs of length 3, got 10"),
+        # A gate rank the variant would not read is refused, not stored.
+        ("[kernel]\nvariant = oglu\ngate_rank = -7\n",
+         "gate_rank must be 0 unless variant = aoglu, got -7"),
     ], ids=["length", "vocab", "classes", "listops-vocab", "listops-classes", "matching-head",
             "match-head", "count", "eval-count", "listops-max_depth", "listops-length",
-            "text-classes", "matching-vocab_size"])
+            "text-classes", "matching-vocab_size", "oglu-gate_rank"])
     def test_task_that_does_not_fit_the_model_is_a_config_error(self, tmp_path, capsys, text,
                                                                 message):
         p = tmp_path / "fit.cfg"
@@ -433,6 +436,26 @@ class TestFieldRules:
         setattr(config, name, value)
         with pytest.raises(ConfigError, match=rf"^{name} must be an integer, got {value}"):
             config.validate()
+
+    FLOAT_FIELDS = [(cls, f.name) for cls in SECTION_OF for f in dataclasses.fields(cls)
+                    if f.type in ("float", "float | None")]
+
+    @pytest.mark.parametrize("cls, name", FLOAT_FIELDS,
+                             ids=[f"{cls.__name__}.{name}" for cls, name in FLOAT_FIELDS])
+    @pytest.mark.parametrize("value", [True, "1e-6"])
+    def test_float_field_rejects_bool_and_string(self, cls, name, value):
+        config = cls()
+        setattr(config, name, value)
+        with pytest.raises(ConfigError, match=rf"^{name} must be a real number, got {value!r}"):
+            config.validate()
+
+    def test_float_field_type_edges(self):
+        with pytest.raises(ConfigError, match=r"^eps must be a real number, got '1e-6'"):
+            ModelConfig(eps="1e-6")  # a type check, not a TypeError from the rule
+        assert ModelConfig(eps=0, dropout_rate=0).eps == 0
+        assert TrainConfig(target_accuracy=None).target_accuracy is None
+        with pytest.raises(ConfigError, match=r"^lr must be a real number, got None"):
+            OptimizerConfig(lr=None).validate()
 
 
 class TestExitCodes:
@@ -701,8 +724,12 @@ class TestEvalCommand:
 
     @pytest.mark.parametrize("field,value", [("vocab_size", 12.0), ("n_layers", 1.0),
                                              ("kernel.depth", 1.0), ("classes", True),
-                                             ("d_model", "32")])
+                                             ("d_model", "32"), ("eps", True),
+                                             ("dropout_rate", "0.0"),
+                                             ("kernel.ortho_reg_weight", True)])
     def test_non_integer_header_field_exit_one(self, fast_cfg, tmp_path, capsys, field, value):
+        """A header value of the wrong type for its field: an integer field
+        takes no float, bool or string, a float field no bool or string."""
         ckpt = tmp_path / "model.ckpt"
         save_checkpoint(build_model(parse_config_file(fast_cfg).model, seed=0), ckpt)
         raw = ckpt.read_bytes()
@@ -716,7 +743,10 @@ class TestEvalCommand:
         capsys.readouterr()
         assert main(["eval", "--config", fast_cfg, "--checkpoint", str(ckpt)]) == 1
         err = capsys.readouterr().err
-        assert f"{key} must be an integer" in err and str(ckpt) in err
+        section = section[0] if section else "model"
+        what = {"int": "an integer", "float": "a real number"}[
+            linattn.config._SECTION_FIELDS[section][key]]
+        assert f"{key} must be {what}" in err and str(ckpt) in err
 
 
 class TestSeedsCommand:

@@ -22,7 +22,7 @@ ALL_VARIANT_DEPTHS = [(v, d) for v in ("linear_softplus", "glu", "oglu", "aoglu"
 
 
 def softplus_layer(x, w):
-    return feature_layer(x, {"w": w}, T.softplus)
+    return feature_layer(x, {"w_feat": w}, T.softplus)
 
 
 def gated_layer(x, w_feat, w_gate, act):
@@ -187,15 +187,14 @@ class TestKernelStack:
         spec = make_spec("linear_softplus", 1)
         params = init_kernel_params(spec, 8, drawer(rng, np.float64))
         x = Tensor(rng.standard_normal((5, 8)))
-        stacked = kernel_stack_forward(x, spec, params)
-        direct = softplus_layer(x, params[0]["w"])
+        stacked = kernel_stack_forward(x, params)
+        direct = softplus_layer(x, params[0]["w_feat"])
         np.testing.assert_array_equal(stacked.data, direct.data)
 
     def test_depth1_identity_weights_equal_softplus(self):
-        spec = make_spec("linear_softplus", 1)
-        params = [{"w": Tensor(np.eye(8), requires_grad=True)}]
+        params = [{"w_feat": Tensor(np.eye(8), requires_grad=True)}]
         x = Tensor(np.random.default_rng(10).standard_normal((4, 8)))
-        out = kernel_stack_forward(x, spec, params)
+        out = kernel_stack_forward(x, params)
         np.testing.assert_array_equal(out.data, T.softplus(x).data)
 
     @pytest.mark.parametrize("variant,depth", ALL_VARIANT_DEPTHS)
@@ -204,7 +203,7 @@ class TestKernelStack:
         spec = make_spec(variant, depth)
         params = init_kernel_params(spec, 8, drawer(rng, np.float64))
         x = Tensor(rng.normal(0.0, 3.0, size=(10_000, 8)))
-        out = kernel_stack_forward(x, spec, params)
+        out = kernel_stack_forward(x, params)
         assert out.data.min() > 0
 
     def test_depth2_oglu_composes_plain_then_positive_output(self):
@@ -212,24 +211,35 @@ class TestKernelStack:
         spec = make_spec("oglu", 2)
         params = init_kernel_params(spec, 8, drawer(rng, np.float64))
         x = Tensor(rng.standard_normal((6, 8)))
-        stacked = kernel_stack_forward(x, spec, params)
+        stacked = kernel_stack_forward(x, params)
         l0, l1 = params
         manual = gated_layer(gated_layer(x, l0["w_feat"], l0["w_gate"], None),
                              l1["w_feat"], l1["w_gate"], T.softplus)
         np.testing.assert_array_equal(stacked.data, manual.data)
         assert stacked.data.min() > 0
 
+    def test_depth3_linear_softplus_runs_inner_layers_under_gelu(self):
+        rng = np.random.default_rng(21)
+        params = init_kernel_params(make_spec("linear_softplus", 3), 8, drawer(rng, np.float64))
+        x = Tensor(rng.standard_normal((6, 8)))
+        w0, w1, w2 = (layer["w_feat"] for layer in params)
+        manual = T.softplus(T.matmul(T.gelu(T.matmul(T.gelu(T.matmul(x, w0)), w1)), w2))
+        np.testing.assert_array_equal(kernel_stack_forward(x, params).data, manual.data)
+
+    def test_depth2_aoglu_composes_plain_then_low_rank_output(self):
+        rng = np.random.default_rng(22)
+        params = init_kernel_params(make_spec("aoglu", 2), 8, drawer(rng, np.float64))
+        x = Tensor(rng.standard_normal((6, 8)))
+        l0, l1 = params
+        manual = low_rank_layer(gated_layer(x, l0["w_feat"], l0["w_gate"], None),
+                                l1["w_feat"], l1["gate_in"], l1["gate_out"])
+        np.testing.assert_array_equal(kernel_stack_forward(x, params).data, manual.data)
+
     def test_depth3_aoglu_param_count_by_construction(self):
         spec = KernelSpec(variant="aoglu", depth=3, gate_rank=16)
         params = init_kernel_params(spec, 64, drawer(0))
         # two full-rank gated layers plus one low-rank output layer
         assert param_count(params) == 2 * 8192 + 6144 == 22528
-
-    def test_spec_params_mismatch(self):
-        spec = make_spec("glu", 2)
-        params = init_kernel_params(make_spec("glu", 1), 8, drawer(0))
-        with pytest.raises(ConfigError):
-            kernel_stack_forward(Tensor(np.zeros((2, 8))), spec, params)
 
     @pytest.mark.parametrize("variant,depth", ALL_VARIANT_DEPTHS)
     def test_stack_gradients(self, variant, depth):
@@ -240,7 +250,7 @@ class TestKernelStack:
         named = named_tensors(kp)
 
         def f(_):
-            return T.mean(T.square(kernel_stack_forward(x, spec, kp)))
+            return T.mean(T.square(kernel_stack_forward(x, kp)))
 
         report = finite_difference_check(f, named, step=1e-5)
         assert max(r.max_rel_err for r in report.values()) <= 1e-5

@@ -751,7 +751,7 @@ class TestCheckpointLayout:
          _layout([("0.w_feat", (4, 4)), ("0.w_gate", (4, 4))],
                  [("head.w", (8, 3)), ("head.b", (3,))])),
         ("classify", KernelSpec(variant="linear_softplus", depth=1),
-         _layout([("0.w", (4, 4))], [("head.w", (8, 3)), ("head.b", (3,))])),
+         _layout([("0.w_feat", (4, 4))], [("head.w", (8, 3)), ("head.b", (3,))])),
         ("match", KernelSpec(variant="aoglu", depth=2, gate_rank=1),
          _layout([("0.w_feat", (4, 4)), ("0.w_gate", (4, 4)), ("1.w_feat", (4, 4)),
                   ("1.gate_in", (4, 1)), ("1.gate_out", (1, 4))],
