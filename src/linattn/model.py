@@ -15,9 +15,12 @@ additional-parameter budget.
 
 from __future__ import annotations
 
+import itertools
 import json
 import struct
 import zlib
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
@@ -150,6 +153,58 @@ def named_tensors(tree, prefix: str = "") -> dict[str, Tensor]:
             for name, t in named_tensors(sub, f"{prefix}.{key}" if prefix else str(key)).items()}
 
 
+def _real_runs(mask: np.ndarray) -> tuple[list[tuple[int, int]], int]:
+    """The runs of real slots of ``mask`` in row-major order, as (pad slots
+    before the run, real slots) pairs, and the pad slots after the last run."""
+    edges = np.flatnonzero(np.diff(mask.ravel(), prepend=False, append=False))
+    starts, ends = edges[0::2], edges[1::2]
+    skips = starts - np.concatenate(([0], ends[:-1]))
+    return (list(zip(skips.tolist(), (ends - starts).tolist())),
+            mask.size - int(ends[-1] if ends.size else 0))
+
+
+def _keep_scale(rng, runs, tail: int, width: int, rate: float, dtype) -> np.ndarray:
+    """One dropout site's scale ``keep / (1 - rate)`` on the packed rows,
+    where ``keep = rng.random((B, L, width))[mask] >= rate``. Only the real
+    rows' numbers are drawn; ``advance`` skips the pad slots' numbers."""
+    bits = rng.bit_generator
+    buffered = bits.state  # advance drops a buffered 32-bit half; random() never reads it
+    draws = np.empty((sum(take for _, take in runs), width))
+    row = 0
+    for skip, take in runs:
+        if skip:
+            bits.advance(skip * width)
+        rng.random(out=draws[row:row + take])
+        row += take
+    if tail:
+        bits.advance(tail * width)
+    if buffered["has_uint32"]:
+        bits.state = {**bits.state, "has_uint32": 1, "uinteger": buffered["uinteger"]}
+    return (draws >= rate).astype(dtype) / (1.0 - rate)
+
+
+@contextmanager
+def _keep_scales(rng, rate: float, mask: np.ndarray, widths: list[int], dtype):
+    """An iterator over the keep scales of dropout sites of ``widths``, in
+    that order: ``None`` for each without an ``rng`` or at rate 0, else
+    drawn by one worker thread that leaving the block joins."""
+    if rng is None or rate == 0.0:
+        yield itertools.repeat(None)
+        return
+    bits = getattr(rng, "bit_generator", rng)
+    if not isinstance(bits, (np.random.PCG64, np.random.PCG64DXSM)):
+        raise ContractError(f"dropout needs a PCG64 Generator from np.random.default_rng, "
+                            f"which can skip the pad slots' draws; got {type(bits).__name__}")
+    runs, tail = _real_runs(mask)
+    with ThreadPoolExecutor(1, thread_name_prefix="linattn-dropout") as worker:
+        sites = [worker.submit(_keep_scale, rng, runs, tail, w, rate, dtype) for w in widths]
+        yield (site.result() for site in sites)
+
+
+def _dropout(x: Tensor, scale: np.ndarray | None) -> Tensor:
+    return x if scale is None else T.mul(x, Tensor(scale))
+
+
 @dataclass(eq=False)
 class Model:
     """A built encoder: immutable during evaluation, single-writer in
@@ -182,16 +237,6 @@ class Model:
         inv = T.div(centered, T.sqrt(T.add(var, float(LAYERNORM_EPS))))
         return T.add(T.mul(inv, gamma), beta)
 
-    def _dropout(self, x: Tensor, mask: np.ndarray, rng) -> Tensor:
-        """Inverted dropout on packed rows, iff an ``rng`` is given. The keep
-        mask is drawn at the padded shape and then gathered, so the random
-        stream does not depend on how much of the batch is padding."""
-        rate = self.config.dropout_rate
-        if rng is None or rate == 0.0:
-            return x
-        keep = rng.random(mask.shape + x.shape[1:]) >= rate
-        return T.mul(x, Tensor(keep[mask].astype(x.dtype) / (1.0 - rate)))
-
     def encode(self, tokens: np.ndarray, mask: np.ndarray, rng=None) -> Tensor:
         """Token ids (B, L) + mask -> mean-pooled features (B, d_model), with
         dropout iff ``rng`` is given.
@@ -199,6 +244,17 @@ class Model:
         Every position-wise op runs on the packed rows (N, d_model) of the
         real tokens, in row-major order; only attention's S/z aggregation and
         the pooling, which averages each sequence's rows, see sequences.
+
+        Dropout (``rng`` given and ``dropout_rate > 0``) needs a PCG64
+        ``np.random.default_rng``. Each block has two sites, the attention
+        output and then the FFN inner, and each site consumes the
+        ``B * L * width`` float64 numbers of ``rng.random((B, L, width))``,
+        where L is the batch's padded width: a real slot keeps its value iff
+        its number is >= the rate. So the stream depends on the padded
+        shape, not only on the real tokens. Only the real slots' numbers are
+        computed, on one worker thread that runs ahead of the forward pass
+        and is joined before ``encode`` returns or raises; once the inputs
+        pass their checks, ``rng`` ends where a finished encode leaves it.
         """
         tokens = np.asarray(tokens)
         mask = np.asarray(mask, dtype=bool)
@@ -215,20 +271,22 @@ class Model:
                 f"token ids must lie in [0, {cfg.vocab_size}), got "
                 f"[{tokens.min()}, {tokens.max()}]")
 
-        seq, col = np.nonzero(mask)
-        h = T.add(T.embedding(self.embed_tokens, tokens[mask]),
-                  T.embedding(self.embed_pos, col))
+        widths = [cfg.d_model, cfg.ffn_dim] * len(self.blocks)
+        with _keep_scales(rng, cfg.dropout_rate, mask, widths, self.embed_tokens.dtype) as scales:
+            seq, col = np.nonzero(mask)
+            h = T.add(T.embedding(self.embed_tokens, tokens[mask]),
+                      T.embedding(self.embed_pos, col))
 
-        for blk in self.blocks:
-            normed = self._layer_norm(h, blk.ln1_gamma, blk.ln1_beta)
-            attn_out = multi_head_kernel_attention(normed, blk.attn, cfg, mask)
-            h = T.add(h, self._dropout(attn_out, mask, rng))
+            for blk in self.blocks:
+                normed = self._layer_norm(h, blk.ln1_gamma, blk.ln1_beta)
+                attn_out = multi_head_kernel_attention(normed, blk.attn, cfg, mask)
+                h = T.add(h, _dropout(attn_out, next(scales)))
 
-            normed = self._layer_norm(h, blk.ln2_gamma, blk.ln2_beta)
-            inner = T.gelu(T.add(T.matmul(normed, blk.ffn_w1), blk.ffn_b1))
-            inner = self._dropout(inner, mask, rng)
-            ffn_out = T.add(T.matmul(inner, blk.ffn_w2), blk.ffn_b2)
-            h = T.add(h, ffn_out)
+                normed = self._layer_norm(h, blk.ln2_gamma, blk.ln2_beta)
+                inner = T.gelu(T.add(T.matmul(normed, blk.ffn_w1), blk.ffn_b1))
+                inner = _dropout(inner, next(scales))
+                ffn_out = T.add(T.matmul(inner, blk.ffn_w2), blk.ffn_b2)
+                h = T.add(h, ffn_out)
 
         h = self._layer_norm(h, self.final_gamma, self.final_beta)
         # Attention rejected empty sequences, so every count is >= 1.

@@ -19,8 +19,9 @@ is batch-style broadcasting (a matrix applied across leading batch axes, a
 per-feature vector against its trailing axis, a size-1 mask axis).
 
 On glibc, importing this module sets the allocator's mmap and trim
-thresholds (see ``MALLOC_POLICY``), so the multi-MB temporaries every step
-allocates and frees reuse heap pages instead of faulting in fresh ones.
+thresholds and its arena count (see ``MALLOC_POLICY``), so the multi-MB
+temporaries every step allocates and frees reuse heap pages instead of
+faulting in fresh ones, on every thread.
 """
 
 from __future__ import annotations
@@ -56,10 +57,12 @@ _ERF32_BLOCK = 1 << 15
 
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
 # glibc's largest mmap threshold on 64-bit (2.36 ignores a larger one yet
 # returns success); larger arrays still use mmap.
 MMAP_THRESHOLD = 32 << 20
 TRIM_THRESHOLD = 1 << 30
+ARENA_MAX = 1
 
 
 def _glibc():
@@ -79,7 +82,7 @@ def _glibc():
 
 
 def _set_malloc_policy(libc) -> dict | None:
-    """Keep freed arrays below ``MMAP_THRESHOLD`` in the heap for reuse.
+    """Keep freed arrays below ``MMAP_THRESHOLD`` in one heap for reuse.
 
     By default glibc moves its mmap threshold up to the largest chunk freed
     so far and trims the heap top once the free space there exceeds twice
@@ -87,16 +90,21 @@ def _set_malloc_policy(libc) -> dict | None:
     again. Fixing any threshold turns the dynamic one off, so both are set:
     the mmap threshold first and, only if glibc accepted it, the trim
     threshold. The cost is that resident memory stays at its high-water
-    mark. Returns the thresholds applied, or None when none was.
+    mark. Then ``ARENA_MAX`` caps the arenas at one, so a worker thread (the
+    encoder's dropout draws) allocates from the main heap and reuses its
+    pages instead of growing an arena of its own. Returns the settings
+    applied (``None`` for one glibc refused), or None when none was.
     """
     if libc is None or libc.mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD) != 1:
         return None
     trimmed = libc.mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD) == 1
+    one_arena = libc.mallopt(_M_ARENA_MAX, ARENA_MAX) == 1
     return {"mmap_threshold": MMAP_THRESHOLD,
-            "trim_threshold": TRIM_THRESHOLD if trimmed else None}
+            "trim_threshold": TRIM_THRESHOLD if trimmed else None,
+            "arena_max": ARENA_MAX if one_arena else None}
 
 
-#: Allocator thresholds set at import (``None`` off glibc); ``linattn bench``
+#: Allocator settings made at import (``None`` off glibc); ``linattn bench``
 #: records it in ``env.json``.
 MALLOC_POLICY = _set_malloc_policy(_glibc())
 

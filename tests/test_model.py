@@ -1,8 +1,11 @@
 """Encoder model: determinism, invariances, accounting, checkpointing."""
 
+import contextlib
 import json
 import math
+import os
 import struct
+import threading
 import zlib
 from dataclasses import asdict
 from pathlib import Path
@@ -13,9 +16,10 @@ import pytest
 import linattn.kernels
 import linattn.model
 import linattn.tensor as T
+import linattn.training
 from linattn.attention import multi_head_kernel_attention
 from linattn.config import parse_config_file
-from linattn.data import gen_text_classification, batch_iter
+from linattn.data import Batch, gen_text_classification, batch_iter
 from linattn.errors import ConfigError, ContractError, DataError
 from linattn.kernels import KernelSpec
 from linattn.model import (ModelConfig, ParamAccount, build_model,
@@ -188,6 +192,120 @@ class TestForwardClassify:
         c = forward_classify(model, tokens, mask, rng=rng).data
         assert np.abs(a - c).max() > 1e-6
         np.testing.assert_array_equal(forward_classify(model, tokens, mask, rng=None).data, a)
+
+
+def reference_scales(rng, mask, widths, rate, dtype):
+    """Keep scales as drawn at the padded shape and then gathered."""
+    return [(rng.random(mask.shape + (w,)) >= rate)[mask].astype(dtype) / (1.0 - rate)
+            for w in widths]
+
+
+def os_threads():
+    """The process's OS threads, where the platform lists them."""
+    return len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+
+
+class TestDropoutStream:
+    """Dropout draws only the real slots' numbers, on a worker thread, and
+    leaves every scale and the stream as a draw at the padded shape would.
+    These run in CI at the NumPy floor too (PCG64 ``advance``,
+    ``Generator.random(out=)``)."""
+
+    MASKS = {
+        "prefix": np.arange(12) < np.array([12, 7, 3, 12, 1])[:, None],
+        "holes": np.array([[0, 0, 1, 1, 1, 0, 1, 1], [0, 1, 1, 1, 0, 0, 0, 1],
+                           [1, 1, 1, 1, 1, 1, 1, 1], [0, 0, 0, 0, 0, 0, 1, 0]], bool),
+        "full": np.ones((3, 9), bool),
+    }
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", sorted(MASKS))
+    def test_scales_and_stream_match_the_padded_draw(self, name, dtype):
+        mask = self.MASKS[name]
+        cfg = small_config()
+        widths = [1, cfg.d_model, cfg.ffn_dim, 1]
+        rng, twin = np.random.default_rng(3), np.random.default_rng(3)
+        with linattn.model._keep_scales(rng, 0.1, mask, widths, dtype) as scales:
+            got = list(scales)
+        for g, want in zip(got, reference_scales(twin, mask, widths, 0.1, dtype), strict=True):
+            assert g.dtype == dtype
+            np.testing.assert_array_equal(g, want)
+        assert rng.bit_generator.state == twin.bit_generator.state
+        assert rng.random() == twin.random()
+
+    def test_buffered_half_word_survives(self):
+        mask = self.MASKS["holes"]
+        rng, twin = np.random.default_rng(4), np.random.default_rng(4)
+        for r in (rng, twin):
+            r.integers(0, 7, dtype=np.uint32)
+        assert rng.bit_generator.state["has_uint32"]
+        with linattn.model._keep_scales(rng, 0.5, mask, [5], np.float32) as scales:
+            list(scales)
+        reference_scales(twin, mask, [5], 0.5, np.float32)
+        assert rng.bit_generator.state == twin.bit_generator.state
+        assert rng.integers(0, 7, dtype=np.uint32) == twin.integers(0, 7, dtype=np.uint32)
+
+    def test_encode_matches_the_padded_draw(self, monkeypatch):
+        cfg = small_config(dropout_rate=0.3)
+        model = build_model(cfg, seed=12, dtype=np.float32)
+        mask = self.MASKS["prefix"]
+        tokens = np.where(mask, 1 + np.arange(mask.size).reshape(mask.shape) % 15, 0)
+        got = forward_classify(model, tokens, mask, rng=np.random.default_rng(5)).data
+
+        @contextlib.contextmanager
+        def padded(rng, rate, mask, widths, dtype):
+            yield iter(reference_scales(rng, mask, widths, rate, dtype))
+
+        monkeypatch.setattr(linattn.model, "_keep_scales", padded)
+        want = forward_classify(model, tokens, mask, rng=np.random.default_rng(5)).data
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("make", [lambda: np.random.Generator(np.random.MT19937(0)),
+                                      lambda: np.random.Generator(np.random.Philox(0)),
+                                      lambda: np.random.RandomState(0)],
+                             ids=["MT19937", "Philox", "RandomState"])
+    def test_rng_that_cannot_skip_is_refused_before_drawing(self, make):
+        cfg = small_config(dropout_rate=0.1)
+        model = build_model(cfg, seed=13)
+        tokens, mask = random_batch(cfg)
+        rng, twin = make(), make()
+        with pytest.raises(ContractError, match=r"np\.random\.default_rng"):
+            forward_classify(model, tokens, mask, rng=rng)
+        assert rng.random() == twin.random()
+
+    def test_raising_encode_joins_and_finishes_the_stream(self):
+        cfg = small_config(dropout_rate=0.1)
+        model = build_model(cfg, seed=14)
+        model.blocks[1].attn.head_kernels.pop()
+        mask = self.MASKS["prefix"]
+        tokens = np.where(mask, 3, 0)
+        rng, twin = np.random.default_rng(6), np.random.default_rng(6)
+        threads = threading.active_count(), os_threads()
+        with pytest.raises(ConfigError, match="feature stacks"):
+            forward_classify(model, tokens, mask, rng=rng)
+        assert (threading.active_count(), os_threads()) == threads
+        reference_scales(twin, mask, [cfg.d_model, cfg.ffn_dim] * cfg.n_layers, 0.1, np.float32)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    def test_training_step_leaves_no_thread(self):
+        cfg = small_config(dropout_rate=0.1)
+        model = build_model(cfg, seed=15)
+        params = model.named_parameters()
+        tokens, mask = random_batch(cfg)
+        stream = iter([Batch(tokens, mask, np.arange(4) % 3)] * 2)
+        threads = threading.active_count(), os_threads()
+        linattn.training._accumulated_step(model, params, stream, 2, np.random.default_rng(7))
+        assert (threading.active_count(), os_threads()) == threads
+
+    def test_no_thread_without_dropout(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a dropout worker started")
+
+        monkeypatch.setattr(linattn.model, "ThreadPoolExecutor", refuse)
+        tokens, mask = random_batch(small_config())
+        forward_classify(build_model(small_config(dropout_rate=0.1), seed=16), tokens, mask)
+        forward_classify(build_model(small_config(), seed=16), tokens, mask,
+                         rng=np.random.default_rng(8))
 
 
 class TestForwardMatch:

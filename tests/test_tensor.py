@@ -899,7 +899,8 @@ class TestMallocPolicy:
                              capture_output=True, text=True, timeout=60)
         faults_per_round = float(out.stdout)
         assert faults_per_round < 64, f"{faults_per_round} minor faults per round"
-        assert T.MALLOC_POLICY == {"mmap_threshold": 32 << 20, "trim_threshold": 1 << 30}
+        assert T.MALLOC_POLICY == {"mmap_threshold": 32 << 20, "trim_threshold": 1 << 30,
+                                   "arena_max": 1}
 
     def test_rejected_mmap_threshold_sets_nothing_else(self):
         libc = FakeLibc(0)
@@ -907,7 +908,13 @@ class TestMallocPolicy:
         assert libc.calls == [(-3, 32 << 20)]
 
     def test_both_thresholds_set_mmap_first(self):
-        libc = FakeLibc(1, 1)
+        libc = FakeLibc(1, 1, 1)
         assert T._set_malloc_policy(libc) == {"mmap_threshold": 32 << 20,
-                                             "trim_threshold": 1 << 30}
-        assert libc.calls == [(-3, 32 << 20), (-1, 1 << 30)]
+                                             "trim_threshold": 1 << 30, "arena_max": 1}
+        assert libc.calls == [(-3, 32 << 20), (-1, 1 << 30), (-8, 1)]
+
+    def test_refused_settings_record_none(self):
+        libc = FakeLibc(1, 0, 0)
+        assert T._set_malloc_policy(libc) == {"mmap_threshold": 32 << 20,
+                                             "trim_threshold": None, "arena_max": None}
+        assert libc.calls == [(-3, 32 << 20), (-1, 1 << 30), (-8, 1)]
