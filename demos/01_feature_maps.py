@@ -19,8 +19,7 @@ n = 16  # per-head feature width
 print("variant            depth  params   min output    max output   penalty@init")
 for variant in ("linear_softplus", "glu", "oglu", "aoglu"):
     for depth in (1, 2, 3):
-        spec = KernelSpec(variant=variant, depth=depth,
-                          gate_rank=n // 4 if variant == "aoglu" else 0)
+        spec = KernelSpec(variant=variant, depth=depth)
         params = init_kernel_params(spec, n, drawer(rng, np.float64))
 
         # wide inputs: three standard deviations of a unit-scale activation

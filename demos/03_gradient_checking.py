@@ -10,13 +10,13 @@ import numpy as np
 
 import linattn.tensor as T
 from linattn.model import ModelConfig, build_model, forward_classify
-from linattn.kernels import KernelSpec, orthogonality_penalty
+from linattn.kernels import ORTHO_REG_WEIGHT, KernelSpec, orthogonality_penalty
 from linattn.tensor import cross_entropy, finite_difference_check
 
-spec = KernelSpec(variant="aoglu", depth=2, gate_rank=1)
+spec = KernelSpec(variant="aoglu", depth=2)  # head width 4: gate rank 1
 config = ModelConfig(vocab_size=12, d_model=8, n_heads=2, n_layers=1,
                      ffn_dim=16, max_len=8, classes=3, kernel=spec,
-                     attention_kind="kernel_linear", eps=0.0, dropout_rate=0.0)
+                     attention_kind="kernel_linear", dropout_rate=0.0)
 model = build_model(config, seed=7, dtype=np.float64)
 
 rng = np.random.default_rng(3)
@@ -28,7 +28,7 @@ params = model.named_parameters()
 
 def loss_fn(_):
     ce = cross_entropy(forward_classify(model, tokens, mask), labels)
-    return T.add(ce, orthogonality_penalty(model.regularized_matrices(), 0.01))
+    return T.add(ce, orthogonality_penalty(model.regularized_matrices(), ORTHO_REG_WEIGHT))
 
 
 report = finite_difference_check(loss_fn, params, step=1e-5)

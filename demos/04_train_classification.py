@@ -15,8 +15,8 @@ from linattn.training import train
 config = TrainConfig(
     model=ModelConfig(vocab_size=32, d_model=32, n_heads=2, n_layers=1,
                       ffn_dim=64, max_len=128, classes=2,
-                      kernel=KernelSpec(variant="oglu", depth=1, ortho_reg_weight=0.01),
-                      attention_kind="kernel_linear", eps=1e-6, dropout_rate=0.0),
+                      kernel=KernelSpec(variant="oglu", depth=1),
+                      attention_kind="kernel_linear", dropout_rate=0.0),
     task=TaskSpec(source="text_classification", count=2000, eval_count=500,
                   length=128, vocab_size=32, classes=2),
     optimizer=OptimizerConfig(lr=2e-3),

@@ -15,8 +15,7 @@ BASE = dict(vocab_size=32, d_model=64, n_heads=4, n_layers=2,
 print("kernel stack               kernel params   ratio    10% budget")
 for variant in ("linear_softplus", "glu", "oglu", "aoglu"):
     for depth in (1, 2, 3):
-        spec = KernelSpec(variant=variant, depth=depth,
-                          gate_rank=4 if variant == "aoglu" else 0)
+        spec = KernelSpec(variant=variant, depth=depth)
         model = build_model(ModelConfig(kernel=spec, **BASE), seed=0)
         account = count_params(model)
         word = "ok" if account.within_budget else "OVER"

@@ -31,6 +31,9 @@ if TYPE_CHECKING:
 
 ATTENTION_KINDS = ("softmax", "kernel_linear", "kernel_quadratic")
 
+# The denominator floor the multi-head layer passes to both kernel evaluators.
+EPS = 1e-6
+
 
 def _as_mask(mask, length: int) -> np.ndarray:
     m = np.asarray(mask, dtype=bool)
@@ -161,7 +164,7 @@ def multi_head_kernel_attention(x: Tensor, params: AttentionLayerParams,
                                 config: ModelConfig, mask) -> Tensor:
     """Project, run kernel attention per head, merge, project out.
 
-    ``config`` supplies the width, head count, ``eps`` and ``attention_kind``;
+    ``config`` supplies the width, head count and ``attention_kind``;
     each head's feature stack runs as its weights say. ``softmax`` is kernel
     attention under the exponential kernel exp(q . k / sqrt(n)), evaluated
     exactly (the quadratic baseline). ``kernel_linear`` and
@@ -173,9 +176,11 @@ def multi_head_kernel_attention(x: Tensor, params: AttentionLayerParams,
     ``x`` holds the packed rows ``(mask.sum(), d_model)`` of the unmasked
     positions of a ``(..., L)`` mask, in row-major order, and so does the
     output. The projections and feature stacks run on these rows; the
-    evaluator sees per-head padded arrays. For the kernel kinds their pad
-    slots hold features of 1 and values of 0, so a pad query never divides
-    0 by 0 and the key mask keeps pad keys out of S and z.
+    evaluator sees per-head padded arrays, and both kernel evaluators add
+    ``EPS`` to their denominators. For the kernel kinds the pad slots hold
+    features of 1 and values of 0: positive, as the quadratic oracle checks,
+    so a pad query never divides 0 by 0, and the key mask keeps pad keys out
+    of S and z.
     """
     m = _rows_mask(x, mask, config.d_model)
     kind, n_heads = config.attention_kind, config.n_heads
@@ -198,7 +203,7 @@ def multi_head_kernel_attention(x: Tensor, params: AttentionLayerParams,
     if kind == "softmax":
         heads_out = softmax_attention(q, k, v, m_heads)
     elif kind == "kernel_linear":
-        heads_out = kernel_attention_linear(q, k, v, m_heads, eps=config.eps)
+        heads_out = kernel_attention_linear(q, k, v, m_heads, eps=EPS)
     elif kind == "kernel_quadratic":
-        heads_out = kernel_attention_quadratic(q, k, v, m_heads, eps=config.eps)
+        heads_out = kernel_attention_quadratic(q, k, v, m_heads, eps=EPS)
     return T.matmul(_merge_rows(heads_out, m), params.w_o)

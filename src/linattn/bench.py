@@ -85,7 +85,7 @@ def _bench_config(kind: str, max_len: int) -> ModelConfig:
     return ModelConfig(
         vocab_size=32, d_model=D_MODEL, n_heads=N_HEADS, n_layers=1, ffn_dim=FFN_DIM,
         max_len=max_len, classes=2, kernel=KernelSpec(variant="linear_softplus", depth=1),
-        attention_kind=kind, eps=1e-6, dropout_rate=0.0)
+        attention_kind=kind, dropout_rate=0.0)
 
 
 def _time_lengths(model, inputs, repeats: int) -> list[tuple[float, int]]:

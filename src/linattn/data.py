@@ -347,7 +347,7 @@ def load_tsv_dataset(path) -> Dataset:
                 raise DataError(f"{path}:{lineno}: expected {expected} tab-separated "
                                 f"columns, got {len(cols)}")
             try:
-                label = int(cols[0])
+                label = int(np.int64(int(cols[0])))
                 token_cols = [np.asarray([int(t) for t in c.split()], dtype=np.int64)
                               for c in cols[1:]]
             except (ValueError, OverflowError) as exc:  # not an integer, or beyond int64

@@ -11,13 +11,15 @@ before the factorized attention product:
 * ``oglu``              same as ``glu`` but every W_feat is orthogonally
   initialized and pulled toward the orthogonal manifold by a penalty.
 * ``aoglu``             ``oglu`` with the output layer's gate factored as
-  a rank-r product (n x r)(r x n) to cut parameters.
+  a rank-r product (n x r)(r x n), r = n // 4 (``aoglu_rank``), to cut
+  parameters; it needs a head width n >= 4.
 
 Stacks of depth 2-3 insert plain gated layers (or, for the softplus
 variant, linear layers under gelu) before the positive output layer. No
 normalization between layers. Every layer of every variant is one
 ``feature_layer`` over ``w_feat`` and any gate; the stack takes each layer's
-activation from its place and its weights.
+activation from its place and its weights. Training adds the orthogonality
+penalty at the fixed weight ``ORTHO_REG_WEIGHT``.
 """
 
 from __future__ import annotations
@@ -34,6 +36,9 @@ from .tensor import Tensor
 VARIANTS = ("linear_softplus", "glu", "oglu", "aoglu")
 
 MAX_DEPTH = 3
+
+# The orthogonality penalty's weight in the training loss.
+ORTHO_REG_WEIGHT = 0.01
 
 # Variants whose feature matrices (``w_feat``) start orthogonal and carry
 # the orthogonality penalty: every variant but plain glu.
@@ -52,10 +57,6 @@ def at_least(low, **kw):
 
 def one_of(choices, **kw):
     return ruled(f"one of {choices}", lambda v: v in choices, **kw)
-
-
-def finite_at_least(low, **kw):
-    return ruled(f"finite and >= {low}", lambda v: low <= v < float("inf"), **kw)
 
 
 _FIELD_TYPES = {"int": ("an integer", (int, np.integer)), "float": ("a real number", numbers.Real),
@@ -80,33 +81,27 @@ def check_fields(config):
 
 @dataclass
 class KernelSpec:
-    """How to make one feature-map stack. No forward pass reads it: a built
-    stack describes itself.
-
-    ``gate_rank`` is 0 unless the variant is ``aoglu``, where it must
-    satisfy 1 <= rank < n / 2 at head width n (``check_gate_rank``).
-    Queries and keys of a head run through the same stack.
+    """How to make one feature-map stack: its variant and depth. No forward
+    pass reads it: a built stack describes itself. Queries and keys of a
+    head run through the same stack.
     """
 
     variant: str = one_of(VARIANTS, default="linear_softplus")
     depth: int = ruled(f"in [1, {MAX_DEPTH}]", lambda v: 1 <= v <= MAX_DEPTH, default=1)
-    gate_rank: int = 0
-    ortho_reg_weight: float = finite_at_least(0, default=0.01)
 
     def __post_init__(self):
         self.validate()
 
     def validate(self):
         check_fields(self)
-        if self.gate_rank != 0 and self.variant != "aoglu":
-            raise ConfigError(f"gate_rank must be 0 unless variant = aoglu, got {self.gate_rank}")
 
 
-def check_gate_rank(spec: KernelSpec, n: int):
-    """Reject an aoglu gate rank r outside 1 <= r < n / 2 at head width n."""
-    if spec.variant == "aoglu" and not 1 <= spec.gate_rank < n / 2:
-        raise ConfigError(f"aoglu gate_rank must satisfy 1 <= r < n/2 at head width n, "
-                          f"got r={spec.gate_rank}, n={n}")
+def aoglu_rank(n: int) -> int:
+    """The rank ``n // 4`` of aoglu's output gate at head width ``n``; a
+    width below 4 leaves no rank and raises ``ConfigError``."""
+    if n < 4:
+        raise ConfigError(f"aoglu needs a head width >= 4 for its rank n // 4 gate, got {n}")
+    return n // 4
 
 
 def orthogonal_init(n: int, seed, dtype=np.float64) -> np.ndarray:
@@ -157,13 +152,12 @@ def init_kernel_params(spec: KernelSpec, n: int, param) -> list[dict[str, Tensor
     the variants under the orthogonality penalty; every other matrix is
     ``uniform``.
     """
-    check_gate_rank(spec, n)
-    r = spec.gate_rank
     feat = "orthogonal" if spec.variant in _ORTHOGONAL_VARIANTS else "uniform"
     layers = []
     for i in range(spec.depth):
         layer = {"w_feat": param(feat, (n, n))}
         if spec.variant == "aoglu" and i == spec.depth - 1:
+            r = aoglu_rank(n)
             layer.update(gate_in=param("uniform", (n, r)), gate_out=param("uniform", (r, n)))
         elif spec.variant != "linear_softplus":
             layer["w_gate"] = param("uniform", (n, n))
@@ -205,16 +199,12 @@ def regularized_matrices(spec: KernelSpec, layers: list[dict[str, Tensor]]) -> l
 
 
 def orthogonality_penalty(matrices: list[Tensor], weight: float) -> Tensor:
-    """weight * sum over matrices of ||W^T W - I||_F^2.
-
-    Returns an exact constant zero when the set is empty or the weight is
-    zero, so unregularized runs carry no penalty graph.
+    """weight * sum over matrices of ||W^T W - I||_F^2, or an exact
+    constant zero for an empty set (plain glu), so such runs carry no
+    penalty graph.
     """
-    if weight < 0:
-        raise ConfigError(f"penalty weight must be >= 0, got {weight}")
-    if not matrices or weight == 0:
-        dtype = matrices[0].dtype if matrices else np.float64
-        return Tensor(np.zeros((), dtype=dtype))
+    if not matrices:
+        return Tensor(np.zeros((), dtype=np.float64))
     total = None
     for w in matrices:
         n = w.shape[0]

@@ -29,8 +29,8 @@ from . import tensor as T
 from .attention import (ATTENTION_KINDS, AttentionLayerParams, init_attention_params,
                         multi_head_kernel_attention)
 from .errors import ConfigError, ContractError, DataError, ShapeError
-from .kernels import (KernelSpec, at_least, check_fields, check_gate_rank, drawer,
-                      finite_at_least, one_of, regularized_matrices, ruled)
+from .kernels import (KernelSpec, aoglu_rank, at_least, check_fields, drawer, one_of,
+                      regularized_matrices, ruled)
 from .tensor import Tensor
 
 HEADS = ("classify", "match")
@@ -63,7 +63,6 @@ class ModelConfig:
     head: str = one_of(HEADS, default="classify")
     vocab_size: int = at_least(2, default=32)
     classes: int = at_least(2, default=2)
-    eps: float = finite_at_least(0, default=1e-6)
 
     def __post_init__(self):
         self.validate()
@@ -79,7 +78,6 @@ class ModelConfig:
         if self.d_model % self.n_heads or self.head_dim < 2:
             raise ConfigError(f"d_model must split into n_heads heads of width >= 2, got "
                               f"d_model={self.d_model}, n_heads={self.n_heads}")
-        check_gate_rank(self.kernel, self.head_dim)
         account = closed_form_params(self)
         total = account.base_params + account.kernel_params
         if total > MAX_PARAMS:
@@ -105,7 +103,8 @@ class ParamAccount:
 
 def closed_form_params(config: ModelConfig) -> ParamAccount:
     """The counts ``count_params`` finds in a model built from ``config``,
-    computed without building it."""
+    computed without building it. An aoglu stack at a head width below 4
+    raises ``ConfigError`` (``aoglu_rank``)."""
     d, f, n, spec = config.d_model, config.ffn_dim, config.head_dim, config.kernel
     block = 4 * d * d + 2 * d * f + f + 5 * d  # projections, FFN, two layer norms
     if config.head == "classify":
@@ -118,7 +117,7 @@ def closed_form_params(config: ModelConfig) -> ParamAccount:
     else:  # gated layers; aoglu's output gate is rank r
         stack = spec.depth * 2 * n * n
         if spec.variant == "aoglu":
-            stack += 2 * n * spec.gate_rank - n * n
+            stack += 2 * n * aoglu_rank(n) - n * n
     kernel = 0 if config.attention_kind == "softmax" else config.n_layers * config.n_heads * stack
     return ParamAccount(base_params=base, kernel_params=kernel)
 
@@ -370,7 +369,7 @@ def count_params(model: Model) -> ParamAccount:
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"LINATTN1"
-_VERSION = 7
+_VERSION = 8
 _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _CODE_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 _HEAD = len(_MAGIC) + 12  # magic, version, config length

@@ -4,9 +4,9 @@ One optimizer step averages gradients over ``accumulation_steps``
 micro-batches (each micro-batch loss is an example mean; the summed
 micro gradients are divided by the number of micro-batches), which makes
 k micro-batches of size b equivalent to one batch of size k*b. The loss
-is cross-entropy plus the weighted orthogonality penalty; the metrics
-stream records the penalty unweighted so runs with different weights are
-comparable.
+is cross-entropy plus the orthogonality penalty at the fixed weight
+``kernels.ORTHO_REG_WEIGHT``; the metrics stream records the penalty
+unweighted.
 
 A step diverges when its loss, the orthogonality penalty after its update
 or the loss of its eval is non-finite. That aborts the run with a diverged
@@ -29,7 +29,7 @@ from . import tensor as T
 from .config import TrainConfig
 from .data import Batch, Dataset, MatchBatch, batch_iter
 from .errors import ConfigError
-from .kernels import orthogonality_penalty
+from .kernels import ORTHO_REG_WEIGHT, orthogonality_penalty
 from .model import (BUDGET_LIMIT, Model, build_model, closed_form_params, forward_classify,
                     forward_match, save_checkpoint)
 from .tensor import Tensor, backward, no_grad
@@ -124,13 +124,12 @@ def _logits(model: Model, batch, rng=None) -> Tensor:
 
 
 def _forward_loss(model: Model, batch, rng) -> tuple[Tensor, Tensor]:
-    """Training loss (cross-entropy plus the kernel spec's weighted
-    orthogonality penalty) and the cross-entropy alone."""
+    """Training loss (cross-entropy plus the orthogonality penalty at
+    ``ORTHO_REG_WEIGHT``) and the cross-entropy alone."""
     task_loss = T.cross_entropy(_logits(model, batch, rng=rng), batch.labels)
-    weight = model.config.kernel.ortho_reg_weight
     mats = model.regularized_matrices()
-    if weight > 0 and mats:
-        return T.add(task_loss, orthogonality_penalty(mats, weight)), task_loss
+    if mats:
+        return T.add(task_loss, orthogonality_penalty(mats, ORTHO_REG_WEIGHT)), task_loss
     return task_loss, task_loss
 
 

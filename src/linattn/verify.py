@@ -16,8 +16,8 @@ import numpy as np
 
 from . import tensor as T
 from .attention import kernel_attention_linear, kernel_attention_quadratic
-from .kernels import (KernelSpec, drawer, feature_layer, init_kernel_params, kernel_stack_forward,
-                      orthogonal_init, orthogonality_penalty)
+from .kernels import (ORTHO_REG_WEIGHT, KernelSpec, drawer, feature_layer, init_kernel_params,
+                      kernel_stack_forward, orthogonal_init, orthogonality_penalty)
 from .model import ModelConfig, build_model, closed_form_params, count_params, forward_classify
 from .tensor import Tensor, cross_entropy, finite_difference_check
 
@@ -34,18 +34,13 @@ class CheckResult:
     detail: str
 
 
-def _spec(variant: str, depth: int, n: int = 8) -> KernelSpec:
-    return KernelSpec(variant=variant, depth=depth,
-                      gate_rank=max(1, n // 4) if variant == "aoglu" else 0)
-
-
 def check_oracle_equivalence() -> list[CheckResult]:
     """100 random trials per variant and depth, L in [2, 64], a quarter of
     the positions masked, eps 0; linear and quadratic agree to 1e-10."""
     rng = np.random.default_rng(2024)
     results = []
     for variant, depth in VARIANT_GRID:
-        spec = _spec(variant, depth)
+        spec = KernelSpec(variant, depth)
         worst, worst_length = 0.0, 0
         for _ in range(100):
             kp = init_kernel_params(spec, 8, drawer(rng, np.float64))
@@ -75,12 +70,12 @@ def check_oracle_equivalence() -> list[CheckResult]:
 
 def check_gradients() -> list[CheckResult]:
     """Central differences on every parameter group of a 1-layer, 2-head
-    aoglu (rank 1) model, loss = cross-entropy + 0.01 * orthogonality
-    penalty; worst relative error 1e-4."""
-    spec = KernelSpec(variant="aoglu", depth=2, gate_rank=1)
+    aoglu model (head width 4, so gate rank 1), loss = cross-entropy +
+    ``ORTHO_REG_WEIGHT`` * orthogonality penalty; worst relative error 1e-4."""
+    spec = KernelSpec(variant="aoglu", depth=2)
     config = ModelConfig(vocab_size=12, d_model=8, n_heads=2, n_layers=1,
                          ffn_dim=16, max_len=8, classes=3, kernel=spec,
-                         attention_kind="kernel_linear", eps=0.0, dropout_rate=0.0)
+                         attention_kind="kernel_linear", dropout_rate=0.0)
     model = build_model(config, seed=7, dtype=np.float64)
     rng = np.random.default_rng(3)
     tokens = rng.integers(1, 12, size=(2, 7))
@@ -91,7 +86,7 @@ def check_gradients() -> list[CheckResult]:
 
     def loss_fn(p):
         ce = cross_entropy(forward_classify(model, tokens, mask), labels)
-        return T.add(ce, orthogonality_penalty(model.regularized_matrices(), 0.01))
+        return T.add(ce, orthogonality_penalty(model.regularized_matrices(), ORTHO_REG_WEIGHT))
 
     report = finite_difference_check(loss_fn, params, step=1e-5)
     worst_name, worst = max(((n, r.max_rel_err) for n, r in report.items()),
@@ -110,7 +105,7 @@ def check_positivity() -> list[CheckResult]:
     rng = np.random.default_rng(11)
     results = []
     for variant, depth in VARIANT_GRID:
-        spec = _spec(variant, depth)
+        spec = KernelSpec(variant, depth)
         kp = init_kernel_params(spec, 8, drawer(rng, np.float64))
         x = Tensor(rng.normal(0.0, 3.0, size=(10_000, 8)))
         out = kernel_stack_forward(x, kp)
@@ -134,7 +129,7 @@ def check_orthogonal_init() -> list[CheckResult]:
 
 def check_gate_materialization() -> list[CheckResult]:
     rng = np.random.default_rng(3)
-    spec = KernelSpec(variant="aoglu", depth=1, gate_rank=4)
+    spec = KernelSpec(variant="aoglu", depth=1)
     layer = init_kernel_params(spec, 16, drawer(rng, np.float64))[0]
     x = Tensor(rng.standard_normal((32, 16)))
     factored = feature_layer(x, layer, T.softplus)
@@ -149,7 +144,7 @@ def check_gate_materialization() -> list[CheckResult]:
 def check_param_counts() -> list[CheckResult]:
     results = []
     for variant, depth in (("linear_softplus", 1), ("glu", 2), ("aoglu", 3)):
-        spec = _spec(variant, depth, n=16)
+        spec = KernelSpec(variant, depth)
         config = ModelConfig(vocab_size=16, d_model=32, n_heads=2,
                              n_layers=2, ffn_dim=64, max_len=32, classes=2, kernel=spec,
                              attention_kind="kernel_linear", dropout_rate=0.0)
@@ -163,16 +158,16 @@ def check_param_counts() -> list[CheckResult]:
 
     n = 16
 
-    def counted(variant: str, **kw) -> int:
+    def counted(variant: str) -> int:
         config = ModelConfig(vocab_size=16, d_model=4 * n, n_heads=4,
                              n_layers=1, ffn_dim=64, max_len=32, classes=2,
-                             kernel=KernelSpec(variant=variant, depth=1, **kw),
+                             kernel=KernelSpec(variant=variant, depth=1),
                              attention_kind="kernel_linear", dropout_rate=0.0)
         return count_params(build_model(config, seed=0)).kernel_params
 
     linear = counted("linear_softplus")
     glu = counted("glu")
-    aoglu = counted("aoglu", gate_rank=n // 4)
+    aoglu = counted("aoglu")
     results.append(CheckResult(
         name="gated layer doubles the linear parametrization",
         passed=glu == 2 * linear,

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import linattn.training
 from linattn.bench import bench_scaling
 from linattn.config import parse_config_file
 from linattn.errors import ConfigError
@@ -83,17 +84,18 @@ class TestOrthogonality:
     def test_initialization_is_orthogonal(self):
         report("orthogonal initialization (n <= 128)", *summarize(check_orthogonal_init()))
 
-    def test_regularized_run_ends_with_smaller_penalty(self):
+    def test_regularized_run_ends_with_smaller_penalty(self, monkeypatch):
         from linattn.config import (OptimizerConfig, ScheduleConfig, TaskSpec,
                                     TrainConfig)
 
-        def run(lam):
-            spec = KernelSpec(variant="oglu", depth=1, ortho_reg_weight=lam)
+        def run(weight):
+            monkeypatch.setattr(linattn.training, "ORTHO_REG_WEIGHT", weight)
+            spec = KernelSpec(variant="oglu", depth=1)
             cfg = TrainConfig(
                 model=ModelConfig(vocab_size=24, d_model=16, n_heads=2,
                                   n_layers=1, ffn_dim=32, max_len=64, classes=2,
                                   kernel=spec, attention_kind="kernel_linear",
-                                  eps=0.0, dropout_rate=0.0),
+                                  dropout_rate=0.0),
                 task=TaskSpec(source="text_classification", count=96, eval_count=64,
                               length=64, vocab_size=24, classes=2),
                 optimizer=OptimizerConfig(lr=1e-3),
@@ -119,7 +121,7 @@ class TestGradientAccumulation:
                 model=ModelConfig(vocab_size=24, d_model=16, n_heads=2,
                                   n_layers=1, ffn_dim=32, max_len=64, classes=2,
                                   kernel=spec, attention_kind="kernel_linear",
-                                  eps=0.0, dropout_rate=0.0),
+                                  dropout_rate=0.0),
                 task=TaskSpec(source="text_classification", count=96, eval_count=64,
                               length=64, vocab_size=24, classes=2),
                 optimizer=OptimizerConfig(lr=1e-3),

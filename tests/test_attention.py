@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import linattn.tensor as T
-from linattn.attention import (init_attention_params, kernel_attention_linear,
+from linattn.attention import (EPS, init_attention_params, kernel_attention_linear,
                                kernel_attention_quadratic, multi_head_kernel_attention,
                                softmax_attention)
 from linattn.errors import ContractError, ShapeError
@@ -19,16 +19,11 @@ ALL_VARIANT_DEPTHS = [(v, d) for v in ("linear_softplus", "glu", "oglu", "aoglu"
                       for d in (1, 2, 3)]
 
 
-def make_spec(variant, depth, n=8):
-    return KernelSpec(variant=variant, depth=depth,
-                      gate_rank=n // 4 if variant == "aoglu" else 0)
-
-
-def layer_config(spec, d_model, n_heads, eps=0.0):
+def layer_config(spec, d_model, n_heads):
     """A ``ModelConfig`` for one ``kernel_linear`` attention layer; the
-    layer reads only its width, head count, eps and kind, and the kernel
-    spec makes its stacks."""
-    return ModelConfig(d_model=d_model, n_heads=n_heads, kernel=spec, eps=eps)
+    layer reads only its width, head count and kind, and the kernel spec
+    makes its stacks."""
+    return ModelConfig(d_model=d_model, n_heads=n_heads, kernel=spec)
 
 
 def init_layer(cfg, seed, dtype=np.float32):
@@ -117,7 +112,7 @@ class TestLinearEvaluator:
     @pytest.mark.parametrize("variant,depth", ALL_VARIANT_DEPTHS)
     def test_oracle_equivalence(self, variant, depth):
         rng = np.random.default_rng(7)
-        spec = make_spec(variant, depth)
+        spec = KernelSpec(variant, depth)
         worst = 0.0
         for _ in range(20):
             kp = init_kernel_params(spec, 8, drawer(rng, np.float64))
@@ -140,7 +135,7 @@ class TestLinearEvaluator:
         # same weights: the f32 linear path against the f64 quadratic oracle,
         # depth 2, about 30% of positions masked
         rng = np.random.default_rng(12)
-        spec = make_spec(variant, 2)
+        spec = KernelSpec(variant, 2)
         kp64 = init_kernel_params(spec, 8, drawer(rng, np.float64))
         kp32 = [{k: Tensor(t.data.astype(np.float32)) for k, t in layer.items()}
                 for layer in kp64]
@@ -223,7 +218,7 @@ class TestLinearEvaluator:
 class TestMultiHead:
     def test_single_head_reduces_to_pipeline(self):
         rng = np.random.default_rng(12)
-        spec = make_spec("oglu", 1)
+        spec = KernelSpec("oglu", 1)
         cfg = layer_config(spec, 8, 1)
         params = init_layer(cfg, 0, dtype=np.float64)
         x = Tensor(rng.standard_normal((5, 8)))
@@ -235,14 +230,14 @@ class TestMultiHead:
         v = T.matmul(x, params.w_v)
         qf = kernel_stack_forward(q, params.head_kernels[0])
         kf = kernel_stack_forward(k, params.head_kernels[0])
-        manual = T.matmul(kernel_attention_linear(qf, kf, v, mask, eps=0.0), params.w_o)
+        manual = T.matmul(kernel_attention_linear(qf, kf, v, mask, eps=EPS), params.w_o)
         np.testing.assert_allclose(out.data, manual.data, atol=1e-13)
 
     @pytest.mark.parametrize("n_heads,head_dim", [(2, 8), (4, 16)])
     def test_output_shape(self, n_heads, head_dim):
         rng = np.random.default_rng(13)
         d_model = n_heads * head_dim
-        cfg = layer_config(make_spec("glu", 2, n=head_dim), d_model, n_heads)
+        cfg = layer_config(KernelSpec("glu", 2), d_model, n_heads)
         params = init_layer(cfg, 1, dtype=np.float64)
         assert len(params.head_kernels) == n_heads
         mask = np.ones((3, 10), bool)
@@ -252,7 +247,7 @@ class TestMultiHead:
 
     def test_matches_quadratic_replica(self):
         rng = np.random.default_rng(14)
-        cfg = layer_config(make_spec("aoglu", 2), 16, 2)
+        cfg = layer_config(KernelSpec("aoglu", 2), 16, 2)
         params = init_layer(cfg, 2, dtype=np.float64)
         mask = np.ones((2, 14), bool)
         mask[1, -5:] = False
@@ -264,7 +259,7 @@ class TestMultiHead:
 
     def test_full_layer_gradients(self):
         rng = np.random.default_rng(15)
-        cfg = layer_config(make_spec("oglu", 1, n=4), 8, 2)
+        cfg = layer_config(KernelSpec("oglu", 1), 8, 2)
         params = init_layer(cfg, 3, dtype=np.float64)
         mask = np.array([True] * 5 + [False])
         x = Tensor(rng.standard_normal((6, 8))[mask])
@@ -281,7 +276,7 @@ class TestMultiHead:
         # One layer at L = 2048 with about 30% of positions masked: each
         # parameter's f32 gradient against the f64 gradient of the same weights.
         rng = np.random.default_rng(19)
-        cfg = layer_config(make_spec("oglu", 1, n=16), 64, 4, eps=1e-6)
+        cfg = layer_config(KernelSpec("oglu", 1), 64, 4)
         mask = rng.random((2, 2048)) >= 0.3
         x = rng.standard_normal((int(mask.sum()), 64))
         c = rng.standard_normal(x.shape)
@@ -306,7 +301,7 @@ class TestMultiHead:
     @pytest.mark.parametrize("kind", ["kernel_linear", "softmax"], ids=["kernel", "softmax"])
     def test_only_packed_rows_accepted(self, kind):
         rng = np.random.default_rng(18)
-        cfg = replace(layer_config(make_spec("oglu", 2), 16, 2), attention_kind=kind)
+        cfg = replace(layer_config(KernelSpec("oglu", 2), 16, 2), attention_kind=kind)
         params = init_layer(cfg, 7, dtype=np.float64)
         x = rng.standard_normal((3, 9, 16))
         mask = np.arange(9) < np.array([9, 4, 1])[:, None]
@@ -319,7 +314,7 @@ class TestMultiHead:
                 run(bad)
 
     def test_dimension_mismatch(self):
-        cfg = layer_config(make_spec("glu", 1), 16, 2)
+        cfg = layer_config(KernelSpec("glu", 1), 16, 2)
         params = init_layer(cfg, 5)
         with pytest.raises(ShapeError):
             multi_head_kernel_attention(Tensor(np.zeros((4, 8))), params, cfg,
@@ -327,7 +322,7 @@ class TestMultiHead:
 
     def test_softmax_baseline_shape_and_grads(self):
         rng = np.random.default_rng(17)
-        cfg = replace(layer_config(make_spec("glu", 1), 16, 2), attention_kind="softmax")
+        cfg = replace(layer_config(KernelSpec("glu", 1), 16, 2), attention_kind="softmax")
         params = init_layer(cfg, 6, dtype=np.float64)
         assert params.head_kernels == []
         mask = np.ones((2, 7), bool)

@@ -243,6 +243,13 @@ class TestTsv:
         with pytest.raises(DataError, match=r"huge\.tsv:2"):
             load_tsv_dataset(p)
 
+    @pytest.mark.parametrize("label", [2**63, 2**70])
+    def test_label_beyond_int64_names_line(self, tmp_path, label):
+        p = tmp_path / "huge.tsv"
+        p.write_text(f"3\t1 2\n{label}\t5 6\n")
+        with pytest.raises(DataError, match=r"huge\.tsv:2"):
+            load_tsv_dataset(p)
+
     def test_non_utf8_row_names_line(self, tmp_path):
         p = tmp_path / "bytes.tsv"
         p.write_bytes(b"1\t3 4\n0\t5 6\n1\t7 \xff\n")

@@ -419,7 +419,7 @@ class TestTapeBattery:
         for kind, head in (("kernel_linear", "classify"), ("kernel_quadratic", "classify"),
                            ("softmax", "classify"), ("kernel_linear", "match")):
             cfg = ModelConfig(vocab_size=16, d_model=8, n_heads=2, ffn_dim=16, max_len=8,
-                              kernel=KernelSpec(variant="oglu", depth=2, ortho_reg_weight=0.1),
+                              kernel=KernelSpec(variant="oglu", depth=2),
                               attention_kind=kind, head=head)
             batch = (Batch(tokens, mask, labels) if head == "classify" else
                      MatchBatch(tokens, mask, tokens[::-1], mask[::-1], labels))

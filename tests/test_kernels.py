@@ -5,9 +5,9 @@ import pytest
 
 import linattn.tensor as T
 from linattn.errors import ConfigError, ShapeError
-from linattn.kernels import (KernelSpec, check_gate_rank, drawer, feature_layer,
-                             init_kernel_params, kernel_stack_forward, orthogonal_init,
-                             orthogonality_penalty, regularized_matrices)
+from linattn.kernels import (KernelSpec, aoglu_rank, drawer, feature_layer, init_kernel_params,
+                             kernel_stack_forward, orthogonal_init, orthogonality_penalty,
+                             regularized_matrices)
 from linattn.model import named_tensors
 from linattn.tensor import Tensor, backward, finite_difference_check
 
@@ -34,24 +34,18 @@ def low_rank_layer(x, w_feat, gate_in, gate_out):
                          T.softplus)
 
 
-def make_spec(variant, depth, n=8):
-    return KernelSpec(variant=variant, depth=depth,
-                      gate_rank=n // 4 if variant == "aoglu" else 0)
-
-
 def param_count(layers):
     return sum(t.size for t in named_tensors(layers).values())
 
 
 class TestKernelSpec:
     def test_aoglu_rank_bounds(self):
-        check_gate_rank(KernelSpec(variant="aoglu", gate_rank=3), 8)  # 3 < 4 ok
-        for rank in (4, 0):
-            spec = KernelSpec(variant="aoglu", gate_rank=rank)
-            with pytest.raises(ConfigError, match="gate_rank"):
-                check_gate_rank(spec, 8)
-            with pytest.raises(ConfigError, match="gate_rank"):
-                init_kernel_params(spec, 8, drawer(0))
+        assert [aoglu_rank(n) for n in (4, 6, 7, 8, 10, 16)] == [1, 1, 1, 2, 2, 4]
+        for n in (2, 3):
+            with pytest.raises(ConfigError, match=f"head width >= 4 .*, got {n}$"):
+                aoglu_rank(n)
+            with pytest.raises(ConfigError, match=f"head width >= 4 .*, got {n}$"):
+                init_kernel_params(KernelSpec(variant="aoglu"), n, drawer(0))
 
     def test_depth_capped(self):
         with pytest.raises(ConfigError):
@@ -166,7 +160,7 @@ class TestAOGLU:
 
     def test_parameter_reduction_arithmetic(self):
         n, r = 64, 16
-        spec = KernelSpec(variant="aoglu", depth=1, gate_rank=r)
+        spec = KernelSpec(variant="aoglu", depth=1)
         params = init_kernel_params(spec, n, drawer(0, np.float64))
         assert param_count(params) == n * n + 2 * n * r == 6144
         glu_params = init_kernel_params(KernelSpec(variant="glu", depth=1), n, drawer(0))
@@ -184,7 +178,7 @@ class TestAOGLU:
 class TestKernelStack:
     def test_depth1_linear_reduces_to_single_layer(self):
         rng = np.random.default_rng(9)
-        spec = make_spec("linear_softplus", 1)
+        spec = KernelSpec("linear_softplus", 1)
         params = init_kernel_params(spec, 8, drawer(rng, np.float64))
         x = Tensor(rng.standard_normal((5, 8)))
         stacked = kernel_stack_forward(x, params)
@@ -200,7 +194,7 @@ class TestKernelStack:
     @pytest.mark.parametrize("variant,depth", ALL_VARIANT_DEPTHS)
     def test_positivity_sweep(self, variant, depth):
         rng = np.random.default_rng(hash((variant, depth)) % 2**32)
-        spec = make_spec(variant, depth)
+        spec = KernelSpec(variant, depth)
         params = init_kernel_params(spec, 8, drawer(rng, np.float64))
         x = Tensor(rng.normal(0.0, 3.0, size=(10_000, 8)))
         out = kernel_stack_forward(x, params)
@@ -208,7 +202,7 @@ class TestKernelStack:
 
     def test_depth2_oglu_composes_plain_then_positive_output(self):
         rng = np.random.default_rng(20)
-        spec = make_spec("oglu", 2)
+        spec = KernelSpec("oglu", 2)
         params = init_kernel_params(spec, 8, drawer(rng, np.float64))
         x = Tensor(rng.standard_normal((6, 8)))
         stacked = kernel_stack_forward(x, params)
@@ -220,7 +214,7 @@ class TestKernelStack:
 
     def test_depth3_linear_softplus_runs_inner_layers_under_gelu(self):
         rng = np.random.default_rng(21)
-        params = init_kernel_params(make_spec("linear_softplus", 3), 8, drawer(rng, np.float64))
+        params = init_kernel_params(KernelSpec("linear_softplus", 3), 8, drawer(rng, np.float64))
         x = Tensor(rng.standard_normal((6, 8)))
         w0, w1, w2 = (layer["w_feat"] for layer in params)
         manual = T.softplus(T.matmul(T.gelu(T.matmul(T.gelu(T.matmul(x, w0)), w1)), w2))
@@ -228,7 +222,7 @@ class TestKernelStack:
 
     def test_depth2_aoglu_composes_plain_then_low_rank_output(self):
         rng = np.random.default_rng(22)
-        params = init_kernel_params(make_spec("aoglu", 2), 8, drawer(rng, np.float64))
+        params = init_kernel_params(KernelSpec("aoglu", 2), 8, drawer(rng, np.float64))
         x = Tensor(rng.standard_normal((6, 8)))
         l0, l1 = params
         manual = low_rank_layer(gated_layer(x, l0["w_feat"], l0["w_gate"], None),
@@ -236,7 +230,7 @@ class TestKernelStack:
         np.testing.assert_array_equal(kernel_stack_forward(x, params).data, manual.data)
 
     def test_depth3_aoglu_param_count_by_construction(self):
-        spec = KernelSpec(variant="aoglu", depth=3, gate_rank=16)
+        spec = KernelSpec(variant="aoglu", depth=3)
         params = init_kernel_params(spec, 64, drawer(0))
         # two full-rank gated layers plus one low-rank output layer
         assert param_count(params) == 2 * 8192 + 6144 == 22528
@@ -244,7 +238,7 @@ class TestKernelStack:
     @pytest.mark.parametrize("variant,depth", ALL_VARIANT_DEPTHS)
     def test_stack_gradients(self, variant, depth):
         rng = np.random.default_rng(11)
-        spec = make_spec(variant, depth)
+        spec = KernelSpec(variant, depth)
         kp = init_kernel_params(spec, 8, drawer(rng, np.float64))
         x = Tensor(rng.standard_normal((4, 8)))
         named = named_tensors(kp)
@@ -266,7 +260,7 @@ class TestOrthogonalityPenalty:
         assert orthogonality_penalty([w], 1.0).item() == pytest.approx(18.0, abs=1e-12)
 
     def test_plain_glu_has_empty_set(self):
-        spec = make_spec("glu", 2)
+        spec = KernelSpec("glu", 2)
         params = init_kernel_params(spec, 8, drawer(0, np.float64))
         mats = regularized_matrices(spec, params)
         assert mats == []
@@ -274,14 +268,9 @@ class TestOrthogonalityPenalty:
 
     def test_regularized_sets(self):
         for variant, expected_per_layer in (("linear_softplus", 1), ("oglu", 1), ("aoglu", 1)):
-            spec = make_spec(variant, 3)
+            spec = KernelSpec(variant, 3)
             params = init_kernel_params(spec, 8, drawer(0, np.float64))
             assert len(regularized_matrices(spec, params)) == 3 * expected_per_layer
-
-    def test_zero_weight_is_exact_zero(self):
-        w = Tensor(np.random.default_rng(12).standard_normal((4, 4)), requires_grad=True)
-        out = orthogonality_penalty([w], 0.0)
-        assert out.item() == 0.0 and not out.requires_grad
 
     def test_gradient_matches_analytic(self):
         rng = np.random.default_rng(13)
@@ -311,7 +300,7 @@ class TestInitialization:
                 assert np.abs(t.data).max() <= bound
 
     def test_deterministic_by_seed(self):
-        spec = make_spec("aoglu", 2)
+        spec = KernelSpec("aoglu", 2)
         a = init_kernel_params(spec, 8, drawer(42, np.float64))
         b = init_kernel_params(spec, 8, drawer(42, np.float64))
         for la, lb in zip(a, b):

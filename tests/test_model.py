@@ -2,7 +2,6 @@
 
 import contextlib
 import json
-import math
 import os
 import struct
 import threading
@@ -13,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import linattn.attention
 import linattn.kernels
 import linattn.model
 import linattn.tensor as T
@@ -36,7 +36,7 @@ def small_config(**overrides):
     base = dict(vocab_size=16, d_model=16, n_heads=2, n_layers=2,
                 ffn_dim=32, max_len=32, classes=3,
                 kernel=KernelSpec(variant="oglu", depth=1),
-                attention_kind="kernel_linear", eps=0.0, dropout_rate=0.0)
+                attention_kind="kernel_linear", dropout_rate=0.0)
     base.update(overrides)
     return ModelConfig(**base)
 
@@ -79,6 +79,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=match):
             small_config(d_model=d_model, n_heads=n_heads)
 
+    @pytest.mark.parametrize("d_model", [4, 6], ids=["width-2", "width-3"])
+    def test_aoglu_needs_head_width_four(self, d_model):
+        with pytest.raises(ConfigError, match=f"head width >= 4 .*, got {d_model // 2}$"):
+            small_config(d_model=d_model, n_heads=2, kernel=KernelSpec(variant="aoglu"))
+
     def test_head_dim_is_derived(self):
         assert small_config(d_model=48, n_heads=3).head_dim == 16
         assert "head_dim" not in asdict(small_config())
@@ -99,8 +104,8 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("field, value, match", [
         ("variant", "bogus", "variant must be one of"),
-        ("ortho_reg_weight", math.nan, "ortho_reg_weight"),
-    ], ids=["bogus-variant", "nan-weight"])
+        ("depth", 4, "depth must be in"),
+    ], ids=["bogus-variant", "deep-stack"])
     def test_kernel_spec_mutated_after_parsing_rejected(self, field, value, match):
         cfg = parse_config_file(LISTOPS_CFG).model
         setattr(cfg.kernel, field, value)
@@ -358,7 +363,7 @@ def closed_form_base(cfg: ModelConfig) -> int:
 
 
 def kernel_formula(spec: KernelSpec, n: int) -> int:
-    r = spec.gate_rank
+    r = n // 4
     if spec.variant == "linear_softplus":
         per_layer = [n * n] * spec.depth
     elif spec.variant in ("glu", "oglu"):
@@ -372,7 +377,7 @@ class TestCountParams:
     @pytest.mark.parametrize("cfg", [
         small_config(),
         small_config(n_layers=1, ffn_dim=64, head="match", classes=2,
-                     kernel=KernelSpec(variant="aoglu", depth=2, gate_rank=2)),
+                     kernel=KernelSpec(variant="aoglu", depth=2)),
         small_config(vocab_size=24, d_model=32, n_heads=4, max_len=16,
                      kernel=KernelSpec(variant="linear_softplus", depth=3)),
     ])
@@ -399,20 +404,24 @@ class TestCountParams:
         glu_cfg = small_config(d_model=h * n, n_heads=h, n_layers=1,
                                kernel=KernelSpec(variant="glu", depth=1))
         ao_cfg = small_config(d_model=h * n, n_heads=h, n_layers=1,
-                              kernel=KernelSpec(variant="aoglu", depth=1,
-                                                gate_rank=n // 4))
+                              kernel=KernelSpec(variant="aoglu", depth=1))
         glu_count = count_params(build_model(glu_cfg, 0)).kernel_params
         ao_count = count_params(build_model(ao_cfg, 0)).kernel_params
         assert 4 * ao_count == 3 * glu_count
 
+    # aoglu at head widths 4 to 16: 6 and 10 are not multiples of 4.
     @pytest.mark.parametrize("source", [
-        "softmax", "match-aoglu3", *sorted(p.name for p in CONFIGS.glob("*.cfg"))])
+        "softmax", "match-aoglu3", "aoglu-n4", "aoglu-n6", "aoglu-n10", "aoglu-n16",
+        *sorted(p.name for p in CONFIGS.glob("*.cfg"))])
     def test_closed_form_params_matches_count(self, source):
         if source == "softmax":
             cfg = small_config(attention_kind="softmax")
         elif source == "match-aoglu3":
             cfg = small_config(head="match", classes=2,
-                               kernel=KernelSpec(variant="aoglu", depth=3, gate_rank=2))
+                               kernel=KernelSpec(variant="aoglu", depth=3))
+        elif source.startswith("aoglu-n"):
+            cfg = small_config(d_model=2 * int(source[7:]),
+                               kernel=KernelSpec(variant="aoglu", depth=2))
         else:
             cfg = parse_config_file(CONFIGS / source).model
         assert closed_form_params(cfg) == count_params(build_model(cfg, seed=0))
@@ -490,9 +499,7 @@ class TestPaddingInvariance:
 
     @staticmethod
     def _model(kind, variant):
-        spec = KernelSpec(variant=variant, depth=2,
-                          gate_rank=2 if variant == "aoglu" else 0)
-        cfg = small_config(kernel=spec, attention_kind=kind, eps=0.0)
+        cfg = small_config(kernel=KernelSpec(variant=variant, depth=2), attention_kind=kind)
         return build_model(cfg, seed=25, dtype=np.float64)
 
     def _batch(self, cfg, seed=4):
@@ -538,9 +545,11 @@ class TestPaddingInvariance:
 
     @pytest.mark.parametrize("kind,variant", PADDING_KINDS,
                              ids=[f"{k}-{v}" for k, v in PADDING_KINDS])
-    def test_zero_eps_gradients_finite(self, kind, variant):
+    def test_zero_eps_gradients_finite(self, kind, variant, monkeypatch):
+        # Pad query features of 1 keep every denominator positive without the
+        # layer's eps floor.
+        monkeypatch.setattr(linattn.attention, "EPS", 0.0)
         model = self._model(kind, variant)
-        assert model.config.eps == 0.0
         tokens, mask = self._batch(model.config, seed=7)
         with np.errstate(divide="raise", invalid="raise"):
             _, grads = self._loss_and_grads(model, tokens, mask, np.ones((4, 3)))
@@ -724,7 +733,7 @@ class TestCheckpoint:
         with pytest.raises(DataError, match="checksum"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7])
     def test_old_version_rejected(self, tmp_path, version):
         path = tmp_path / "model.ckpt"
         save_checkpoint(build_model(small_config(), seed=24), path)
@@ -800,14 +809,14 @@ class TestCheckpoint:
         save_checkpoint(model, path)
         raw = path.read_bytes()
         assert raw.startswith(b"LINATTN1")
-        assert struct.unpack_from("<I", raw, 8)[0] == 7  # version
+        assert struct.unpack_from("<I", raw, 8)[0] == 8  # version
 
-    def test_version_7_layout(self, tmp_path):
+    def test_version_8_layout(self, tmp_path):
         model = build_model(small_config(), seed=27, dtype=np.float64)
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
         cfg = json.dumps(asdict(model.config), sort_keys=True).encode("utf-8")
-        body = (b"LINATTN1" + struct.pack("<IQ", 7, len(cfg)) + cfg + b"\x01"
+        body = (b"LINATTN1" + struct.pack("<IQ", 8, len(cfg)) + cfg + b"\x01"
                 + b"".join(t.data.astype("<f8").tobytes()
                            for t in model.named_parameters().values()))
         assert path.read_bytes() == body + struct.pack("<I", zlib.crc32(body))
@@ -861,7 +870,7 @@ def _layout(stack_names, head):
 
 
 class TestCheckpointLayout:
-    """A version-7 checkpoint stores weights in ``named_parameters`` order
+    """A version-8 checkpoint stores weights in ``named_parameters`` order
     without names, so this order is the file format."""
 
     @pytest.mark.parametrize("head,spec,expected", [
@@ -870,7 +879,7 @@ class TestCheckpointLayout:
                  [("head.w", (8, 3)), ("head.b", (3,))])),
         ("classify", KernelSpec(variant="linear_softplus", depth=1),
          _layout([("0.w_feat", (4, 4))], [("head.w", (8, 3)), ("head.b", (3,))])),
-        ("match", KernelSpec(variant="aoglu", depth=2, gate_rank=1),
+        ("match", KernelSpec(variant="aoglu", depth=2),
          _layout([("0.w_feat", (4, 4)), ("0.w_gate", (4, 4)), ("1.w_feat", (4, 4)),
                   ("1.gate_in", (4, 1)), ("1.gate_out", (1, 4))],
                  [("head.w1", (32, 8)), ("head.b1", (8,)), ("head.w2", (8, 2)),
@@ -894,7 +903,7 @@ class TestOneLayout:
     CASES = {**{p.stem: parse_config_file(p).model for p in sorted(CONFIGS.glob("*.cfg"))},
              "softmax": small_config(attention_kind="softmax"),
              "match_aoglu_2": small_config(head="match", classes=2, kernel=KernelSpec(
-                 variant="aoglu", depth=2, gate_rank=1))}
+                 variant="aoglu", depth=2))}
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_param_calls_follow_named_parameters(self, name):

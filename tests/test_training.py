@@ -22,12 +22,12 @@ from linattn.training import Adam, VARIANCE_FLAG_STD, evaluate, lr_at, run_seeds
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
 
 
-def tiny_config(variant="oglu", steps=5, lam=0.01, micro=8, accum=1, **train_overrides):
-    spec = KernelSpec(variant=variant, depth=1, ortho_reg_weight=lam)
+def tiny_config(variant="oglu", steps=5, micro=8, accum=1, **train_overrides):
+    spec = KernelSpec(variant=variant, depth=1)
     defaults = dict(
         model=ModelConfig(vocab_size=24, d_model=16, n_heads=2, n_layers=1,
                           ffn_dim=32, max_len=64, classes=2, kernel=spec,
-                          attention_kind="kernel_linear", eps=0.0, dropout_rate=0.0),
+                          attention_kind="kernel_linear", dropout_rate=0.0),
         task=TaskSpec(source="text_classification", count=96, eval_count=64, length=64,
                       vocab_size=24, classes=2),
         optimizer=OptimizerConfig(lr=1e-3),
@@ -237,9 +237,10 @@ class TestTrainLoop:
         assert res.final_accuracy >= 0.9
         assert res.records[-1].step < 400
 
-    def test_ortho_regularization_reduces_measured_penalty(self):
-        reg = train(tiny_config(steps=200, lam=0.01), seed=5, dtype=np.float64)
-        unreg = train(tiny_config(steps=200, lam=0.0), seed=5, dtype=np.float64)
+    def test_ortho_regularization_reduces_measured_penalty(self, monkeypatch):
+        reg = train(tiny_config(steps=200), seed=5, dtype=np.float64)
+        monkeypatch.setattr(linattn.training, "ORTHO_REG_WEIGHT", 0.0)
+        unreg = train(tiny_config(steps=200), seed=5, dtype=np.float64)
         assert reg.records[-1].ortho_penalty < unreg.records[-1].ortho_penalty
 
 
