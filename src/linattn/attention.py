@@ -140,7 +140,8 @@ def _rows_mask(x: Tensor, mask, d_model: int) -> np.ndarray:
 
 
 def _heads(rows: Tensor, n_heads: int, m: np.ndarray, fill: float = 0.0) -> Tensor:
-    """Packed rows (N, h*n) -> per-head padded (..., h, L, n), pad slots ``fill``."""
+    """Packed rows (N, h*n) -> per-head padded (..., h, L, n), pad slots ``fill``:
+    a strided view of the padded (..., L, h, n) array, not a copy."""
     n = rows.shape[-1] // n_heads
     per_head = T.reshape(rows, (rows.shape[0], n_heads, n))
     return T.swapaxes(T.unpack(per_head, m, fill), -2, -3)

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from .bench import bench_environment, bench_scaling, check_scaling_args
-from .config import check_task_fits_model, parse_config_file
+from .config import check_rows_fit_model, check_task_fits_model, parse_config_file
 from .errors import ConfigError, ContractError, DataError
 from .model import BUDGET_LIMIT, closed_form_params, load_checkpoint
 from .training import evaluate, run_seeds, train
@@ -107,6 +107,7 @@ def _cmd_eval(args) -> int:
     except ConfigError as exc:
         raise ConfigError(f"{args.checkpoint}: {exc}") from None
     eval_ds = config.task.build_eval()
+    check_rows_fit_model(eval_ds, model.config)
     accuracy, loss = evaluate(model, eval_ds, batch_size=64)
     print(f"eval accuracy {accuracy:.4f}  mean loss {loss:.4f} "
           f"({len(eval_ds)} examples)")

@@ -138,7 +138,8 @@ class TrainConfig:
 
 def check_task_fits_model(task: TaskSpec, model: ModelConfig):
     """A generated task must fit the model it trains or is scored on. (TSV rows
-    are known only once read; rows longer than max_len are truncated when batched.)"""
+    are known only once read, and ``check_rows_fit_model`` checks them then;
+    rows longer than max_len are truncated when batched.)"""
     if task.source == "tsv":
         return
     *sizes, head = _TASK_NEEDS[task.source]
@@ -151,6 +152,20 @@ def check_task_fits_model(task: TaskSpec, model: ModelConfig):
             what, need = f"task.{need} = {getattr(task, need)}", getattr(task, need)
         if getattr(model, key) < need:
             raise ConfigError(f"{what} needs model.{key} >= {need}, got {getattr(model, key)}")
+
+
+def check_rows_fit_model(ds: Dataset, model: ModelConfig):
+    """A TSV dataset, once read, must fit the model: its largest label below
+    ``model.classes`` and its largest token id below ``model.vocab_size``
+    (``DataError`` naming the file). ``check_task_fits_model`` covers
+    generated data."""
+    if ds.meta.get("task") != "tsv":
+        return
+    for what, key, need in (("label", "classes", ds.classes),
+                            ("token id", "vocab_size", len(ds.vocab))):
+        if need > getattr(model, key):
+            raise DataError(f"{ds.meta['path']}: largest {what} {need - 1} needs "
+                            f"model.{key} >= {need}, got {getattr(model, key)}")
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,11 @@ reads (``add`` keeps shapes, ``mul`` the other operand, ``sigmoid`` its
 output, ...). An intermediate that no VJP reads is freed during the forward
 pass as soon as the caller drops its tensor. A VJP reads the arrays it
 captured at forward time: an in-place write to one (as Adam makes) is seen,
-a rebinding of ``Tensor.data`` is not.
+a rebinding of ``Tensor.data`` is not. ``swapaxes`` returns a view of its
+operand, as ``reshape`` does where numpy can, so an in-place write to a
+parameter (Adam's) also shows through every view taken of it and through
+the VJPs that captured one; each graph is consumed by ``backward`` before
+Adam writes.
 
 Broadcasting follows numpy's trailing-dimension alignment; gradients of a
 broadcast operand are summed back over the expanded axes. The intended use
@@ -520,9 +524,10 @@ def reshape(x, shape) -> Tensor:
 
 
 def swapaxes(x, a: int, b: int) -> Tensor:
+    """Axes ``a`` and ``b`` swapped, as a strided view that shares ``x``'s
+    memory (no copy); the gradient is the view of ``g`` swapped back."""
     x = _as_tensor(x)
-    out = np.ascontiguousarray(x.data.swapaxes(a, b))
-    return _make(out, (x,), lambda g: (g.swapaxes(a, b),))
+    return _make(x.data.swapaxes(a, b), (x,), lambda g: (g.swapaxes(a, b),))
 
 
 def concat(tensors: Iterable[Tensor], axis: int = -1) -> Tensor:

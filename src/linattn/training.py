@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .config import TrainConfig
+from .config import TrainConfig, check_rows_fit_model
 from .data import Batch, Dataset, MatchBatch, batch_iter
 from .errors import ConfigError
 from .kernels import ORTHO_REG_WEIGHT, orthogonality_penalty
@@ -206,6 +206,8 @@ def train(config: TrainConfig, seed: int, out_dir: str | None = None,
             f"over parameter budget: kernel/base ratio {account.ratio:.4f} >= "
             f"{BUDGET_LIMIT:.2f} (pass --override-budget to train anyway)")
     train_ds, eval_ds = config.task.build()
+    for ds in (train_ds, eval_ds):
+        check_rows_fit_model(ds, config.model)
     model = build_model(config.model, seed, dtype=dtype)
 
     params = model.named_parameters()

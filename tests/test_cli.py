@@ -541,6 +541,7 @@ class TestExitCodes:
         assert main(["params", "--config", str(p)]) == 1
 
     def test_out_of_range_tsv_label_exit_one(self, fast_cfg, tmp_path, capsys):
+        """The rows are checked as read: no step runs and nothing is written."""
         rows = tmp_path / "rows.tsv"
         rows.write_text("5\t1 2 3\n" + "1\t4 5 6\n" * 19)
         cfg = tmp_path / "tsv.cfg"
@@ -548,7 +549,21 @@ class TestExitCodes:
             "source = text_classification", f"source = tsv\npath = {rows}"))
         code = main(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
         assert code == 1
-        assert "error:" in capsys.readouterr().err
+        assert (f"error: {rows}: largest label 5 needs model.classes >= 6, got 2"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    def test_out_of_range_tsv_token_id_exit_one(self, fast_cfg, tmp_path, capsys):
+        rows = tmp_path / "rows.tsv"
+        rows.write_text("1\t4 5 6\n" * 19 + "0\t1 24 3\n")
+        cfg = tmp_path / "tsv.cfg"
+        cfg.write_text(open(fast_cfg).read().replace(
+            "source = text_classification", f"source = tsv\npath = {rows}"))
+        code = main(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert (f"error: {rows}: largest token id 24 needs model.vocab_size >= 25, got 24"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
 
     def test_tsv_label_beyond_int64_exit_one(self, fast_cfg, tmp_path, capsys):
         rows = tmp_path / "rows.tsv"
@@ -691,6 +706,27 @@ class TestEvalCommand:
         assert main(["eval", "--config", str(p), "--checkpoint", str(ckpt)]) == 1
         assert (f"error: {ckpt}: task.length = 256 needs model.max_len >= 256, got 64"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("bad_row, message", [
+        (f"{2**63 - 1}\t1 2 3",
+         f"largest label {2**63 - 1} needs model.classes >= {2**63}, got 2"),
+        ("1\t1 2 30", "largest token id 30 needs model.vocab_size >= 31, got 24"),
+    ], ids=["label", "token_id"])
+    def test_tsv_rows_beyond_the_checkpoint_exit_one(self, fast_cfg, tmp_path, capsys,
+                                                     bad_row, message):
+        out = tmp_path / "run"
+        main(["train", "--config", fast_cfg, "--out-dir", str(out)])
+        rows = tmp_path / "rows.tsv"
+        rows.write_text("1\t4 5 6\n" * 12 + bad_row + "\n")
+        p = tmp_path / "tsv.cfg"
+        p.write_text(open(fast_cfg).read().replace(
+            "source = text_classification", f"source = tsv\neval_path = {rows}\npath = {rows}"))
+        capsys.readouterr()
+        code = main(["eval", "--config", str(p), "--checkpoint", str(out / "checkpoint.bin")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert f"error: {rows}: {message}" in captured.err
+        assert "eval accuracy" not in captured.out
 
     def test_corrupt_checkpoint_exit_one(self, fast_cfg, tmp_path, capsys):
         out = tmp_path / "run"

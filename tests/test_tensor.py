@@ -15,6 +15,7 @@ import pytest
 from scipy.special import erf, expit
 
 import linattn.tensor as T
+from linattn.attention import EPS, _heads, kernel_attention_linear
 from linattn.config import parse_config_file
 from linattn.data import batch_iter
 from linattn.errors import ContractError, GraphError, ShapeError
@@ -426,6 +427,47 @@ class TestStructuralOps:
         report = finite_difference_check(
             lambda p: T.cross_entropy(p["logits"], labels), {"logits": logits}, step=1e-6)
         assert report["logits"].max_rel_err <= 1e-6
+
+
+class TestSwapaxesView:
+    def test_returns_a_view_of_its_operand(self):
+        x = t64(np.arange(24.0).reshape(2, 3, 4), grad=True)
+        out = T.swapaxes(x, 0, 2)
+        assert np.shares_memory(out.data, x.data)
+        np.testing.assert_array_equal(out.data, np.swapaxes(x.data, 0, 2))
+        w = np.random.default_rng(30).standard_normal(out.shape)
+        np.testing.assert_array_equal(backward(T.sum(T.mul(out, t64(w))))[x],
+                                      w.swapaxes(0, 2))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("width", [16, 4])
+    def test_linear_evaluator_on_strided_heads_equals_contiguous_copies(self, dtype, width):
+        """``_heads`` hands the evaluator strided (B, h, L, C) views. At head
+        width 16 (every shipped config) and in float64, its output and
+        gradients equal those of C-ordered copies bit for bit. At width 4 in
+        float32, OpenBLAS's matrix-vector kernel rounds ``qf z`` over a strided
+        matrix differently, by one unit in the last place."""
+        rng = np.random.default_rng(31)
+        mask = np.array([[True] * 5 + [False] * 4, [True] * 9, [True] * 2 + [False] * 7])
+        n, h, d = int(mask.sum()), 2, 3
+        rows = [rng.uniform(0.1, 2.0, (n, h * width)), rng.uniform(0.1, 2.0, (n, h * width)),
+                rng.standard_normal((n, h * d))]
+        views = [_heads(Tensor(r.astype(dtype)), h, mask, fill).data
+                 for r, fill in zip(rows, (1.0, 1.0, 0.0))]
+        assert not any(v.flags.c_contiguous for v in views)
+        w = Tensor(rng.standard_normal((3, h, 9, d)).astype(dtype))
+        results = []
+        for arrays in (views, [np.ascontiguousarray(v) for v in views]):
+            leaves = [Tensor(a, requires_grad=True) for a in arrays]
+            out = kernel_attention_linear(*leaves, np.expand_dims(mask, -2), eps=EPS)
+            grads = backward(T.sum(T.mul(out, w)))
+            results.append([out.data] + [grads[leaf] for leaf in leaves])
+        for strided, contiguous in zip(*results):
+            assert strided.dtype == dtype
+            if width == 16 or dtype == np.float64:
+                np.testing.assert_array_equal(strided, contiguous)
+            else:
+                np.testing.assert_allclose(strided, contiguous, rtol=4e-7, atol=0)
 
 
 class TestOneSpelling:
