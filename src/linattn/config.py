@@ -12,8 +12,8 @@ import configparser
 import re
 from dataclasses import dataclass, field, fields
 
-from .data import (LISTOPS_SYMBOLS, N_MOTIFS, Dataset, gen_listops, gen_matching,
-                   gen_text_classification, load_tsv_dataset, motif_layout)
+from .data import (LISTOPS_SYMBOLS, MAX_LISTOPS_DEPTH, N_MOTIFS, Dataset, gen_listops,
+                   gen_matching, gen_text_classification, load_tsv_dataset, motif_layout)
 from .errors import ConfigError, DataError
 from .kernels import KernelSpec, at_least, check_fields, one_of, ruled
 from .model import ModelConfig
@@ -64,7 +64,8 @@ class TaskSpec:
     length: int = at_least(8, default=128)  # a listops expression's shortest budget
     vocab_size: int = 32
     classes: int = at_least(2, default=2)
-    max_depth: int = at_least(1, default=4)
+    max_depth: int = ruled(f"in [1, {MAX_LISTOPS_DEPTH}]",
+                           lambda v: 1 <= v <= MAX_LISTOPS_DEPTH, default=4)
     path: str = ""
     eval_path: str = ""
 

@@ -41,6 +41,11 @@ _DIGIT_BASE = 2 + len(LISTOPS_OPS)
 LISTOPS_ARITY_RANGE = (2, 5)
 LISTOPS_RECURSE_PROB = 0.55
 
+# The deepest nesting ``[task] max_depth`` allows: the generator and
+# ``eval_listops_tokens`` recurse once per level, well under Python's
+# 1000-frame limit.
+MAX_LISTOPS_DEPTH = 256
+
 # Motif shape: every motif is a MOTIF_LEN-gram; matching draws from N_MOTIFS.
 MOTIF_LEN = 3
 N_MOTIFS = 6

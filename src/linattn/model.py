@@ -152,51 +152,23 @@ def named_tensors(tree, prefix: str = "") -> dict[str, Tensor]:
             for name, t in named_tensors(sub, f"{prefix}.{key}" if prefix else str(key)).items()}
 
 
-def _real_runs(mask: np.ndarray) -> tuple[list[tuple[int, int]], int]:
-    """The runs of real slots of ``mask`` in row-major order, as (pad slots
-    before the run, real slots) pairs, and the pad slots after the last run."""
-    edges = np.flatnonzero(np.diff(mask.ravel(), prepend=False, append=False))
-    starts, ends = edges[0::2], edges[1::2]
-    skips = starts - np.concatenate(([0], ends[:-1]))
-    return (list(zip(skips.tolist(), (ends - starts).tolist())),
-            mask.size - int(ends[-1] if ends.size else 0))
-
-
-def _keep_scale(rng, runs, tail: int, width: int, rate: float, dtype) -> np.ndarray:
-    """One dropout site's scale ``keep / (1 - rate)`` on the packed rows,
-    where ``keep = rng.random((B, L, width))[mask] >= rate``. Only the real
-    rows' numbers are drawn; ``advance`` skips the pad slots' numbers."""
-    bits = rng.bit_generator
-    buffered = bits.state  # advance drops a buffered 32-bit half; random() never reads it
-    draws = np.empty((sum(take for _, take in runs), width))
-    row = 0
-    for skip, take in runs:
-        if skip:
-            bits.advance(skip * width)
-        rng.random(out=draws[row:row + take])
-        row += take
-    if tail:
-        bits.advance(tail * width)
-    if buffered["has_uint32"]:
-        bits.state = {**bits.state, "has_uint32": 1, "uinteger": buffered["uinteger"]}
-    return (draws >= rate).astype(dtype) / (1.0 - rate)
+def _keep_scale(rng, mask: np.ndarray, width: int, rate: float, dtype) -> np.ndarray:
+    """One dropout site's scale ``keep / (1 - rate)`` on the packed rows:
+    the padded draw ``rng.random((B, L, width))``, gathered at ``mask``."""
+    return (rng.random(mask.shape + (width,)) >= rate)[mask].astype(dtype) / (1.0 - rate)
 
 
 @contextmanager
 def _keep_scales(rng, rate: float, mask: np.ndarray, widths: list[int], dtype):
     """An iterator over the keep scales of dropout sites of ``widths``, in
     that order: ``None`` for each without an ``rng`` or at rate 0, else
-    drawn by one worker thread that leaving the block joins."""
+    drawn at the padded shape by one worker thread that leaving the block
+    joins."""
     if rng is None or rate == 0.0:
         yield itertools.repeat(None)
         return
-    bits = getattr(rng, "bit_generator", rng)
-    if not isinstance(bits, (np.random.PCG64, np.random.PCG64DXSM)):
-        raise ContractError(f"dropout needs a PCG64 Generator from np.random.default_rng, "
-                            f"which can skip the pad slots' draws; got {type(bits).__name__}")
-    runs, tail = _real_runs(mask)
     with ThreadPoolExecutor(1, thread_name_prefix="linattn-dropout") as worker:
-        sites = [worker.submit(_keep_scale, rng, runs, tail, w, rate, dtype) for w in widths]
+        sites = [worker.submit(_keep_scale, rng, mask, w, rate, dtype) for w in widths]
         yield (site.result() for site in sites)
 
 
@@ -244,16 +216,15 @@ class Model:
         real tokens, in row-major order; only attention's S/z aggregation and
         the pooling, which averages each sequence's rows, see sequences.
 
-        Dropout (``rng`` given and ``dropout_rate > 0``) needs a PCG64
-        ``np.random.default_rng``. Each block has two sites, the attention
-        output and then the FFN inner, and each site consumes the
-        ``B * L * width`` float64 numbers of ``rng.random((B, L, width))``,
-        where L is the batch's padded width: a real slot keeps its value iff
-        its number is >= the rate. So the stream depends on the padded
-        shape, not only on the real tokens. Only the real slots' numbers are
-        computed, on one worker thread that runs ahead of the forward pass
-        and is joined before ``encode`` returns or raises; once the inputs
-        pass their checks, ``rng`` ends where a finished encode leaves it.
+        Dropout (``rng`` given and ``dropout_rate > 0``) runs on any
+        ``np.random.Generator`` or ``RandomState``. Each block has two sites,
+        the attention output and then the FFN inner, and each site draws
+        ``rng.random((B, L, width))``, where L is the batch's padded width:
+        a real slot keeps its value iff its number is >= the rate. So the
+        stream depends on the padded shape, not only on the real tokens. One
+        worker thread draws the sites ahead of the forward pass and is
+        joined before ``encode`` returns or raises; once the inputs pass
+        their checks, ``rng`` ends where a finished encode leaves it.
         """
         tokens = np.asarray(tokens)
         mask = np.asarray(mask, dtype=bool)

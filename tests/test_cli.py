@@ -315,14 +315,18 @@ class TestConfigParsing:
         ("[task]\ncount = 0\n", "count must be >= 1, got 0"),
         ("[task]\neval_count = 0\n", "eval_count must be >= 1, got 0"),
         # A [task] value outside its domain fails here too, before any data is built.
-        ("[task]\nsource = listops\nmax_depth = -1\n", "max_depth must be >= 1, got -1"),
+        ("[task]\nsource = listops\nmax_depth = -1\n", "max_depth must be in [1, 256], got -1"),
+        # Deeper nesting would overflow Python's stack in the generator.
+        ("[model]\nvocab_size = 16\nclasses = 10\nmax_len = 20000\n"
+         "[task]\nsource = listops\nlength = 20000\nmax_depth = 3000\n",
+         "max_depth must be in [1, 256], got 3000"),
         ("[task]\nsource = listops\nlength = 4\n", "length must be >= 8, got 4"),
         ("[task]\nclasses = 1\n", "classes must be >= 2, got 1"),
         ("[model]\nhead = match\n[task]\nsource = matching\nvocab_size = 10\n",
          "vocab_size must be >= 21 for 6 motifs of length 3, got 10"),
     ], ids=["length", "vocab", "classes", "listops-vocab", "listops-classes", "matching-head",
-            "match-head", "count", "eval-count", "listops-max_depth", "listops-length",
-            "text-classes", "matching-vocab_size"])
+            "match-head", "count", "eval-count", "listops-max_depth", "listops-deep",
+            "listops-length", "text-classes", "matching-vocab_size"])
     def test_task_that_does_not_fit_the_model_is_a_config_error(self, tmp_path, capsys, text,
                                                                 message):
         p = tmp_path / "fit.cfg"
@@ -372,6 +376,7 @@ RULE_EDGES = [
     (TaskSpec, "length", 8, 7),
     (TaskSpec, "classes", 2, 1),
     (TaskSpec, "max_depth", 1, 0),
+    (TaskSpec, "max_depth", 256, 257),
     (OptimizerConfig, "lr", 5e-324, 0.0),
     (OptimizerConfig, "lr", 1e308, math.inf),
     (ScheduleConfig, "warmup_steps", 0, -1),

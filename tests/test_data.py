@@ -7,7 +7,7 @@ import zlib
 import numpy as np
 import pytest
 
-from linattn.data import (PAD_ID, Batch, MatchBatch, _PCG64Draws, batch_iter,
+from linattn.data import (MAX_LISTOPS_DEPTH, PAD_ID, Batch, MatchBatch, _PCG64Draws, batch_iter,
                           eval_listops_tokens, gen_listops, gen_matching, gen_text_classification,
                           listops_to_string, load_tsv_dataset, motif_oracle,
                           save_tsv_dataset, LISTOPS_SYMBOLS)
@@ -45,6 +45,16 @@ class TestGenListops:
         ds = gen_listops(0, 10_000, max_len=96, max_depth=4)
         for tokens, label in ds.examples:
             assert eval_listops_tokens(tokens) == label, listops_to_string(tokens)
+
+    def test_deepest_allowed_nesting_generates_and_evaluates(self):
+        ds = gen_listops(1, 4, max_len=20_000, max_depth=MAX_LISTOPS_DEPTH)
+        opens = [SYM[f"[{op}"] for op in ("MAX", "MIN", "MED", "SM")]
+        nesting = 0
+        for tokens, label in ds.examples:
+            assert eval_listops_tokens(tokens) == label
+            steps = np.isin(tokens, opens).astype(int) - (tokens == SYM["]"])
+            nesting = max(nesting, np.cumsum(steps).max())
+        assert nesting == MAX_LISTOPS_DEPTH
 
     def test_lengths_within_budget(self):
         for max_len in (32, 128, 256):
@@ -186,7 +196,7 @@ class TestTaskSpecDomains:
     def test_too_small_parameters_rejected(self):
         for source in ("listops", "text_classification", "matching"):
             for key, value, rule in [("length", 7, ">= 8"), ("classes", 1, ">= 2"),
-                                     ("max_depth", 0, ">= 1")]:
+                                     ("max_depth", 0, r"in \[1, 256\]")]:
                 spec = TaskSpec(source=source, vocab_size=48, **{key: value})
                 with pytest.raises(ConfigError, match=rf"^{key} must be {rule}, got {value}$"):
                     spec.validate()

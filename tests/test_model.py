@@ -205,16 +205,23 @@ def reference_scales(rng, mask, widths, rate, dtype):
             for w in widths]
 
 
+def rng_state(rng):
+    """The state of a ``Generator`` or a ``RandomState``, as a dict."""
+    if isinstance(rng, np.random.Generator):
+        return rng.bit_generator.state
+    return rng.get_state(legacy=False)
+
+
 def os_threads():
     """The process's OS threads, where the platform lists them."""
     return len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
 
 
 class TestDropoutStream:
-    """Dropout draws only the real slots' numbers, on a worker thread, and
-    leaves every scale and the stream as a draw at the padded shape would.
-    These run in CI at the NumPy floor too (PCG64 ``advance``,
-    ``Generator.random(out=)``)."""
+    """Dropout draws each site at the padded shape on a worker thread: every
+    scale and the stream's final state match ``reference_scales``. These run
+    in CI at the NumPy floor too, pinning the padded stream and the thread
+    join there."""
 
     MASKS = {
         "prefix": np.arange(12) < np.array([12, 7, 3, 12, 1])[:, None],
@@ -269,14 +276,25 @@ class TestDropoutStream:
                                       lambda: np.random.Generator(np.random.Philox(0)),
                                       lambda: np.random.RandomState(0)],
                              ids=["MT19937", "Philox", "RandomState"])
-    def test_rng_that_cannot_skip_is_refused_before_drawing(self, make):
+    def test_any_rng_drives_dropout(self, monkeypatch, make):
         cfg = small_config(dropout_rate=0.1)
         model = build_model(cfg, seed=13)
-        tokens, mask = random_batch(cfg)
+        mask = self.MASKS["holes"]
+        tokens = np.where(mask, 5, 0)
         rng, twin = make(), make()
-        with pytest.raises(ContractError, match=r"np\.random\.default_rng"):
-            forward_classify(model, tokens, mask, rng=rng)
-        assert rng.random() == twin.random()
+        got = []
+
+        def capture(x, scale):
+            got.append(scale)
+            return x
+
+        monkeypatch.setattr(linattn.model, "_dropout", capture)
+        forward_classify(model, tokens, mask, rng=rng)
+        widths = [cfg.d_model, cfg.ffn_dim] * cfg.n_layers
+        for g, want in zip(got, reference_scales(twin, mask, widths, 0.1, np.float32),
+                           strict=True):
+            np.testing.assert_array_equal(g, want)
+        np.testing.assert_equal(rng_state(rng), rng_state(twin))
 
     def test_raising_encode_joins_and_finishes_the_stream(self):
         cfg = small_config(dropout_rate=0.1)
