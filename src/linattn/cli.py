@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from .bench import bench_environment, bench_scaling, check_scaling_args
-from .config import check_rows_fit_model, check_task_fits_model, parse_config_file
+from .config import check_rows_fit_model, check_task_fits_model, int_list, parse_config_file
 from .errors import ConfigError, ContractError, DataError
 from .model import BUDGET_LIMIT, closed_form_params, load_checkpoint
 from .training import evaluate, run_seeds, train
@@ -137,7 +137,7 @@ def _cmd_seeds(args) -> int:
 
 def _cmd_bench(args) -> int:
     try:
-        lengths = [int(tok) for tok in args.lengths.replace(",", " ").split()]
+        lengths = int_list(args.lengths)
     except ValueError:
         raise ConfigError(f"--lengths takes comma-separated integers, "
                           f"got {args.lengths!r}") from None

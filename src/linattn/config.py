@@ -173,8 +173,10 @@ def check_rows_fit_model(ds: Dataset, model: ModelConfig):
 # file parsing
 # ---------------------------------------------------------------------------
 
-def _to_seed_list(s: str) -> list[int]:
-    return [int(tok) for tok in s.replace(",", " ").split()]
+def int_list(text: str) -> list[int]:
+    """The integers of a comma- or space-separated list (empty for blank
+    text). An empty item, as in ``1,,2`` or ``1,``, raises ValueError."""
+    return [int(tok) for tok in re.split(r"\s*,\s*|\s+", text.strip())] if text.strip() else []
 
 
 _SECTIONS = {"model": ModelConfig, "kernel": KernelSpec, "task": TaskSpec,
@@ -185,7 +187,7 @@ _SECTION_FIELDS = {name: {f.name: f.type for f in fields(cls) if f.name not in _
                    for name, cls in _SECTIONS.items()}
 
 # The ConfigParser method that converts a value of each annotated field type;
-# other types (str) are read as they stand, and ``seeds`` by _to_seed_list.
+# other types (str) are read as they stand, and ``seeds`` by int_list.
 _GETTERS = {"int": "getint", "float": "getfloat", "float | None": "getfloat"}
 
 
@@ -235,7 +237,7 @@ def parse_config_file(path) -> TrainConfig:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r} in [{section}]")
             try:
                 if key == "seeds":
-                    values[key] = _to_seed_list(raw)
+                    values[key] = int_list(raw)
                 else:
                     values[key] = getattr(parser, _GETTERS.get(known[key], "get"))(section, key)
             except ValueError as exc:

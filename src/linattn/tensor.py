@@ -18,8 +18,9 @@ the VJPs that captured one; each graph is consumed by ``backward`` before
 Adam writes.
 
 Broadcasting follows numpy's trailing-dimension alignment; gradients of a
-broadcast operand are summed back over the expanded axes. The intended use
-is batch-style broadcasting (a matrix applied across leading batch axes, a
+broadcast operand are summed back over the expanded axes by ``_unbroadcast``,
+which also computes the forward ``sum`` and ``mean``. The intended use is
+batch-style broadcasting (a matrix applied across leading batch axes, a
 per-feature vector against its trailing axis, a size-1 mask axis).
 
 On glibc, importing this module sets the allocator's mmap and trim
@@ -195,30 +196,31 @@ def _check_dtypes(a: Tensor, b: Tensor, op: str):
         raise ShapeError(f"{op}: mixed element types {a.dtype.name} and {b.dtype.name}")
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a gradient over broadcast axes so it matches the operand shape.
+def _unbroadcast(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum ``x`` over the axes on which it broadcasts ``shape``: the gradient
+    of a broadcast operand, and the forward ``sum`` and ``mean`` (``shape``
+    is then their ``keepdims`` shape).
 
-    For a C-contiguous ``g``, two common cases sum as a BLAS matrix-vector
-    product with a ones vector, several times faster than ``np.sum`` and
-    rounded differently in the last bits: leading axes only (a bias or gain,
-    (N, d) -> (d,)) and a trailing size-1 axis only (a (..., 1) operand).
+    For a C-contiguous ``x``, three cases sum as a BLAS product with a ones
+    vector, several times faster than ``np.sum`` and rounded differently in
+    the last bits: over leading axes (``ones(n) @ x``; a bias, (N, d) ->
+    (d,)), over the last axis (``x @ ones(k)``) and over the second-to-last
+    (``ones((1, k)) @ x``, stacked). Other axes and layouts use ``np.sum``.
     """
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if g.flags.c_contiguous:
-        if extra > 0 and g.shape[extra:] == shape:
-            n = math.prod(g.shape[:extra])
-            return (np.ones(n, g.dtype) @ g.reshape(n, math.prod(shape))).reshape(shape)
-        if extra == 0 and shape[-1] == 1 and g.shape[:-1] == shape[:-1]:
-            k = g.shape[-1]
-            return (g.reshape(math.prod(shape), k) @ np.ones(k, g.dtype)).reshape(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, dim in enumerate(shape) if dim == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
+    if x.shape == shape:
+        return x
+    full = (1,) * (x.ndim - len(shape)) + shape
+    axes = tuple(i for i, (n, m) in enumerate(zip(x.shape, full)) if n != m)
+    if x.flags.c_contiguous:
+        if axes == tuple(range(len(axes))):
+            n = math.prod(x.shape[:len(axes)])
+            return (np.ones(n, x.dtype) @ x.reshape(n, math.prod(full))).reshape(shape)
+        if axes == (x.ndim - 1,):
+            k = x.shape[-1]
+            return (x.reshape(math.prod(full), k) @ np.ones(k, x.dtype)).reshape(shape)
+        if axes == (x.ndim - 2,):
+            return (np.ones((1, x.shape[-2]), x.dtype) @ x).reshape(shape)
+    return x.sum(axis=axes, keepdims=True).reshape(shape)
 
 
 def _node_of(t: Tensor) -> _Node:
@@ -448,39 +450,41 @@ def abs(x) -> Tensor:
     return _make(np.abs(xd), (x,), lambda g: (g * np.sign(xd),))
 
 
+def _sum(x: Tensor, axis, keepdims) -> tuple[np.ndarray, tuple[int, ...], int]:
+    """The sum of ``x`` over ``axis`` (every axis for None) by ``_unbroadcast``,
+    on a C-ordered copy of a strided ``x`` so that the bits do not depend on
+    its layout, in a new array; with the ``keepdims`` shape and the count
+    summed per entry."""
+    nd = x.ndim
+    axes = tuple(range(nd)) if axis is None else tuple(
+        a % nd if -nd <= a < nd else nd for a in (axis if isinstance(axis, tuple) else (axis,)))
+    if nd in axes or len(set(axes)) < len(axes):
+        raise ShapeError(f"reduction axis {axis} is out of range or repeated for shape {x.shape}")
+    kept = tuple(1 if i in axes else n for i, n in enumerate(x.shape))
+    out = x.data.copy() if x.shape == kept else _unbroadcast(np.ascontiguousarray(x.data), kept)
+    if not keepdims:
+        out = out.reshape(tuple(n for i, n in enumerate(x.shape) if i not in axes))
+    return out, kept, math.prod(x.shape[a] for a in axes)
+
+
 def sum(x, axis=None, keepdims=False) -> Tensor:
     x = _as_tensor(x)
-    out = np.sum(x.data, axis=axis, keepdims=keepdims)
+    out, kept, _ = _sum(x, axis, keepdims)
     shape = x.shape
-
-    def vjp(g):
-        return (_spread(g, shape, axis, keepdims),)
-
-    return _make(np.asarray(out, dtype=x.dtype), (x,), vjp)
+    return _make(out, (x,), lambda g: (np.broadcast_to(g.reshape(kept), shape).copy(),))
 
 
 def mean(x, axis=None, keepdims=False) -> Tensor:
+    """The sum over ``axis`` divided by the count in place, in ``x``'s dtype,
+    as ``np.mean`` does."""
     x = _as_tensor(x)
-    out = np.mean(x.data, axis=axis, keepdims=keepdims)
-    # A python int count keeps the gradient in x's dtype (an np.int64 would
-    # promote float32 to float64).
-    count = x.data.size if axis is None else math.prod(
-        x.shape[a] for a in (axis if isinstance(axis, tuple) else (axis,)))
+    out, kept, count = _sum(x, axis, keepdims)
+    # A python int count keeps x's dtype (an np.int64 would promote float32
+    # to float64).
+    out /= count
     shape = x.shape
-
-    def vjp(g):
-        return (_spread(g / count, shape, axis, keepdims),)
-
-    return _make(np.asarray(out, dtype=x.dtype), (x,), vjp)
-
-
-def _spread(g: np.ndarray, shape, axis, keepdims) -> np.ndarray:
-    """Broadcast a reduction gradient back to the input shape."""
-    if axis is not None and not keepdims:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        for a in sorted(ax % len(shape) for ax in axes):
-            g = np.expand_dims(g, a)
-    return np.broadcast_to(g, shape).copy()
+    return _make(out, (x,),
+                 lambda g: (np.broadcast_to((g / count).reshape(kept), shape).copy(),))
 
 
 # ---------------------------------------------------------------------------

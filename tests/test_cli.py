@@ -540,6 +540,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"neg.cfg: {message}" in err
 
+    def test_empty_seed_item_exit_one(self, fast_cfg, tmp_path, capsys):
+        text = open(fast_cfg).read()
+        assert text.count("seeds = 1, 2") == 1
+        p = tmp_path / "gap.cfg"
+        p.write_text(text.replace("seeds = 1, 2", "seeds = 1,,2"))
+        line = p.read_text().splitlines().index("seeds = 1,,2") + 1
+        assert main(["params", "--config", str(p)]) == 1
+        assert f"error: {p}:{line}: bad value for seeds" in capsys.readouterr().err
+
     def test_config_parse_error_exit_one(self, tmp_path, capsys):
         p = tmp_path / "bad.cfg"
         p.write_text("[model]\nd_model = many\n")
@@ -864,6 +873,13 @@ class TestBenchCommand:
     def test_non_integer_length_exit_one(self, tmp_path, capsys):
         assert main(["bench", "--lengths", "8,x,32", "--out-dir", str(tmp_path)]) == 1
         assert "--lengths" in capsys.readouterr().err
+
+    def test_empty_length_item_exit_one(self, tmp_path, capsys):
+        out = tmp_path / "bench"
+        assert main(["bench", "--lengths", "64,,128,256", "--out-dir", str(out)]) == 1
+        assert ("error: --lengths takes comma-separated integers, got '64,,128,256'"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_nonpositive_length_exit_one(self, tmp_path, capsys):
         out = tmp_path / "bench"

@@ -228,6 +228,89 @@ class TestBroadcastVjps:
                                           np.sum(g, axis=axis, keepdims=keepdims))
 
 
+REDUCE_AXES = [None, 0, -1, -2, (0, 2), (1, 2), (0, 1, 2)]
+
+
+class TestReductions:
+    """``T.sum`` and ``T.mean`` reduce through ``_unbroadcast``: BLAS ones-vector
+    products over leading, last and second-to-last axes, ``np.sum`` otherwise,
+    always on a C-ordered copy of a strided operand."""
+
+    @pytest.mark.parametrize("dtype, rtol", [(np.float32, 1e-6), (np.float64, 1e-14)])
+    @pytest.mark.parametrize("keepdims", [False, True])
+    @pytest.mark.parametrize("axis", REDUCE_AXES, ids=str)
+    @pytest.mark.parametrize("op, ref", [(T.sum, np.sum), (T.mean, np.mean)],
+                             ids=["sum", "mean"])
+    def test_matches_numpy(self, op, ref, axis, keepdims, dtype, rtol):
+        x = np.random.default_rng(40).uniform(0.5, 1.5, (6, 40, 24)).astype(dtype)
+        got = op(Tensor(x), axis=axis, keepdims=keepdims).data
+        want = ref(x, axis=axis, keepdims=keepdims)
+        assert got.shape == want.shape and got.dtype == dtype
+        np.testing.assert_allclose(got, want, rtol=rtol, atol=0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_second_to_last_axis_by_blas_against_np_sum(self, dtype):
+        g = np.random.default_rng(41).standard_normal((3, 4, 50, 16)).astype(dtype)
+        got = T._unbroadcast(g, (3, 4, 1, 16))
+        scale = np.sum(np.abs(g), axis=-2, keepdims=True)
+        assert got.shape == (3, 4, 1, 16) and got.dtype == dtype
+        rtol = 1e-6 if dtype == np.float32 else 1e-14
+        assert np.all(np.abs(got - np.sum(g, axis=-2, keepdims=True)) <= rtol * scale)
+        np.testing.assert_array_equal(got, np.ones((1, 50), dtype) @ g)
+
+    @pytest.mark.parametrize("op", [T.sum, T.mean], ids=["sum", "mean"])
+    @pytest.mark.parametrize("axis", REDUCE_AXES, ids=str)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_strided_views_give_the_bits_of_contiguous_copies(self, dtype, axis, op):
+        # Widths 1-8 included: there OpenBLAS rounds a product over a strided
+        # matrix differently from one over a contiguous copy.
+        rng = np.random.default_rng(42)
+        for width in (1, 2, 3, 4, 5, 8, 16):
+            base = rng.standard_normal((5, 33, 3, width)).astype(dtype)
+            views = [base.swapaxes(1, 2),                           # (5, 3, 33, width)
+                     base.reshape(5, 33, 3 * width)[:, :, 1:][:, None]]  # a column slice
+            for view in views:
+                assert not view.flags.c_contiguous
+                for keepdims in (False, True):
+                    strided = op(Tensor(view), axis=axis, keepdims=keepdims).data
+                    copied = op(Tensor(np.ascontiguousarray(view)), axis=axis,
+                                keepdims=keepdims).data
+                    np.testing.assert_array_equal(strided, copied)
+
+    def test_mean_divides_by_the_reduced_axis_length(self):
+        x = t64(np.arange(15.0).reshape(3, 5), grad=True)
+        np.testing.assert_array_equal(T.mean(x, axis=0).data, [5.0, 6.0, 7.0, 8.0, 9.0])
+        np.testing.assert_array_equal(T.mean(x, axis=-1).data, [2.0, 7.0, 12.0])
+        np.testing.assert_array_equal(backward(T.sum(T.mean(x, axis=0)))[x],
+                                      np.full((3, 5), 1.0 / 3.0))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_zero_size_axis(self, dtype):
+        x = Tensor(np.ones((3, 0, 4), dtype=dtype), requires_grad=True)
+        for axis in (1, -1, (0, 2), None):
+            out = T.sum(x, axis=axis, keepdims=True)
+            want = np.sum(x.data, axis=axis, keepdims=True)
+            assert out.dtype == dtype
+            np.testing.assert_array_equal(out.data, want)
+        np.testing.assert_array_equal(T.sum(x, axis=1).data, np.zeros((3, 4), dtype))
+        # Like np.mean, a mean over no elements is nan, with a RuntimeWarning.
+        with pytest.warns(RuntimeWarning):
+            out = T.mean(x, axis=1)
+        assert out.shape == (3, 4) and out.dtype == dtype and np.all(np.isnan(out.data))
+        assert backward(T.sum(T.sum(x, axis=-1)))[x].shape == (3, 0, 4)
+
+    def test_result_is_a_new_array(self):
+        x = t64(np.ones((1, 4)))
+        for out in (T.sum(x, axis=0), T.mean(x, axis=0, keepdims=True)):
+            assert not np.shares_memory(out.data, x.data)
+        np.testing.assert_array_equal(x.data, np.ones((1, 4)))
+
+    @pytest.mark.parametrize("axis", [2, -3, (0, 0), (1, -1)])
+    def test_bad_axis_rejected(self, axis):
+        with pytest.raises(ShapeError, match="out of range or repeated"):
+            T.sum(t64(np.ones((2, 3))), axis=axis)
+
+
 class TestSoftmaxRows:
     def test_uniform(self):
         np.testing.assert_allclose(T.softmax_rows(t64([[0.0, 0.0]])).data, [[0.5, 0.5]])
