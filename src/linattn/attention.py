@@ -16,6 +16,7 @@ evaluator's (..., L) key axis; masked positions contribute nothing.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -33,6 +34,13 @@ ATTENTION_KINDS = ("softmax", "kernel_linear", "kernel_quadratic")
 
 # The denominator floor the multi-head layer passes to both kernel evaluators.
 EPS = 1e-6
+
+# The fewest packed input elements (rows x d_model) at which a layer that
+# records no graph builds its query features on a worker thread while the
+# caller builds its key features. Overlapped over serial time of a layer of
+# width 64, 4 heads and oglu stacks, on a 2-core x86-64 VM with one BLAS
+# thread: 1.53 at 65k elements, 1.08 at 131k, 0.84 at 262k, 0.67 at 1M.
+OVERLAP_MIN_ELEMENTS = 1 << 18
 
 
 def _as_mask(mask, length: int) -> np.ndarray:
@@ -96,6 +104,7 @@ def kernel_attention_linear(qf: Tensor, kf: Tensor, v: Tensor, mask,
     kf_m = T.mul(kf, mcol)
     s = T.matmul(T.swapaxes(kf_m, -1, -2), v)                   # (..., C, d)
     z = T.sum(kf_m, axis=-2, keepdims=True)                     # (..., 1, C)
+    del kf_m  # without a graph, its memory is free for num
     num = T.matmul(qf, s)                                       # (..., L, d)
     den = T.matmul(qf, T.swapaxes(z, -1, -2))                   # (..., L, 1)
     if eps:
@@ -161,6 +170,13 @@ def _stack_head_features(rows: Tensor, kernels: list[list[dict[str, Tensor]]]) -
                      for i, kp in enumerate(kernels)], axis=-1)
 
 
+def _feature_heads(x: Tensor, w: Tensor, kernels: list[list[dict[str, Tensor]]],
+                   m: np.ndarray) -> Tensor:
+    """One side of a kernel layer: project the packed rows, map each head's
+    block through its stack, and pad per head with features of 1."""
+    return _heads(_stack_head_features(T.matmul(x, w), kernels), len(kernels), m, fill=1.0)
+
+
 def multi_head_kernel_attention(x: Tensor, params: AttentionLayerParams,
                                 config: ModelConfig, mask) -> Tensor:
     """Project, run kernel attention per head, merge, project out.
@@ -182,6 +198,13 @@ def multi_head_kernel_attention(x: Tensor, params: AttentionLayerParams,
     features of 1 and values of 0: positive, as the quadratic oracle checks,
     so a pad query never divides 0 by 0, and the key mask keeps pad keys out
     of S and z.
+
+    With no graph being recorded and at least ``OVERLAP_MIN_ELEMENTS``
+    elements in ``x``, the query side runs on a worker thread while the
+    caller runs the key side: the same ops on the same operands, so the
+    same bits. The worker is joined before the layer returns or raises, and
+    either side's error reaches the caller. A layer that records a graph
+    stays on one thread (see ``tensor``).
     """
     m = _rows_mask(x, mask, config.d_model)
     kind, n_heads = config.attention_kind, config.n_heads
@@ -194,10 +217,15 @@ def multi_head_kernel_attention(x: Tensor, params: AttentionLayerParams,
         if len(params.head_kernels) != n_heads:
             raise ConfigError(f"{kind} runs {n_heads} heads, but the layer holds "
                               f"{len(params.head_kernels)} feature stacks")
-        q = _stack_head_features(T.matmul(x, params.w_q), params.head_kernels)
-        k = _stack_head_features(T.matmul(x, params.w_k), params.head_kernels)
-        q = _heads(q, n_heads, m, fill=1.0)
-        k = _heads(k, n_heads, m, fill=1.0)
+        kernels = params.head_kernels
+        if T._GRAD_ENABLED or x.data.size < OVERLAP_MIN_ELEMENTS:
+            q = _feature_heads(x, params.w_q, kernels, m)
+            k = _feature_heads(x, params.w_k, kernels, m)
+        else:
+            with ThreadPoolExecutor(1, thread_name_prefix="linattn-queries") as worker:
+                q = worker.submit(_feature_heads, x, params.w_q, kernels, m)
+                k = _feature_heads(x, params.w_k, kernels, m)
+                q = q.result()
     v = _heads(T.matmul(x, params.w_v), n_heads, m)
 
     m_heads = np.expand_dims(m, -2)  # broadcast over heads: (..., 1, L)

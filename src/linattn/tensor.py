@@ -17,6 +17,13 @@ parameter (Adam's) also shows through every view taken of it and through
 the VJPs that captured one; each graph is consumed by ``backward`` before
 Adam writes.
 
+Graphs are recorded on one thread. ``_node_of`` gives a trainable tensor
+its leaf node lazily, on its first use in a graph, so two threads recording
+over a shared parameter could each make one, and ``backward`` would keep
+only one of their gradients, without an error. The package's worker threads
+record nothing: they draw dropout numbers, or build a layer's query
+features while ``no_grad`` is on (see ``attention``).
+
 Broadcasting follows numpy's trailing-dimension alignment; gradients of a
 broadcast operand are summed back over the expanded axes by ``_unbroadcast``,
 which also computes the forward ``sum`` and ``mean``. The intended use is
@@ -96,9 +103,10 @@ def _set_malloc_policy(libc) -> dict | None:
     the mmap threshold first and, only if glibc accepted it, the trim
     threshold. The cost is that resident memory stays at its high-water
     mark. Then ``ARENA_MAX`` caps the arenas at one, so a worker thread (the
-    encoder's dropout draws) allocates from the main heap and reuses its
-    pages instead of growing an arena of its own. Returns the settings
-    applied (``None`` for one glibc refused), or None when none was.
+    encoder's dropout draws, a layer's query features) allocates from the
+    main heap and reuses its pages instead of growing an arena of its own.
+    Returns the settings applied (``None`` for one glibc refused), or None
+    when none was.
     """
     if libc is None or libc.mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD) != 1:
         return None

@@ -1,11 +1,14 @@
 """Attention evaluators: oracle equivalence, masking, hull, gradients."""
 
 import math
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import linattn.attention
 import linattn.tensor as T
 from linattn.attention import (EPS, init_attention_params, kernel_attention_linear,
                                kernel_attention_quadratic, multi_head_kernel_attention,
@@ -14,6 +17,7 @@ from linattn.errors import ContractError, ShapeError
 from linattn.kernels import KernelSpec, drawer, init_kernel_params, kernel_stack_forward
 from linattn.model import ModelConfig, named_tensors
 from linattn.tensor import Tensor, backward, finite_difference_check
+from test_model import os_threads
 
 ALL_VARIANT_DEPTHS = [(v, d) for v in ("linear_softplus", "glu", "oglu", "aoglu")
                       for d in (1, 2, 3)]
@@ -337,3 +341,106 @@ class TestMultiHead:
 
         report = finite_difference_check(f, named, step=1e-5)
         assert max(r.max_rel_err for r in report.values()) <= 1e-5
+
+
+class TestFeatureOverlap:
+    """Without a graph and at ``OVERLAP_MIN_ELEMENTS`` packed elements, the
+    query side runs on a worker thread: the same bits as the serial layer,
+    a worker joined on every exit, and one thread while a graph is recorded.
+    These run in CI at the NumPy floor too."""
+
+    MASK = np.arange(11) < np.array([11, 6, 1, 9])[:, None]
+
+    def layer(self, kind, dtype, seed=21):
+        cfg = replace(layer_config(KernelSpec("oglu", 2), 16, 2), attention_kind=kind)
+        x = np.random.default_rng(seed).standard_normal((int(self.MASK.sum()), 16))
+        return cfg, init_layer(cfg, seed, dtype=dtype), Tensor(x.astype(dtype))
+
+    def run(self, cfg, params, x):
+        return multi_head_kernel_attention(x, params, cfg, self.MASK)
+
+    @staticmethod
+    def side_threads(monkeypatch):
+        """Record the thread each side's projection runs on, by weight id."""
+        seen, side = {}, linattn.attention._feature_heads
+
+        def spy(x, w, kernels, m):
+            seen[id(w)] = threading.current_thread()
+            return side(x, w, kernels, m)
+
+        monkeypatch.setattr(linattn.attention, "_feature_heads", spy)
+        return seen
+
+    @staticmethod
+    def refuse_workers(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a feature worker started")
+
+        monkeypatch.setattr(linattn.attention, "ThreadPoolExecutor", refuse)
+
+    @staticmethod
+    def assert_threads_back(threads):
+        """The thread counts are back at ``threads``. A joined thread leaves
+        ``threading`` at once, but its OS thread can still be exiting, so the
+        OS count gets up to a second to settle."""
+        assert threading.active_count() == threads[0]
+        deadline = time.monotonic() + 1.0
+        while os_threads() != threads[1] and time.monotonic() < deadline:
+            time.sleep(1e-3)
+        assert os_threads() == threads[1]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", ["kernel_linear", "kernel_quadratic"])
+    def test_overlap_keeps_every_bit(self, monkeypatch, kind, dtype):
+        cfg, params, x = self.layer(kind, dtype)
+        seen = self.side_threads(monkeypatch)
+        threads = threading.active_count(), os_threads()
+        out = {}
+        for floor in (0, 1 << 62):
+            monkeypatch.setattr(linattn.attention, "OVERLAP_MIN_ELEMENTS", floor)
+            with T.no_grad():
+                out[floor] = self.run(cfg, params, x).data
+            caller = threading.current_thread()
+            assert (seen[id(params.w_q)] is caller) == bool(floor)
+            assert seen[id(params.w_k)] is caller
+        self.assert_threads_back(threads)
+        assert out[0].dtype == dtype
+        np.testing.assert_array_equal(out[0], out[1 << 62])
+
+    def test_recorded_graph_stays_on_one_thread(self, monkeypatch):
+        cfg, params, x = self.layer("kernel_linear", np.float64)
+        named = named_tensors(params)
+
+        def gradients():
+            grads = backward(T.mean(T.square(self.run(cfg, params, x))), params=named)
+            return {name: grads[t] for name, t in named.items()}
+
+        want = gradients()
+        monkeypatch.setattr(linattn.attention, "OVERLAP_MIN_ELEMENTS", 0)
+        self.refuse_workers(monkeypatch)
+        for name, g in gradients().items():
+            np.testing.assert_array_equal(g, want[name], err_msg=name)
+
+    def test_no_worker_below_the_floor(self, monkeypatch):
+        cfg, params, x = self.layer("kernel_linear", np.float32)
+        monkeypatch.setattr(linattn.attention, "OVERLAP_MIN_ELEMENTS", x.data.size + 1)
+        self.refuse_workers(monkeypatch)
+        with T.no_grad():
+            self.run(cfg, params, x)
+
+    @pytest.mark.parametrize("side", ["w_q", "w_k"], ids=["query", "key"])
+    def test_a_raising_side_reaches_the_caller_and_joins(self, monkeypatch, side):
+        cfg, params, x = self.layer("kernel_linear", np.float32)
+        bad, feature_heads = getattr(params, side), linattn.attention._feature_heads
+
+        def fail(x, w, kernels, m):
+            if w is bad:
+                raise FloatingPointError(side)
+            return feature_heads(x, w, kernels, m)
+
+        monkeypatch.setattr(linattn.attention, "_feature_heads", fail)
+        monkeypatch.setattr(linattn.attention, "OVERLAP_MIN_ELEMENTS", 0)
+        threads = threading.active_count(), os_threads()
+        with T.no_grad(), pytest.raises(FloatingPointError, match=side):
+            self.run(cfg, params, x)
+        self.assert_threads_back(threads)
