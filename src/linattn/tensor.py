@@ -21,8 +21,9 @@ Graphs are recorded on one thread. ``_node_of`` gives a trainable tensor
 its leaf node lazily, on its first use in a graph, so two threads recording
 over a shared parameter could each make one, and ``backward`` would keep
 only one of their gradients, without an error. The package's worker threads
-record nothing: they draw dropout numbers, or build a layer's query
-features while ``no_grad`` is on (see ``attention``).
+record nothing: they draw dropout numbers, or, while ``no_grad`` is on,
+build a layer's query features (see ``attention``) or run an encoder's
+layer norms and FFN on one half of its rows (see ``model``).
 
 Broadcasting follows numpy's trailing-dimension alignment; gradients of a
 broadcast operand are summed back over the expanded axes by ``_unbroadcast``,
@@ -64,8 +65,13 @@ _ERF32_P = np.array([-2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082
 _ERF32_Q = np.array([-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
                      -7.37332916720468e-03, -1.42647390514189e-02], dtype=np.float32)
 # Elements per block of gelu's passes: the block and the erf's scratch stay
-# in cache across the ~25 passes of the rational form.
-_ERF32_BLOCK = 1 << 15
+# in cache across the ~25 passes of the rational form. Each block costs ~30
+# small ufunc calls, each of which takes and hands back the GIL, so two
+# threads running gelu on row halves contend for it. On a 2-core x86-64 VM
+# the halves of a (7000, 128) gelu ran at 0.98-1.10 of serial time with
+# 2^15-element blocks and at 0.75-0.81 with 2^16, where the serial call also
+# went from 2.9-3.1 to 2.7-2.9 ms.
+_ERF32_BLOCK = 1 << 16
 
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3

@@ -2,7 +2,6 @@
 
 import math
 import threading
-import time
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +16,7 @@ from linattn.errors import ContractError, ShapeError
 from linattn.kernels import KernelSpec, drawer, init_kernel_params, kernel_stack_forward
 from linattn.model import ModelConfig, named_tensors
 from linattn.tensor import Tensor, backward, finite_difference_check
-from test_model import os_threads
+from test_model import assert_threads_back, os_threads
 
 ALL_VARIANT_DEPTHS = [(v, d) for v in ("linear_softplus", "glu", "oglu", "aoglu")
                       for d in (1, 2, 3)]
@@ -378,17 +377,6 @@ class TestFeatureOverlap:
 
         monkeypatch.setattr(linattn.attention, "ThreadPoolExecutor", refuse)
 
-    @staticmethod
-    def assert_threads_back(threads):
-        """The thread counts are back at ``threads``. A joined thread leaves
-        ``threading`` at once, but its OS thread can still be exiting, so the
-        OS count gets up to a second to settle."""
-        assert threading.active_count() == threads[0]
-        deadline = time.monotonic() + 1.0
-        while os_threads() != threads[1] and time.monotonic() < deadline:
-            time.sleep(1e-3)
-        assert os_threads() == threads[1]
-
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("kind", ["kernel_linear", "kernel_quadratic"])
     def test_overlap_keeps_every_bit(self, monkeypatch, kind, dtype):
@@ -403,7 +391,7 @@ class TestFeatureOverlap:
             caller = threading.current_thread()
             assert (seen[id(params.w_q)] is caller) == bool(floor)
             assert seen[id(params.w_k)] is caller
-        self.assert_threads_back(threads)
+        assert_threads_back(threads)
         assert out[0].dtype == dtype
         np.testing.assert_array_equal(out[0], out[1 << 62])
 
@@ -443,4 +431,4 @@ class TestFeatureOverlap:
         threads = threading.active_count(), os_threads()
         with T.no_grad(), pytest.raises(FloatingPointError, match=side):
             self.run(cfg, params, x)
-        self.assert_threads_back(threads)
+        assert_threads_back(threads)

@@ -5,6 +5,7 @@ import json
 import os
 import struct
 import threading
+import time
 import zlib
 from dataclasses import asdict
 from pathlib import Path
@@ -217,6 +218,18 @@ def os_threads():
     return len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
 
 
+def assert_threads_back(threads):
+    """The thread counts are back at ``threads``, as read by
+    ``threading.active_count()`` and ``os_threads()``. A joined thread leaves
+    ``threading`` at once, but its OS thread can still be exiting, so the OS
+    count gets up to a second to settle."""
+    assert threading.active_count() == threads[0]
+    deadline = time.monotonic() + 1.0
+    while os_threads() != threads[1] and time.monotonic() < deadline:
+        time.sleep(1e-3)
+    assert os_threads() == threads[1]
+
+
 class TestDropoutStream:
     """Dropout draws each site at the padded shape on a worker thread: every
     scale and the stream's final state match ``reference_scales``. These run
@@ -329,6 +342,114 @@ class TestDropoutStream:
         forward_classify(build_model(small_config(dropout_rate=0.1), seed=16), tokens, mask)
         forward_classify(build_model(small_config(), seed=16), tokens, mask,
                          rng=np.random.default_rng(8))
+
+
+class TestRowSplit:
+    """Without a graph or an ``rng`` and at ``OVERLAP_MIN_ELEMENTS`` packed
+    elements, ``encode`` runs its layer norms and FFN sub-blocks on two row
+    halves cut at a multiple of 64: the same bits as one thread, a worker
+    joined on every exit, and one thread otherwise. These run in CI at the
+    NumPy floor too, whose BLAS must keep the bits at the cut as well."""
+
+    # Sequence lengths by packed row count N: N mod 64 is 0, 1, 2 and 3
+    # (cut 128, 128, 64 and 192), and at N = 127 the cut is 0.
+    LENGTHS = {256: [100, 96, 60], 321: [128, 128, 65], 194: [120, 74],
+               387: [128, 3, 128, 128], 127: [64, 63]}
+
+    @staticmethod
+    def model(head, dtype, rate=0.1):
+        cfg = ModelConfig(vocab_size=16, d_model=64, n_heads=4, n_layers=2, ffn_dim=128,
+                          max_len=128, classes=2 if head == "match" else 3,
+                          kernel=KernelSpec("oglu", 1), dropout_rate=rate, head=head)
+        return build_model(cfg, seed=31, dtype=dtype)
+
+    @classmethod
+    def batch(cls, rows, seed):
+        lengths = np.array(cls.LENGTHS[rows])
+        mask = np.arange(lengths.max()) < lengths[:, None]
+        return np.where(mask, np.random.default_rng(seed).integers(1, 16, mask.shape), 0), mask
+
+    @staticmethod
+    def sub_block_rows(monkeypatch):
+        """Record whether each row-wise sub-block ran on the caller, and on how many rows."""
+        seen, caller = set(), threading.current_thread()
+        for name in ("_layer_norm", "_ffn_residual"):
+            def spy(self, x, *args, original=getattr(linattn.model.Model, name)):
+                seen.add((threading.current_thread() is caller, x.shape[0]))
+                return original(self, x, *args)
+
+            monkeypatch.setattr(linattn.model.Model, name, spy)
+        return seen
+
+    @staticmethod
+    def refuse_workers(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a row worker started")
+
+        monkeypatch.setattr(linattn.model, "ThreadPoolExecutor", refuse)
+
+    @pytest.mark.parametrize("rows", sorted(LENGTHS))
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("head", ["classify", "match"])
+    def test_halves_keep_every_bit(self, monkeypatch, head, dtype, rows):
+        model = self.model(head, dtype)
+        sides = [self.batch(rows, seed) for seed in (1, 2)]
+        seen = self.sub_block_rows(monkeypatch)
+        threads = threading.active_count(), os_threads()
+        out = {}
+        for floor in (0, 1 << 62):
+            monkeypatch.setattr(linattn.attention, "OVERLAP_MIN_ELEMENTS", floor)
+            seen.clear()
+            with T.no_grad():
+                pooled = [model.encode(*side).data for side in sides]
+                logits = (forward_classify(model, *sides[0]) if head == "classify"
+                          else forward_match(model, *sides[0], *sides[1])).data
+            out[floor] = pooled + [logits]
+            cut = rows // 2 // 64 * 64 if floor == 0 else 0
+            assert seen == ({(False, cut), (True, rows - cut)} if cut else {(True, rows)})
+        assert_threads_back(threads)
+        assert out[0][0].dtype == dtype
+        for split, whole in zip(out[0], out[1 << 62], strict=True):
+            np.testing.assert_array_equal(split, whole)
+
+    def test_worker_runs_at_the_floor(self, monkeypatch):
+        model = self.model("classify", np.float32)
+        tokens, mask = self.batch(256, 1)
+        seen = self.sub_block_rows(monkeypatch)
+        monkeypatch.setattr(linattn.attention, "OVERLAP_MIN_ELEMENTS", 256 * 64)
+        with T.no_grad():
+            model.encode(tokens, mask)
+        assert seen == {(False, 128), (True, 128)}
+
+    @pytest.mark.parametrize("case", ["graph", "rng", "below the floor"])
+    def test_no_worker(self, monkeypatch, case):
+        model = self.model("classify", np.float32, rate=0.0)
+        tokens, mask = self.batch(256, 1)
+        floor = 256 * 64 + 1 if case == "below the floor" else 0
+        monkeypatch.setattr(linattn.attention, "OVERLAP_MIN_ELEMENTS", floor)
+        self.refuse_workers(monkeypatch)
+        rng = np.random.default_rng(0) if case == "rng" else None
+        with contextlib.nullcontext() if case == "graph" else T.no_grad():
+            pooled = model.encode(tokens, mask, rng=rng)
+        assert pooled.requires_grad == (case == "graph")
+
+    @pytest.mark.parametrize("half", ["worker", "caller"])
+    def test_a_raising_half_reaches_the_caller_and_joins(self, monkeypatch, half):
+        model = self.model("classify", np.float32)
+        tokens, mask = self.batch(256, 1)
+        caller, ffn_residual = threading.current_thread(), linattn.model.Model._ffn_residual
+
+        def fail(self, h, *args):
+            if (threading.current_thread() is caller) == (half == "caller"):
+                raise FloatingPointError(half)
+            return ffn_residual(self, h, *args)
+
+        monkeypatch.setattr(linattn.model.Model, "_ffn_residual", fail)
+        monkeypatch.setattr(linattn.attention, "OVERLAP_MIN_ELEMENTS", 0)
+        threads = threading.active_count(), os_threads()
+        with T.no_grad(), pytest.raises(FloatingPointError, match=half):
+            model.encode(tokens, mask)
+        assert_threads_back(threads)
 
 
 class TestForwardMatch:

@@ -748,8 +748,9 @@ class TestScipyOracles:
         assert np.isnan(special[0]) and special[1] == 1.0 and special[2] == -1.0
 
     def test_float32_gelu_bit_identical_to_unblocked_formula(self):
-        # (7000, 128) spans 28 erf blocks, the last one partial.
+        # The FFN inner of a long-eval batch: whole erf blocks and a partial last one.
         x = (np.random.default_rng(24).standard_normal((7000, 128)) * 3).astype(np.float32)
+        assert x.size > T._ERF32_BLOCK and x.size % T._ERF32_BLOCK
         cdf = np.multiply(x, 1.0 / math.sqrt(2.0))
         T._erf32(cdf.reshape(-1), *[np.empty(x.size, np.float32) for _ in range(3)])
         cdf += 1.0
@@ -773,10 +774,13 @@ class TestScipyOracles:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("view", ["transposed", "strided"])
     def test_gelu_of_a_view_equals_gelu_of_its_copy(self, dtype, view):
-        # Larger than one erf block, so every block is written back.
-        base = (np.random.default_rng(21).standard_normal((300, 258)) * 3).astype(dtype)
+        # Larger than one erf block, with a partial last one, so every block
+        # is written back.
+        rows = T._ERF32_BLOCK // 100
+        base = (np.random.default_rng(21).standard_normal((rows, 258)) * 3).astype(dtype)
         x = base.T if view == "transposed" else base[:, ::2]
         assert not x.flags.c_contiguous
+        assert x.size > T._ERF32_BLOCK and x.size % T._ERF32_BLOCK
         dense = np.ascontiguousarray(x)
         tx, td = Tensor(x, requires_grad=True), Tensor(dense, requires_grad=True)
         yx, yd = T.gelu(tx), T.gelu(td)
