@@ -23,7 +23,10 @@ over a shared parameter could each make one, and ``backward`` would keep
 only one of their gradients, without an error. The package's worker threads
 record nothing: they draw dropout numbers, or, while ``no_grad`` is on,
 build a layer's query features (see ``attention``) or run an encoder's
-layer norms and FFN on one half of its rows (see ``model``).
+layer norms and FFN on one half of its rows (see ``model``), or run one
+micro-batch's ``backward`` while the caller records the next (see
+``training``). ``backward`` makes no node and toggles no ``no_grad``: it
+reads the nodes, leaves included, that the recording thread made.
 
 Broadcasting follows numpy's trailing-dimension alignment; gradients of a
 broadcast operand are summed back over the expanded axes by ``_unbroadcast``,
@@ -47,7 +50,6 @@ from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import ContractError, GraphError, ShapeError
 
@@ -406,16 +408,23 @@ def sigmoid(x) -> Tensor:
 def gelu(x) -> Tensor:
     """Exact Gaussian error linear unit, 0.5 x (1 + erf(x / sqrt 2)).
 
-    float32 uses ``_erf32``, float64 ``scipy.special.erf``. Every pass runs
-    on one ``_ERF32_BLOCK``-element block at a time, while it is in cache;
-    each is elementwise, so the result equals the unblocked formula.
+    float32 uses ``_erf32``, float64 ``scipy.special.erf``, imported on its
+    first call (the import costs about 22 MB of RSS that no float32 path
+    needs). Every pass runs on one ``_ERF32_BLOCK``-element block at a time,
+    while it is in cache; each is elementwise, so the result equals the
+    unblocked formula. While a graph is recorded, each block then turns its
+    ``cdf`` into the derivative ``cdf + x e^(-x^2/2) / sqrt(2 pi)``, rounded
+    step for step as that expression, so the VJP keeps that one array and
+    neither ``x`` nor ``cdf``.
     """
     x = _as_tensor(x)
     flat = x.data.reshape(-1)  # a copy only for a non-contiguous x
     cdf = np.empty_like(flat)
     out = np.empty_like(flat)
-    if x.dtype == np.float32:
-        scratch = [np.empty(min(flat.size, _ERF32_BLOCK), np.float32) for _ in range(3)]
+    record = _GRAD_ENABLED and x.requires_grad
+    scratch = [np.empty(min(flat.size, _ERF32_BLOCK), flat.dtype) for _ in range(3)]
+    if x.dtype != np.float32:
+        from scipy.special import erf
     for start in range(0, flat.size, _ERF32_BLOCK):
         s = slice(start, start + _ERF32_BLOCK)
         c = np.multiply(flat[s], _INV_SQRT2, out=cdf[s])
@@ -426,23 +435,20 @@ def gelu(x) -> Tensor:
         c += 1.0
         c *= 0.5
         np.multiply(flat[s], c, out=out[s])
-    cdf = cdf.reshape(x.shape)
-    out = out.reshape(x.shape)
-    xd = x.data
+        if record:
+            d = np.multiply(-0.5, flat[s], out=scratch[0][:c.size])
+            d *= flat[s]
+            np.exp(d, out=d)
+            d *= _INV_SQRT2PI
+            d *= flat[s]
+            c += d
+    deriv = cdf.reshape(x.shape)
 
     def vjp(g):
-        # g (cdf + x e^(-x^2/2) / sqrt(2 pi)) in place, rounded step for step
-        # as that expression, so float64 stays bit-identical to it.
-        d = np.multiply(-0.5, xd, out=np.empty_like(xd))
-        d *= xd
-        np.exp(d, out=d)
-        d *= _INV_SQRT2PI
-        d *= xd
-        d += cdf
-        d *= g
-        return (d,)
+        # A graph runs each VJP once, so the derivative takes g in place.
+        return (np.multiply(deriv, g, out=deriv),)
 
-    return _make(out, (x,), vjp)
+    return _make(out.reshape(x.shape), (x,), vjp)
 
 
 def square(x) -> Tensor:

@@ -331,7 +331,7 @@ class TestDropoutStream:
         stream = iter([Batch(tokens, mask, np.arange(4) % 3)] * 2)
         threads = threading.active_count(), os_threads()
         linattn.training._accumulated_step(model, params, stream, 2, np.random.default_rng(7))
-        assert (threading.active_count(), os_threads()) == threads
+        assert_threads_back(threads)
 
     def test_no_thread_without_dropout(self, monkeypatch):
         def refuse(*args, **kwargs):

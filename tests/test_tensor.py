@@ -914,7 +914,9 @@ KEPT = {
                        {"b"}),
     "square": (lambda: {"x": trainable((2, 3))}, T.square, {"x"}),
     "abs": (lambda: {"x": trainable((2, 3))}, T.abs, {"x"}),
-    "gelu": (lambda: {"x": trainable((2, 3))}, T.gelu, {"x"}),
+    # gelu keeps its derivative, computed in the forward pass, instead of x
+    # (TestTapeContract checks that backward releases it).
+    "gelu": (lambda: {"x": trainable((2, 3))}, T.gelu, set()),
     "sigmoid": (lambda: {"x": trainable((2, 3))}, T.sigmoid, {"out"}),
     "softplus": (lambda: {"x": trainable((2, 3))}, T.softplus, {"out"}),
     "sqrt": (lambda: {"x": trainable((2, 3))}, T.sqrt, {"out"}),
@@ -958,6 +960,19 @@ class TestTapeContract:
         assert {name for name, ref in arrays.items() if ref() is not None} == kept
         backward(loss)
         assert [name for name, ref in arrays.items() if ref() is not None] == []
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gelu_keeps_one_derivative_array_until_backward(self, dtype):
+        x = T.add(Tensor(np.linspace(-3.0, 3.0, 6, dtype=dtype).reshape(2, 3),
+                         requires_grad=True), 0.0)
+        out = T.gelu(x)
+        kept = [cell.cell_contents for cell in out._node.vjp.__closure__
+                if isinstance(cell.cell_contents, np.ndarray)]
+        assert [(a.shape, a.dtype) for a in kept] == [(x.shape, dtype)]
+        derivative = weakref.ref(kept[0])
+        del kept
+        backward(T.sum(out))
+        assert derivative() is None
 
     def test_forward_tape_holds_under_half_of_what_the_ops_made(self, monkeypatch):
         # One f32 configs/listops.cfg micro-batch, with dropout: the bytes still

@@ -2,21 +2,29 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+import threading
+import time
+from concurrent.futures import Future
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import linattn.tensor as T
 import linattn.training
 from linattn.config import (OptimizerConfig, ScheduleConfig, TaskSpec, TrainConfig,
                             parse_config_file)
-from linattn.data import gen_matching, gen_text_classification
+from linattn.data import Batch, gen_matching, gen_text_classification
 from linattn.errors import ConfigError
 from linattn.kernels import KernelSpec
 from linattn.model import ModelConfig, build_model
 from linattn.tensor import Tensor
 from linattn.training import Adam, VARIANCE_FLAG_STD, evaluate, lr_at, run_seeds, train
+from test_model import assert_threads_back, os_threads
 
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
@@ -81,6 +89,199 @@ class TestAccumulationEquivalence:
         r2 = train(tiny_config(micro=24, accum=1, steps=2), seed=1, dtype=np.float64)
         for a, b in zip(r1.records, r2.records):
             assert a.train_loss == pytest.approx(b.train_loss, abs=1e-12)
+
+
+class InlineExecutor:
+    """A ``ThreadPoolExecutor`` stand-in that runs each task as it is
+    submitted, on the caller: the serial reference of a step."""
+
+    def __init__(self, *args, **kwargs):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+class TestPipelinedAccumulation:
+    """With k > 1 micro-batches, each reverse pass but the last runs on a
+    worker thread while the caller records the next forward pass: the same
+    bits and dropout stream as a serial step, graphs made on the caller
+    alone, reverse passes in micro-batch order, and a worker joined on every
+    exit. These run in CI at the NumPy floor too."""
+
+    @staticmethod
+    def step(k, dtype=np.float32, seed=5):
+        """One accumulated step over ``k`` distinct ragged micro-batches,
+        with dropout; returns its result and the dropout rng."""
+        cfg = tiny_config(accum=k).model
+        cfg.dropout_rate = 0.1
+        model = build_model(cfg, seed=seed, dtype=dtype)
+        draw = np.random.default_rng(seed)
+        batches = []
+        for _ in range(k):
+            mask = np.arange(20) < draw.integers(3, 21, size=(4, 1))
+            tokens = np.where(mask, draw.integers(1, cfg.vocab_size, mask.shape), 0)
+            batches.append(Batch(tokens, mask, draw.integers(0, cfg.classes, 4)))
+        rng = np.random.default_rng(seed + 1)
+        stepped = linattn.training._accumulated_step(
+            model, model.named_parameters(), iter(batches), k, rng)
+        return stepped, rng
+
+    @staticmethod
+    def slow_reverse(monkeypatch, fail_at=None):
+        """Log each reverse pass's start and end and its thread; a pass on a
+        worker first sleeps, so that it is still running while the caller
+        goes on. Pass number ``fail_at`` raises instead."""
+        events, caller, backward = [], threading.current_thread(), linattn.training.backward
+
+        def logged(loss, params):
+            n = sum(e[0] == "start" for e in events)
+            events.append(("start", n, threading.current_thread() is caller))
+            if threading.current_thread() is not caller:
+                time.sleep(0.05)
+            if n == fail_at:
+                raise FloatingPointError(f"reverse pass {n}")
+            grads = backward(loss, params=params)
+            events.append(("end", n, threading.current_thread() is caller))
+            return grads
+
+        monkeypatch.setattr(linattn.training, "backward", logged)
+        return events
+
+    @staticmethod
+    def forward_at(monkeypatch, n, make):
+        """Micro-batch ``n``'s forward pass returns ``make(loss, task_loss)``."""
+        calls, forward = [], linattn.training._forward_loss
+
+        def patched(model, batch, rng):
+            calls.append(None)
+            out = forward(model, batch, rng)
+            return make(*out) if len(calls) == n else out
+
+        monkeypatch.setattr(linattn.training, "_forward_loss", patched)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_same_bits_and_stream_as_a_serial_step(self, monkeypatch, k, dtype):
+        # A short switch interval makes the two threads interleave finely.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            (loss, task, grads), rng = self.step(k, dtype)
+        finally:
+            sys.setswitchinterval(interval)
+        monkeypatch.setattr(linattn.training, "ThreadPoolExecutor", InlineExecutor)
+        (want_loss, want_task, want_grads), want_rng = self.step(k, dtype)
+        assert (loss, task) == (want_loss, want_task)
+        assert list(grads) == list(want_grads)
+        for name, g in grads.items():
+            assert g.dtype == dtype and g.tobytes() == want_grads[name].tobytes(), name
+        assert rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_every_node_is_made_on_the_caller(self, monkeypatch):
+        threads = []
+
+        class SpyNode(T._Node):
+            def __init__(self, *args, **kwargs):
+                threads.append(threading.current_thread())
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(T, "_Node", SpyNode)
+        self.slow_reverse(monkeypatch)
+        assert self.step(3) is not None
+        assert threads and set(threads) == {threading.current_thread()}
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_reverse_passes_run_in_order_and_the_last_on_the_caller(self, monkeypatch, k):
+        events = self.slow_reverse(monkeypatch)
+        self.step(k)
+        want = [(e, n, n == k - 1) for n in range(k) for e in ("start", "end")]
+        assert events == want
+
+    def test_worker_joined_after_a_step(self, monkeypatch):
+        self.slow_reverse(monkeypatch)
+        threads = threading.active_count(), os_threads()
+        assert self.step(2)[0] is not None
+        assert_threads_back(threads)
+
+    def test_non_finite_second_loss_returns_none_and_joins(self, monkeypatch):
+        events = self.slow_reverse(monkeypatch)
+        self.forward_at(monkeypatch, 2, lambda loss, task: (T.add(loss, np.nan), task))
+        threads = threading.active_count(), os_threads()
+        assert self.step(2)[0] is None
+        assert_threads_back(threads)
+        assert events == [("start", 0, False), ("end", 0, False)]
+
+    def test_raising_second_forward_joins(self, monkeypatch):
+        self.slow_reverse(monkeypatch)
+
+        def fail(loss, task):
+            raise FloatingPointError("forward 2")
+
+        self.forward_at(monkeypatch, 2, fail)
+        threads = threading.active_count(), os_threads()
+        with pytest.raises(FloatingPointError, match="forward 2"):
+            self.step(2)
+        assert_threads_back(threads)
+
+    def test_raising_first_reverse_pass_reaches_the_caller(self, monkeypatch):
+        events = self.slow_reverse(monkeypatch, fail_at=0)
+        threads = threading.active_count(), os_threads()
+        with pytest.raises(FloatingPointError, match="reverse pass 0"):
+            self.step(2)
+        assert_threads_back(threads)
+        assert events == [("start", 0, False)]
+
+    def test_one_micro_batch_starts_no_thread(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a reverse-pass worker started")
+
+        monkeypatch.setattr(linattn.training, "ThreadPoolExecutor", refuse)
+        threads = threading.active_count(), os_threads()
+        assert self.step(1)[0] is not None
+        assert_threads_back(threads)
+
+
+# A float32 train step and an evaluation, through the CLI module's imports,
+# leave scipy.special unloaded: it costs about 24 MB of RSS and only float64
+# gelu calls it.
+SCIPY_PROBE = """
+import sys
+import numpy as np
+import linattn.cli
+from linattn.config import OptimizerConfig, ScheduleConfig, TaskSpec, TrainConfig
+from linattn.kernels import KernelSpec
+from linattn.model import ModelConfig
+from linattn.training import evaluate, train
+
+cfg = TrainConfig(
+    model=ModelConfig(vocab_size=24, d_model=16, n_heads=2, n_layers=1, ffn_dim=32,
+                      max_len=32, classes=2, kernel=KernelSpec(variant="linear_softplus", depth=2)),
+    task=TaskSpec(source="text_classification", count=16, eval_count=8, length=32,
+                  vocab_size=24, classes=2),
+    optimizer=OptimizerConfig(lr=1e-3), schedule=ScheduleConfig(warmup_steps=0, total_steps=1),
+    micro_batch=8, accumulation_steps=2, eval_every=0)
+result = train(cfg, seed=0, dtype=np.float32)
+evaluate(result.model, cfg.task.build()[1])
+print("scipy.special" in sys.modules)
+"""
+
+
+def test_float32_paths_leave_scipy_special_unloaded():
+    src = str(Path(linattn.training.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", SCIPY_PROBE], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.split() == ["False"]
 
 
 class TestEvaluate:
