@@ -17,6 +17,7 @@ evaluator's (..., L) key axis; masked positions contribute nothing.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -37,9 +38,13 @@ EPS = 1e-6
 
 # The fewest packed input elements (rows x d_model) at which a layer that
 # records no graph builds its query features on a worker thread while the
-# caller builds its key features. Overlapped over serial time of a layer of
-# width 64, 4 heads and oglu stacks, on a 2-core x86-64 VM with one BLAS
-# thread: 1.53 at 65k elements, 1.08 at 131k, 0.84 at 262k, 0.67 at 1M.
+# caller builds its key features, then runs the rest of the layer on two
+# sequence halves. Overlapped over serial time of a layer of width 64, 4
+# heads and oglu stacks, on a 2-core x86-64 VM with one BLAS thread, with
+# the feature overlap alone: 1.53 at 65k elements, 1.08 at 131k, 0.84 at
+# 262k, 0.67 at 1M. Adding the sequence halves took the perfbench
+# listops_long_eval step (about 7k rows of width 64 per layer, L <= 2048)
+# to 0.87-0.93 of its time with the feature overlap alone, at three seeds.
 # ``Model.encode`` splits its row-wise sub-blocks into two row halves at the
 # same floor. Split over serial time, on the same VM at width 64: a layer
 # norm 1.18-1.27 at 2048 rows, 0.86-0.87 at 4096 and 0.72-0.75 at 7000; the
@@ -166,19 +171,34 @@ def _merge_rows(x: Tensor, m: np.ndarray) -> Tensor:
     return T.reshape(rows, (rows.shape[0], -1))
 
 
-def _stack_head_features(rows: Tensor, kernels: list[list[dict[str, Tensor]]]) -> Tensor:
-    """Apply each head's feature-map stack to its column block of the packed
-    rows (N, h*n); returns (N, h*C)."""
+def _head_features(x: Tensor, w: Tensor, kernels: list[list[dict[str, Tensor]]]) -> Tensor:
+    """One side of a kernel layer: project the packed rows (N, d) by ``w``,
+    then apply each head's feature-map stack to its column block; returns
+    (N, h*C)."""
+    rows = T.matmul(x, w)
     n = rows.shape[-1] // len(kernels)
     return T.concat([kernel_stack_forward(T.getitem(rows, np.s_[:, i * n:(i + 1) * n]), kp)
                      for i, kp in enumerate(kernels)], axis=-1)
 
 
-def _feature_heads(x: Tensor, w: Tensor, kernels: list[list[dict[str, Tensor]]],
-                   m: np.ndarray) -> Tensor:
-    """One side of a kernel layer: project the packed rows, map each head's
-    block through its stack, and pad per head with features of 1."""
-    return _heads(_stack_head_features(T.matmul(x, w), kernels), len(kernels), m, fill=1.0)
+def _attend(q: Tensor, k: Tensor, x: Tensor, params: AttentionLayerParams, kind: str,
+            n_heads: int, m: np.ndarray) -> Tensor:
+    """The rest of a layer on the packed rows of mask ``m``: pad the query and
+    key rows per head (kernel features with 1, softmax logits' inputs with
+    0), project and pad the values of ``x``, run ``kind``'s evaluator, merge
+    the heads and project out. Each step works on each row or on each
+    (sequence, head) slice alone."""
+    fill = 0.0 if kind == "softmax" else 1.0
+    q, k = _heads(q, n_heads, m, fill), _heads(k, n_heads, m, fill)
+    v = _heads(T.matmul(x, params.w_v), n_heads, m)
+    m_heads = np.expand_dims(m, -2)  # broadcast over heads: (..., 1, L)
+    if kind == "softmax":
+        out = softmax_attention(q, k, v, m_heads)
+    elif kind == "kernel_linear":
+        out = kernel_attention_linear(q, k, v, m_heads, eps=EPS)
+    else:
+        out = kernel_attention_quadratic(q, k, v, m_heads, eps=EPS)
+    return T.matmul(_merge_rows(out, m), params.w_o)
 
 
 def multi_head_kernel_attention(x: Tensor, params: AttentionLayerParams,
@@ -204,39 +224,45 @@ def multi_head_kernel_attention(x: Tensor, params: AttentionLayerParams,
     of S and z.
 
     With no graph being recorded and at least ``OVERLAP_MIN_ELEMENTS``
-    elements in ``x``, the query side runs on a worker thread while the
-    caller runs the key side: the same ops on the same operands, so the
-    same bits. The worker is joined before the layer returns or raises, and
-    either side's error reaches the caller. A layer that records a graph
-    stays on one thread (see ``tensor``).
+    elements in ``x``, the layer runs on two threads. The query features are
+    built on a worker thread while the caller builds the key features. Then,
+    if the mask has a leading sequence axis of at least 2 entries, the batch
+    is cut at ``B // 2`` sequences: the worker runs the rest of the layer
+    (``_attend``) on the first half's rows while the caller runs it on the
+    second half's, and the two outputs are concatenated. S and z are formed
+    per sequence and head and the products treat each row alone, so the
+    halves give the bits of the whole; a cut that leaves one half a single
+    row is not made. The worker is joined before the layer returns or
+    raises, and either thread's error reaches the caller. A layer that
+    records a graph stays on one thread (see ``tensor``).
     """
     m = _rows_mask(x, mask, config.d_model)
     kind, n_heads = config.attention_kind, config.n_heads
     if kind not in ATTENTION_KINDS:
         raise ConfigError(f"attention_kind must be one of {ATTENTION_KINDS}, got {kind!r}")
-    if kind == "softmax":
-        q = _heads(T.matmul(x, params.w_q), n_heads, m)
-        k = _heads(T.matmul(x, params.w_k), n_heads, m)
-    else:
-        if len(params.head_kernels) != n_heads:
-            raise ConfigError(f"{kind} runs {n_heads} heads, but the layer holds "
-                              f"{len(params.head_kernels)} feature stacks")
-        kernels = params.head_kernels
-        if T._GRAD_ENABLED or x.data.size < OVERLAP_MIN_ELEMENTS:
-            q = _feature_heads(x, params.w_q, kernels, m)
-            k = _feature_heads(x, params.w_k, kernels, m)
+    kernels = params.head_kernels
+    if kind != "softmax" and len(kernels) != n_heads:
+        raise ConfigError(f"{kind} runs {n_heads} heads, but the layer holds "
+                          f"{len(kernels)} feature stacks")
+    overlap = not T._GRAD_ENABLED and x.data.size >= OVERLAP_MIN_ELEMENTS
+    with (ThreadPoolExecutor(1, thread_name_prefix="linattn-attention") if overlap
+          else nullcontext()) as worker:
+        if kind == "softmax":
+            q, k = T.matmul(x, params.w_q), T.matmul(x, params.w_k)
+        elif worker is None:
+            q, k = (_head_features(x, w, kernels) for w in (params.w_q, params.w_k))
         else:
-            with ThreadPoolExecutor(1, thread_name_prefix="linattn-queries") as worker:
-                q = worker.submit(_feature_heads, x, params.w_q, kernels, m)
-                k = _feature_heads(x, params.w_k, kernels, m)
-                q = q.result()
-    v = _heads(T.matmul(x, params.w_v), n_heads, m)
-
-    m_heads = np.expand_dims(m, -2)  # broadcast over heads: (..., 1, L)
-    if kind == "softmax":
-        heads_out = softmax_attention(q, k, v, m_heads)
-    elif kind == "kernel_linear":
-        heads_out = kernel_attention_linear(q, k, v, m_heads, eps=EPS)
-    elif kind == "kernel_quadratic":
-        heads_out = kernel_attention_quadratic(q, k, v, m_heads, eps=EPS)
-    return T.matmul(_merge_rows(heads_out, m), params.w_o)
+            q = worker.submit(_head_features, x, params.w_q, kernels)
+            k = _head_features(x, params.w_k, kernels)
+            q = q.result()
+        b2 = m.shape[0] // 2 if overlap and m.ndim >= 2 else 0
+        r = int(np.count_nonzero(m[:b2]))
+        # A half of one row would take numpy's matrix-vector product, whose
+        # bits differ from those of a row of the matrix product.
+        if not 1 < r < x.shape[0] - 1:
+            return _attend(q, k, x, params, kind, n_heads, m)
+        first = worker.submit(_attend, *(T.getitem(t, np.s_[:r]) for t in (q, k, x)),
+                              params, kind, n_heads, m[:b2])
+        rest = _attend(*(T.getitem(t, np.s_[r:]) for t in (q, k, x)),
+                       params, kind, n_heads, m[b2:])
+        return T.concat([first.result(), rest], axis=0)

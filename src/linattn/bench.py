@@ -18,7 +18,7 @@ import scipy
 from .errors import ConfigError
 from .kernels import KernelSpec
 from .model import ModelConfig, build_model, forward_classify
-from .tensor import MALLOC_POLICY, no_grad
+from .tensor import BLAS_THREAD_VARS, BLAS_THREADS, MALLOC_POLICY, no_grad
 
 BENCH_KINDS = ("kernel_linear", "softmax")
 WARMUP_PASSES = 2
@@ -29,7 +29,6 @@ MAX_REPEATS = 64  # the cap on doubling a repeat count below MIN_MEDIAN_MS, and 
 # The longest length timed: the softmax baseline's (1, N_HEADS, L, L) float32
 # scores take 256 MiB there.
 MAX_LENGTH = 4096
-THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass
@@ -66,8 +65,9 @@ def linear_attention_op_count(length: int, feat_dim: int, value_dim: int) -> int
 def bench_environment() -> dict:
     """What a timing depends on besides the code: library versions, the BLAS
     numpy was built against, usable CPUs, the thread-count variables
-    (``None`` when unset) and the allocator thresholds set at import
-    (``None`` when none were)."""
+    (``None`` when unset), the thread count its OpenBLAS ran at after
+    import (``None`` when unknown) and the allocator thresholds set at
+    import (``None`` when none were)."""
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count())
@@ -76,7 +76,8 @@ def bench_environment() -> dict:
         "scipy": scipy.__version__,
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
         "cpu_count": cpus,
-        "threads": {name: os.environ.get(name) for name in THREAD_VARS},
+        "threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARS},
+        "blas_threads": BLAS_THREADS,
         "malloc": MALLOC_POLICY,
     }
 

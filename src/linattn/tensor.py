@@ -22,8 +22,9 @@ its leaf node lazily, on its first use in a graph, so two threads recording
 over a shared parameter could each make one, and ``backward`` would keep
 only one of their gradients, without an error. The package's worker threads
 record nothing: they draw dropout numbers, or, while ``no_grad`` is on,
-build a layer's query features (see ``attention``) or run an encoder's
-layer norms and FFN on one half of its rows (see ``model``), or run one
+build a layer's query features and run the rest of the layer on one half
+of its sequences (see ``attention``) or run an encoder's layer norms and
+FFN on one half of its rows (see ``model``), or run one
 micro-batch's ``backward`` while the caller records the next (see
 ``training``). ``backward`` makes no node and toggles no ``no_grad``: it
 reads the nodes, leaves included, that the recording thread made.
@@ -37,7 +38,9 @@ per-feature vector against its trailing axis, a size-1 mask axis).
 On glibc, importing this module sets the allocator's mmap and trim
 thresholds and its arena count (see ``MALLOC_POLICY``), so the multi-MB
 temporaries every step allocates and frees reuse heap pages instead of
-faulting in fresh ones, on every thread.
+faulting in fresh ones, on every thread. Unless a BLAS thread-count
+variable is set, it also sets numpy's OpenBLAS to one thread (see
+``BLAS_THREADS``).
 """
 
 from __future__ import annotations
@@ -111,8 +114,9 @@ def _set_malloc_policy(libc) -> dict | None:
     the mmap threshold first and, only if glibc accepted it, the trim
     threshold. The cost is that resident memory stays at its high-water
     mark. Then ``ARENA_MAX`` caps the arenas at one, so a worker thread (the
-    encoder's dropout draws, a layer's query features) allocates from the
-    main heap and reuses its pages instead of growing an arena of its own.
+    encoder's dropout draws and row halves, a layer's query features and
+    first sequence half, a reverse pass) allocates from the main heap and
+    reuses its pages instead of growing an arena of its own.
     Returns the settings applied (``None`` for one glibc refused), or None
     when none was.
     """
@@ -128,6 +132,51 @@ def _set_malloc_policy(libc) -> dict | None:
 #: Allocator settings made at import (``None`` off glibc); ``linattn bench``
 #: records it in ``env.json``.
 MALLOC_POLICY = _set_malloc_policy(_glibc())
+
+#: The variables that fix a BLAS thread count; any one set wins over the default.
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+# Thread-count setters of the OpenBLAS builds that numpy wheels bundle
+# (scipy-openblas from NumPy 2, the 64-bit-integer OpenBLAS of NumPy 1.26)
+# and of a plain OpenBLAS; each has a getter named with "get" for "set".
+_OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                     "openblas_set_num_threads")
+
+
+def _set_blas_threads() -> int | None:
+    """Set the first OpenBLAS mapped into the process (numpy's, once numpy is
+    imported) to one thread, unless one of ``BLAS_THREAD_VARS`` is set, and
+    return the thread count it runs at. Returns None when no mapped library
+    exports a known setter (no OpenBLAS, or no ``/proc/self/maps``).
+
+    Every timing and byte record here is taken at one BLAS thread, and the
+    package's own worker threads would compete with OpenBLAS's for the
+    cores. ``os.environ`` is left as it is."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = dict.fromkeys(line.split(None, 5)[5].strip() for line in fh
+                                  if "openblas" in line.rsplit("/", 1)[-1])
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # e.g. a mapped file since deleted
+            continue
+        for name in _OPENBLAS_SETTERS:
+            if hasattr(lib, name):
+                setter, getter = getattr(lib, name), getattr(lib, name.replace("_set_", "_get_"))
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                if not any(os.environ.get(var) for var in BLAS_THREAD_VARS):
+                    setter(1)
+                return getter()
+    return None
+
+
+#: The thread count numpy's OpenBLAS runs at after import (``None`` when no
+#: OpenBLAS with a known setter is loaded); ``linattn bench`` records it in
+#: ``env.json``.
+BLAS_THREADS = _set_blas_threads()
 
 
 @contextmanager

@@ -344,30 +344,47 @@ class TestMultiHead:
 
 class TestFeatureOverlap:
     """Without a graph and at ``OVERLAP_MIN_ELEMENTS`` packed elements, the
-    query side runs on a worker thread: the same bits as the serial layer,
-    a worker joined on every exit, and one thread while a graph is recorded.
-    These run in CI at the NumPy floor too."""
+    query side runs on a worker thread, and then the rest of the layer runs
+    on two sequence halves, the first on the worker: the same bits as the
+    serial layer, a worker joined on every exit, and one thread while a
+    graph is recorded. These run in CI at the NumPy floor too."""
 
+    # Padded masks. "odd" holds an odd sequence count of uneven lengths; "3d"
+    # is cut on its first axis, into halves of 1 and 2 rows of 2 sequences.
     MASK = np.arange(11) < np.array([11, 6, 1, 9])[:, None]
+    MASKS = {"odd": np.arange(11) < np.array([7, 1, 4, 11, 2])[:, None],
+             "3d": np.arange(11) < np.array([[3, 8], [1, 5], [11, 2]])[..., None]}
 
-    def layer(self, kind, dtype, seed=21):
+    def layer(self, kind, dtype, seed=21, mask=MASK):
         cfg = replace(layer_config(KernelSpec("oglu", 2), 16, 2), attention_kind=kind)
-        x = np.random.default_rng(seed).standard_normal((int(self.MASK.sum()), 16))
+        x = np.random.default_rng(seed).standard_normal((int(mask.sum()), 16))
         return cfg, init_layer(cfg, seed, dtype=dtype), Tensor(x.astype(dtype))
 
-    def run(self, cfg, params, x):
-        return multi_head_kernel_attention(x, params, cfg, self.MASK)
+    def run(self, cfg, params, x, mask=MASK):
+        return multi_head_kernel_attention(x, params, cfg, mask)
 
     @staticmethod
     def side_threads(monkeypatch):
         """Record the thread each side's projection runs on, by weight id."""
-        seen, side = {}, linattn.attention._feature_heads
+        seen, side = {}, linattn.attention._head_features
 
-        def spy(x, w, kernels, m):
+        def spy(x, w, kernels):
             seen[id(w)] = threading.current_thread()
-            return side(x, w, kernels, m)
+            return side(x, w, kernels)
 
-        monkeypatch.setattr(linattn.attention, "_feature_heads", spy)
+        monkeypatch.setattr(linattn.attention, "_head_features", spy)
+        return seen
+
+    @staticmethod
+    def tail_calls(monkeypatch):
+        """Record each ``_attend`` call as (ran on the caller, its mask's shape)."""
+        seen, attend, caller = [], linattn.attention._attend, threading.current_thread()
+
+        def spy(q, k, x, params, kind, n_heads, m):
+            seen.append((threading.current_thread() is caller, m.shape))
+            return attend(q, k, x, params, kind, n_heads, m)
+
+        monkeypatch.setattr(linattn.attention, "_attend", spy)
         return seen
 
     @staticmethod
@@ -377,23 +394,63 @@ class TestFeatureOverlap:
 
         monkeypatch.setattr(linattn.attention, "ThreadPoolExecutor", refuse)
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("kind", ["kernel_linear", "kernel_quadratic"])
-    def test_overlap_keeps_every_bit(self, monkeypatch, kind, dtype):
-        cfg, params, x = self.layer(kind, dtype)
-        seen = self.side_threads(monkeypatch)
+    def serial_and_split(self, monkeypatch, cfg, params, x, mask):
+        """The layer's output with no worker and with every worker, and
+        the ``_attend`` calls of each."""
+        calls = self.tail_calls(monkeypatch)
         threads = threading.active_count(), os_threads()
-        out = {}
-        for floor in (0, 1 << 62):
+        out, seen = {}, {}
+        for floor in (1 << 62, 0):
             monkeypatch.setattr(linattn.attention, "OVERLAP_MIN_ELEMENTS", floor)
+            calls.clear()
             with T.no_grad():
-                out[floor] = self.run(cfg, params, x).data
-            caller = threading.current_thread()
-            assert (seen[id(params.w_q)] is caller) == bool(floor)
-            assert seen[id(params.w_k)] is caller
+                out[floor] = self.run(cfg, params, x, mask).data
+            seen[floor] = sorted(calls)
         assert_threads_back(threads)
-        assert out[0].dtype == dtype
         np.testing.assert_array_equal(out[0], out[1 << 62])
+        assert out[0].dtype == x.dtype
+        assert seen[1 << 62] == [(True, mask.shape)]
+        return seen[0]
+
+    def check_halves(self, monkeypatch, kind, dtype, mask):
+        """Both sides and both halves keep the serial bits; the worker builds
+        the query features and runs the first half."""
+        cfg, params, x = self.layer(kind, dtype, mask=mask)
+        sides = self.side_threads(monkeypatch)
+        half = mask.shape[0] // 2
+        split = self.serial_and_split(monkeypatch, cfg, params, x, mask)
+        assert split == [(False, (half,) + mask.shape[1:]),
+                         (True, (mask.shape[0] - half,) + mask.shape[1:])]
+        caller = threading.current_thread()
+        if kind == "softmax":
+            assert not sides
+        else:
+            assert sides[id(params.w_q)] is not caller
+            assert sides[id(params.w_k)] is caller
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", ["kernel_linear", "kernel_quadratic", "softmax"])
+    def test_overlap_keeps_every_bit(self, monkeypatch, kind, dtype):
+        self.check_halves(monkeypatch, kind, dtype, self.MASK)
+
+    @pytest.mark.parametrize("mask", ["odd", "3d"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", ["kernel_linear", "kernel_quadratic", "softmax"])
+    def test_uneven_halves_keep_every_bit(self, monkeypatch, kind, dtype, mask):
+        self.check_halves(monkeypatch, kind, dtype, self.MASKS[mask])
+
+    # A 1-d mask (its axis is positions), a one-sequence batch, and cuts
+    # that would leave the first or the second half a single row.
+    UNSPLIT = {"1d": np.arange(9) < 6, "one-sequence": np.arange(9)[None] < 7,
+               "one-row-first": np.arange(9) < np.array([1, 9])[:, None],
+               "one-row-last": np.arange(9) < np.array([9, 1])[:, None]}
+
+    @pytest.mark.parametrize("mask", sorted(UNSPLIT))
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_no_tail_split(self, monkeypatch, dtype, mask):
+        mask = self.UNSPLIT[mask]
+        cfg, params, x = self.layer("kernel_linear", dtype, mask=mask)
+        assert self.serial_and_split(monkeypatch, cfg, params, x, mask) == [(True, mask.shape)]
 
     def test_recorded_graph_stays_on_one_thread(self, monkeypatch):
         cfg, params, x = self.layer("kernel_linear", np.float64)
@@ -419,16 +476,33 @@ class TestFeatureOverlap:
     @pytest.mark.parametrize("side", ["w_q", "w_k"], ids=["query", "key"])
     def test_a_raising_side_reaches_the_caller_and_joins(self, monkeypatch, side):
         cfg, params, x = self.layer("kernel_linear", np.float32)
-        bad, feature_heads = getattr(params, side), linattn.attention._feature_heads
+        bad, head_features = getattr(params, side), linattn.attention._head_features
 
-        def fail(x, w, kernels, m):
+        def fail(x, w, kernels):
             if w is bad:
                 raise FloatingPointError(side)
-            return feature_heads(x, w, kernels, m)
+            return head_features(x, w, kernels)
 
-        monkeypatch.setattr(linattn.attention, "_feature_heads", fail)
+        monkeypatch.setattr(linattn.attention, "_head_features", fail)
         monkeypatch.setattr(linattn.attention, "OVERLAP_MIN_ELEMENTS", 0)
         threads = threading.active_count(), os_threads()
         with T.no_grad(), pytest.raises(FloatingPointError, match=side):
+            self.run(cfg, params, x)
+        assert_threads_back(threads)
+
+    @pytest.mark.parametrize("half", ["first", "second"])
+    def test_a_raising_half_reaches_the_caller_and_joins(self, monkeypatch, half):
+        cfg, params, x = self.layer("kernel_linear", np.float32)
+        attend, caller = linattn.attention._attend, threading.current_thread()
+
+        def fail(*args):
+            if (threading.current_thread() is caller) == (half == "second"):
+                raise FloatingPointError(half)
+            return attend(*args)
+
+        monkeypatch.setattr(linattn.attention, "_attend", fail)
+        monkeypatch.setattr(linattn.attention, "OVERLAP_MIN_ELEMENTS", 0)
+        threads = threading.active_count(), os_threads()
+        with T.no_grad(), pytest.raises(FloatingPointError, match=half):
             self.run(cfg, params, x)
         assert_threads_back(threads)

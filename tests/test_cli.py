@@ -27,7 +27,7 @@ from linattn.errors import ConfigError
 from linattn.kernels import KernelSpec, check_fields
 from linattn.model import (ModelConfig, build_model, count_params, load_checkpoint,
                            save_checkpoint)
-from linattn.tensor import MALLOC_POLICY
+from linattn.tensor import BLAS_THREAD_VARS, BLAS_THREADS, MALLOC_POLICY
 from linattn.training import evaluate
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -627,10 +627,9 @@ class TestTrainCommand:
         assert main(["train", "--config", str(cfg), "--out-dir", str(out)]) == 0
         assert len((out / "metrics.jsonl").read_text().splitlines()) == 3
 
-    def test_same_blas_thread_count_repeats_bit_for_bit(self, tmp_path):
-        """The determinism contract: same config, seed, precision and BLAS
-        thread count give the same checkpoint bytes and metrics, apart from
-        timing fields."""
+    @staticmethod
+    def listops_3(tmp_path):
+        """``listops.cfg`` shrunk to 3 steps on 64 sequences."""
         shrunk = {"count": "64", "eval_count": "32", "warmup_steps": "1", "total_steps": "3"}
         lines = (CONFIGS / "listops.cfg").read_text().splitlines()
         for i, line in enumerate(lines):
@@ -639,23 +638,63 @@ class TestTrainCommand:
                 lines[i] = f"{key} = {shrunk[key]}"
         cfg = tmp_path / "listops_3.cfg"
         cfg.write_text("\n".join(lines) + "\n")
-        env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
-                   MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
-                       p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
-        runs = []
-        for name in ("a", "b"):
-            out = tmp_path / name
-            done = subprocess.run([sys.executable, "-m", "linattn.cli", "train", "--config",
-                                   str(cfg), "--out-dir", str(out)],
-                                  env=env, capture_output=True, text=True, timeout=300)
-            assert done.returncode == 0, done.stderr[-2000:]
-            records = [json.loads(line)
-                       for line in (out / "metrics.jsonl").read_text().splitlines()]
-            for rec in records:
-                del rec["wall_time_ms"]
-            runs.append(((out / "checkpoint.bin").read_bytes(), records))
+        return cfg
+
+    @staticmethod
+    def subprocess_env(**threads):
+        """This environment with the source on the path and the BLAS thread
+        variables set to ``threads`` (unset where not named)."""
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+        return dict(env, **threads)
+
+    @staticmethod
+    def train_in_subprocess(cfg, out, env):
+        """The checkpoint bytes and the metrics, timing fields dropped, of
+        ``linattn train`` run in a subprocess."""
+        done = subprocess.run([sys.executable, "-m", "linattn.cli", "train", "--config",
+                               str(cfg), "--out-dir", str(out)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr[-2000:]
+        records = [json.loads(line) for line in (out / "metrics.jsonl").read_text().splitlines()]
+        for rec in records:
+            del rec["wall_time_ms"]
+        return (out / "checkpoint.bin").read_bytes(), records
+
+    def test_same_blas_thread_count_repeats_bit_for_bit(self, tmp_path):
+        """The determinism contract: same config, seed, precision and BLAS
+        thread count give the same checkpoint bytes and metrics, apart from
+        timing fields."""
+        cfg = self.listops_3(tmp_path)
+        env = self.subprocess_env(**dict.fromkeys(BLAS_THREAD_VARS, "1"))
+        runs = [self.train_in_subprocess(cfg, tmp_path / name, env) for name in ("a", "b")]
         assert len(runs[0][1]) == 3
         assert runs[0] == runs[1]
+
+    def test_unset_thread_variables_run_one_blas_thread(self, tmp_path):
+        """With no thread variable set, OpenBLAS runs at one thread: the run
+        writes the bytes of a run with all three set to 1, and records it."""
+        cfg = self.listops_3(tmp_path)
+        one = self.train_in_subprocess(
+            cfg, tmp_path / "one", self.subprocess_env(**dict.fromkeys(BLAS_THREAD_VARS, "1")))
+        unset = self.train_in_subprocess(cfg, tmp_path / "unset", self.subprocess_env())
+        assert unset == one
+        env = json.loads((tmp_path / "unset" / "env.json").read_text())
+        assert env["threads"] == dict.fromkeys(BLAS_THREAD_VARS)
+        assert env["blas_threads"] == (None if BLAS_THREADS is None else 1)
+
+    def test_explicit_thread_variable_wins(self):
+        if BLAS_THREADS is None:
+            pytest.skip("numpy's BLAS is no OpenBLAS with a known thread-count getter")
+        if len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("OpenBLAS runs at most one thread per usable CPU")
+        done = subprocess.run([sys.executable, "-c",
+                               "import linattn.tensor as T; print(T.BLAS_THREADS)"],
+                              env=self.subprocess_env(OPENBLAS_NUM_THREADS="2"),
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr[-2000:]
+        assert done.stdout.strip() == "2"
 
     def test_precision_flag(self, fast_cfg, tmp_path):
         out = tmp_path / "run64"
@@ -857,6 +896,7 @@ class TestBenchCommand:
         assert env["threads"]["OMP_NUM_THREADS"] == "1"
         assert env["threads"]["MKL_NUM_THREADS"] is None
         assert "OPENBLAS_NUM_THREADS" in env["threads"]
+        assert env["blas_threads"] == BLAS_THREADS
         assert env["malloc"] == MALLOC_POLICY
 
     def test_too_few_lengths(self, tmp_path, capsys):
