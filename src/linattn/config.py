@@ -12,8 +12,9 @@ import configparser
 import re
 from dataclasses import dataclass, field, fields
 
-from .data import (LISTOPS_SYMBOLS, MAX_LISTOPS_DEPTH, N_MOTIFS, Dataset, gen_listops,
-                   gen_matching, gen_text_classification, load_tsv_dataset, motif_layout)
+from .data import (LISTOPS_SYMBOLS, MAX_LISTOPS_DEPTH, MAX_TOKENS, N_MOTIFS, Dataset,
+                   gen_listops, gen_matching, gen_text_classification, load_tsv_dataset,
+                   motif_layout)
 from .errors import ConfigError, DataError
 from .kernels import KernelSpec, at_least, check_fields, one_of, ruled
 from .model import ModelConfig
@@ -75,6 +76,15 @@ class TaskSpec:
         check_fields(self)
         if self.source in ("text_classification", "matching"):
             motif_layout(self.vocab_size, N_MOTIFS if self.source == "matching" else self.classes)
+        if self.source != "tsv":
+            sides = 2 if self.source == "matching" else 1
+            for key in ("count", "eval_count"):
+                tokens = sides * getattr(self, key) * self.length
+                if tokens > MAX_TOKENS:
+                    raise ConfigError(
+                        f"task.{key} = {getattr(self, key)} sequences of task.length = "
+                        f"{self.length}{' on both sides of a pair' if sides == 2 else ''} "
+                        f"make {tokens} tokens, more than the {MAX_TOKENS} allowed")
 
     def build(self) -> tuple[Dataset, Dataset]:
         """Materialize (train, eval) datasets."""

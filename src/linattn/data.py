@@ -14,9 +14,10 @@ Three desk-scale sequence tasks:
 
 Token id 0 is reserved for padding and never emitted by a generator. Every
 generator is seeded explicitly, so a given (seed, arguments) pair
-reproduces the dataset byte for byte. ListOps decodes its draws from the
-raw PCG64 stream (``_PCG64Draws``), whose output NumPy keeps fixed across
-releases; the motif tasks draw whole arrays through ``Generator`` methods.
+reproduces the dataset byte for byte. Every generator decodes its draws
+from the raw PCG64 stream, whose output NumPy keeps fixed across releases:
+ListOps one draw at a time (``_PCG64Draws``), the motif tasks a block of
+examples at a time (``_PCG64BlockDraws``).
 """
 
 from __future__ import annotations
@@ -45,6 +46,11 @@ LISTOPS_RECURSE_PROB = 0.55
 # ``eval_listops_tokens`` recurse once per level, well under Python's
 # 1000-frame limit.
 MAX_LISTOPS_DEPTH = 256
+
+# The most tokens a generated split may hold (``count * length``, both
+# sides of a matching pair counted): ``TaskSpec.validate`` refuses a larger
+# one before anything is drawn or allocated.
+MAX_TOKENS = 10**8
 
 # Motif shape: every motif is a MOTIF_LEN-gram; matching draws from N_MOTIFS.
 MOTIF_LEN = 3
@@ -163,6 +169,57 @@ class _PCG64Draws:
         return (self._word() >> 11) * 2.0 ** -53
 
 
+# uint64 operands keep the decoder's arithmetic in uint64 under every NumPy's casting rules.
+_LOW32, _TWO32, _THIRTY_TWO = np.uint64(0xFFFFFFFF), np.uint64(2**32), np.uint64(32)
+
+
+class _PCG64BlockDraws:
+    """The draws of ``Generator.integers(0, n)`` for a whole array of
+    ranges ``n``, decoded with NumPy arrays from ``bitgen.random_raw``.
+
+    The rule is ``_PCG64Draws.integers``'s, applied to every slot at once:
+    32-bit draws (a pending high half left in ``bitgen.state`` first, then
+    each word's low half and its high half) mapped by 32-bit Lemire, where
+    a rejected draw passes its slot to the next draw. Rejections are rare
+    at the ranges the motif tasks use (fewer than n in 2**32 draws), so
+    each one re-decodes the rest of the array.
+    """
+
+    def __init__(self, bitgen: np.random.PCG64):
+        self._bitgen = bitgen
+        state = bitgen.state
+        self._pending = [state["uinteger"]] if state["has_uint32"] else []
+
+    def _uint32(self, k: int) -> np.ndarray:
+        """The next ``k`` 32-bit draws, widened to uint64."""
+        head = self._pending
+        words = self._bitgen.random_raw((k - len(head) + 1) // 2)
+        out = np.empty(len(head) + 2 * words.size, dtype=np.uint64)
+        out[:len(head)] = head
+        out[len(head):] = words.astype("<u8", copy=False).view("<u4")  # low half, then high
+        self._pending = out[k:].tolist()  # at most the last word's high half
+        return out[:k]
+
+    def integers(self, ns: np.ndarray) -> np.ndarray:
+        """``Generator.integers(0, n)`` for each ``n`` of the uint64 array
+        ``ns`` in turn, ``2 <= n < 2**32``, as int64."""
+        out = np.empty(ns.size, dtype=np.int64)
+        done = 0
+        u = self._uint32(ns.size)
+        while True:
+            n = ns[done:]
+            m = u * n
+            low = m & _LOW32
+            near = np.flatnonzero(low < n)  # the threshold (2**32 - n) % n is below n
+            rejected = near[low[near] < (_TWO32 - n[near]) % n[near]]
+            stop = rejected[0] if rejected.size else n.size
+            out[done:done + stop] = m[:stop] >> _THIRTY_TWO
+            if not rejected.size:
+                return out
+            done += stop
+            u = np.concatenate([u[stop + 1:], self._uint32(1)])
+
+
 def _gen_expr(draws: _PCG64Draws, depth_left: int, budget: int, out: list[int]) -> int:
     """Append one random expression of at most ``budget`` token ids to
     ``out``; returns its value. A bare digit when it cannot nest."""
@@ -248,11 +305,32 @@ def motif_layout(vocab_size: int, n_motifs: int):
     return motif_base, motifs
 
 
-def _plant(rng, length: int, motif, filler_hi: int) -> np.ndarray:
-    seq = rng.integers(1, filler_hi, size=length).astype(np.int64)
-    pos = int(rng.integers(0, length - len(motif) + 1))
-    seq[pos:pos + len(motif)] = motif
-    return seq
+# Examples the motif tasks decode at once: the temporaries stay this small at any count.
+_BLOCK = 128
+
+
+def _side_ranges(length: int, filler_hi: int) -> list[int]:
+    """One sequence's draw ranges: each filler token, then the motif's position."""
+    if length < MOTIF_LEN:
+        raise ConfigError(f"length must be >= {MOTIF_LEN} to hold a motif, got {length}")
+    return [filler_hi - 1] * length + [length - MOTIF_LEN + 1]
+
+
+def _decode_rows(draws: _PCG64BlockDraws, ns: np.ndarray) -> np.ndarray:
+    """Each row's draws for its ranges ``ns``, row after row. A range of
+    one draws nothing and reads 0, as in ``Generator.integers``."""
+    live = ns > 1
+    out = np.zeros(ns.shape, dtype=np.int64)
+    out[live] = draws.integers(ns[live])
+    return out
+
+
+def _plant_rows(out: np.ndarray, draws: np.ndarray, motifs: np.ndarray):
+    """Fill ``out`` with filler ids from a block's ``_side_ranges`` draws
+    and write row r's motif ``motifs[r]`` at its drawn position."""
+    np.add(draws[:, :-1], 1, out=out)
+    rows = np.arange(len(out))[:, None]
+    out[rows, draws[:, -1:] + np.arange(MOTIF_LEN)] = motifs
 
 
 def gen_text_classification(seed: int, count: int, length: int = 128,
@@ -261,36 +339,57 @@ def gen_text_classification(seed: int, count: int, length: int = 128,
 
     Filler ids and motif ids are disjoint, so the task is perfectly
     separable and a motif scan recovers every label. Labels alternate for
-    an exactly balanced histogram.
+    an exactly balanced histogram. After the label shuffle, each example
+    draws ``Generator.integers(1, filler_hi, size=length)`` and then the
+    motif's position, decoded ``_BLOCK`` examples at a time; the tokens
+    are rows of one ``(count, length)`` array.
     """
     filler_hi, motifs = motif_layout(vocab_size, classes)
     rng = np.random.default_rng(seed)
     labels = np.arange(count) % classes
     rng.shuffle(labels)
-    examples = [(_plant(rng, length, motifs[lbl], filler_hi), int(lbl)) for lbl in labels]
-    return Dataset(examples=examples, vocab=range(vocab_size), classes=classes, kind="classify",
+    draws = _PCG64BlockDraws(rng.bit_generator)
+    ranges = np.array(_side_ranges(length, filler_hi), dtype=np.uint64)
+    motif_ids = np.array(motifs, dtype=np.int64)
+    tokens = np.empty((count, length), dtype=np.int64)
+    for start in range(0, count, _BLOCK):
+        block = labels[start:start + _BLOCK]
+        row_draws = _decode_rows(draws, np.broadcast_to(ranges, (block.size, ranges.size)))
+        _plant_rows(tokens[start:start + _BLOCK], row_draws, motif_ids[block])
+    return Dataset(examples=list(zip(tokens, labels.tolist())), vocab=range(vocab_size),
+                   classes=classes, kind="classify",
                    meta={"task": "text_classification", "motifs": motifs})
 
 
 def gen_matching(seed: int, count: int, length: int = 128, vocab_size: int = 48) -> Dataset:
-    """Sequence pairs; label 1 iff both sides carry the same motif."""
+    """Sequence pairs; label 1 iff both sides carry the same motif.
+
+    After the label shuffle, each pair draws its motif index i, a second
+    index j from the other five for a 0-labelled pair, then side a's
+    filler and motif position and side b's, decoded ``_BLOCK`` pairs at a
+    time; each side's tokens are rows of one ``(count, length)`` array.
+    """
     filler_hi, motifs = motif_layout(vocab_size, N_MOTIFS)
     rng = np.random.default_rng(seed)
     labels = np.arange(count) % 2
     rng.shuffle(labels)
-    examples = []
-    for lbl in labels:
-        i = int(rng.integers(0, N_MOTIFS))
-        if lbl == 1:
-            j = i
-        else:
-            j = int(rng.integers(0, N_MOTIFS - 1))
-            if j >= i:
-                j += 1
-        a = _plant(rng, length, motifs[i], filler_hi)
-        b = _plant(rng, length, motifs[j], filler_hi)
-        examples.append((a, b, int(lbl)))
-    return Dataset(examples=examples, vocab=range(vocab_size), classes=2, kind="match",
+    draws = _PCG64BlockDraws(rng.bit_generator)
+    side = _side_ranges(length, filler_hi)
+    ranges = np.array([N_MOTIFS, N_MOTIFS - 1] + side + side, dtype=np.uint64)
+    motif_ids = np.array(motifs, dtype=np.int64)
+    tokens_a = np.empty((count, length), dtype=np.int64)
+    tokens_b = np.empty((count, length), dtype=np.int64)
+    for start in range(0, count, _BLOCK):
+        same = labels[start:start + _BLOCK] == 1
+        ns = np.tile(ranges, (same.size, 1))
+        ns[same, 1] = 1  # a positive pair draws no second index
+        row_draws = _decode_rows(draws, ns)
+        i, j = row_draws[:, 0], row_draws[:, 1]
+        j = np.where(same, i, j + (j >= i))
+        _plant_rows(tokens_a[start:start + _BLOCK], row_draws[:, 2:len(side) + 2], motif_ids[i])
+        _plant_rows(tokens_b[start:start + _BLOCK], row_draws[:, len(side) + 2:], motif_ids[j])
+    return Dataset(examples=list(zip(tokens_a, tokens_b, labels.tolist())),
+                   vocab=range(vocab_size), classes=2, kind="match",
                    meta={"task": "matching", "motifs": motifs})
 
 

@@ -649,6 +649,26 @@ class TestTrainCommand:
             p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
         return dict(env, **threads)
 
+    @pytest.mark.parametrize("source", ["matching", "listops"])
+    def test_huge_generated_split_exits_one(self, fast_cfg, tmp_path, source):
+        """A split beyond ``MAX_TOKENS`` is a config error, not a
+        ``MemoryError`` from the generator (matching) or a generator that
+        runs until memory is gone (listops)."""
+        text = open(fast_cfg).read().replace("count = 96", "count = 10000000000000")
+        text = text.replace("source = text_classification", f"source = {source}")
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(text)
+        done = subprocess.run([sys.executable, "-m", "linattn.cli", "train", "--config",
+                               str(cfg), "--out-dir", str(tmp_path / "out")],
+                              env=self.subprocess_env(), capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 1
+        assert done.stderr.startswith(f"error: {cfg}: task.count = 10000000000000 sequences "
+                                      f"of task.length = 64"), done.stderr
+        assert "more than the 100000000 allowed" in done.stderr
+        assert "Traceback" not in done.stderr
+        assert not (tmp_path / "out").exists()
+
     @staticmethod
     def train_in_subprocess(cfg, out, env):
         """The checkpoint bytes and the metrics, timing fields dropped, of

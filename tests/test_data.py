@@ -7,7 +7,8 @@ import zlib
 import numpy as np
 import pytest
 
-from linattn.data import (MAX_LISTOPS_DEPTH, PAD_ID, Batch, MatchBatch, _PCG64Draws, batch_iter,
+from linattn.data import (MAX_LISTOPS_DEPTH, MAX_TOKENS, PAD_ID, Batch, MatchBatch,
+                          _PCG64BlockDraws, _PCG64Draws, batch_iter,
                           eval_listops_tokens, gen_listops, gen_matching, gen_text_classification,
                           listops_to_string, load_tsv_dataset, motif_oracle,
                           save_tsv_dataset, LISTOPS_SYMBOLS)
@@ -123,11 +124,52 @@ class TestPCG64Draws:
             gc.enable()
 
 
-def listops_digest(ds) -> int:
-    """CRC32 over each example's little-endian int64 tokens and label byte."""
+def twin_generators(seed: int, pending: bool):
+    """Two generators in one state; with ``pending``, one 32-bit draw has
+    left the high half of a word waiting in ``bit_generator.state``."""
+    gens = np.random.default_rng(seed), np.random.default_rng(seed)
+    if pending:
+        for gen in gens:
+            gen.integers(0, 10)
+    assert gens[1].bit_generator.state["has_uint32"] == pending
+    return gens
+
+
+class TestPCG64BlockDraws:
+    """The motif tasks' decoder against ``Generator``: the same values, and
+    the same raw words consumed."""
+
+    @pytest.mark.parametrize("pending", [False, True])
+    def test_rejection_half_the_time(self, pending):
+        """At ``n = 2**31 + 1`` Lemire's threshold is ``2**31 - 1``, so about
+        half the 32-bit draws are rejected and pass their slot on."""
+        n = 2**31 + 1
+        gen, twin = twin_generators(3, pending)
+        want = gen.integers(0, n, size=2001)
+        draws = _PCG64BlockDraws(twin.bit_generator)
+        got = [draws.integers(np.full(k, n, dtype=np.uint64)) for k in (1000, 1, 1000)]
+        assert np.array_equal(np.concatenate(got), want)
+        # Odd calls in between carried a pending half from one call to the next.
+        assert gen.bit_generator.random_raw() == twin.bit_generator.random_raw()
+
+    @pytest.mark.parametrize("pending", [False, True])
+    def test_mixed_ranges_call_for_call(self, pending):
+        gen, twin = twin_generators(8, pending)
+        ns = np.random.default_rng(1).integers(2, 2**32, size=3000, dtype=np.uint64)
+        ns[::5] = 6  # rejects 4 draws in 2**32: a skipped pending half shows at once
+        ns[3::7] = 2**31 + 1
+        want = [gen.integers(0, int(n)) for n in ns]
+        assert _PCG64BlockDraws(twin.bit_generator).integers(ns).tolist() == want
+        assert gen.bit_generator.random_raw() == twin.bit_generator.random_raw()
+
+
+def dataset_digest(ds) -> int:
+    """CRC32 over each example's little-endian int64 tokens (both sides of
+    a pair, in order) and label byte."""
     crc = 0
-    for tokens, label in ds.examples:
-        crc = zlib.crc32(np.asarray(tokens, dtype="<i8").tobytes(), crc)
+    for *sides, label in ds.examples:
+        for tokens in sides:
+            crc = zlib.crc32(np.asarray(tokens, dtype="<i8").tobytes(), crc)
         crc = zlib.crc32(bytes([label]), crc)
     return crc
 
@@ -144,7 +186,48 @@ class TestListopsGolden:
         (11, 300, 16, 3, 0x8D66C663),
     ])
     def test_digest(self, seed, count, max_len, max_depth, digest):
-        assert listops_digest(gen_listops(seed, count, max_len, max_depth)) == digest
+        assert dataset_digest(gen_listops(seed, count, max_len, max_depth)) == digest
+
+
+class TestMotifGolden:
+    """The motif tasks' bytes, recorded when they still drew through
+    ``Generator.integers``: a change here changes every motif dataset, the
+    trained-result record and the checkpoints trained on them. The cases
+    cover odd and even counts, one example, lengths 8 and 128, three
+    classes, the smallest vocab each task allows, and both states of the
+    half-word the label shuffle leaves pending."""
+
+    @pytest.mark.parametrize("seed, count, length, vocab_size, digest", [
+        (1234, 2000, 64, 48, 0x31694613),  # configs/match.cfg's training split
+        (1235, 500, 64, 48, 0xFF2CC036),
+        (7, 1, 8, 48, 0x433C71AA),
+        (99, 333, 128, 21, 0x2E41FC39),
+        (2, 64, 8, 48, 0x40CE08F2),       # a half-word pending after the shuffle
+        (5, 101, 128, 1000, 0x0C83F51F),  # pending
+        (3, 2, 8, 21, 0x0E58E890),        # pending
+        (4, 9, 3, 48, 0xD3E9A32A),        # a position range of one draws nothing
+    ])
+    def test_matching_digest(self, seed, count, length, vocab_size, digest):
+        assert dataset_digest(gen_matching(seed, count, length, vocab_size)) == digest
+
+    @pytest.mark.parametrize("seed, count, length, vocab_size, classes, digest", [
+        (1234, 2000, 128, 32, 2, 0xCA616229),  # configs/classify_*.cfg's training split
+        (1, 1001, 64, 32, 3, 0x48E1A7C8),
+        (2, 1, 8, 9, 2, 0x6E64958E),
+        (3, 250, 128, 12, 3, 0x1E2C13EB),
+        (4, 64, 8, 1000, 3, 0xDA5D54EB),      # pending
+        (6, 77, 128, 32, 2, 0xFE45EFE7),      # pending
+        (4, 9, 3, 12, 3, 0x1C5A1912),         # a position range of one
+    ])
+    def test_classification_digest(self, seed, count, length, vocab_size, classes, digest):
+        ds = gen_text_classification(seed, count, length, vocab_size, classes)
+        assert dataset_digest(ds) == digest
+
+    def test_length_below_motif_rejected(self):
+        for gen in (lambda: gen_matching(0, 4, length=2),
+                    lambda: gen_text_classification(0, 4, length=2)):
+            with pytest.raises(ConfigError, match=r"^length must be >= 3 to hold a motif, got 2$"):
+                gen()
 
 
 class TestGenTextClassification:
@@ -214,6 +297,25 @@ class TestTaskSpecDomains:
 
     def test_listops_ignores_vocab_size(self):
         TaskSpec(source="listops", vocab_size=2).validate()
+
+    @pytest.mark.parametrize("source, length, sides", [
+        ("listops", 128, 1), ("text_classification", 128, 1), ("matching", 64, 2)])
+    @pytest.mark.parametrize("key", ["count", "eval_count"])
+    def test_split_beyond_max_tokens_rejected(self, source, length, sides, key):
+        """The bound is inclusive and counts both sides of a pair; the check
+        runs before ``build`` draws or allocates anything."""
+        at_bound = MAX_TOKENS // (sides * length)
+        assert at_bound * sides * length == MAX_TOKENS
+        spec = TaskSpec(source=source, length=length, vocab_size=48, **{key: at_bound})
+        spec.validate()
+        setattr(spec, key, at_bound + 1)
+        tokens = (at_bound + 1) * sides * length
+        message = rf"^task\.{key} = {at_bound + 1} sequences of task\.length = {length}"
+        with pytest.raises(ConfigError, match=message + rf".* make {tokens} tokens, more than "
+                                              rf"the {MAX_TOKENS} allowed$"):
+            spec.validate()
+        with pytest.raises(ConfigError, match=message):
+            spec.build()
 
 
 class TestTsv:
