@@ -16,14 +16,14 @@ Token id 0 is reserved for padding and never emitted by a generator. Every
 generator is seeded explicitly, so a given (seed, arguments) pair
 reproduces the dataset byte for byte. Every generator decodes its draws
 from the raw PCG64 stream, whose output NumPy keeps fixed across releases:
-ListOps one draw at a time (``_PCG64Draws``), the motif tasks a block of
+ListOps through byte tables of every draw it may take, read by one loop
+(``_listops_tables``, ``_listops_example``), the motif tasks a block of
 examples at a time (``_PCG64BlockDraws``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -34,17 +34,17 @@ PAD_ID = 0
 LISTOPS_OPS = ("MAX", "MIN", "MED", "SM")
 LISTOPS_SYMBOLS = ["<pad>", "]"] + [f"[{op}" for op in LISTOPS_OPS] + [str(d) for d in range(10)]
 _CLOSE_ID = 1
-_OP_IDS = {op: 2 + i for i, op in enumerate(LISTOPS_OPS)}
-_DIGIT_BASE = 2 + len(LISTOPS_OPS)
+_OP_BASE = 2
+_DIGIT_BASE = _OP_BASE + len(LISTOPS_OPS)
 
 # Tree-shape constants, tuned so the mean expression length sits near
 # half the token budget at the default (max_len=128, max_depth=4).
 LISTOPS_ARITY_RANGE = (2, 5)
 LISTOPS_RECURSE_PROB = 0.55
 
-# The deepest nesting ``[task] max_depth`` allows: the generator and
-# ``eval_listops_tokens`` recurse once per level, well under Python's
-# 1000-frame limit.
+# The deepest nesting ``[task] max_depth`` allows: ``eval_listops_tokens``
+# recurses once per level, well under Python's 1000-frame limit (the
+# generator keeps its open operators on a list).
 MAX_LISTOPS_DEPTH = 256
 
 # The most tokens a generated split may hold (``count * length``, both
@@ -118,71 +118,27 @@ def _eval_op(op: str, vals: list[int]) -> int:
     raise DataError(f"unknown operator {op}")
 
 
-class _PCG64Draws:
-    """The draws of ``np.random.Generator(bitgen)``'s ``integers(0, n)``
-    and ``random()``, decoded in Python from ``bitgen.random_raw``.
-
-    A scalar ``Generator`` call costs 1-2 us of overhead; decoding the raw
-    words costs a fraction of that. The mappings are NumPy's own:
-    ``integers`` runs 32-bit Lemire rejection on 32-bit draws, which take
-    each 64-bit word's low half and then its high half; ``random`` takes a
-    whole word as ``(u64 >> 11) * 2**-53`` and leaves a pending high half
-    for the next 32-bit draw. Only the PCG64 stream is under NumPy's
-    compatibility policy (NEP 19), not the ``Generator`` methods, so the
-    tests pin these draws call for call against ``Generator`` and pin
-    ``gen_listops``'s bytes.
-    """
-
-    _CHUNK = 1024
-
-    def __init__(self, bitgen: np.random.PCG64):
-        # An endless iterator over the raw words, as Python ints, fetched
-        # _CHUNK at a time. The lambda must not hold ``self``: a reference
-        # cycle would keep the last chunk alive until the cyclic collector ran.
-        size = self._CHUNK
-        chunks = iter(lambda: bitgen.random_raw(size).tolist(), None)
-        self._word = chain.from_iterable(chunks).__next__
-        self._half = None  # a split word's high half, pending for the next 32-bit draw
-
-    def _uint32(self) -> int:
-        half = self._half
-        if half is not None:
-            self._half = None
-            return half
-        word = self._word()
-        self._half = word >> 32
-        return word & 0xFFFFFFFF
-
-    def integers(self, n: int) -> int:
-        """``Generator.integers(0, n)`` for ``1 <= n < 2**32``."""
-        if n == 1:
-            return 0  # numpy draws nothing for a range of one
-        m = self._uint32() * n
-        if (m & 0xFFFFFFFF) < n:
-            threshold = (0x100000000 - n) % n
-            while (m & 0xFFFFFFFF) < threshold:
-                m = self._uint32() * n
-        return m >> 32
-
-    def random(self) -> float:
-        """``Generator.random()``: a uniform double in [0, 1)."""
-        return (self._word() >> 11) * 2.0 ** -53
-
-
-# uint64 operands keep the decoder's arithmetic in uint64 under every NumPy's casting rules.
+# uint64 operands keep the decoders' arithmetic in uint64 under every NumPy's casting rules.
 _LOW32, _TWO32, _THIRTY_TWO = np.uint64(0xFFFFFFFF), np.uint64(2**32), np.uint64(32)
+
+# After a rejected draw, ``_PCG64BlockDraws.integers`` decodes this many
+# slots next, twice as many after each window with no rejection: a
+# rejection redoes a bounded amount of work.
+_WINDOW = 64
 
 
 class _PCG64BlockDraws:
-    """The draws of ``Generator.integers(0, n)`` for a whole array of
-    ranges ``n``, decoded with NumPy arrays from ``bitgen.random_raw``.
+    """The draws of ``np.random.Generator(bitgen)``'s ``integers(0, n)`` for
+    a whole array of ranges ``n``, decoded with NumPy arrays from
+    ``bitgen.random_raw``.
 
-    The rule is ``_PCG64Draws.integers``'s, applied to every slot at once:
-    32-bit draws (a pending high half left in ``bitgen.state`` first, then
-    each word's low half and its high half) mapped by 32-bit Lemire, where
-    a rejected draw passes its slot to the next draw. Rejections are rare
-    at the ranges the motif tasks use (fewer than n in 2**32 draws), so
-    each one re-decodes the rest of the array.
+    The mapping is NumPy's own: 32-bit draws (a pending high half left in
+    ``bitgen.state`` first, then each word's low half and its high half)
+    mapped by 32-bit Lemire, where a rejected draw passes its slot to the
+    next draw. Only the PCG64 stream is under NumPy's compatibility policy
+    (NEP 19), not the ``Generator`` methods, so the tests pin these draws
+    against ``Generator``. A call decodes its whole array in one pass until
+    a draw is rejected, then in windows from ``_WINDOW`` slots up.
     """
 
     def __init__(self, bitgen: np.random.PCG64):
@@ -204,51 +160,171 @@ class _PCG64BlockDraws:
         """``Generator.integers(0, n)`` for each ``n`` of the uint64 array
         ``ns`` in turn, ``2 <= n < 2**32``, as int64."""
         out = np.empty(ns.size, dtype=np.int64)
-        done = 0
-        u = self._uint32(ns.size)
-        while True:
-            n = ns[done:]
-            m = u * n
+        u = self._uint32(ns.size)  # one draw per slot, until a draw is rejected
+        done = at = 0  # slots filled; draws of ``u`` used or rejected
+        window = ns.size
+        while done < ns.size:
+            k = min(window, ns.size - done)
+            if at + k > u.size:  # fetch the draws that rejected ones passed their slots to
+                u = np.concatenate([u[at:], self._uint32(ns.size - done - (u.size - at))])
+                at = 0
+            n = ns[done:done + k]
+            m = u[at:at + k] * n
             low = m & _LOW32
             near = np.flatnonzero(low < n)  # the threshold (2**32 - n) % n is below n
             rejected = near[low[near] < (_TWO32 - n[near]) % n[near]]
-            stop = rejected[0] if rejected.size else n.size
+            stop = rejected[0] if rejected.size else k
             out[done:done + stop] = m[:stop] >> _THIRTY_TWO
-            if not rejected.size:
-                return out
             done += stop
-            u = np.concatenate([u[stop + 1:], self._uint32(1)])
+            at += stop + (rejected.size > 0)
+            window = _WINDOW if rejected.size else 2 * window
+        return out
 
 
-def _gen_expr(draws: _PCG64Draws, depth_left: int, budget: int, out: list[int]) -> int:
-    """Append one random expression of at most ``budget`` token ids to
-    ``out``; returns its value. A bare digit when it cannot nest."""
+# Raw PCG64 words that ``gen_listops`` decodes into its tables at a time.
+_LISTOPS_CHUNK = 4096
+
+_REJECTED = 255  # a table entry whose 32-bit draw Lemire rejects
+
+
+def _listops_tables(words: np.ndarray) -> dict:
+    """Byte tables over the raw words ``words``, indexed by 32-bit draw.
+
+    Draw ``2i`` is word i's low half and ``2i + 1`` its high half, in
+    ``next_uint32`` order. ``tables[n]`` holds ``Generator.integers(0, n)``'s
+    32-bit Lemire value ``(u * n) >> 32`` for each draw at every range
+    ``n`` the generator uses, or ``_REJECTED`` where Lemire rejects the
+    draw. ``tables["recurse"][2i]`` is 1 iff ``Generator.random()`` on word
+    i, ``(w >> 11) * 2**-53``, is below ``LISTOPS_RECURSE_PROB``.
+    """
     lo, hi = LISTOPS_ARITY_RANGE
-    if depth_left <= 0 or budget < lo + 2:  # [OP digit digit ] does not fit
-        digit = draws.integers(10)
-        out.append(_DIGIT_BASE + digit)
-        return digit
-    op = LISTOPS_OPS[draws.integers(len(LISTOPS_OPS))]
-    arity = lo + draws.integers(min(hi, budget - 2) + 1 - lo)
-    start = len(out)
-    out.append(_OP_IDS[op])
-    vals = []
-    for i in range(arity):
-        used = len(out) - start + 1  # tokens so far plus the closing ]
-        child_budget = budget - used - (arity - i - 1)  # leave room for digits
-        recurse = child_budget >= lo + 2 and draws.random() < LISTOPS_RECURSE_PROB
-        vals.append(_gen_expr(draws, depth_left - 1 if recurse else 0, child_budget, out))
-    out.append(_CLOSE_ID)
-    return _eval_op(op, vals)
+    ranges = {10, len(LISTOPS_OPS), *range(2, hi + 2 - lo)}  # a range of one draws nothing
+    u = words.astype("<u8", copy=False).view("<u4").astype(np.uint64)
+    tables = {}
+    for n in ranges:
+        m = u * np.uint64(n)
+        draw = (m >> _THIRTY_TWO).astype(np.uint8)
+        draw[(m & _LOW32) < (2**32 - n) % n] = _REJECTED  # fires at n = 10 (below 6) and n = 3 (u = 0)
+        tables[n] = draw.tobytes()
+    recurse = np.zeros(u.size, dtype=np.uint8)
+    recurse[::2] = (words >> np.uint64(11)) * 2.0**-53 < LISTOPS_RECURSE_PROB
+    tables["recurse"] = recurse.tobytes()
+    return tables
+
+
+def _draw(table: bytes, h: int, p: int):
+    """The next 32-bit draw that ``table`` accepts, from draw state
+    ``(h, p)`` (see ``_listops_example``): its value and the new state. A
+    rejected draw passes on to the next one, as in ``Generator.integers``."""
+    while True:
+        if p:
+            x = table[p]
+            p = 0
+        else:
+            x = table[h]
+            p = h + 1
+            h += 2
+        if x != _REJECTED:
+            return x, h, p
+
+
+def _median_down(vals: list[int]) -> int:
+    s = sorted(vals)
+    return (s[len(s) // 2] + s[(len(s) - 1) // 2]) // 2
+
+
+_OP_VALUES = (max, min, _median_down, lambda vals: sum(vals) % 10)  # in LISTOPS_OPS order
+
+
+def _listops_example(tables: dict, h: int, p: int, max_len: int, max_depth: int):
+    """One expression of at most ``max_len`` token ids, nested at most
+    ``max_depth`` deep, read from ``tables`` at draw state ``(h, p)``.
+    Returns its token ids, its value and the new draw state.
+
+    ``h`` is the next unread word's low-half index; ``p`` is a pending high
+    half's index, or 0 when none is pending. A 32-bit draw takes the
+    pending half first, else the next word's low half and leaves its high
+    half pending; a ``random()`` draw takes the next whole word and leaves
+    the pending half where it is. Raises ``IndexError`` when the example
+    runs past the tables.
+    """
+    lo, hi = LISTOPS_ARITY_RANGE
+    digits, ops, recurse = tables[10], tables[len(LISTOPS_OPS)], tables["recurse"]
+    arities = tables[hi + 1 - lo]
+    digit_base, close, values, rejected = _DIGIT_BASE, _CLOSE_ID, _OP_VALUES, _REJECTED
+    out = bytearray()
+    append = out.append
+    if max_depth <= 0 or max_len < lo + 2:  # [OP digit digit ] does not fit: a bare digit
+        x, h, p = _draw(digits, h, p)
+        append(_DIGIT_BASE + x)
+        return out, x, h, p
+    stack = [None]  # the open operators' parents; None below the root
+    budget, depth = max_len, max_depth
+    while True:
+        # Open an operator of at most ``budget`` tokens, ``depth`` levels deep at most.
+        if p:
+            op = ops[p]
+            p = 0
+        else:
+            op = ops[h]
+            p = h + 1
+            h += 2
+        if budget >= hi + 2:
+            if p:
+                arity = lo + arities[p]
+                p = 0
+            else:
+                arity = lo + arities[h]
+                p = h + 1
+                h += 2
+        elif budget == lo + 2:
+            arity = lo  # a range of one draws nothing
+        else:
+            x, h, p = _draw(tables[budget - 1 - lo], h, p)
+            arity = lo + x
+        vals = []
+        limit = len(out) + budget
+        append(_OP_BASE + op)
+        while True:
+            left = arity - len(vals)
+            if not left:
+                append(close)
+                x = values[op](vals)
+                frame = stack.pop()
+                if frame is None:
+                    return out, x, h, p
+                op, vals, limit, arity, depth = frame
+                vals.append(x)
+                continue
+            budget = limit - len(out) - left  # room for the closing ] and a digit per later child
+            if budget >= lo + 2:
+                nest = recurse[h]
+                h += 2
+                if nest and depth > 1:
+                    stack.append((op, vals, limit, arity, depth))
+                    depth -= 1
+                    break
+            if p:
+                x = digits[p]
+                p = 0
+            else:
+                x = digits[h]
+                p = h + 1
+                h += 2
+            if x == rejected:
+                x, h, p = _draw(digits, h, p)
+            append(digit_base + x)
+            vals.append(x)
 
 
 def eval_listops_tokens(tokens) -> int:
     """Recursive-descent evaluator over serialized token ids.
 
     This is the oracle the generator's labels are checked against. It
-    parses the token stream on its own but shares ``_eval_op`` with the
-    generator, so the hand-written ``[MED ...]`` and ``[SM ...]`` tests pin
-    that op's rules.
+    parses the token stream and applies the operators (``_eval_op``) on
+    its own, so the 10k-example label cross-check pins the generator's
+    operator rules and the hand-written ``[MED ...]`` and ``[SM ...]``
+    tests pin the evaluator's.
     """
     tokens = [int(t) for t in tokens if t != PAD_ID]
     pos = 0
@@ -277,14 +353,36 @@ def listops_to_string(tokens) -> str:
     return " ".join(LISTOPS_SYMBOLS[int(t)] for t in tokens if t != PAD_ID)
 
 
+def _listops_examples(bitgen: np.random.PCG64, count: int, max_len: int, max_depth: int) -> list:
+    """``count`` (tokens, value) examples drawn from ``bitgen``'s raw words,
+    ``_LISTOPS_CHUNK`` words of tables at a time."""
+    chunk = _LISTOPS_CHUNK
+    words = bitgen.random_raw(chunk)
+    tables = _listops_tables(words)
+    h = p = 0
+    examples = []
+    while len(examples) < count:
+        try:
+            out, value, h, p = _listops_example(tables, h, p, max_len, max_depth)
+        except IndexError:
+            # The example ran past the tables, and (h, p) is still its
+            # start: grow the tables and draw it again.
+            refill = max(chunk, words.size)
+        else:
+            examples.append((np.frombuffer(out, dtype=np.uint8).astype(np.int64), value))
+            refill = chunk if words.size - (p or h) // 2 < chunk else 0
+        if refill:
+            start = (p or h) // 2  # the first word not wholly read
+            words = np.concatenate([words[start:], bitgen.random_raw(refill)])
+            tables = _listops_tables(words)
+            h -= 2 * start
+            p = p and p - 2 * start
+    return examples
+
+
 def gen_listops(seed: int, count: int, max_len: int = 128, max_depth: int = 4) -> Dataset:
     """Nested prefix expressions; the label is the expression value (0-9)."""
-    draws = _PCG64Draws(np.random.PCG64(seed))
-    examples = []
-    for _ in range(count):
-        toks: list[int] = []
-        value = _gen_expr(draws, max_depth, max_len, toks)
-        examples.append((np.asarray(toks, dtype=np.int64), value))
+    examples = _listops_examples(np.random.PCG64(seed), count, max_len, max_depth)
     return Dataset(examples=examples, vocab=list(LISTOPS_SYMBOLS), classes=10,
                    kind="classify", meta={"task": "listops", "max_depth": max_depth})
 

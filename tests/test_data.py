@@ -1,14 +1,15 @@
 """Synthetic task generators, TSV ingestion, batching."""
 
-import gc
-import weakref
 import zlib
 
 import numpy as np
 import pytest
 
-from linattn.data import (MAX_LISTOPS_DEPTH, MAX_TOKENS, PAD_ID, Batch, MatchBatch,
-                          _PCG64BlockDraws, _PCG64Draws, batch_iter,
+import linattn.data
+from linattn.data import (LISTOPS_ARITY_RANGE, LISTOPS_OPS, LISTOPS_RECURSE_PROB,
+                          MAX_LISTOPS_DEPTH, MAX_TOKENS, PAD_ID, Batch, MatchBatch,
+                          _PCG64BlockDraws, _WINDOW, _draw, _eval_op, _listops_examples,
+                          _listops_tables, batch_iter,
                           eval_listops_tokens, gen_listops, gen_matching, gen_text_classification,
                           listops_to_string, load_tsv_dataset, motif_oracle,
                           save_tsv_dataset, LISTOPS_SYMBOLS)
@@ -80,48 +81,142 @@ class TestGenListops:
             assert PAD_ID not in tokens
 
 
-class TestPCG64Draws:
-    """The ListOps decoder against ``Generator``, whose method algorithms
+def oracle_expr(gen: np.random.Generator, depth_left: int, budget: int, out: list[int]) -> int:
+    """Append one random expression of at most ``budget`` token ids to
+    ``out``; returns its value. ``gen_listops``'s first generator: one
+    recursive call per node, drawing through ``Generator`` itself."""
+    lo, hi = LISTOPS_ARITY_RANGE
+    if depth_left <= 0 or budget < lo + 2:  # [OP digit digit ] does not fit
+        digit = int(gen.integers(0, 10))
+        out.append(SYM[str(digit)])
+        return digit
+    op = LISTOPS_OPS[gen.integers(0, len(LISTOPS_OPS))]
+    arity = lo + int(gen.integers(0, min(hi, budget - 2) + 1 - lo))
+    start = len(out)
+    out.append(SYM[f"[{op}"])
+    vals = []
+    for i in range(arity):
+        used = len(out) - start + 1  # tokens so far plus the closing ]
+        child_budget = budget - used - (arity - i - 1)  # leave room for digits
+        recurse = child_budget >= lo + 2 and gen.random() < LISTOPS_RECURSE_PROB
+        vals.append(oracle_expr(gen, depth_left - 1 if recurse else 0, child_budget, out))
+    out.append(SYM["]"])
+    return _eval_op(op, vals)
+
+
+def oracle_examples(bitgen, count: int, max_len: int, max_depth: int) -> list:
+    gen = np.random.Generator(bitgen)
+    examples = []
+    for _ in range(count):
+        tokens: list[int] = []
+        value = oracle_expr(gen, max_depth, max_len, tokens)
+        examples.append((tokens, value))
+    return examples
+
+
+def assert_same_examples(got, want):
+    assert len(got) == len(want)
+    for i, ((tokens, value), (want_tokens, want_value)) in enumerate(zip(got, want)):
+        assert tokens.dtype == np.int64 and tokens.tolist() == want_tokens, i
+        assert value == want_value, i
+
+
+class TestListopsOracle:
+    """``gen_listops``'s one loop over byte tables against the recursive
+    generator drawing from ``Generator``, shape by shape."""
+
+    def test_random_shapes(self):
+        rng = np.random.default_rng(2024)
+        for case in range(60):
+            seed = int(rng.integers(0, 2**63))
+            count = int(rng.integers(1, 12))
+            small = case % 3 == 0  # budgets around the root's nesting thresholds
+            max_len = int(rng.integers(1, 12) if small else rng.integers(12, 600))
+            max_depth = int(rng.integers(0, 12))
+            got = gen_listops(seed, count, max_len, max_depth).examples
+            want = oracle_examples(np.random.PCG64(seed), count, max_len, max_depth)
+            assert_same_examples(got, want)
+
+    def test_known_rejection_is_retried(self, monkeypatch):
+        """Seed 0's 32-bit draw 336,999,057, the high half of word
+        168,499,528, is rejected by Lemire's method at a range of 10.
+        Starting the stream ``j`` words before it makes the loop read it
+        as a digit at several ``j``."""
+        words = 168_499_528
+        tables, retries = [], []
+
+        def counting_tables(raw):
+            tables.append(_listops_tables(raw))
+            return tables[-1]
+
+        def counting_draw(table, h, p):
+            retries.append(table is tables[-1][10])
+            return _draw(table, h, p)
+
+        monkeypatch.setattr(linattn.data, "_listops_tables", counting_tables)
+        monkeypatch.setattr(linattn.data, "_draw", counting_draw)
+        for j in range(40):
+            tables.clear()
+            got = _listops_examples(np.random.PCG64(0).advance(words - j), 3, 128, 4)
+            want = oracle_examples(np.random.PCG64(0).advance(words - j), 3, 128, 4)
+            assert_same_examples(got, want)
+            assert tables[0][10][2 * j + 1] == 255
+        assert sum(retries) >= 3  # the loop never calls _draw for a digit but to retry
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    def test_tiny_chunks_refill_and_redo(self, monkeypatch, chunk):
+        """Tables of a few words make nearly every example run past them,
+        so the loop refills between examples and grows and redoes mid-way."""
+        monkeypatch.setattr(linattn.data, "_LISTOPS_CHUNK", chunk)
+        for seed, count, max_len, max_depth, digest in GOLDEN_LISTOPS:
+            if count * max_len <= 10**5:
+                assert dataset_digest(gen_listops(seed, count, max_len, max_depth)) == digest
+
+
+class TestListopsTables:
+    """The ListOps tables against ``Generator``, whose method algorithms
     NumPy may change between releases while the PCG64 stream stays fixed."""
 
     @pytest.mark.parametrize("seed", [0, 1, 12345, 2**40 + 7])
     def test_matches_generator_call_for_call(self, seed):
         gen = np.random.default_rng(seed)
-        draws = _PCG64Draws(np.random.PCG64(seed))
-        # Ranges 1..10 and uniforms in a random order, so every pairing of a
-        # buffered 32-bit half with a following call occurs.
-        calls = np.random.default_rng([seed, 99]).integers(0, 11, size=30_000).tolist()
+        tables = _listops_tables(np.random.PCG64(seed).random_raw(20_000))
+        # The tables' ranges and uniforms in a random order, so every pairing
+        # of a pending 32-bit half with a following call occurs.
+        calls = np.random.default_rng([seed, 99]).choice([0, 2, 3, 4, 10], size=15_000).tolist()
+        h = p = 0
         for i, n in enumerate(calls):
-            if n == 0:
-                assert draws.random() == gen.random(), (seed, i)
+            if n == 0:  # random() takes the next whole word and leaves a pending half
+                assert tables["recurse"][h] == (gen.random() < LISTOPS_RECURSE_PROB), (seed, i)
+                h += 2
             else:
-                assert draws.integers(n) == gen.integers(0, n), (seed, i, n)
+                x, h, p = _draw(tables[n], h, p)
+                assert x == gen.integers(0, n), (seed, i, n)
 
     def test_rejection_matches_generator(self):
         """Seed 0's 32-bit draw 336,999,057 (the high half of word
         168,499,528) is rejected by Lemire's method at a range of 10."""
         words = 168_499_528
-        high = int(np.random.PCG64(0).advance(words).random_raw(1)[0]) >> 32
-        assert (high * 10) & 0xFFFFFFFF < (2**32 - 10) % 10  # the rejection branch runs
+        tables = _listops_tables(np.random.PCG64(0).advance(words).random_raw(8))
+        assert tables[10][1] == 255
         gen = np.random.Generator(np.random.PCG64(0).advance(words))
-        draws = _PCG64Draws(np.random.PCG64(0).advance(words))
+        h = p = 0
         for i in range(6):
-            assert draws.integers(10) == gen.integers(0, 10), i
-        assert draws.random() == gen.random()
-        assert draws.integers(7) == gen.integers(0, 7)
+            x, h, p = _draw(tables[10], h, p)
+            assert x == gen.integers(0, 10), i
 
-    def test_freed_by_reference_counting(self):
-        """A reference cycle would keep the last chunk of raw words alive
-        until the cyclic collector ran."""
-        gc.disable()
-        try:
-            draws = _PCG64Draws(np.random.PCG64(0))
-            draws.random()
-            ref = weakref.ref(draws)
-            del draws
-            assert ref() is None
-        finally:
-            gc.enable()
+    def test_crafted_rejections_read_255(self):
+        """Lemire rejects ``u`` at range n when ``(u * n) mod 2**32`` is below
+        ``(2**32 - n) mod n``: 6 at n = 10, 1 at n = 3, 0 at n = 2 and 4."""
+        halves = [0, 1, 429_496_730, 1_717_986_919, 2**32 - 1, 1_431_655_766]
+        # (u * 10) mod 2**32 reads 0, 10, 4, 6 (kept: the threshold is strict), ...
+        words = np.array([lo | hi << 32 for lo, hi in zip(halves[::2], halves[1::2])],
+                         dtype=np.uint64)
+        tables = _listops_tables(words)
+        assert list(tables[10]) == [255, 0, 255, 4, 9, 3]
+        assert list(tables[3]) == [255, 0, 0, 1, 2, 1]
+        assert list(tables[4]) == [0, 0, 0, 1, 3, 1]
+        assert list(tables[2]) == [0, 0, 0, 0, 1, 0]
 
 
 def twin_generators(seed: int, pending: bool):
@@ -152,6 +247,19 @@ class TestPCG64BlockDraws:
         # Odd calls in between carried a pending half from one call to the next.
         assert gen.bit_generator.random_raw() == twin.bit_generator.random_raw()
 
+    @pytest.mark.parametrize("n", [2**31 + 1, 2**32 - 2**22])
+    def test_rejections_decode_in_windows(self, n):
+        """After a rejection the decoder works through windows of
+        ``_WINDOW`` slots, doubled after each window with no rejection; about
+        half the draws are rejected at ``2**31 + 1``, one in 1024 at
+        ``2**32 - 2**22``, so windows both restart and grow."""
+        size = 256 * _WINDOW
+        gen, twin = twin_generators(4, False)
+        want = gen.integers(0, n, size=size)
+        got = _PCG64BlockDraws(twin.bit_generator).integers(np.full(size, n, dtype=np.uint64))
+        assert np.array_equal(got, want)
+        assert gen.bit_generator.random_raw() == twin.bit_generator.random_raw()
+
     @pytest.mark.parametrize("pending", [False, True])
     def test_mixed_ranges_call_for_call(self, pending):
         gen, twin = twin_generators(8, pending)
@@ -174,17 +282,28 @@ def dataset_digest(ds) -> int:
     return crc
 
 
+GOLDEN_LISTOPS = [
+    (0, 200, 128, 4, 0x7199D046),
+    (7, 20, 2048, 8, 0x4E4716F4),
+    (3, 500, 8, 1, 0xA6214EF6),
+    (11, 300, 16, 3, 0x8D66C663),
+    (5, 200, 3, 4, 0x1BB03BF0),   # a bare digit at the root
+    (6, 200, 4, 4, 0x14ACB7F4),   # a root arity range of one: no draw
+    (7, 200, 5, 4, 0x109747FA),   # ... of two
+    (8, 200, 6, 4, 0xDC585847),   # ... of three
+    (9, 200, 7, 4, 0x7C4C3C4B),   # ... of four
+    (2, 384, 2048, 8, 0xA7E5654B),  # perfbench's listops_long_eval split at seed 1
+    (1, 4000, 128, 4, 0x6F4D2AAF),  # perfbench's listops_train split at seed 1
+    (1, 4, 20_000, MAX_LISTOPS_DEPTH, 0x4B4DCEB9),  # the deepest nesting allowed
+]
+
+
 class TestListopsGolden:
     """``gen_listops``'s bytes, recorded when it still drew through
     ``np.random.default_rng``: a change here changes every listops dataset,
     its reference losses and the checkpoints trained on it."""
 
-    @pytest.mark.parametrize("seed, count, max_len, max_depth, digest", [
-        (0, 200, 128, 4, 0x7199D046),
-        (7, 20, 2048, 8, 0x4E4716F4),
-        (3, 500, 8, 1, 0xA6214EF6),
-        (11, 300, 16, 3, 0x8D66C663),
-    ])
+    @pytest.mark.parametrize("seed, count, max_len, max_depth, digest", GOLDEN_LISTOPS)
     def test_digest(self, seed, count, max_len, max_depth, digest):
         assert dataset_digest(gen_listops(seed, count, max_len, max_depth)) == digest
 
