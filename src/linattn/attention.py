@@ -16,8 +16,6 @@ evaluator's (..., L) key axis; masked positions contribute nothing.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -37,7 +35,7 @@ ATTENTION_KINDS = ("softmax", "kernel_linear", "kernel_quadratic")
 EPS = 1e-6
 
 # The fewest packed input elements (rows x d_model) at which a layer that
-# records no graph builds its query features on a worker thread while the
+# records no graph builds its query features on a ``tensor.lane`` while the
 # caller builds its key features, then runs the rest of the layer on two
 # sequence halves. Overlapped over serial time of a layer of width 64, 4
 # heads and oglu stacks, on a 2-core x86-64 VM with one BLAS thread, with
@@ -45,10 +43,11 @@ EPS = 1e-6
 # 262k, 0.67 at 1M. Adding the sequence halves took the perfbench
 # listops_long_eval step (about 7k rows of width 64 per layer, L <= 2048)
 # to 0.87-0.93 of its time with the feature overlap alone, at three seeds.
-# ``Model.encode`` splits its row-wise sub-blocks into two row halves at the
-# same floor. Split over serial time, on the same VM at width 64: a layer
-# norm 1.18-1.27 at 2048 rows, 0.86-0.87 at 4096 and 0.72-0.75 at 7000; the
-# FFN residual sub-block (ffn_dim 128) 0.77-0.79, 0.66-0.68 and 0.65-0.66.
+# ``Model.encode`` splits its row-wise sub-blocks into two row halves, the
+# first on its lane, at the same floor. Split over serial time, on the same
+# VM at width 64: a layer norm 1.18-1.27 at 2048 rows, 0.86-0.87 at 4096 and
+# 0.72-0.75 at 7000; the FFN residual sub-block (ffn_dim 128) 0.77-0.79,
+# 0.66-0.68 and 0.65-0.66.
 OVERLAP_MIN_ELEMENTS = 1 << 18
 
 
@@ -224,17 +223,16 @@ def multi_head_kernel_attention(x: Tensor, params: AttentionLayerParams,
     of S and z.
 
     With no graph being recorded and at least ``OVERLAP_MIN_ELEMENTS``
-    elements in ``x``, the layer runs on two threads. The query features are
-    built on a worker thread while the caller builds the key features. Then,
-    if the mask has a leading sequence axis of at least 2 entries, the batch
-    is cut at ``B // 2`` sequences: the worker runs the rest of the layer
-    (``_attend``) on the first half's rows while the caller runs it on the
-    second half's, and the two outputs are concatenated. S and z are formed
-    per sequence and head and the products treat each row alone, so the
-    halves give the bits of the whole; a cut that leaves one half a single
-    row is not made. The worker is joined before the layer returns or
-    raises, and either thread's error reaches the caller. A layer that
-    records a graph stays on one thread (see ``tensor``).
+    elements in ``x``, the layer runs on a ``tensor.lane``; otherwise the
+    lane is off and the same steps run in turn on the caller. The query
+    features are built on the lane while the caller builds the key features.
+    Then, if the lane is on and the mask has a leading sequence axis of at
+    least 2 entries, the batch is cut at ``B // 2`` sequences: the lane runs
+    the rest of the layer (``_attend``) on the first half's rows while the
+    caller runs it on the second half's, and the two outputs are
+    concatenated. S and z are formed per sequence and head and the products
+    treat each row alone, so the halves give the bits of the whole; a cut
+    that leaves one half a single row is not made.
     """
     m = _rows_mask(x, mask, config.d_model)
     kind, n_heads = config.attention_kind, config.n_heads
@@ -245,14 +243,11 @@ def multi_head_kernel_attention(x: Tensor, params: AttentionLayerParams,
         raise ConfigError(f"{kind} runs {n_heads} heads, but the layer holds "
                           f"{len(kernels)} feature stacks")
     overlap = not T._GRAD_ENABLED and x.data.size >= OVERLAP_MIN_ELEMENTS
-    with (ThreadPoolExecutor(1, thread_name_prefix="linattn-attention") if overlap
-          else nullcontext()) as worker:
+    with T.lane(overlap) as submit:
         if kind == "softmax":
             q, k = T.matmul(x, params.w_q), T.matmul(x, params.w_k)
-        elif worker is None:
-            q, k = (_head_features(x, w, kernels) for w in (params.w_q, params.w_k))
         else:
-            q = worker.submit(_head_features, x, params.w_q, kernels)
+            q = submit(_head_features, x, params.w_q, kernels)
             k = _head_features(x, params.w_k, kernels)
             q = q.result()
         b2 = m.shape[0] // 2 if overlap and m.ndim >= 2 else 0
@@ -261,8 +256,8 @@ def multi_head_kernel_attention(x: Tensor, params: AttentionLayerParams,
         # bits differ from those of a row of the matrix product.
         if not 1 < r < x.shape[0] - 1:
             return _attend(q, k, x, params, kind, n_heads, m)
-        first = worker.submit(_attend, *(T.getitem(t, np.s_[:r]) for t in (q, k, x)),
-                              params, kind, n_heads, m[:b2])
+        first = submit(_attend, *(T.getitem(t, np.s_[:r]) for t in (q, k, x)),
+                       params, kind, n_heads, m[:b2])
         rest = _attend(*(T.getitem(t, np.s_[r:]) for t in (q, k, x)),
                        params, kind, n_heads, m[b2:])
         return T.concat([first.result(), rest], axis=0)

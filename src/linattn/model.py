@@ -19,8 +19,6 @@ import itertools
 import json
 import struct
 import zlib
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
@@ -159,39 +157,18 @@ def _keep_scale(rng, mask: np.ndarray, width: int, rate: float, dtype) -> np.nda
     return (rng.random(mask.shape + (width,)) >= rate)[mask].astype(dtype) / (1.0 - rate)
 
 
-@contextmanager
-def _keep_scales(rng, rate: float, mask: np.ndarray, widths: list[int], dtype):
+def _keep_scales(submit, rng, rate: float, mask: np.ndarray, widths: list[int], dtype):
     """An iterator over the keep scales of dropout sites of ``widths``, in
     that order: ``None`` for each without an ``rng`` or at rate 0, else
-    drawn at the padded shape by one worker thread that leaving the block
-    joins."""
+    drawn at the padded shape as ``submit`` tasks, all submitted at once."""
     if rng is None or rate == 0.0:
-        yield itertools.repeat(None)
-        return
-    with ThreadPoolExecutor(1, thread_name_prefix="linattn-dropout") as worker:
-        sites = [worker.submit(_keep_scale, rng, mask, w, rate, dtype) for w in widths]
-        yield (site.result() for site in sites)
+        return itertools.repeat(None)
+    sites = [submit(_keep_scale, rng, mask, w, rate, dtype) for w in widths]
+    return (site.result() for site in sites)
 
 
 def _dropout(x: Tensor, scale: np.ndarray | None) -> Tensor:
     return x if scale is None else T.mul(x, Tensor(scale))
-
-
-@contextmanager
-def _row_halves(cut: int):
-    """A runner ``rows(fn, x, *args)`` of a row-wise ``fn``: ``fn(x, *args)``
-    if ``cut`` is 0, else ``fn`` of rows ``[:cut]`` on one worker thread,
-    which leaving the block joins, beside ``fn`` of rows ``[cut:]`` on the
-    caller, concatenated. Either half's error reaches the caller."""
-    if not cut:
-        yield lambda fn, x, *args: fn(x, *args)
-        return
-    with ThreadPoolExecutor(1, thread_name_prefix="linattn-rows") as worker:
-        def rows(fn, x, *args):
-            first = worker.submit(fn, T.getitem(x, np.s_[:cut]), *args)
-            rest = fn(T.getitem(x, np.s_[cut:]), *args)
-            return T.concat([first.result(), rest], axis=0)
-        yield rows
 
 
 @dataclass(eq=False)
@@ -245,21 +222,20 @@ class Model:
         the attention output and then the FFN inner, and each site draws
         ``rng.random((B, L, width))``, where L is the batch's padded width:
         a real slot keeps its value iff its number is >= the rate. So the
-        stream depends on the padded shape, not only on the real tokens. One
-        worker thread draws the sites ahead of the forward pass and is
-        joined before ``encode`` returns or raises; once the inputs pass
-        their checks, ``rng`` ends where a finished encode leaves it.
+        stream depends on the padded shape, not only on the real tokens.
 
-        Without an ``rng``, with no graph being recorded, and at least
-        ``attention.OVERLAP_MIN_ELEMENTS`` elements in the packed rows, each
-        block's first layer norm, its FFN residual sub-block and the final
-        layer norm run on two row halves: rows ``[:cut]`` on a worker thread
-        while the caller runs ``[cut:]``, where ``cut`` is N // 2 rounded down
-        to a multiple of 64 (no split if that is 0). These ops treat each row
-        alone, and the aligned cut keeps the BLAS products' row grouping, so
-        the halves give the bits of the whole. The worker is joined before
-        ``encode`` returns or raises, and either half's error reaches the
-        caller.
+        An encode opens one ``tensor.lane``, whose thread starts only if it
+        gets a task. With dropout, the lane draws the sites ahead of the
+        forward pass; once the inputs pass their checks, ``rng`` ends where
+        a finished encode leaves it. Without an ``rng``, with no graph being
+        recorded, and at least ``attention.OVERLAP_MIN_ELEMENTS`` elements
+        in the packed rows, each block's first layer norm, its FFN residual
+        sub-block and the final layer norm run on two row halves: rows
+        ``[:cut]`` on the lane while the caller runs ``[cut:]``, where
+        ``cut`` is N // 2 rounded down to a multiple of 64 (no split if that
+        is 0). These ops treat each row alone, and the aligned cut keeps the
+        BLAS products' row grouping, so the halves give the bits of the
+        whole. So the lane runs draws or row halves, never both.
         """
         tokens = np.asarray(tokens)
         mask = np.asarray(mask, dtype=bool)
@@ -285,8 +261,17 @@ class Model:
         # in each precision, one cut at a multiple of 64 in none.
         cut = (n // 2 // 64 * 64 if rng is None and not T._GRAD_ENABLED
                and n * cfg.d_model >= attention.OVERLAP_MIN_ELEMENTS else 0)
-        with (_keep_scales(rng, cfg.dropout_rate, mask, widths, self.embed_tokens.dtype)
-              as scales, _row_halves(cut) as rows):
+        with T.lane() as submit:
+            scales = _keep_scales(submit, rng, cfg.dropout_rate, mask, widths,
+                                  self.embed_tokens.dtype)
+
+            def rows(fn, x, *args):
+                if not cut:
+                    return fn(x, *args)
+                first = submit(fn, T.getitem(x, np.s_[:cut]), *args)
+                rest = fn(T.getitem(x, np.s_[cut:]), *args)
+                return T.concat([first.result(), rest], axis=0)
+
             h = T.add(T.embedding(self.embed_tokens, tokens[mask]),
                       T.embedding(self.embed_pos, col))
 

@@ -20,14 +20,16 @@ Adam writes.
 Graphs are recorded on one thread. ``_node_of`` gives a trainable tensor
 its leaf node lazily, on its first use in a graph, so two threads recording
 over a shared parameter could each make one, and ``backward`` would keep
-only one of their gradients, without an error. The package's worker threads
-record nothing: they draw dropout numbers, or, while ``no_grad`` is on,
-build a layer's query features and run the rest of the layer on one half
-of its sequences (see ``attention``) or run an encoder's layer norms and
-FFN on one half of its rows (see ``model``), or run one
-micro-batch's ``backward`` while the caller records the next (see
-``training``). ``backward`` makes no node and toggles no ``no_grad``: it
-reads the nodes, leaves included, that the recording thread made.
+only one of their gradients, without an error. The package's one kind of
+worker thread is a ``lane``, and ``_make`` raises ``GraphError`` where a
+lane thread would attach a node. Lane tasks draw dropout numbers (see
+``model``), or, while ``no_grad`` is on, build a layer's query features and
+run the rest of the layer on one half of its sequences (see ``attention``)
+or run an encoder's layer norms and FFN on one half of its rows (see
+``model``), or run one micro-batch's ``backward`` while the caller records
+the next (see ``training``). ``backward`` makes no node and toggles no
+``no_grad``: it reads the nodes, leaves included, that the recording thread
+made.
 
 Broadcasting follows numpy's trailing-dimension alignment; gradients of a
 broadcast operand are summed back over the expanded axes by ``_unbroadcast``,
@@ -49,6 +51,8 @@ import builtins
 import ctypes
 import math
 import os
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
 
@@ -113,9 +117,9 @@ def _set_malloc_policy(libc) -> dict | None:
     again. Fixing any threshold turns the dynamic one off, so both are set:
     the mmap threshold first and, only if glibc accepted it, the trim
     threshold. The cost is that resident memory stays at its high-water
-    mark. Then ``ARENA_MAX`` caps the arenas at one, so a worker thread (the
-    encoder's dropout draws and row halves, a layer's query features and
-    first sequence half, a reverse pass) allocates from the main heap and
+    mark. Then ``ARENA_MAX`` caps the arenas at one, so a ``lane`` thread
+    (the encoder's dropout draws and row halves, a layer's query features
+    and first sequence half, a reverse pass) allocates from the main heap and
     reuses its pages instead of growing an arena of its own.
     Returns the settings applied (``None`` for one glibc refused), or None
     when none was.
@@ -149,7 +153,7 @@ def _set_blas_threads() -> int | None:
     exports a known setter (no OpenBLAS, or no ``/proc/self/maps``).
 
     Every timing and byte record here is taken at one BLAS thread, and the
-    package's own worker threads would compete with OpenBLAS's for the
+    package's own lane threads would compete with OpenBLAS's for the
     cores. ``os.environ`` is left as it is."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
@@ -189,6 +193,59 @@ def no_grad():
         yield
     finally:
         _GRAD_ENABLED = prev
+
+
+class _LaneThread(threading.local):
+    """``on`` is True only on a lane thread, whose executor's initializer
+    sets it; every other thread reads the class default."""
+
+    on = False
+
+
+_LANE_THREAD = _LaneThread()
+
+
+def _run_now(fn: Callable, *args) -> Future:
+    done = Future()
+    done.set_result(fn(*args))
+    return done
+
+
+# A class, not a generator function: perfbench's tracer wraps every public
+# function of this module as a tensor op, and a lane makes no tensor.
+class lane:
+    """``with lane(on) as submit:`` runs ``submit(fn, *args) -> Future``
+    tasks on one worker thread beside the caller.
+
+    On, the thread starts at the first ``submit`` (a lane given no task
+    starts none) and runs the tasks in submit order. Every exit from the
+    block joins it, after the tasks already submitted have run. A task's
+    error reaches whoever reads its result. A lane thread records no graph:
+    ``_make`` raises ``GraphError`` there.
+
+    Off, ``submit`` runs ``fn`` at once on the caller, so an error raises
+    from ``submit``, and returns a finished future: the serial path, with
+    the same node order.
+    """
+
+    def __init__(self, on: bool = True):
+        self.on = on
+        self._pool: ThreadPoolExecutor | None = None
+
+    def __enter__(self) -> Callable[..., Future]:
+        return self._submit if self.on else _run_now
+
+    def _submit(self, fn: Callable, *args) -> Future:
+        if self._pool is None:
+            self._pool = ThreadPoolExecutor(1, thread_name_prefix="linattn-lane",
+                                            initializer=setattr,
+                                            initargs=(_LANE_THREAD, "on", True))
+        return self._pool.submit(fn, *args)
+
+    def __exit__(self, exc_type, exc, tb):
+        if self._pool is not None:
+            self._pool.shutdown()
+        return False
 
 
 class _Node:
@@ -302,6 +359,9 @@ def _make(out_data: np.ndarray, prev: Sequence[Tensor], vjp: Callable) -> Tensor
     that ``vjp`` does not capture."""
     out = Tensor(out_data)
     if _GRAD_ENABLED and any(p.requires_grad for p in prev):
+        if _LANE_THREAD.on:
+            raise GraphError("a lane thread would record a graph node; graphs are "
+                             "recorded on one thread")
         out.requires_grad = True
         out._node = _Node(tuple(_node_of(p) if p.requires_grad else None for p in prev),
                           vjp, out.dtype)

@@ -6,10 +6,11 @@ micro gradients are divided by the number of micro-batches), which makes
 k micro-batches of size b equivalent to one batch of size k*b. The loss
 is cross-entropy plus the orthogonality penalty at the fixed weight
 ``kernels.ORTHO_REG_WEIGHT``; the metrics stream records the penalty
-unweighted. Each micro-batch's reverse pass but the last runs on one
-worker thread while the caller records the next forward pass; graphs and
-dropout draws stay on the caller, in micro-batch order, so a step's bits
-do not depend on the overlap.
+unweighted. Each micro-batch's reverse pass but the last runs on a
+``tensor.lane`` while the caller records the next forward pass. Graphs
+stay on the caller (a lane thread refuses to record one), and each encode
+draws its dropout numbers in micro-batch order, so a step's bits do not
+depend on the overlap.
 
 A step diverges when its loss, the orthogonality penalty after its update
 or the loss of its eval is non-finite. That aborts the run with a diverged
@@ -23,7 +24,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 
@@ -147,10 +147,11 @@ def _accumulated_step(model: Model, params: dict[str, Tensor], stream, k: int, r
     micro-batches, or None at the first non-finite loss. Gradients add up in
     place (a copy of the first micro-batch's, then ``+=``), then ``/= k``.
 
-    With ``k > 1``, one worker thread runs each micro-batch's reverse pass and
-    its ``+=`` while the caller records the next forward pass. The caller
-    waits for it before handing over the next, runs the last one itself, and
-    joins the worker before the step returns or raises.
+    A ``tensor.lane`` runs each micro-batch's reverse pass and its ``+=``
+    but the last while the caller records the next forward pass. The caller
+    waits for it before handing over the next and runs the last one itself,
+    so with ``k = 1`` the lane starts no thread. It waits before it reads a
+    loss as non-finite, so a reverse pass's error wins over that loss.
     """
     grad_sum: dict[str, np.ndarray] = {}
     loss_sum = task_sum = 0.0
@@ -163,20 +164,19 @@ def _accumulated_step(model: Model, params: dict[str, Tensor], stream, k: int, r
             else:
                 grad_sum[name] = grads[p].copy()
 
-    pool = ThreadPoolExecutor(1, thread_name_prefix="linattn-reverse") if k > 1 else nullcontext()
-    with pool as worker:
+    with T.lane() as submit:
         pending = None
         for j in range(k):
             loss, task_loss = _forward_loss(model, next(stream), rng)
             loss_val = float(loss.item())
+            if pending is not None:
+                pending.result()
             if not math.isfinite(loss_val):
                 return None
             loss_sum += loss_val
             task_sum += float(task_loss.item())
-            if pending is not None:
-                pending.result()
             if j < k - 1:
-                pending = worker.submit(reverse, loss)
+                pending = submit(reverse, loss)
             else:
                 reverse(loss)
     for g in grad_sum.values():

@@ -16,7 +16,7 @@ from linattn.errors import ContractError, ShapeError
 from linattn.kernels import KernelSpec, drawer, init_kernel_params, kernel_stack_forward
 from linattn.model import ModelConfig, named_tensors
 from linattn.tensor import Tensor, backward, finite_difference_check
-from test_model import assert_threads_back, os_threads
+from conftest import assert_threads_back, lanes_off, os_threads
 
 ALL_VARIANT_DEPTHS = [(v, d) for v in ("linear_softplus", "glu", "oglu", "aoglu")
                       for d in (1, 2, 3)]
@@ -344,10 +344,10 @@ class TestMultiHead:
 
 class TestFeatureOverlap:
     """Without a graph and at ``OVERLAP_MIN_ELEMENTS`` packed elements, the
-    query side runs on a worker thread, and then the rest of the layer runs
-    on two sequence halves, the first on the worker: the same bits as the
-    serial layer, a worker joined on every exit, and one thread while a
-    graph is recorded. These run in CI at the NumPy floor too."""
+    query side runs on the layer's lane, and then the rest of the layer runs
+    on two sequence halves, the first on the lane: the same bits as the
+    serial layer, and one thread while a graph is recorded. These run in CI
+    at the NumPy floor too."""
 
     # Padded masks. "odd" holds an odd sequence count of uneven lengths; "3d"
     # is cut on its first axis, into halves of 1 and 2 rows of 2 sequences.
@@ -386,13 +386,6 @@ class TestFeatureOverlap:
 
         monkeypatch.setattr(linattn.attention, "_attend", spy)
         return seen
-
-    @staticmethod
-    def refuse_workers(monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a feature worker started")
-
-        monkeypatch.setattr(linattn.attention, "ThreadPoolExecutor", refuse)
 
     def serial_and_split(self, monkeypatch, cfg, params, x, mask):
         """The layer's output with no worker and with every worker, and
@@ -462,47 +455,23 @@ class TestFeatureOverlap:
 
         want = gradients()
         monkeypatch.setattr(linattn.attention, "OVERLAP_MIN_ELEMENTS", 0)
-        self.refuse_workers(monkeypatch)
+        threaded = lanes_off(monkeypatch)
         for name, g in gradients().items():
             np.testing.assert_array_equal(g, want[name], err_msg=name)
+        assert threaded == []
 
     def test_no_worker_below_the_floor(self, monkeypatch):
         cfg, params, x = self.layer("kernel_linear", np.float32)
         monkeypatch.setattr(linattn.attention, "OVERLAP_MIN_ELEMENTS", x.data.size + 1)
-        self.refuse_workers(monkeypatch)
+        threaded = lanes_off(monkeypatch)
         with T.no_grad():
             self.run(cfg, params, x)
+        assert threaded == []
 
-    @pytest.mark.parametrize("side", ["w_q", "w_k"], ids=["query", "key"])
-    def test_a_raising_side_reaches_the_caller_and_joins(self, monkeypatch, side):
+    def test_worker_runs_at_the_floor(self, monkeypatch):
         cfg, params, x = self.layer("kernel_linear", np.float32)
-        bad, head_features = getattr(params, side), linattn.attention._head_features
-
-        def fail(x, w, kernels):
-            if w is bad:
-                raise FloatingPointError(side)
-            return head_features(x, w, kernels)
-
-        monkeypatch.setattr(linattn.attention, "_head_features", fail)
-        monkeypatch.setattr(linattn.attention, "OVERLAP_MIN_ELEMENTS", 0)
-        threads = threading.active_count(), os_threads()
-        with T.no_grad(), pytest.raises(FloatingPointError, match=side):
+        monkeypatch.setattr(linattn.attention, "OVERLAP_MIN_ELEMENTS", x.data.size)
+        threaded = lanes_off(monkeypatch)
+        with T.no_grad():
             self.run(cfg, params, x)
-        assert_threads_back(threads)
-
-    @pytest.mark.parametrize("half", ["first", "second"])
-    def test_a_raising_half_reaches_the_caller_and_joins(self, monkeypatch, half):
-        cfg, params, x = self.layer("kernel_linear", np.float32)
-        attend, caller = linattn.attention._attend, threading.current_thread()
-
-        def fail(*args):
-            if (threading.current_thread() is caller) == (half == "second"):
-                raise FloatingPointError(half)
-            return attend(*args)
-
-        monkeypatch.setattr(linattn.attention, "_attend", fail)
-        monkeypatch.setattr(linattn.attention, "OVERLAP_MIN_ELEMENTS", 0)
-        threads = threading.active_count(), os_threads()
-        with T.no_grad(), pytest.raises(FloatingPointError, match=half):
-            self.run(cfg, params, x)
-        assert_threads_back(threads)
+        assert threaded == [linattn.attention._head_features, linattn.attention._attend]

@@ -2,10 +2,8 @@
 
 import contextlib
 import json
-import os
 import struct
 import threading
-import time
 import zlib
 from dataclasses import asdict
 from pathlib import Path
@@ -20,7 +18,7 @@ import linattn.tensor as T
 import linattn.training
 from linattn.attention import multi_head_kernel_attention
 from linattn.config import parse_config_file
-from linattn.data import Batch, gen_text_classification, batch_iter
+from linattn.data import gen_text_classification, batch_iter
 from linattn.errors import ConfigError, ContractError, DataError
 from linattn.kernels import KernelSpec
 from linattn.model import (ModelConfig, ParamAccount, build_model,
@@ -28,6 +26,7 @@ from linattn.model import (ModelConfig, ParamAccount, build_model,
                            load_checkpoint, save_checkpoint)
 from linattn.tensor import Tensor, backward
 from linattn.training import Adam
+from conftest import assert_threads_back, lanes_off, os_threads
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 LISTOPS_CFG = CONFIGS / "listops.cfg"
@@ -213,28 +212,11 @@ def rng_state(rng):
     return rng.get_state(legacy=False)
 
 
-def os_threads():
-    """The process's OS threads, where the platform lists them."""
-    return len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
-
-
-def assert_threads_back(threads):
-    """The thread counts are back at ``threads``, as read by
-    ``threading.active_count()`` and ``os_threads()``. A joined thread leaves
-    ``threading`` at once, but its OS thread can still be exiting, so the OS
-    count gets up to a second to settle."""
-    assert threading.active_count() == threads[0]
-    deadline = time.monotonic() + 1.0
-    while os_threads() != threads[1] and time.monotonic() < deadline:
-        time.sleep(1e-3)
-    assert os_threads() == threads[1]
-
-
 class TestDropoutStream:
-    """Dropout draws each site at the padded shape on a worker thread: every
-    scale and the stream's final state match ``reference_scales``. These run
-    in CI at the NumPy floor too, pinning the padded stream and the thread
-    join there."""
+    """Dropout draws each site at the padded shape on the encoder's lane:
+    every scale and the stream's final state match ``reference_scales``.
+    These run in CI at the NumPy floor too, pinning the padded stream
+    there."""
 
     MASKS = {
         "prefix": np.arange(12) < np.array([12, 7, 3, 12, 1])[:, None],
@@ -250,8 +232,8 @@ class TestDropoutStream:
         cfg = small_config()
         widths = [1, cfg.d_model, cfg.ffn_dim, 1]
         rng, twin = np.random.default_rng(3), np.random.default_rng(3)
-        with linattn.model._keep_scales(rng, 0.1, mask, widths, dtype) as scales:
-            got = list(scales)
+        with T.lane() as submit:
+            got = list(linattn.model._keep_scales(submit, rng, 0.1, mask, widths, dtype))
         for g, want in zip(got, reference_scales(twin, mask, widths, 0.1, dtype), strict=True):
             assert g.dtype == dtype
             np.testing.assert_array_equal(g, want)
@@ -264,8 +246,8 @@ class TestDropoutStream:
         for r in (rng, twin):
             r.integers(0, 7, dtype=np.uint32)
         assert rng.bit_generator.state["has_uint32"]
-        with linattn.model._keep_scales(rng, 0.5, mask, [5], np.float32) as scales:
-            list(scales)
+        with T.lane() as submit:
+            list(linattn.model._keep_scales(submit, rng, 0.5, mask, [5], np.float32))
         reference_scales(twin, mask, [5], 0.5, np.float32)
         assert rng.bit_generator.state == twin.bit_generator.state
         assert rng.integers(0, 7, dtype=np.uint32) == twin.integers(0, 7, dtype=np.uint32)
@@ -277,9 +259,8 @@ class TestDropoutStream:
         tokens = np.where(mask, 1 + np.arange(mask.size).reshape(mask.shape) % 15, 0)
         got = forward_classify(model, tokens, mask, rng=np.random.default_rng(5)).data
 
-        @contextlib.contextmanager
-        def padded(rng, rate, mask, widths, dtype):
-            yield iter(reference_scales(rng, mask, widths, rate, dtype))
+        def padded(submit, rng, rate, mask, widths, dtype):
+            return iter(reference_scales(rng, mask, widths, rate, dtype))
 
         monkeypatch.setattr(linattn.model, "_keep_scales", padded)
         want = forward_classify(model, tokens, mask, rng=np.random.default_rng(5)).data
@@ -323,33 +304,21 @@ class TestDropoutStream:
         reference_scales(twin, mask, [cfg.d_model, cfg.ffn_dim] * cfg.n_layers, 0.1, np.float32)
         assert rng.bit_generator.state == twin.bit_generator.state
 
-    def test_training_step_leaves_no_thread(self):
-        cfg = small_config(dropout_rate=0.1)
-        model = build_model(cfg, seed=15)
-        params = model.named_parameters()
-        tokens, mask = random_batch(cfg)
-        stream = iter([Batch(tokens, mask, np.arange(4) % 3)] * 2)
-        threads = threading.active_count(), os_threads()
-        linattn.training._accumulated_step(model, params, stream, 2, np.random.default_rng(7))
-        assert_threads_back(threads)
-
     def test_no_thread_without_dropout(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a dropout worker started")
-
-        monkeypatch.setattr(linattn.model, "ThreadPoolExecutor", refuse)
+        threaded = lanes_off(monkeypatch)
         tokens, mask = random_batch(small_config())
         forward_classify(build_model(small_config(dropout_rate=0.1), seed=16), tokens, mask)
         forward_classify(build_model(small_config(), seed=16), tokens, mask,
                          rng=np.random.default_rng(8))
+        assert threaded == []
 
 
 class TestRowSplit:
     """Without a graph or an ``rng`` and at ``OVERLAP_MIN_ELEMENTS`` packed
     elements, ``encode`` runs its layer norms and FFN sub-blocks on two row
-    halves cut at a multiple of 64: the same bits as one thread, a worker
-    joined on every exit, and one thread otherwise. These run in CI at the
-    NumPy floor too, whose BLAS must keep the bits at the cut as well."""
+    halves cut at a multiple of 64, the first on its lane: the same bits as
+    one thread, and one thread otherwise. These run in CI at the NumPy floor
+    too, whose BLAS must keep the bits at the cut as well."""
 
     # Sequence lengths by packed row count N: N mod 64 is 0, 1, 2 and 3
     # (cut 128, 128, 64 and 192), and at N = 127 the cut is 0.
@@ -380,13 +349,6 @@ class TestRowSplit:
 
             monkeypatch.setattr(linattn.model.Model, name, spy)
         return seen
-
-    @staticmethod
-    def refuse_workers(monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a row worker started")
-
-        monkeypatch.setattr(linattn.model, "ThreadPoolExecutor", refuse)
 
     @pytest.mark.parametrize("rows", sorted(LENGTHS))
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -427,29 +389,12 @@ class TestRowSplit:
         tokens, mask = self.batch(256, 1)
         floor = 256 * 64 + 1 if case == "below the floor" else 0
         monkeypatch.setattr(linattn.attention, "OVERLAP_MIN_ELEMENTS", floor)
-        self.refuse_workers(monkeypatch)
+        seen = self.sub_block_rows(monkeypatch)
         rng = np.random.default_rng(0) if case == "rng" else None
         with contextlib.nullcontext() if case == "graph" else T.no_grad():
             pooled = model.encode(tokens, mask, rng=rng)
         assert pooled.requires_grad == (case == "graph")
-
-    @pytest.mark.parametrize("half", ["worker", "caller"])
-    def test_a_raising_half_reaches_the_caller_and_joins(self, monkeypatch, half):
-        model = self.model("classify", np.float32)
-        tokens, mask = self.batch(256, 1)
-        caller, ffn_residual = threading.current_thread(), linattn.model.Model._ffn_residual
-
-        def fail(self, h, *args):
-            if (threading.current_thread() is caller) == (half == "caller"):
-                raise FloatingPointError(half)
-            return ffn_residual(self, h, *args)
-
-        monkeypatch.setattr(linattn.model.Model, "_ffn_residual", fail)
-        monkeypatch.setattr(linattn.attention, "OVERLAP_MIN_ELEMENTS", 0)
-        threads = threading.active_count(), os_threads()
-        with T.no_grad(), pytest.raises(FloatingPointError, match=half):
-            model.encode(tokens, mask)
-        assert_threads_back(threads)
+        assert seen == {(True, 256)}
 
 
 class TestForwardMatch:

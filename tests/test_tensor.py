@@ -5,6 +5,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 import warnings
 import weakref
@@ -22,6 +24,7 @@ from linattn.errors import ContractError, GraphError, ShapeError
 from linattn.model import build_model
 from linattn.tensor import Tensor, backward, finite_difference_check, no_grad
 from linattn.training import _forward_loss
+from conftest import assert_threads_back, os_threads
 
 LN2 = 0.6931471805599453
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -410,6 +413,89 @@ class TestNoGrad:
         assert not out.requires_grad
         with pytest.raises(ContractError):
             backward(out)
+
+
+class TestLane:
+    """The one worker thread the package runs (see ``tensor.lane``): started
+    by the first task, joined on every exit, each error delivered, and no
+    graph recorded on it. These run in CI at the NumPy floor too."""
+
+    @staticmethod
+    def counts():
+        return threading.active_count(), os_threads()
+
+    def test_no_thread_until_the_first_submit(self):
+        threads = self.counts()
+        with T.lane() as submit:
+            assert self.counts() == threads
+            ran_on = submit(threading.current_thread).result()
+            assert ran_on is not threading.current_thread()
+            assert threading.active_count() == threads[0] + 1
+        assert_threads_back(threads)
+
+    @pytest.mark.parametrize("exit_by", ["return", "caller raises", "task raises"])
+    def test_joined_on_every_exit(self, exit_by):
+        finished, threads = [], self.counts()
+
+        def slow(n):
+            time.sleep(0.05)
+            if exit_by == "task raises" and n == 1:
+                raise FloatingPointError("task")
+            finished.append(n)
+
+        def block():
+            with T.lane() as submit:
+                futures = [submit(slow, n) for n in range(3)]
+                if exit_by == "caller raises":
+                    raise FloatingPointError("caller")
+                if exit_by == "task raises":
+                    futures[1].result()
+
+        if exit_by == "return":
+            block()
+        else:
+            with pytest.raises(FloatingPointError, match=exit_by.split()[0]):
+                block()
+        # Every task submitted ran before the block was left.
+        assert finished == ([0, 2] if exit_by == "task raises" else [0, 1, 2])
+        assert_threads_back(threads)
+
+    def test_task_error_reaches_its_reader(self):
+        def fail():
+            raise FloatingPointError("task")
+
+        with T.lane() as submit:
+            failed, fine = submit(fail), submit(math.sqrt, 4.0)
+            with pytest.raises(FloatingPointError, match="task"):
+                failed.result()
+            assert fine.result() == 2.0
+
+    def test_off_runs_inline_in_submit_order(self):
+        ran, caller = [], threading.current_thread()
+
+        def log(n):
+            ran.append((n, threading.current_thread() is caller))
+            return n
+
+        threads = self.counts()
+        with T.lane(False) as submit:
+            futures = [submit(log, n) for n in range(3)]
+            assert ran == [(0, True), (1, True), (2, True)]
+            assert all(f.done() for f in futures) and futures[2].result() == 2
+            with pytest.raises(ZeroDivisionError):
+                submit(divmod, 1, 0)
+        assert self.counts() == threads
+
+    def test_recording_op_on_the_lane_raises(self):
+        w = t64(np.ones(3), grad=True)
+        with T.lane() as submit:
+            with pytest.raises(GraphError, match="lane thread"):
+                submit(T.square, w).result()
+            with no_grad():
+                out = submit(T.square, w).result()
+        assert not out.requires_grad
+        np.testing.assert_array_equal(out.data, np.ones(3))
+        assert T.square(w).requires_grad  # the caller still records
 
 
 class TestFiniteDifferenceCheck:

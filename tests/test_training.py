@@ -7,13 +7,13 @@ import subprocess
 import sys
 import threading
 import time
-from concurrent.futures import Future
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import linattn.model
 import linattn.tensor as T
 import linattn.training
 from linattn.config import (OptimizerConfig, ScheduleConfig, TaskSpec, TrainConfig,
@@ -24,7 +24,7 @@ from linattn.kernels import KernelSpec
 from linattn.model import ModelConfig, build_model
 from linattn.tensor import Tensor
 from linattn.training import Adam, VARIANCE_FLAG_STD, evaluate, lr_at, run_seeds, train
-from test_model import assert_threads_back, os_threads
+from conftest import assert_threads_back, lanes_off, os_threads
 
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
@@ -91,31 +91,12 @@ class TestAccumulationEquivalence:
             assert a.train_loss == pytest.approx(b.train_loss, abs=1e-12)
 
 
-class InlineExecutor:
-    """A ``ThreadPoolExecutor`` stand-in that runs each task as it is
-    submitted, on the caller: the serial reference of a step."""
-
-    def __init__(self, *args, **kwargs):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        future = Future()
-        future.set_result(fn(*args))
-        return future
-
-
 class TestPipelinedAccumulation:
     """With k > 1 micro-batches, each reverse pass but the last runs on a
-    worker thread while the caller records the next forward pass: the same
-    bits and dropout stream as a serial step, graphs made on the caller
-    alone, reverse passes in micro-batch order, and a worker joined on every
-    exit. These run in CI at the NumPy floor too."""
+    lane while the caller records the next forward pass: the same bits and
+    dropout stream as a serial step, graphs made on the caller alone, and
+    reverse passes in micro-batch order. These run in CI at the NumPy floor
+    too."""
 
     @staticmethod
     def step(k, dtype=np.float32, seed=5):
@@ -178,7 +159,7 @@ class TestPipelinedAccumulation:
             (loss, task, grads), rng = self.step(k, dtype)
         finally:
             sys.setswitchinterval(interval)
-        monkeypatch.setattr(linattn.training, "ThreadPoolExecutor", InlineExecutor)
+        lanes_off(monkeypatch)
         (want_loss, want_task, want_grads), want_rng = self.step(k, dtype)
         assert (loss, task) == (want_loss, want_task)
         assert list(grads) == list(want_grads)
@@ -206,12 +187,6 @@ class TestPipelinedAccumulation:
         want = [(e, n, n == k - 1) for n in range(k) for e in ("start", "end")]
         assert events == want
 
-    def test_worker_joined_after_a_step(self, monkeypatch):
-        self.slow_reverse(monkeypatch)
-        threads = threading.active_count(), os_threads()
-        assert self.step(2)[0] is not None
-        assert_threads_back(threads)
-
     def test_non_finite_second_loss_returns_none_and_joins(self, monkeypatch):
         events = self.slow_reverse(monkeypatch)
         self.forward_at(monkeypatch, 2, lambda loss, task: (T.add(loss, np.nan), task))
@@ -219,18 +194,6 @@ class TestPipelinedAccumulation:
         assert self.step(2)[0] is None
         assert_threads_back(threads)
         assert events == [("start", 0, False), ("end", 0, False)]
-
-    def test_raising_second_forward_joins(self, monkeypatch):
-        self.slow_reverse(monkeypatch)
-
-        def fail(loss, task):
-            raise FloatingPointError("forward 2")
-
-        self.forward_at(monkeypatch, 2, fail)
-        threads = threading.active_count(), os_threads()
-        with pytest.raises(FloatingPointError, match="forward 2"):
-            self.step(2)
-        assert_threads_back(threads)
 
     def test_raising_first_reverse_pass_reaches_the_caller(self, monkeypatch):
         events = self.slow_reverse(monkeypatch, fail_at=0)
@@ -240,14 +203,20 @@ class TestPipelinedAccumulation:
         assert_threads_back(threads)
         assert events == [("start", 0, False)]
 
-    def test_one_micro_batch_starts_no_thread(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a reverse-pass worker started")
-
-        monkeypatch.setattr(linattn.training, "ThreadPoolExecutor", refuse)
+    def test_failed_reverse_pass_beats_a_non_finite_loss(self, monkeypatch):
+        events = self.slow_reverse(monkeypatch, fail_at=0)
+        self.forward_at(monkeypatch, 2, lambda loss, task: (T.add(loss, np.nan), task))
         threads = threading.active_count(), os_threads()
-        assert self.step(1)[0] is not None
+        with pytest.raises(FloatingPointError, match="reverse pass 0"):
+            self.step(2)
         assert_threads_back(threads)
+        assert events == [("start", 0, False)]
+
+    def test_one_micro_batch_starts_no_thread(self, monkeypatch):
+        threaded = lanes_off(monkeypatch)
+        assert self.step(1)[0] is not None
+        # Only the encoder's dropout draws would leave the caller.
+        assert set(threaded) == {linattn.model._keep_scale}
 
 
 # A float32 train step and an evaluation, through the CLI module's imports,

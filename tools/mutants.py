@@ -1,0 +1,122 @@
+"""Mutants the test suite must kill.
+
+Each row of ``MUTANTS`` names a file, a piece of its text, the text to put
+in its place, and the test node that must fail once it is there. The script
+copies the repository (without ``.git``) to a temporary directory, then for
+each row writes the mutated file, runs the node there with pytest and puts
+the file back. It exits 1 if a row's old text does not occur exactly once
+in its file, or if a mutant survives: its node passes. Each node must pass
+in the unmutated copy first; a row whose node does not is reported as
+broken, not as killed.
+
+Run from anywhere, after the tier-1 tests::
+
+    python tools/mutants.py
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (name, file, old text, new text, test node that must fail)
+MUTANTS = [
+    ("lane does not join", "src/linattn/tensor.py",
+     "self._pool.shutdown()", "self._pool.shutdown(wait=False)",
+     "tests/test_tensor.py::TestLane::test_joined_on_every_exit"),
+    ("lane thread records a graph", "src/linattn/tensor.py",
+     "        if _LANE_THREAD.on:", "        if False:",
+     "tests/test_tensor.py::TestLane::test_recording_op_on_the_lane_raises"),
+    ("reverse pass not awaited", "src/linattn/training.py",
+     "            if pending is not None:\n                pending.result()\n", "",
+     "tests/test_training.py::TestPipelinedAccumulation"
+     "::test_reverse_passes_run_in_order_and_the_last_on_the_caller"),
+    ("row cut at n // 2", "src/linattn/model.py",
+     "n // 2 // 64 * 64", "n // 2",
+     "tests/test_model.py::TestRowSplit::test_halves_keep_every_bit"),
+    ("encoder floor > for >=", "src/linattn/model.py",
+     "n * cfg.d_model >= attention.OVERLAP_MIN_ELEMENTS",
+     "n * cfg.d_model > attention.OVERLAP_MIN_ELEMENTS",
+     "tests/test_model.py::TestRowSplit::test_worker_runs_at_the_floor"),
+    ("attention floor > for >=", "src/linattn/attention.py",
+     "x.data.size >= OVERLAP_MIN_ELEMENTS", "x.data.size > OVERLAP_MIN_ELEMENTS",
+     "tests/test_attention.py::TestFeatureOverlap::test_worker_runs_at_the_floor"),
+    # Five mutants that once passed every tier-1 test.
+    ("dropout not inverted", "src/linattn/model.py",
+     "[mask].astype(dtype) / (1.0 - rate)", "[mask].astype(dtype)",
+     "tests/test_model.py::TestDropoutStream::test_scales_and_stream_match_the_padded_draw"),
+    ("eval loss not weighted by batch size", "src/linattn/training.py",
+     ".item()) * len(batch.labels)", ".item()) * batch_size",
+     "tests/test_equivalence.py"),
+    ("penalty measured at weight 2", "src/linattn/training.py",
+     "orthogonality_penalty(model.regularized_matrices(), 1.0)",
+     "orthogonality_penalty(model.regularized_matrices(), 2.0)",
+     "tests/test_equivalence.py"),
+    ("every epoch reuses epoch 0's shuffle", "src/linattn/training.py",
+     "shuffle_seed = seed * 1_000_003 + epoch", "shuffle_seed = seed * 1_000_003",
+     "tests/test_equivalence.py"),
+    ("inner linear_softplus layers without gelu", "src/linattn/kernels.py",
+     "T.gelu if len(layer) == 1 else None", "None",
+     "tests/test_kernels.py::TestKernelStack"
+     "::test_depth3_linear_softplus_runs_inner_layers_under_gelu"),
+]
+
+
+def run_node(copy: Path, node: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"))
+    return subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+                           node], cwd=copy, env=env, capture_output=True, text=True,
+                          timeout=600)
+
+
+def main() -> int:
+    failures = []
+    with tempfile.TemporaryDirectory(prefix="linattn-mutants-") as tmp:
+        copy = Path(tmp) / "repo"
+        shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".pytest_cache", "runs", ".perfbench-*"))
+        broken = {}
+        for node in dict.fromkeys(row[4] for row in MUTANTS):
+            done = run_node(copy, node)
+            if done.returncode != 0:
+                broken[node] = done
+        for name, rel, old, new, node in MUTANTS:
+            if node in broken:
+                failures.append(f"{name}: {node} exited {broken[node].returncode} unmutated\n"
+                                f"{broken[node].stdout[-1500:]}{broken[node].stderr[-1500:]}")
+                print(f"BROKEN   {name}")
+                continue
+            path = copy / rel
+            original = path.read_text()
+            if original.count(old) != 1:
+                failures.append(f"{name}: its old text occurs {original.count(old)} times "
+                                f"in {rel}, not once")
+                print(f"STALE    {name}")
+                continue
+            start = time.monotonic()
+            path.write_text(original.replace(old, new))
+            try:
+                done = run_node(copy, node)
+            finally:
+                path.write_text(original)
+            killed = done.returncode == 1  # tests failed; other codes are usage errors
+            print(f"{'killed' if killed else 'SURVIVED':8} {name} "
+                  f"({time.monotonic() - start:.1f} s, pytest exit {done.returncode})")
+            if not killed:
+                failures.append(f"{name}: {node} exited {done.returncode}\n"
+                                f"{done.stdout[-1500:]}{done.stderr[-1500:]}")
+    for failure in failures:
+        print(failure, file=sys.stderr)
+    print(f"{len(MUTANTS) - len(failures)} of {len(MUTANTS)} mutants killed")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
