@@ -18,7 +18,8 @@ reproduces the dataset byte for byte. Every generator decodes its draws
 from the raw PCG64 stream, whose output NumPy keeps fixed across releases:
 ListOps through byte tables of every draw it may take, read by one loop
 (``_listops_tables``, ``_listops_example``), the motif tasks a block of
-examples at a time (``_PCG64BlockDraws``).
+examples at a time (``_draw_rows``), which leaves a block with a rejected
+draw or a range of 2**32 or more to ``Generator.integers``.
 """
 
 from __future__ import annotations
@@ -120,66 +121,6 @@ def _eval_op(op: str, vals: list[int]) -> int:
 
 # uint64 operands keep the decoders' arithmetic in uint64 under every NumPy's casting rules.
 _LOW32, _TWO32, _THIRTY_TWO = np.uint64(0xFFFFFFFF), np.uint64(2**32), np.uint64(32)
-
-# After a rejected draw, ``_PCG64BlockDraws.integers`` decodes this many
-# slots next, twice as many after each window with no rejection: a
-# rejection redoes a bounded amount of work.
-_WINDOW = 64
-
-
-class _PCG64BlockDraws:
-    """The draws of ``np.random.Generator(bitgen)``'s ``integers(0, n)`` for
-    a whole array of ranges ``n``, decoded with NumPy arrays from
-    ``bitgen.random_raw``.
-
-    The mapping is NumPy's own: 32-bit draws (a pending high half left in
-    ``bitgen.state`` first, then each word's low half and its high half)
-    mapped by 32-bit Lemire, where a rejected draw passes its slot to the
-    next draw. Only the PCG64 stream is under NumPy's compatibility policy
-    (NEP 19), not the ``Generator`` methods, so the tests pin these draws
-    against ``Generator``. A call decodes its whole array in one pass until
-    a draw is rejected, then in windows from ``_WINDOW`` slots up.
-    """
-
-    def __init__(self, bitgen: np.random.PCG64):
-        self._bitgen = bitgen
-        state = bitgen.state
-        self._pending = [state["uinteger"]] if state["has_uint32"] else []
-
-    def _uint32(self, k: int) -> np.ndarray:
-        """The next ``k`` 32-bit draws, widened to uint64."""
-        head = self._pending
-        words = self._bitgen.random_raw((k - len(head) + 1) // 2)
-        out = np.empty(len(head) + 2 * words.size, dtype=np.uint64)
-        out[:len(head)] = head
-        out[len(head):] = words.astype("<u8", copy=False).view("<u4")  # low half, then high
-        self._pending = out[k:].tolist()  # at most the last word's high half
-        return out[:k]
-
-    def integers(self, ns: np.ndarray) -> np.ndarray:
-        """``Generator.integers(0, n)`` for each ``n`` of the uint64 array
-        ``ns`` in turn, ``2 <= n < 2**32``, as int64."""
-        out = np.empty(ns.size, dtype=np.int64)
-        u = self._uint32(ns.size)  # one draw per slot, until a draw is rejected
-        done = at = 0  # slots filled; draws of ``u`` used or rejected
-        window = ns.size
-        while done < ns.size:
-            k = min(window, ns.size - done)
-            if at + k > u.size:  # fetch the draws that rejected ones passed their slots to
-                u = np.concatenate([u[at:], self._uint32(ns.size - done - (u.size - at))])
-                at = 0
-            n = ns[done:done + k]
-            m = u[at:at + k] * n
-            low = m & _LOW32
-            near = np.flatnonzero(low < n)  # the threshold (2**32 - n) % n is below n
-            rejected = near[low[near] < (_TWO32 - n[near]) % n[near]]
-            stop = rejected[0] if rejected.size else k
-            out[done:done + stop] = m[:stop] >> _THIRTY_TWO
-            done += stop
-            at += stop + (rejected.size > 0)
-            window = _WINDOW if rejected.size else 2 * window
-        return out
-
 
 # Raw PCG64 words that ``gen_listops`` decodes into its tables at a time.
 _LISTOPS_CHUNK = 4096
@@ -414,13 +355,43 @@ def _side_ranges(length: int, filler_hi: int) -> list[int]:
     return [filler_hi - 1] * length + [length - MOTIF_LEN + 1]
 
 
-def _decode_rows(draws: _PCG64BlockDraws, ns: np.ndarray) -> np.ndarray:
-    """Each row's draws for its ranges ``ns``, row after row. A range of
-    one draws nothing and reads 0, as in ``Generator.integers``."""
+def _draw_rows(rng: np.random.Generator, ns: np.ndarray) -> np.ndarray:
+    """``rng.integers(0, ns)`` for the uint64 array of ranges ``ns``.
+
+    Below 2**32, NumPy maps each 32-bit draw ``u`` (a half-word pending in
+    ``rng.bit_generator.state`` first, then the low and the high half of each
+    raw PCG64 word) to ``(u * n) >> 32``; a range of one draws nothing. This
+    decodes a block so in under half of ``rng.integers``' time and puts the
+    half-word it leaves over back into the state. Lemire rejects a draw
+    with odds below n / 2**32, under 3e-8 at the tasks' ranges: then, or at a
+    range of 2**32 or more, the saved state goes back and ``rng.integers``
+    draws the block. Only the PCG64 stream is under NumPy's compatibility
+    policy (NEP 19), so the tests pin this against ``Generator``.
+    """
+    bitgen = rng.bit_generator
+    saved = bitgen.state
     live = ns > 1
-    out = np.zeros(ns.shape, dtype=np.int64)
-    out[live] = draws.integers(ns[live])
-    return out
+    n = ns[live]
+    if n.max(initial=0) < _TWO32:
+        pending = saved["has_uint32"]
+        words = bitgen.random_raw((n.size - pending + 1) // 2)
+        u = np.empty(pending + 2 * words.size, dtype=np.uint64)
+        u[:pending] = saved["uinteger"]
+        u[pending:] = words.astype("<u8", copy=False).view("<u4")  # low half, then high
+        m = u[:n.size] * n
+        low = m & _LOW32
+        near = np.flatnonzero(low < n)  # Lemire's threshold (2**32 - n) % n is below n
+        if not (low[near] < (_TWO32 - n[near]) % n[near]).any():
+            out = np.zeros(ns.shape, dtype=np.int64)
+            out[live] = m >> _THIRTY_TWO
+            state = bitgen.state
+            state["has_uint32"] = u.size - n.size
+            if words.size:
+                state["uinteger"] = int(u[-1])  # as NumPy leaves it, pending or not
+            bitgen.state = state
+            return out
+        bitgen.state = saved
+    return rng.integers(0, ns.astype(np.int64))  # uint64 bounds take a slower object path
 
 
 def _plant_rows(out: np.ndarray, draws: np.ndarray, motifs: np.ndarray):
@@ -439,20 +410,19 @@ def gen_text_classification(seed: int, count: int, length: int = 128,
     separable and a motif scan recovers every label. Labels alternate for
     an exactly balanced histogram. After the label shuffle, each example
     draws ``Generator.integers(1, filler_hi, size=length)`` and then the
-    motif's position, decoded ``_BLOCK`` examples at a time; the tokens
-    are rows of one ``(count, length)`` array.
+    motif's position, ``_BLOCK`` examples to a ``_draw_rows`` call; the
+    tokens are rows of one ``(count, length)`` array.
     """
     filler_hi, motifs = motif_layout(vocab_size, classes)
     rng = np.random.default_rng(seed)
     labels = np.arange(count) % classes
     rng.shuffle(labels)
-    draws = _PCG64BlockDraws(rng.bit_generator)
     ranges = np.array(_side_ranges(length, filler_hi), dtype=np.uint64)
     motif_ids = np.array(motifs, dtype=np.int64)
     tokens = np.empty((count, length), dtype=np.int64)
     for start in range(0, count, _BLOCK):
         block = labels[start:start + _BLOCK]
-        row_draws = _decode_rows(draws, np.broadcast_to(ranges, (block.size, ranges.size)))
+        row_draws = _draw_rows(rng, np.broadcast_to(ranges, (block.size, ranges.size)))
         _plant_rows(tokens[start:start + _BLOCK], row_draws, motif_ids[block])
     return Dataset(examples=list(zip(tokens, labels.tolist())), vocab=range(vocab_size),
                    classes=classes, kind="classify",
@@ -464,14 +434,14 @@ def gen_matching(seed: int, count: int, length: int = 128, vocab_size: int = 48)
 
     After the label shuffle, each pair draws its motif index i, a second
     index j from the other five for a 0-labelled pair, then side a's
-    filler and motif position and side b's, decoded ``_BLOCK`` pairs at a
-    time; each side's tokens are rows of one ``(count, length)`` array.
+    filler and motif position and side b's, ``_BLOCK`` pairs to a
+    ``_draw_rows`` call; each side's tokens are rows of one ``(count,
+    length)`` array.
     """
     filler_hi, motifs = motif_layout(vocab_size, N_MOTIFS)
     rng = np.random.default_rng(seed)
     labels = np.arange(count) % 2
     rng.shuffle(labels)
-    draws = _PCG64BlockDraws(rng.bit_generator)
     side = _side_ranges(length, filler_hi)
     ranges = np.array([N_MOTIFS, N_MOTIFS - 1] + side + side, dtype=np.uint64)
     motif_ids = np.array(motifs, dtype=np.int64)
@@ -481,7 +451,7 @@ def gen_matching(seed: int, count: int, length: int = 128, vocab_size: int = 48)
         same = labels[start:start + _BLOCK] == 1
         ns = np.tile(ranges, (same.size, 1))
         ns[same, 1] = 1  # a positive pair draws no second index
-        row_draws = _decode_rows(draws, ns)
+        row_draws = _draw_rows(rng, ns)
         i, j = row_draws[:, 0], row_draws[:, 1]
         j = np.where(same, i, j + (j >= i))
         _plant_rows(tokens_a[start:start + _BLOCK], row_draws[:, 2:len(side) + 2], motif_ids[i])

@@ -1,5 +1,8 @@
 """Scaling benchmark mechanics (thresholds themselves live in acceptance)."""
 
+import itertools
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -30,10 +33,16 @@ class TestBenchScaling:
         assert got == expected
 
     def test_tiny_lengths_trigger_repeat_escalation(self, monkeypatch):
+        # A clock that advances 0.1 ms a read times every pass at 0.1 ms,
+        # whatever the load on the machine.
+        reads = itertools.count()
+        monkeypatch.setattr(linattn.bench, "time",
+                            SimpleNamespace(perf_counter=lambda: next(reads) * 1e-4))
         monkeypatch.setattr(linattn.bench, "MAX_REPEATS", 8)
         result = bench_scaling([8, 16, 32], repeats=2)
-        assert any(r.repeats > 2 for r in result.rows)
+        assert [r.repeats for r in result.rows] == [8] * 6
         # sub-millisecond medians at the cap are warned about, not fatal
+        assert len(result.resolution_warnings) == 6
         assert all("below timer" in w for w in result.resolution_warnings)
 
     def test_lengths_timed_round_robin(self, monkeypatch):

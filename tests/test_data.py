@@ -7,11 +7,11 @@ import pytest
 
 import linattn.data
 from linattn.data import (LISTOPS_ARITY_RANGE, LISTOPS_OPS, LISTOPS_RECURSE_PROB,
-                          MAX_LISTOPS_DEPTH, MAX_TOKENS, PAD_ID, Batch, MatchBatch,
-                          _PCG64BlockDraws, _WINDOW, _draw, _eval_op, _listops_examples,
+                          MAX_LISTOPS_DEPTH, MAX_TOKENS, MOTIF_LEN, N_MOTIFS, PAD_ID, Batch,
+                          MatchBatch, _draw, _draw_rows, _eval_op, _listops_examples,
                           _listops_tables, batch_iter,
                           eval_listops_tokens, gen_listops, gen_matching, gen_text_classification,
-                          listops_to_string, load_tsv_dataset, motif_oracle,
+                          listops_to_string, load_tsv_dataset, motif_layout, motif_oracle,
                           save_tsv_dataset, LISTOPS_SYMBOLS)
 from linattn.config import TaskSpec
 from linattn.errors import ConfigError, DataError
@@ -230,45 +230,123 @@ def twin_generators(seed: int, pending: bool):
     return gens
 
 
-class TestPCG64BlockDraws:
-    """The motif tasks' decoder against ``Generator``: the same values, and
-    the same raw words consumed."""
+class SpyGenerator:
+    """A ``Generator``'s bit generator and ``integers``, which records the
+    arguments of each call."""
+
+    def __init__(self, gen: np.random.Generator):
+        self.bit_generator, self._gen, self.calls = gen.bit_generator, gen, []
+
+    def integers(self, *args):
+        self.calls.append(args)
+        return self._gen.integers(*args)
+
+
+class TestDrawRows:
+    """``_draw_rows`` against ``Generator.integers(0, ns)`` on a twin
+    generator: the same values, and the same ``bit_generator.state`` after."""
+
+    def check(self, seed: int, pending: bool, ns: np.ndarray) -> list:
+        """The arguments of each fallback call ``_draw_rows`` made."""
+        gen, twin = twin_generators(seed, pending)
+        spy = SpyGenerator(twin)
+        want = gen.integers(0, ns)
+        got = _draw_rows(spy, ns)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+        assert spy.bit_generator.state == gen.bit_generator.state
+        return spy.calls
+
+    @pytest.mark.parametrize("pending", [False, True])
+    @pytest.mark.parametrize("shape", [(8, 125), (7, 143)])
+    def test_mixed_ranges(self, pending, shape):
+        """Every third range is one and draws nothing, so the two shapes
+        use an even and an odd number of 32-bit draws: both leave the
+        pending half-word in the state as NumPy does."""
+        ns = np.random.default_rng(1).integers(2, 1000, size=shape).astype(np.uint64)
+        ns.flat[::3] = 1
+        assert self.check(8, pending, ns) == []
 
     @pytest.mark.parametrize("pending", [False, True])
     def test_rejection_half_the_time(self, pending):
         """At ``n = 2**31 + 1`` Lemire's threshold is ``2**31 - 1``, so about
-        half the 32-bit draws are rejected and pass their slot on."""
-        n = 2**31 + 1
-        gen, twin = twin_generators(3, pending)
-        want = gen.integers(0, n, size=2001)
-        draws = _PCG64BlockDraws(twin.bit_generator)
-        got = [draws.integers(np.full(k, n, dtype=np.uint64)) for k in (1000, 1, 1000)]
-        assert np.array_equal(np.concatenate(got), want)
-        # Odd calls in between carried a pending half from one call to the next.
-        assert gen.bit_generator.random_raw() == twin.bit_generator.random_raw()
+        half the 32-bit draws are rejected and the block falls back."""
+        ns = np.full((3, 667), 2**31 + 1, dtype=np.uint64)
+        assert len(self.check(3, pending, ns)) == 1
 
-    @pytest.mark.parametrize("n", [2**31 + 1, 2**32 - 2**22])
-    def test_rejections_decode_in_windows(self, n):
-        """After a rejection the decoder works through windows of
-        ``_WINDOW`` slots, doubled after each window with no rejection; about
-        half the draws are rejected at ``2**31 + 1``, one in 1024 at
-        ``2**32 - 2**22``, so windows both restart and grow."""
-        size = 256 * _WINDOW
-        gen, twin = twin_generators(4, False)
-        want = gen.integers(0, n, size=size)
-        got = _PCG64BlockDraws(twin.bit_generator).integers(np.full(size, n, dtype=np.uint64))
-        assert np.array_equal(got, want)
-        assert gen.bit_generator.random_raw() == twin.bit_generator.random_raw()
+    @pytest.mark.parametrize("n", [2**32, 2**32 + 1, 2**33, 2**62])
+    def test_wide_ranges_fall_back(self, n):
+        """NumPy takes a 32-bit draw as it is at ``2**32`` and draws 64-bit
+        words above. At ``2**33`` and ``2**62`` the uint64 product ``u * n``
+        wraps; at ``2**32 + 1`` it cannot, and Lemire's 32-bit threshold
+        reads 0, so only the range check sends that block to ``integers``."""
+        ns = np.full((4, 50), n, dtype=np.uint64)
+        ns[:, ::7] = 1
+        assert len(self.check(5, True, ns)) == 1
 
-    @pytest.mark.parametrize("pending", [False, True])
-    def test_mixed_ranges_call_for_call(self, pending):
-        gen, twin = twin_generators(8, pending)
-        ns = np.random.default_rng(1).integers(2, 2**32, size=3000, dtype=np.uint64)
-        ns[::5] = 6  # rejects 4 draws in 2**32: a skipped pending half shows at once
-        ns[3::7] = 2**31 + 1
-        want = [gen.integers(0, int(n)) for n in ns]
-        assert _PCG64BlockDraws(twin.bit_generator).integers(ns).tolist() == want
-        assert gen.bit_generator.random_raw() == twin.bit_generator.random_raw()
+    def test_ordinary_block_decodes_itself(self):
+        """A block of ``gen_matching``'s shape at ``configs/match.cfg``'s
+        sizes never calls ``integers``."""
+        side = [41] * 64 + [62]
+        ns = np.tile(np.array([6, 5] + side + side, dtype=np.uint64), (128, 1))
+        ns[::3, 1] = 1
+        assert self.check(1234, True, ns) == []
+
+
+def scalar_text_classification(seed: int, count: int, length: int, vocab_size: int,
+                               classes: int) -> list:
+    """``gen_text_classification``'s examples from scalar ``Generator`` calls."""
+    filler_hi, motifs = motif_layout(vocab_size, classes)
+    rng = np.random.default_rng(seed)
+    labels = np.arange(count) % classes
+    rng.shuffle(labels)
+    return [(scalar_side(rng, length, filler_hi, motifs[y]), int(y)) for y in labels]
+
+
+def scalar_matching(seed: int, count: int, length: int, vocab_size: int) -> list:
+    """``gen_matching``'s examples from scalar ``Generator`` calls."""
+    filler_hi, motifs = motif_layout(vocab_size, N_MOTIFS)
+    rng = np.random.default_rng(seed)
+    labels = np.arange(count) % 2
+    rng.shuffle(labels)
+    examples = []
+    for y in labels:
+        i = j = int(rng.integers(0, N_MOTIFS))
+        if not y:
+            j = int(rng.integers(0, N_MOTIFS - 1))
+            j += j >= i
+        examples.append((scalar_side(rng, length, filler_hi, motifs[i]),
+                         scalar_side(rng, length, filler_hi, motifs[j]), int(y)))
+    return examples
+
+
+def scalar_side(rng, length: int, filler_hi: int, motif) -> np.ndarray:
+    tokens = rng.integers(1, filler_hi, size=length)
+    at = rng.integers(0, length - MOTIF_LEN + 1)
+    tokens[at:at + MOTIF_LEN] = motif
+    return tokens
+
+
+def assert_same_motif_examples(got, want):
+    assert len(got) == len(want)
+    for i, ((*sides, label), (*want_sides, want_label)) in enumerate(zip(got, want)):
+        assert label == want_label, i
+        for tokens, want_tokens in zip(sides, want_sides, strict=True):
+            assert tokens.dtype == np.int64 and tokens.tolist() == want_tokens.tolist(), i
+
+
+class TestWideVocab:
+    """At a vocab of 2**33 each filler draw is a 64-bit draw, which only
+    ``Generator.integers`` makes."""
+
+    @pytest.mark.parametrize("seed, count", [(0, 1), (1, 130)])
+    def test_classification_matches_scalar_draws(self, seed, count):
+        assert_same_motif_examples(gen_text_classification(seed, count, 8, 2**33, 2).examples,
+                                   scalar_text_classification(seed, count, 8, 2**33, 2))
+
+    @pytest.mark.parametrize("seed, count", [(0, 1), (2, 130)])
+    def test_matching_matches_scalar_draws(self, seed, count):
+        assert_same_motif_examples(gen_matching(seed, count, 8, 2**33).examples,
+                                   scalar_matching(seed, count, 8, 2**33))
 
 
 def dataset_digest(ds) -> int:

@@ -2,9 +2,9 @@
 
 ``tests/trained_results.py`` trains every configured seed of ``match.cfg``,
 ``classify_linear.cfg`` and ``classify_oglu.cfg`` to its target accuracy, in
-a subprocess that pins BLAS to one thread (about 20 s), and
-``tests/trained_results.json`` keeps the stop step and final eval accuracy of
-each run. A run must stop within twice its recorded step count, and its final
+a subprocess that pins BLAS to one thread and shares the runs between two
+worker processes (about 30 s), and ``tests/trained_results.json`` keeps the
+stop step and final eval accuracy of each run. A run must stop within twice its recorded step count, and its final
 accuracy must stay within 0.01 of the record: 5 of the 500 eval examples.
 A change that moves results on purpose rewrites the record with
 ``PYTHONPATH=src python tests/trained_results.py --write`` and says why.

@@ -66,6 +66,38 @@ MUTANTS = [
      "T.gelu if len(layer) == 1 else None", "None",
      "tests/test_kernels.py::TestKernelStack"
      "::test_depth3_linear_softplus_runs_inner_layers_under_gelu"),
+    # Hand mutants of the tape, the accumulation and the encoder's row split.
+    ("div's gradient for b with its sign flipped", "src/linattn/tensor.py",
+     "db = -_unbroadcast(ga * quotient, b_shape)", "db = _unbroadcast(ga * quotient, b_shape)",
+     "tests/test_tensor.py::TestConstantOperands::test_both_trainable_still_get_both"),
+    ("accumulated gradient aliases the first reverse pass", "src/linattn/training.py",
+     "grad_sum[name] = grads[p].copy()", "grad_sum[name] = grads[p]",
+     "tests/test_fuzz.py::TestTapeBattery::test_accumulated_gradients_share_no_memory"),
+    ("swapaxes copies", "src/linattn/tensor.py",
+     "x.data.swapaxes(a, b)", "x.data.swapaxes(a, b).copy()",
+     "tests/test_tensor.py::TestSwapaxesView::test_returns_a_view_of_its_operand"),
+    ("mean divides by the last axis's length", "src/linattn/tensor.py",
+     "    out /= count", "    out /= x.shape[-1]",
+     "tests/test_tensor.py::TestReductions::test_mean_divides_by_the_reduced_axis_length"),
+    ("reduction of a strided view without its contiguous copy", "src/linattn/tensor.py",
+     "_unbroadcast(np.ascontiguousarray(x.data), kept)", "_unbroadcast(x.data, kept)",
+     "tests/test_tensor.py::TestReductions::test_strided_views_give_the_bits_of_contiguous_copies"),
+    ("encoder rows split at a cut of 0", "src/linattn/model.py",
+     "                if not cut:\n                    return fn(x, *args)\n", "",
+     "tests/test_model.py::TestPooling::test_mean_averages_real_positions"),
+    # The motif tasks' block decoder.
+    ("block decoder keeps a rejected draw", "src/linattn/data.py",
+     "if not (low[near] < (_TWO32 - n[near]) % n[near]).any():", "if True:",
+     "tests/test_data.py::TestDrawRows::test_rejection_half_the_time"),
+    ("block decoder falls back without restoring the state", "src/linattn/data.py",
+     "        bitgen.state = saved\n", "",
+     "tests/test_data.py::TestDrawRows::test_rejection_half_the_time"),
+    ("block decoder maps ranges of 2**32 and more", "src/linattn/data.py",
+     "if n.max(initial=0) < _TWO32:", "if True:",
+     "tests/test_data.py::TestDrawRows::test_wide_ranges_fall_back"),
+    ("block decoder leaves the state's half-word as it was", "src/linattn/data.py",
+     "            bitgen.state = state\n", "",
+     "tests/test_data.py::TestDrawRows::test_mixed_ranges"),
 ]
 
 
