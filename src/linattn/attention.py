@@ -34,22 +34,6 @@ ATTENTION_KINDS = ("softmax", "kernel_linear", "kernel_quadratic")
 # The denominator floor the multi-head layer passes to both kernel evaluators.
 EPS = 1e-6
 
-# The fewest packed input elements (rows x d_model) at which a layer that
-# records no graph builds its query features on a ``tensor.lane`` while the
-# caller builds its key features, then runs the rest of the layer on two
-# sequence halves. Overlapped over serial time of a layer of width 64, 4
-# heads and oglu stacks, on a 2-core x86-64 VM with one BLAS thread, with
-# the feature overlap alone: 1.53 at 65k elements, 1.08 at 131k, 0.84 at
-# 262k, 0.67 at 1M. Adding the sequence halves took the perfbench
-# listops_long_eval step (about 7k rows of width 64 per layer, L <= 2048)
-# to 0.87-0.93 of its time with the feature overlap alone, at three seeds.
-# ``Model.encode`` splits its row-wise sub-blocks into two row halves, the
-# first on its lane, at the same floor. Split over serial time, on the same
-# VM at width 64: a layer norm 1.18-1.27 at 2048 rows, 0.86-0.87 at 4096 and
-# 0.72-0.75 at 7000; the FFN residual sub-block (ffn_dim 128) 0.77-0.79,
-# 0.66-0.68 and 0.65-0.66.
-OVERLAP_MIN_ELEMENTS = 1 << 18
-
 
 def _as_mask(mask, length: int) -> np.ndarray:
     m = np.asarray(mask, dtype=bool)
@@ -201,7 +185,7 @@ def _attend(q: Tensor, k: Tensor, x: Tensor, params: AttentionLayerParams, kind:
 
 
 def multi_head_kernel_attention(x: Tensor, params: AttentionLayerParams,
-                                config: ModelConfig, mask) -> Tensor:
+                                config: ModelConfig, mask, submit=None) -> Tensor:
     """Project, run kernel attention per head, merge, project out.
 
     ``config`` supplies the width, head count and ``attention_kind``;
@@ -222,11 +206,11 @@ def multi_head_kernel_attention(x: Tensor, params: AttentionLayerParams,
     so a pad query never divides 0 by 0, and the key mask keeps pad keys out
     of S and z.
 
-    With no graph being recorded and at least ``OVERLAP_MIN_ELEMENTS``
-    elements in ``x``, the layer runs on a ``tensor.lane``; otherwise the
-    lane is off and the same steps run in turn on the caller. The query
-    features are built on the lane while the caller builds the key features.
-    Then, if the lane is on and the mask has a leading sequence axis of at
+    Without ``submit``, the steps run in turn on the caller, the query
+    features before the key features. With the ``submit`` of a caller's
+    ``tensor.lane`` (``Model.encode`` passes its own when it records no
+    graph), the query features are built on the lane while the caller builds
+    the key features. Then, if the mask has a leading sequence axis of at
     least 2 entries, the batch is cut at ``B // 2`` sequences: the lane runs
     the rest of the layer (``_attend``) on the first half's rows while the
     caller runs it on the second half's, and the two outputs are
@@ -242,22 +226,23 @@ def multi_head_kernel_attention(x: Tensor, params: AttentionLayerParams,
     if kind != "softmax" and len(kernels) != n_heads:
         raise ConfigError(f"{kind} runs {n_heads} heads, but the layer holds "
                           f"{len(kernels)} feature stacks")
-    overlap = not T._GRAD_ENABLED and x.data.size >= OVERLAP_MIN_ELEMENTS
-    with T.lane(overlap) as submit:
-        if kind == "softmax":
-            q, k = T.matmul(x, params.w_q), T.matmul(x, params.w_k)
-        else:
-            q = submit(_head_features, x, params.w_q, kernels)
-            k = _head_features(x, params.w_k, kernels)
-            q = q.result()
-        b2 = m.shape[0] // 2 if overlap and m.ndim >= 2 else 0
-        r = int(np.count_nonzero(m[:b2]))
-        # A half of one row would take numpy's matrix-vector product, whose
-        # bits differ from those of a row of the matrix product.
-        if not 1 < r < x.shape[0] - 1:
-            return _attend(q, k, x, params, kind, n_heads, m)
-        first = submit(_attend, *(T.getitem(t, np.s_[:r]) for t in (q, k, x)),
-                       params, kind, n_heads, m[:b2])
-        rest = _attend(*(T.getitem(t, np.s_[r:]) for t in (q, k, x)),
-                       params, kind, n_heads, m[b2:])
-        return T.concat([first.result(), rest], axis=0)
+    if kind == "softmax":
+        q, k = T.matmul(x, params.w_q), T.matmul(x, params.w_k)
+    elif submit is None:
+        q = _head_features(x, params.w_q, kernels)
+        k = _head_features(x, params.w_k, kernels)
+    else:
+        q = submit(_head_features, x, params.w_q, kernels)
+        k = _head_features(x, params.w_k, kernels)
+        q = q.result()
+    b2 = m.shape[0] // 2 if submit is not None and m.ndim >= 2 else 0
+    r = int(np.count_nonzero(m[:b2]))
+    # A half of one row would take numpy's matrix-vector product, whose
+    # bits differ from those of a row of the matrix product.
+    if not 1 < r < x.shape[0] - 1:
+        return _attend(q, k, x, params, kind, n_heads, m)
+    first = submit(_attend, *(T.getitem(t, np.s_[:r]) for t in (q, k, x)),
+                   params, kind, n_heads, m[:b2])
+    rest = _attend(*(T.getitem(t, np.s_[r:]) for t in (q, k, x)),
+                   params, kind, n_heads, m[b2:])
+    return T.concat([first.result(), rest], axis=0)

@@ -23,7 +23,6 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
-from . import attention
 from . import tensor as T
 from .attention import (ATTENTION_KINDS, AttentionLayerParams, init_attention_params,
                         multi_head_kernel_attention)
@@ -44,6 +43,22 @@ MAX_PARAMS = 10**8
 # The additional-parameter budget: feature-map weights must stay strictly
 # below this share of the rest of the model.
 BUDGET_LIMIT = 0.10
+
+# The fewest packed elements (rows x d_model) at which an encode that
+# records no graph and draws no dropout runs on its lane. Each attention
+# layer then builds its query features on the lane while the caller builds
+# its key features, and runs the rest of the layer on two sequence halves.
+# Overlapped over serial time of a layer of width 64, 4 heads and oglu
+# stacks, on a 2-core x86-64 VM with one BLAS thread, with the feature
+# overlap alone: 1.53 at 65k elements, 1.08 at 131k, 0.84 at 262k, 0.67 at
+# 1M. Adding the sequence halves took the perfbench listops_long_eval step
+# (about 7k rows of width 64 per layer, L <= 2048) to 0.87-0.93 of its time
+# with the feature overlap alone, at three seeds. The row-wise sub-blocks
+# run on two row halves, the first on the lane. Split over serial time, on
+# the same VM at width 64: a layer norm 1.18-1.27 at 2048 rows, 0.86-0.87 at
+# 4096 and 0.72-0.75 at 7000; the FFN residual sub-block (ffn_dim 128)
+# 0.77-0.79, 0.66-0.68 and 0.65-0.66.
+OVERLAP_MIN_ELEMENTS = 1 << 18
 
 
 @dataclass
@@ -228,14 +243,17 @@ class Model:
         gets a task. With dropout, the lane draws the sites ahead of the
         forward pass; once the inputs pass their checks, ``rng`` ends where
         a finished encode leaves it. Without an ``rng``, with no graph being
-        recorded, and at least ``attention.OVERLAP_MIN_ELEMENTS`` elements
-        in the packed rows, each block's first layer norm, its FFN residual
-        sub-block and the final layer norm run on two row halves: rows
-        ``[:cut]`` on the lane while the caller runs ``[cut:]``, where
-        ``cut`` is N // 2 rounded down to a multiple of 64 (no split if that
-        is 0). These ops treat each row alone, and the aligned cut keeps the
-        BLAS products' row grouping, so the halves give the bits of the
-        whole. So the lane runs draws or row halves, never both.
+        recorded, and at least ``OVERLAP_MIN_ELEMENTS`` elements in the
+        packed rows, the encode splits: each attention layer gets the lane's
+        ``submit`` (see ``multi_head_kernel_attention``), and each block's
+        first layer norm, its FFN residual sub-block and the final layer
+        norm run on two row halves: rows ``[:cut]`` on the lane while the
+        caller runs ``[cut:]``, where ``cut`` is N // 2 rounded down to a
+        multiple of 64 (no row halves if that is 0). These ops treat each
+        row alone, and the aligned cut keeps the BLAS products' row
+        grouping, so the halves give the bits of the whole. Otherwise each
+        attention layer runs serially. So the lane runs draws or the split,
+        never both.
         """
         tokens = np.asarray(tokens)
         mask = np.asarray(mask, dtype=bool)
@@ -255,15 +273,17 @@ class Model:
         widths = [cfg.d_model, cfg.ffn_dim] * len(self.blocks)
         seq, col = np.nonzero(mask)
         n = len(seq)
+        split = (rng is None and not T._GRAD_ENABLED
+                 and n * cfg.d_model >= OVERLAP_MIN_ELEMENTS)
         # The cut is a multiple of 64 rows because the ones-vector product
         # inside ``mean`` groups rows by 4 on OpenBLAS: a layer norm cut at a
         # row count that is no multiple of 4 changed bits in 58 of 60 trials
         # in each precision, one cut at a multiple of 64 in none.
-        cut = (n // 2 // 64 * 64 if rng is None and not T._GRAD_ENABLED
-               and n * cfg.d_model >= attention.OVERLAP_MIN_ELEMENTS else 0)
+        cut = n // 2 // 64 * 64 if split else 0
         with T.lane() as submit:
             scales = _keep_scales(submit, rng, cfg.dropout_rate, mask, widths,
                                   self.embed_tokens.dtype)
+            overlap = submit if split else None
 
             def rows(fn, x, *args):
                 if not cut:
@@ -277,7 +297,7 @@ class Model:
 
             for blk in self.blocks:
                 normed = rows(self._layer_norm, h, blk.ln1_gamma, blk.ln1_beta)
-                attn_out = multi_head_kernel_attention(normed, blk.attn, cfg, mask)
+                attn_out = multi_head_kernel_attention(normed, blk.attn, cfg, mask, overlap)
                 h = T.add(h, _dropout(attn_out, next(scales)))
                 h = rows(self._ffn_residual, h, blk, next(scales))
 

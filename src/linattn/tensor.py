@@ -22,14 +22,14 @@ its leaf node lazily, on its first use in a graph, so two threads recording
 over a shared parameter could each make one, and ``backward`` would keep
 only one of their gradients, without an error. The package's one kind of
 worker thread is a ``lane``, and ``_make`` raises ``GraphError`` where a
-lane thread would attach a node. Lane tasks draw dropout numbers (see
-``model``), or, while ``no_grad`` is on, build a layer's query features and
-run the rest of the layer on one half of its sequences (see ``attention``)
-or run an encoder's layer norms and FFN on one half of its rows (see
-``model``), or run one micro-batch's ``backward`` while the caller records
-the next (see ``training``). ``backward`` makes no node and toggles no
-``no_grad``: it reads the nodes, leaves included, that the recording thread
-made.
+lane thread would attach a node. An encode's lane draws dropout numbers,
+or, in an encode that records no graph, builds each attention layer's
+query features and runs the rest of the layer on one half of its
+sequences, and the layer norms and FFN on one half of its rows (see
+``model``). A training step's lane runs one micro-batch's ``backward``
+while the caller records the next (see ``training``). ``backward`` makes
+no node and toggles no ``no_grad``: it reads the nodes, leaves included,
+that the recording thread made.
 
 Broadcasting follows numpy's trailing-dimension alignment; gradients of a
 broadcast operand are summed back over the expanded axes by ``_unbroadcast``,
@@ -205,35 +205,24 @@ class _LaneThread(threading.local):
 _LANE_THREAD = _LaneThread()
 
 
-def _run_now(fn: Callable, *args) -> Future:
-    done = Future()
-    done.set_result(fn(*args))
-    return done
-
-
 # A class, not a generator function: perfbench's tracer wraps every public
 # function of this module as a tensor op, and a lane makes no tensor.
 class lane:
-    """``with lane(on) as submit:`` runs ``submit(fn, *args) -> Future``
+    """``with lane() as submit:`` runs ``submit(fn, *args) -> Future``
     tasks on one worker thread beside the caller.
 
-    On, the thread starts at the first ``submit`` (a lane given no task
-    starts none) and runs the tasks in submit order. Every exit from the
-    block joins it, after the tasks already submitted have run. A task's
-    error reaches whoever reads its result. A lane thread records no graph:
+    The thread starts at the first ``submit`` (a lane given no task starts
+    none) and runs the tasks in submit order. Every exit from the block
+    joins it, after the tasks already submitted have run. A task's error
+    reaches whoever reads its result. A lane thread records no graph:
     ``_make`` raises ``GraphError`` there.
-
-    Off, ``submit`` runs ``fn`` at once on the caller, so an error raises
-    from ``submit``, and returns a finished future: the serial path, with
-    the same node order.
     """
 
-    def __init__(self, on: bool = True):
-        self.on = on
+    def __init__(self):
         self._pool: ThreadPoolExecutor | None = None
 
     def __enter__(self) -> Callable[..., Future]:
-        return self._submit if self.on else _run_now
+        return self._submit
 
     def _submit(self, fn: Callable, *args) -> Future:
         if self._pool is None:

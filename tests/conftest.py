@@ -4,6 +4,7 @@ import contextlib
 import os
 import threading
 import time
+from concurrent.futures import Future
 
 # Importing scipy.special starts an OS thread that stays. Import it before
 # any test counts threads, so that the first float64 gelu (which imports it)
@@ -31,21 +32,17 @@ def assert_threads_back(threads):
 
 
 def lanes_off(monkeypatch):
-    """Patch ``linattn.tensor.lane`` so that every lane runs off, each task
-    on the caller as it is submitted: the serial reference of a site. Returns
-    the list of functions submitted to a lane opened on, in submit order:
-    the tasks that would have run on a lane thread."""
-    threaded, lane = [], T.lane
+    """Patch ``linattn.tensor.lane`` so that each task runs on the caller as
+    it is submitted, returning a finished future: the serial reference of a
+    site, with the same node order. Returns the list of functions submitted,
+    in submit order: the tasks that would have run on a lane thread."""
+    threaded = []
 
-    @contextlib.contextmanager
-    def off(on=True):
-        with lane(False) as run:
-            def submit(fn, *args):
-                if on:
-                    threaded.append(fn)
-                return run(fn, *args)
+    def submit(fn, *args):
+        threaded.append(fn)
+        done = Future()
+        done.set_result(fn(*args))
+        return done
 
-            yield submit
-
-    monkeypatch.setattr(T, "lane", off)
+    monkeypatch.setattr(T, "lane", lambda: contextlib.nullcontext(submit))
     return threaded

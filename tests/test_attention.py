@@ -12,11 +12,11 @@ import linattn.tensor as T
 from linattn.attention import (EPS, init_attention_params, kernel_attention_linear,
                                kernel_attention_quadratic, multi_head_kernel_attention,
                                softmax_attention)
-from linattn.errors import ContractError, ShapeError
+from linattn.errors import ContractError, GraphError, ShapeError
 from linattn.kernels import KernelSpec, drawer, init_kernel_params, kernel_stack_forward
 from linattn.model import ModelConfig, named_tensors
 from linattn.tensor import Tensor, backward, finite_difference_check
-from conftest import assert_threads_back, lanes_off, os_threads
+from conftest import assert_threads_back, os_threads
 
 ALL_VARIANT_DEPTHS = [(v, d) for v in ("linear_softplus", "glu", "oglu", "aoglu")
                       for d in (1, 2, 3)]
@@ -343,11 +343,11 @@ class TestMultiHead:
 
 
 class TestFeatureOverlap:
-    """Without a graph and at ``OVERLAP_MIN_ELEMENTS`` packed elements, the
-    query side runs on the layer's lane, and then the rest of the layer runs
-    on two sequence halves, the first on the lane: the same bits as the
-    serial layer, and one thread while a graph is recorded. These run in CI
-    at the NumPy floor too."""
+    """Given the ``submit`` of a ``tensor.lane``, the layer builds its query
+    features on the lane, and then runs the rest of the layer on two
+    sequence halves, the first on the lane: the same bits as the serial
+    layer (no ``submit``), which runs on the caller alone. A lane given while
+    a graph is recorded raises. These run in CI at the NumPy floor too."""
 
     # Padded masks. "odd" holds an odd sequence count of uneven lengths; "3d"
     # is cut on its first axis, into halves of 1 and 2 rows of 2 sequences.
@@ -360,12 +360,13 @@ class TestFeatureOverlap:
         x = np.random.default_rng(seed).standard_normal((int(mask.sum()), 16))
         return cfg, init_layer(cfg, seed, dtype=dtype), Tensor(x.astype(dtype))
 
-    def run(self, cfg, params, x, mask=MASK):
-        return multi_head_kernel_attention(x, params, cfg, mask)
+    def run(self, cfg, params, x, mask=MASK, submit=None):
+        return multi_head_kernel_attention(x, params, cfg, mask, submit)
 
     @staticmethod
     def side_threads(monkeypatch):
-        """Record the thread each side's projection runs on, by weight id."""
+        """Record the thread each side's projection runs on, by weight id, in
+        the order the sides first ran."""
         seen, side = {}, linattn.attention._head_features
 
         def spy(x, w, kernels):
@@ -388,25 +389,23 @@ class TestFeatureOverlap:
         return seen
 
     def serial_and_split(self, monkeypatch, cfg, params, x, mask):
-        """The layer's output with no worker and with every worker, and
-        the ``_attend`` calls of each."""
+        """The layer's output without a lane and with one, and the ``_attend``
+        calls made with the lane."""
         calls = self.tail_calls(monkeypatch)
         threads = threading.active_count(), os_threads()
-        out, seen = {}, {}
-        for floor in (1 << 62, 0):
-            monkeypatch.setattr(linattn.attention, "OVERLAP_MIN_ELEMENTS", floor)
+        with T.no_grad():
+            serial = self.run(cfg, params, x, mask).data
+            assert calls == [(True, mask.shape)]
             calls.clear()
-            with T.no_grad():
-                out[floor] = self.run(cfg, params, x, mask).data
-            seen[floor] = sorted(calls)
+            with T.lane() as submit:
+                split = self.run(cfg, params, x, mask, submit).data
         assert_threads_back(threads)
-        np.testing.assert_array_equal(out[0], out[1 << 62])
-        assert out[0].dtype == x.dtype
-        assert seen[1 << 62] == [(True, mask.shape)]
-        return seen[0]
+        np.testing.assert_array_equal(split, serial)
+        assert split.dtype == x.dtype
+        return sorted(calls)
 
     def check_halves(self, monkeypatch, kind, dtype, mask):
-        """Both sides and both halves keep the serial bits; the worker builds
+        """Both sides and both halves keep the serial bits; the lane builds
         the query features and runs the first half."""
         cfg, params, x = self.layer(kind, dtype, mask=mask)
         sides = self.side_threads(monkeypatch)
@@ -445,33 +444,21 @@ class TestFeatureOverlap:
         cfg, params, x = self.layer("kernel_linear", dtype, mask=mask)
         assert self.serial_and_split(monkeypatch, cfg, params, x, mask) == [(True, mask.shape)]
 
-    def test_recorded_graph_stays_on_one_thread(self, monkeypatch):
+    def test_serial_layer_builds_queries_first_on_the_caller(self, monkeypatch):
         cfg, params, x = self.layer("kernel_linear", np.float64)
-        named = named_tensors(params)
+        sides, calls = self.side_threads(monkeypatch), self.tail_calls(monkeypatch)
+        threads = threading.active_count(), os_threads()
+        assert self.run(cfg, params, x).requires_grad
+        assert threading.active_count() == threads[0]
+        caller = threading.current_thread()
+        assert list(sides.items()) == [(id(params.w_q), caller), (id(params.w_k), caller)]
+        assert calls == [(True, self.MASK.shape)]
 
-        def gradients():
-            grads = backward(T.mean(T.square(self.run(cfg, params, x))), params=named)
-            return {name: grads[t] for name, t in named.items()}
-
-        want = gradients()
-        monkeypatch.setattr(linattn.attention, "OVERLAP_MIN_ELEMENTS", 0)
-        threaded = lanes_off(monkeypatch)
-        for name, g in gradients().items():
-            np.testing.assert_array_equal(g, want[name], err_msg=name)
-        assert threaded == []
-
-    def test_no_worker_below_the_floor(self, monkeypatch):
-        cfg, params, x = self.layer("kernel_linear", np.float32)
-        monkeypatch.setattr(linattn.attention, "OVERLAP_MIN_ELEMENTS", x.data.size + 1)
-        threaded = lanes_off(monkeypatch)
-        with T.no_grad():
-            self.run(cfg, params, x)
-        assert threaded == []
-
-    def test_worker_runs_at_the_floor(self, monkeypatch):
-        cfg, params, x = self.layer("kernel_linear", np.float32)
-        monkeypatch.setattr(linattn.attention, "OVERLAP_MIN_ELEMENTS", x.data.size)
-        threaded = lanes_off(monkeypatch)
-        with T.no_grad():
-            self.run(cfg, params, x)
-        assert threaded == [linattn.attention._head_features, linattn.attention._attend]
+    @pytest.mark.parametrize("kind", ["kernel_linear", "kernel_quadratic", "softmax"])
+    def test_lane_while_recording_raises(self, kind):
+        cfg, params, x = self.layer(kind, np.float64)
+        threads = threading.active_count(), os_threads()
+        with pytest.raises(GraphError, match="lane thread"):
+            with T.lane() as submit:
+                self.run(cfg, params, x, submit=submit)
+        assert_threads_back(threads)

@@ -315,10 +315,11 @@ class TestDropoutStream:
 
 class TestRowSplit:
     """Without a graph or an ``rng`` and at ``OVERLAP_MIN_ELEMENTS`` packed
-    elements, ``encode`` runs its layer norms and FFN sub-blocks on two row
-    halves cut at a multiple of 64, the first on its lane: the same bits as
-    one thread, and one thread otherwise. These run in CI at the NumPy floor
-    too, whose BLAS must keep the bits at the cut as well."""
+    elements, ``encode`` hands its lane to each attention layer and runs its
+    layer norms and FFN sub-blocks on two row halves cut at a multiple of 64,
+    the first on the lane: the same bits as one thread, one lane thread per
+    encode, and one thread otherwise. These run in CI at the NumPy floor too,
+    whose BLAS must keep the bits at the cut as well."""
 
     # Sequence lengths by packed row count N: N mod 64 is 0, 1, 2 and 3
     # (cut 128, 128, 64 and 192), and at N = 127 the cut is 0.
@@ -350,6 +351,18 @@ class TestRowSplit:
             monkeypatch.setattr(linattn.model.Model, name, spy)
         return seen
 
+    @staticmethod
+    def layer_lanes(monkeypatch):
+        """Record, for each attention layer an encode runs, whether it got a lane."""
+        seen, layer = [], linattn.model.multi_head_kernel_attention
+
+        def spy(x, params, config, mask, submit):
+            seen.append(submit is not None)
+            return layer(x, params, config, mask, submit)
+
+        monkeypatch.setattr(linattn.model, "multi_head_kernel_attention", spy)
+        return seen
+
     @pytest.mark.parametrize("rows", sorted(LENGTHS))
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("head", ["classify", "match"])
@@ -360,7 +373,7 @@ class TestRowSplit:
         threads = threading.active_count(), os_threads()
         out = {}
         for floor in (0, 1 << 62):
-            monkeypatch.setattr(linattn.attention, "OVERLAP_MIN_ELEMENTS", floor)
+            monkeypatch.setattr(linattn.model, "OVERLAP_MIN_ELEMENTS", floor)
             seen.clear()
             with T.no_grad():
                 pooled = [model.encode(*side).data for side in sides]
@@ -377,24 +390,41 @@ class TestRowSplit:
     def test_worker_runs_at_the_floor(self, monkeypatch):
         model = self.model("classify", np.float32)
         tokens, mask = self.batch(256, 1)
-        seen = self.sub_block_rows(monkeypatch)
-        monkeypatch.setattr(linattn.attention, "OVERLAP_MIN_ELEMENTS", 256 * 64)
+        seen, lanes = self.sub_block_rows(monkeypatch), self.layer_lanes(monkeypatch)
+        monkeypatch.setattr(linattn.model, "OVERLAP_MIN_ELEMENTS", 256 * 64)
         with T.no_grad():
             model.encode(tokens, mask)
         assert seen == {(False, 128), (True, 128)}
+        assert lanes == [True, True]
 
     @pytest.mark.parametrize("case", ["graph", "rng", "below the floor"])
     def test_no_worker(self, monkeypatch, case):
         model = self.model("classify", np.float32, rate=0.0)
         tokens, mask = self.batch(256, 1)
         floor = 256 * 64 + 1 if case == "below the floor" else 0
-        monkeypatch.setattr(linattn.attention, "OVERLAP_MIN_ELEMENTS", floor)
-        seen = self.sub_block_rows(monkeypatch)
+        monkeypatch.setattr(linattn.model, "OVERLAP_MIN_ELEMENTS", floor)
+        seen, lanes = self.sub_block_rows(monkeypatch), self.layer_lanes(monkeypatch)
         rng = np.random.default_rng(0) if case == "rng" else None
         with contextlib.nullcontext() if case == "graph" else T.no_grad():
             pooled = model.encode(tokens, mask, rng=rng)
         assert pooled.requires_grad == (case == "graph")
         assert seen == {(True, 256)}
+        assert lanes == [False, False]
+
+    def test_one_lane_thread_per_encode(self, monkeypatch):
+        made = []
+
+        class Counted(linattn.tensor.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                made.append(None)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(linattn.tensor, "ThreadPoolExecutor", Counted)
+        monkeypatch.setattr(linattn.model, "OVERLAP_MIN_ELEMENTS", 256 * 64)
+        model = self.model("classify", np.float32)
+        with T.no_grad():
+            model.encode(*self.batch(256, 1))
+        assert len(made) == 1
 
 
 class TestForwardMatch:

@@ -470,22 +470,6 @@ class TestLane:
                 failed.result()
             assert fine.result() == 2.0
 
-    def test_off_runs_inline_in_submit_order(self):
-        ran, caller = [], threading.current_thread()
-
-        def log(n):
-            ran.append((n, threading.current_thread() is caller))
-            return n
-
-        threads = self.counts()
-        with T.lane(False) as submit:
-            futures = [submit(log, n) for n in range(3)]
-            assert ran == [(0, True), (1, True), (2, True)]
-            assert all(f.done() for f in futures) and futures[2].result() == 2
-            with pytest.raises(ZeroDivisionError):
-                submit(divmod, 1, 0)
-        assert self.counts() == threads
-
     def test_recording_op_on_the_lane_raises(self):
         w = t64(np.ones(3), grad=True)
         with T.lane() as submit:

@@ -4,9 +4,13 @@
 ``classify_linear.cfg`` and ``classify_oglu.cfg`` to its target accuracy, in
 a subprocess that pins BLAS to one thread and shares the runs between two
 worker processes (about 30 s), and ``tests/trained_results.json`` keeps the
-stop step and final eval accuracy of each run. A run must stop within twice its recorded step count, and its final
-accuracy must stay within 0.01 of the record: 5 of the 500 eval examples.
-A change that moves results on purpose rewrites the record with
+stop step and final eval accuracy of each run, with the environment it was
+written in. Where the running environment equals the recorded one in every
+field the record holds (Python, NumPy, machine, CPU model and BLAS thread
+count), the determinism contract holds every run to its recorded step and
+accuracy exactly. Anywhere else a run must stop within twice its recorded
+step count, and its final accuracy must stay within 0.01 of the record: 5
+of the 500 eval examples. A change that moves results on purpose rewrites the record with
 ``PYTHONPATH=src python tests/trained_results.py --write`` and says why.
 """
 
@@ -30,12 +34,16 @@ def test_shipped_configs_train_to_the_record():
                           text=True, timeout=600)
     assert done.returncode == 0, done.stderr[-2000:]
     got = json.loads(done.stdout)
-    want = json.loads(RECORD.read_text())["runs"]
-    assert sorted(got) == sorted(want)
+    record = json.loads(RECORD.read_text())
+    want = record["runs"]
+    assert sorted(got["runs"]) == sorted(want)
     assert len(want) == 13
+    if record["environment"].items() <= got["environment"].items():
+        assert got["runs"] == want
+        return
     gaps = []
     for run, expected in want.items():
-        actual = got[run]
+        actual = got["runs"][run]
         if actual["steps"] > STEP_FACTOR * expected["steps"]:
             gaps.append(f"{run}: stopped at step {actual['steps']}, over {STEP_FACTOR} x "
                         f"{expected['steps']}")

@@ -42,12 +42,20 @@ MUTANTS = [
      "n // 2 // 64 * 64", "n // 2",
      "tests/test_model.py::TestRowSplit::test_halves_keep_every_bit"),
     ("encoder floor > for >=", "src/linattn/model.py",
-     "n * cfg.d_model >= attention.OVERLAP_MIN_ELEMENTS",
-     "n * cfg.d_model > attention.OVERLAP_MIN_ELEMENTS",
+     "n * cfg.d_model >= OVERLAP_MIN_ELEMENTS", "n * cfg.d_model > OVERLAP_MIN_ELEMENTS",
      "tests/test_model.py::TestRowSplit::test_worker_runs_at_the_floor"),
-    ("attention floor > for >=", "src/linattn/attention.py",
-     "x.data.size >= OVERLAP_MIN_ELEMENTS", "x.data.size > OVERLAP_MIN_ELEMENTS",
-     "tests/test_attention.py::TestFeatureOverlap::test_worker_runs_at_the_floor"),
+    ("encoder passes its lane while a graph is recorded", "src/linattn/model.py",
+     "overlap = submit if split else None",
+     "overlap = submit if split or T._GRAD_ENABLED else None",
+     "tests/test_model.py::TestRowSplit::test_no_worker[graph]"),
+    ("encoder passes its lane with an rng", "src/linattn/model.py",
+     "overlap = submit if split else None",
+     "overlap = submit if split or rng is not None else None",
+     "tests/test_model.py::TestRowSplit::test_no_worker[rng]"),
+    ("layer cuts its sequence halves without a lane", "src/linattn/attention.py",
+     "if submit is not None and m.ndim >= 2 else 0", "if m.ndim >= 2 else 0",
+     "tests/test_attention.py::TestFeatureOverlap"
+     "::test_serial_layer_builds_queries_first_on_the_caller"),
     # Five mutants that once passed every tier-1 test.
     ("dropout not inverted", "src/linattn/model.py",
      "[mask].astype(dtype) / (1.0 - rate)", "[mask].astype(dtype)",
